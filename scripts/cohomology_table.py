@@ -5,7 +5,11 @@ middle space is spanned by invariant-type 2-forms with trig-polynomial
 coefficients, then reports the matrix sizes, the exact chain residual
 |d1 d0|, the two ranks, and the resulting defect count
 h1 = dim ker d1 - rank d0.  The headline fact is that h1 stays at 4 (the
-constant-coefficient frame directions) as the truncation grows.
+constant-coefficient frame directions) as the truncation grows.  Each rank
+is taken block by block over the connected components of the matrix's
+nonzero pattern, here the Fourier blocks span{cos, sin}(2 pi k.x), with
+the threshold of one dense SVD; the time column covers assembly, the
+chain residual and both ranks.
 
 Run:  python3 scripts/cohomology_table.py [--max-truncation 2]
 """
@@ -41,10 +45,11 @@ def main():
         t0 = time.perf_counter()
         sl = complex_slice(cand, truncation=T)
         chain = float(np.abs(sl.d1 @ sl.d0).max()) if sl.d0.size else 0.0
+        h1 = sl.h1
         dt = time.perf_counter() - t0
         print(f"{T:>3} {len(sl.function_keys):>10} {sl.d0.shape[0]:>7} "
               f"{chain:>10.2e} {sl.rank_d0:>8} {sl.dim_ker_d1:>7} "
-              f"{sl.h1:>4} {dt:>7.2f}s")
+              f"{h1:>4} {dt:>7.2f}s")
 
 
 if __name__ == "__main__":

@@ -29,8 +29,8 @@ from .nearby import (BraneObstruction, FlowResult, GraphDeformation,
                      invariance_check, kernel_field, kernel_field_at,
                      mapping_torus_check, melanie_check, omega_f,
                      slicewise_hamiltonian, transport_brane)
-from .infdef import (AverageObstruction, ComplexSlice, InfDefPair,
-                     Type11Violation, build_infdef, check_infdef,
+from .infdef import (AverageObstruction, CircleTermsError, ComplexSlice,
+                     InfDefPair, Type11Violation, build_infdef, check_infdef,
                      complex_slice, constant_type11_basis,
                      hamiltonian_generator, infdef_general_check,
                      pair_from_values, transverse_endo, upsilon,

@@ -18,9 +18,11 @@ from pathlib import Path
 from .brane import (RankDropError, check_brane, check_brane_via_J,
                     check_space_filling)
 from .forms import DegenerateFormError, endo_from_pair
-from .infdef import (AverageObstruction, Type11Violation, build_infdef,
-                     check_infdef, complex_slice, hamiltonian_generator,
-                     infdef_general_check, upsilon_image_check)
+from .infdef import (AverageObstruction, CircleTermsError, Type11Violation,
+                     build_infdef, check_infdef, complex_slice,
+                     hamiltonian_generator, infdef_general_check,
+                     upsilon_image_check)
+from .integrate import FlowError
 from .model import DEFAULT_TOL, FlowOptions, SamplePlan, Tolerances
 from .nearby import (BraneObstruction, closed1f_check, flow, invariance_check,
                      mapping_torus_check, melanie_check, transport_brane)
@@ -193,11 +195,13 @@ def _run_cohomology(scene, spec, cfg):
     cs = complex_slice(c, truncation)
     rec = CheckResult("cohomology", SAMPLED, False)
     resid = cs.d1_d0_residual()
+    bound = cs.d1_d0_bound()
     rec.residuals["d1_d0"] = resid
-    rec.conditions["d1_d0_zero"] = bool(resid <= 1e-10)
+    rec.conditions["d1_d0_zero"] = bool(resid <= bound)
     expected = spec.opt("h1")
     rec.details.update(truncation=truncation, dim_ker_d1=cs.dim_ker_d1,
-                       rank_d0=cs.rank_d0, h1=cs.h1, shape=cs.shape)
+                       rank_d0=cs.rank_d0, h1=cs.h1, shape=cs.shape,
+                       d1_d0_bound=bound, blocks=cs.block_summary())
     if expected is not None:
         rec.conditions["h1_matches"] = cs.h1 == int(expected)
     rec.passed = all(rec.conditions.values())
@@ -226,7 +230,7 @@ _RUNNERS = {
 
 _CHECK_ERRORS = (SceneError, KeyError, ValueError, DegenerateFormError,
                  RankDropError, BraneObstruction, AverageObstruction,
-                 Type11Violation, AssertionError)
+                 Type11Violation, CircleTermsError, FlowError, AssertionError)
 
 
 def _execute(scene: Scene, spec, cfg: RunConfig) -> CheckResult:
@@ -354,12 +358,13 @@ def cmd_infdef(args) -> int:
         cs = complex_slice(scene.lookup("candidates", cand_name),
                            args.truncation)
         resid = cs.d1_d0_residual()
+        bound = cs.d1_d0_bound()
         verdict["complex_slice"] = {
             "candidate": cand_name, "truncation": args.truncation,
             "dim_ker_d1": cs.dim_ker_d1, "rank_d0": cs.rank_d0,
-            "h1": cs.h1, "d1_d0_residual": resid,
+            "h1": cs.h1, "d1_d0_residual": resid, "d1_d0_bound": bound,
         }
-        ok = ok and resid <= 1e-10
+        ok = ok and resid <= bound
     verdict["all_passed"] = ok
     print(json.dumps(verdict, indent=2, sort_keys=True))
     return 0 if ok else 1

@@ -7,7 +7,10 @@ independent condition checkers that must agree, the explicit builder for
 the product model N x S^1, Hamiltonian (coboundary) generators, the
 forgetful projection onto the kernel component with its image criterion,
 and truncated Fourier cochain complexes with numerically ranked first
-cohomology.
+cohomology.  Each rank is taken block by block over the connected
+components of the matrix's nonzero pattern (for constant-coefficient
+candidates, the Fourier blocks span{cos, sin}(2 pi k.x)) with the
+threshold of one SVD of the whole matrix.
 
 Sign convention: the generator map is f -> (df on the kernel frame,
 Lie_{X_f} F); the opposite overall sign spans the same coboundaries.
@@ -16,9 +19,11 @@ Lie_{X_f} F); the opposite overall sign spans the same coboundaries.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .brane import BraneCandidate, lift_form
 from .fields import (COS, SIN, ScalarField, VectorField, bracket,
@@ -42,6 +47,12 @@ class AverageObstruction(Exception):
 
 class Type11Violation(Exception):
     """The seed 2-form fails the closed + type-(1,1) precondition."""
+
+
+class CircleTermsError(Exception):
+    """Polynomial terms in the parameter circle survived where the
+    construction cancels them identically: an internal invariant of
+    build_infdef is broken."""
 
 
 @dataclass(frozen=True)
@@ -382,7 +393,7 @@ def build_infdef(rho, B_N0: DifferentialForm, c: BraneCandidate,
     slice 1-form, plus dq wedge that 1-form.  The circle average of the
     slice 1-form must be closed on N (else AverageObstruction); the
     antiderivative's polynomial terms then cancel identically, which is
-    asserted, never tolerated.
+    checked (CircleTermsError otherwise), never tolerated.
     """
     y = c.model_Y
     N_model, q = _drop_last_circle(y)
@@ -434,14 +445,14 @@ def build_infdef(rho, B_N0: DifferentialForm, c: BraneCandidate,
     anti = DifferentialForm.build(
         y, 1, {(j,): q_antiderivative(gamma[j], q) for j in range(N_model.dim)})
     d_anti = horizontal_d(anti, range(N_model.dim))
-    for _, f in d_anti.coeffs:
-        assert not f.has_circle_powers, \
-            "polynomial circle terms failed to cancel"
+    if any(f.has_circle_powers for _, f in d_anti.coeffs):
+        raise CircleTermsError(
+            "polynomial circle terms of the antiderivative failed to cancel")
 
     B = (lift_form(B_N0, y, list(range(N_model.dim))) + d_anti
          + wedge(DifferentialForm.basis(y, (q,)), gamma_form))
-    for _, f in B.coeffs:
-        assert not f.has_circle_powers
+    if any(f.has_circle_powers for _, f in B.coeffs):
+        raise CircleTermsError("the built 2-form has polynomial circle terms")
     r = DifferentialForm.build(y, 1, {(q,): rho})
     return InfDefPair(r, B)
 
@@ -499,10 +510,52 @@ def constant_type11_basis(c: BraneCandidate) -> list[np.ndarray]:
     return [vt[len(pairs) - 1 - k] for k in range(null_dim)][::-1]
 
 
+def _block_rank(M: np.ndarray,
+                rank_rel: float) -> tuple[int, list[tuple[int, int]]]:
+    """Numerical rank of M and the shapes of the blocks it was taken over.
+
+    Rows and columns are the nodes of a graph whose edges are the nonzero
+    entries of M; each connected component spans one diagonal block of M
+    after a row and a column permutation.  Permutations keep singular
+    values, so the singular values of M are the union of the blocks'
+    values, and counting those above rank_rel times the largest of all of
+    them is the rank a dense SVD of M gives.  A matrix that does not
+    decouple is one block.
+    """
+    rows, cols = np.nonzero(M)
+    if rows.size == 0:
+        return 0, []
+    m, n = M.shape
+    graph = coo_matrix((np.ones(rows.size), (rows, cols + m)),
+                       shape=(m + n, m + n))
+    ncomp, labels = connected_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(ncomp + 1))
+    values, shapes = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # ascending node ids (the sort is stable): rows first, then columns
+        nodes = order[lo:hi]
+        split = int(np.searchsorted(nodes, m))
+        if split == 0 or split == nodes.size:
+            continue  # a zero row or a zero column on its own
+        r, c = nodes[:split], nodes[split:] - m
+        values.append(np.linalg.svd(M[np.ix_(r, c)], compute_uv=False))
+        shapes.append((r.size, c.size))
+    s = np.concatenate(values)
+    return int(np.sum(s > rank_rel * s.max())), shapes
+
+
 @dataclass
 class ComplexSlice:
     """Matrices of the two-step deformation complex on truncated Fourier
-    bases, with lazily computed numerical ranks."""
+    bases, with lazily computed numerical ranks.
+
+    d0 and d1 are dense.  Each rank is taken block by block over the
+    connected components of the matrix's nonzero pattern (see _block_rank),
+    which for constant-coefficient candidates are the Fourier blocks; the
+    threshold is rank_rel times the largest singular value of the whole
+    matrix, so the rank is that of one dense SVD.
+    """
 
     model: ManifoldModel
     truncation: int
@@ -511,35 +564,54 @@ class ComplexSlice:
     d0: np.ndarray
     d1: np.ndarray
     rank_rel: float = DEFAULT_TOL.svd_rank_rel
+    _ranked: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def d1_d0_residual(self) -> float:
         if self.d0.size == 0 or self.d1.size == 0:
             return 0.0
         return float(np.abs(self.d1 @ self.d0).max())
 
-    def _rank(self, M: np.ndarray) -> int:
-        if M.size == 0:
-            return 0
-        s = np.linalg.svd(M, compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.sum(s > self.rank_rel * s[0]))
+    def d1_d0_bound(self) -> float:
+        """Rounding bound of |d1 d0| when the exact product vanishes:
+        n eps max_i sum_k |d1_ik| max |d0| with n the inner dimension, at
+        least 1e-10.  Row sums are taken 256 rows at a time, so no
+        full-size copy of d1 is made."""
+        if self.d0.size == 0 or self.d1.size == 0:
+            return 1e-10
+        row_sum = max(float(np.abs(self.d1[r:r + 256]).sum(axis=1).max())
+                      for r in range(0, self.d1.shape[0], 256))
+        return max(1e-10, self.d1.shape[1] * np.finfo(float).eps * row_sum
+                   * float(np.abs(self.d0).max()))
+
+    def _rank(self, which: str) -> tuple[int, list[tuple[int, int]]]:
+        """(numerical rank, block shapes) of d0 or d1, computed once."""
+        if which not in self._ranked:
+            self._ranked[which] = _block_rank(getattr(self, which),
+                                              self.rank_rel)
+        return self._ranked[which]
 
     @property
     def rank_d0(self) -> int:
-        if not hasattr(self, "_rank_d0"):
-            self._rank_d0 = self._rank(self.d0)
-        return self._rank_d0
+        return self._rank("d0")[0]
 
     @property
     def dim_ker_d1(self) -> int:
-        if not hasattr(self, "_dim_ker_d1"):
-            self._dim_ker_d1 = self.d1.shape[1] - self._rank(self.d1)
-        return self._dim_ker_d1
+        return self.d1.shape[1] - self._rank("d1")[0]
 
     @property
     def h1(self) -> int:
         return self.dim_ker_d1 - self.rank_d0
+
+    def block_summary(self) -> dict:
+        """Block count and largest block shape (most entries) of d0 and d1."""
+        out = {}
+        for which in ("d0", "d1"):
+            shapes = self._rank(which)[1]
+            largest = max(shapes, key=lambda rc: rc[0] * rc[1],
+                          default=(0, 0))
+            out[which] = {"blocks": len(shapes), "largest": list(largest)}
+        return out
 
 
 def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from branelab.brane import BraneCandidate
 from branelab.fields import ScalarField, partial
 from branelab.forms import DifferentialForm, Distribution, is_type_11
 from branelab.grammar import parse_field, parse_form, parse_vector
 from branelab.infdef import (AverageObstruction, InfDefPair, Type11Violation,
-                             build_infdef, check_infdef, complex_slice,
+                             _block_rank, build_infdef, check_infdef, complex_slice,
                              constant_type11_basis, hamiltonian_generator,
                              infdef_general_check, kernel_values,
                              pair_from_values, transverse_endo, upsilon,
@@ -238,3 +240,76 @@ def test_complex_slice_rejects_too_small_truncation():
 def test_complex_slice_needs_torus_model():
     with pytest.raises(ValueError):
         complex_slice(CMIX, 1)
+
+
+# the standard T^4 pair pulled back by a fixed GL(4,Z) matrix
+GL_OMEGA = "-1.0*dx1^dx2 + 1.0*dx1^dy2 + 1.0*dy1^dy2 - 2.0*dx2^dy2"
+GL_F = "1.0*dx1^dy1 - 1.0*dx1^dy2 + 2.0*dy1^dy2 + 1.0*dx2^dy2"
+
+
+def gl_pair_t4():
+    from branelab.fields import VectorField
+    return BraneCandidate(
+        T4, parse_form(GL_OMEGA, T4), parse_form(GL_F, T4), Distribution(T4, ()),
+        Distribution(T4, tuple(VectorField.basis(T4, i) for i in range(4))))
+
+
+def dense_rank(M, rank_rel):
+    """The rank one dense SVD of the whole matrix gives."""
+    if M.size == 0:
+        return 0
+    s = np.linalg.svd(M, compute_uv=False)
+    if s[0] == 0.0:
+        return 0
+    return int(np.sum(s > rank_rel * s[0]))
+
+
+@pytest.mark.parametrize("make, truncation, h1", [
+    (space_filling_t4, 0, 4), (space_filling_t4, 1, 4),
+    (gl_pair_t4, 1, 4), (lambda: C5, 0, 11)])
+def test_block_ranks_match_dense_svd(make, truncation, h1):
+    cs = complex_slice(make(), truncation)
+    assert cs.rank_d0 == dense_rank(cs.d0, cs.rank_rel)
+    assert cs.dim_ker_d1 == cs.d1.shape[1] - dense_rank(cs.d1, cs.rank_rel)
+    assert cs.h1 == h1
+
+
+def test_codim1_complex_decouples_into_small_blocks():
+    cs = complex_slice(C5, 1)
+    assert cs.d1.shape == (2430, 2673)
+    assert cs.h1 == 979
+    assert cs.block_summary() == {"d0": {"blocks": 242, "largest": [10, 1]},
+                                  "d1": {"blocks": 812, "largest": [10, 10]}}
+
+
+@st.composite
+def hidden_block_diagonal(draw):
+    """A block-diagonal matrix of integer products A B (exactly rank
+    deficient when the inner size is below the block's sides), blocks
+    scaled apart, zero rows and columns added, rows and columns shuffled."""
+    ints = st.integers(-3, 3)
+    blocks, bound = [], 0
+    for _ in range(draw(st.integers(1, 5))):
+        r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        k = draw(st.integers(0, min(r, c)))
+        A = np.array(draw(st.lists(ints, min_size=r * k, max_size=r * k)),
+                     dtype=float).reshape(r, k)
+        B = np.array(draw(st.lists(ints, min_size=k * c, max_size=k * c)),
+                     dtype=float).reshape(k, c)
+        blocks.append(draw(st.sampled_from((1.0, 1e-3, 1e-12))) * (A @ B))
+        bound += k
+    M = scipy.linalg.block_diag(*blocks)
+    M = np.pad(M, ((0, draw(st.integers(0, 3))), (0, draw(st.integers(0, 3)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return M[rng.permutation(M.shape[0])][:, rng.permutation(M.shape[1])], bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(hidden_block_diagonal())
+def test_block_rank_is_the_dense_rank(case):
+    M, bound = case
+    rank, shapes = _block_rank(M, 1e-8)
+    assert rank == dense_rank(M, 1e-8)
+    assert rank <= bound
+    assert sum(r for r, _ in shapes) <= M.shape[0]
+    assert sum(c for _, c in shapes) <= M.shape[1]

@@ -4,9 +4,13 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import branelab.cli
+import branelab.infdef
 from branelab.cli import (bundled_scene_dir, main, resolve_scene)
+from branelab.grammar import parse_field
 from branelab.scene import SceneError, parse_scene, serialize_scene
 
 MINIMAL = """\
@@ -198,3 +202,91 @@ def test_infdef_subcommand_flags_failing_pair(capsys):
     data = json.loads(out)
     assert data["pairs"]["pbad"]["check_infdef"]["pass"] is False
     assert data["pairs"]["pbad"]["agree"] is True
+
+
+# the standard T^4 pair pulled back by a fixed GL(4,Z) matrix; at
+# truncation 2 its |d1 d0| is 8.5e-10 from rounding alone, with h1 = 4
+GL_PAIR = """\
+scene t4_gl
+
+model T
+coord T x1 circle
+coord T y1 circle
+coord T x2 circle
+coord T y2 circle
+
+form omega @ T = -1.0*dx1^dx2 + 1.0*dx1^dy2 + 1.0*dy1^dy2 - 2.0*dx2^dy2
+form F @ T = 1.0*dx1^dy1 - 1.0*dx1^dy2 + 2.0*dy1^dy2 + 1.0*dx2^dy2
+frame E @ T =
+frame G @ T = d_x1 ; d_y1 ; d_x2 ; d_y2
+candidate c = T omega F E G
+
+"""
+
+
+def run_json(tmp_path, capsys, text, *flags):
+    p = tmp_path / "case.scene"
+    p.write_text(text)
+    code = main(["run", str(p), "--format", "json", *flags])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_cohomology_check_holds_rounding_not_an_absolute_tolerance(
+        tmp_path, capsys):
+    code, data = run_json(tmp_path, capsys,
+                          GL_PAIR + "check cohomology c truncation=2 h1=4\n")
+    rec = data["checks"][0]
+    assert code == 0 and rec["pass"]
+    assert rec["residuals"]["d1_d0"] <= rec["details"]["d1_d0_bound"]
+    assert rec["details"]["h1"] == 4
+    assert rec["details"]["blocks"] == {
+        "d0": {"blocks": 624, "largest": [4, 1]},
+        "d1": {"blocks": 648, "largest": [4, 4]}}
+
+
+def test_cohomology_check_fails_a_sign_flipped_d1(tmp_path, capsys,
+                                                  monkeypatch):
+    def flipped(c, truncation):
+        cs = branelab.infdef.complex_slice(c, truncation)
+        k = np.abs(cs.d0).sum(axis=1).argmax()
+        i = np.abs(cs.d1[:, k]).argmax()
+        cs.d1[i, k] = -cs.d1[i, k]
+        return cs
+
+    monkeypatch.setattr(branelab.cli, "complex_slice", flipped)
+    code, data = run_json(tmp_path, capsys,
+                          GL_PAIR + "check cohomology c truncation=1\n")
+    rec = data["checks"][0]
+    assert code == 1 and not rec["pass"]
+    assert rec["conditions"]["d1_d0_zero"] is False
+    assert rec["residuals"]["d1_d0"] > rec["details"]["d1_d0_bound"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_blowing_up_flow_is_a_failed_record_not_an_abort(tmp_path, capsys):
+    text = (bundled_scene_dir() / "lambda_shear.scene").read_text(
+        encoding="utf-8").split("\ncheck ")[0].replace(
+        "deform shear = N omegaN FN q : 0.41421356237309515*y2",
+        "deform shear = N omegaN FN q : 0.2*cos(2*pi*x1)*y2^2 "
+        "+ 0.1*sin(2*pi*q)*y1*x2")
+    code, data = run_json(
+        tmp_path, capsys, text + "\ncheck invariance shear FN\n"
+        "check closed1f shear\n", "--steps", "64")
+    assert code == 1
+    blown, after = data["checks"]
+    assert not blown["pass"]
+    assert blown["details"]["error"] == (
+        "FlowError: non-finite state during integration")
+    assert after["name"] == "closed1f(shear)"
+
+
+def test_uncancelled_circle_terms_are_a_named_error(capsys, monkeypatch):
+    monkeypatch.setattr(branelab.infdef, "q_antiderivative",
+                        lambda a, i: a * parse_field("q", a.model))
+    assert main(["run", "infdef_torus", "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    rec = next(c for c in data["checks"]
+               if c["name"] == "build_infdef(rho_ok, B0N, c)")
+    assert not rec["pass"]
+    assert rec["details"]["error"].startswith("CircleTermsError: ")
