@@ -17,7 +17,7 @@ from .forms import (DegenerateFormError, DifferentialForm, Distribution,
                     two_form_from, wedge)
 from .grammar import (ParseError, field_to_text, form_to_text, parse_field,
                       parse_form, parse_vector, vector_to_text)
-from .integrate import FlowError, flow_of_vectorfield, rk4_flow
+from .integrate import FlowError, rk4_flow
 from .report import CheckResult, Report, flow_result_csv
 from .brane import (AmbientModel, BraneCandidate, RankDropError, ambient_for,
                     charbrane_roundtrip, check_brane, check_brane_via_J,

@@ -230,7 +230,7 @@ _RUNNERS = {
 
 _CHECK_ERRORS = (SceneError, KeyError, ValueError, DegenerateFormError,
                  RankDropError, BraneObstruction, AverageObstruction,
-                 Type11Violation, CircleTermsError, FlowError, AssertionError)
+                 Type11Violation, CircleTermsError, FlowError)
 
 
 def _execute(scene: Scene, spec, cfg: RunConfig) -> CheckResult:

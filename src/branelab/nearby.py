@@ -11,6 +11,7 @@ kernel line of the deformed form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -203,23 +204,23 @@ def _batch_backward(g: GraphDeformation, points, opts: FlowOptions):
     pts = np.atleast_2d(np.asarray(points, float))
     m, dN = pts.shape[0], g.n_dim
     ks = _snap(pts[:, g.q_index] % 1.0, opts.step)
-    x = pts[:, :dN]
-    vel = _velocity(g)
-    rhs = integrate._RHS(vel, g.n_indices, g.q_index)
-    X = np.zeros((m, dN))
+    # rows sorted by descending start step, so the samples already in
+    # flight at step k are a prefix of the batch
+    order = np.argsort(-ks, kind="stable")
+    started = np.cumsum(np.bincount(ks, minlength=1)[::-1])[::-1]
+    seeds = pts[order]
+    X = seeds[:, :dN].copy()
     J = np.broadcast_to(np.eye(dN), (m, dN, dN)).copy()
     kmax = int(ks.max(initial=0))
-    h = -opts.step
+    rhs = integrate._RHS(_velocity(g), g.n_indices, g.q_index)
     for k in range(kmax, 0, -1):
-        hit = ks == k
-        if np.any(hit):
-            X[hit] = x[hit]
-            J[hit] = np.eye(dN)
-        X, J = integrate._rk4_step(rhs, X, J, k * opts.step, h)
-    hit = ks == 0
-    if np.any(hit):
-        X[hit] = x[hit]
-        J[hit] = np.eye(dN)
+        a = started[k]
+        X[:a], J[:a] = integrate._rk4_step(
+            rhs, X[:a], J[:a], k * opts.step, -opts.step, kmax - k + 1,
+            seeds[:a])
+    back = np.empty_like(order)
+    back[order] = np.arange(m)
+    X, J = X[back], J[back]
     snapped = pts.copy()
     snapped[:, g.q_index] = ks * opts.step
     return snapped, X, J
@@ -255,15 +256,13 @@ class TransportedForm:
         """
         g = self.g
         snapped, y, A = _batch_backward(g, points, self.opts)
-        dN, dY = g.n_dim, g.y_model.dim
+        dN = g.n_dim
         Xf = np.stack([c.eval_batch(snapped) for c in
                        self._hamiltonian.components[:dN]], axis=1)
         b = np.einsum("kij,kj->ki", A, Xf)
         C = np.concatenate([A, b[:, :, None]], axis=2)
         G = self.F_N.gram_batch(g.N_model.wrap(y))
-        M = np.einsum("kia,kij,kjb->kab", C, G, C)
-        assert M.shape[1:] == (dY, dY)
-        return snapped, M
+        return snapped, np.einsum("kia,kij,kjb->kab", C, G, C)
 
     def matrix_at(self, point, exact: bool = True) -> np.ndarray:
         """Gram matrix at one Y-point; exact backward solve or grid
@@ -394,16 +393,29 @@ def transport_brane(g: GraphDeformation, F_N_tilde: DifferentialForm,
     actually preserving it (otherwise BraneObstruction)."""
     if plan is None:
         plan = SamplePlan(count=64, seed=3)
-    pts = plan.points(g.N_model)
-    fr = flow(g, 0.0, 1.0, pts, opts)
-    verdict = invariance_check(F_N_tilde, fr, tol)
-    if not verdict.passed:
-        w = verdict.witnesses[0] if verdict.witnesses else {"point": None}
-        raise BraneObstruction(
-            "time-1 flow does not preserve the transverse form "
-            f"(residual {verdict.residuals['invariance']:.3e})",
-            point=w.get("point"), residual=verdict.residuals["invariance"])
+    obstruction = _gate(g, F_N_tilde, plan, tol, opts)
+    if obstruction is not None:
+        msg, point, residual = obstruction
+        raise BraneObstruction(msg, point=list(point), residual=residual)
     return TransportedForm(g, F_N_tilde, grid_q=grid_q, opts=opts)
+
+
+@functools.lru_cache(maxsize=16)
+def _gate(g: GraphDeformation, F_N_tilde: DifferentialForm,
+          plan: SamplePlan, tol: float, opts: FlowOptions):
+    """The time-1 gate flow of transport_brane, run once per distinct
+    (deformation, form, plan, tol, flow options): None when the flow
+    preserves the form, else the obstruction's (message, point, residual).
+    The scene runner gates every transport check of a deformation on the
+    same flow."""
+    fr = flow(g, 0.0, 1.0, plan.points(g.N_model), opts)
+    verdict = invariance_check(F_N_tilde, fr, tol)
+    if verdict.passed:
+        return None
+    residual = verdict.residuals["invariance"]
+    return ("time-1 flow does not preserve the transverse form "
+            f"(residual {residual:.3e})",
+            tuple(verdict.witnesses[0]["point"]), residual)
 
 
 def closed1f_residual(g: GraphDeformation) -> DifferentialForm:
@@ -536,14 +548,16 @@ def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
         for k in range(0, kmin, -1):
             if k in stations:
                 stations[k] = (Xb.copy(), Jb.copy())
-            Xb, Jb = integrate._rk4_step(rhs, Xb, Jb, k * opts.step, -opts.step)
+            Xb, Jb = integrate._rk4_step(rhs, Xb, Jb, k * opts.step,
+                                         -opts.step, 1 - k, pts)
         if kmin in stations:
             stations[kmin] = (Xb.copy(), Jb.copy())
     for k in range(0, kmax + 1):
         if k in stations:
             stations[k] = (X.copy(), J.copy())
         if k < kmax:
-            X, J = integrate._rk4_step(rhs, X, J, k * opts.step, opts.step)
+            X, J = integrate._rk4_step(rhs, X, J, k * opts.step, opts.step,
+                                       k + 1, pts)
     if kmax in stations and stations[kmax] is None:
         stations[kmax] = (X.copy(), J.copy())
 

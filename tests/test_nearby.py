@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from branelab import nearby
 from branelab.forms import DifferentialForm, Distribution, ext_d, interior
 from branelab.grammar import parse_form, parse_vector
 from branelab.model import (CIRCLE, LINE, FlowOptions, SamplePlan,
@@ -146,6 +147,21 @@ def test_transport_obstruction_raised_for_twisting_f():
     with pytest.raises(BraneObstruction) as err:
         transport_brane(g, F_N)
     assert err.value.residual is not None
+
+
+def test_cached_obstruction_raises_identically():
+    nearby._gate.cache_clear()
+    g = graph_deformation(N_MIX, OMEGA_N, F_N, "0.01*cos(2*pi*x1)")
+    raised = []
+    for _ in range(2):
+        with pytest.raises(BraneObstruction) as err:
+            transport_brane(g, F_N)
+        raised.append(err.value)
+    first, second = raised
+    assert nearby._gate.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert str(second) == str(first)
+    assert second.point == first.point and second.point is not first.point
+    assert second.residual == first.residual
 
 
 def test_closed1f_shear_passes_quadratic_fails():

@@ -277,8 +277,30 @@ def test_blowing_up_flow_is_a_failed_record_not_an_abort(tmp_path, capsys):
     blown, after = data["checks"]
     assert not blown["pass"]
     assert blown["details"]["error"] == (
-        "FlowError: non-finite state during integration")
+        "FlowError: non-finite state at step 56 (q = 0.875) on the trajectory "
+        "of seed point (0.704591, 0.507004, 0.302352, 0.954616)")
     assert after["name"] == "closed1f(shear)"
+
+
+def test_transport_checks_share_one_gate_flow(tmp_path, capsys, monkeypatch):
+    flows = []
+
+    def counted(*args, **kwargs):
+        flows.append(args[0])
+        return real_flow(*args, **kwargs)
+
+    real_flow = branelab.nearby.flow
+    monkeypatch.setattr(branelab.nearby, "flow", counted)
+    branelab.nearby._gate.cache_clear()
+    text = (bundled_scene_dir() / "lambda_shear.scene").read_text(
+        encoding="utf-8").replace(
+        "check closed1f shear\ncheck invariance shear FN\n", "")
+    code, data = run_json(tmp_path, capsys, text, "--steps", "64")
+    assert code == 0
+    assert [c["name"] for c in data["checks"]] == [
+        "transport_kernel(shear, FN)", "transport_zero_slice(shear, FN)",
+        "transport_fd(shear, FN)"]
+    assert len(flows) == 1
 
 
 def test_uncancelled_circle_terms_are_a_named_error(capsys, monkeypatch):
