@@ -17,7 +17,7 @@ import numpy as np
 
 from .fields import ScalarField, VectorField, reindex
 from .forms import (DegenerateFormError, DifferentialForm, Distribution,
-                    endo_from_pair, ext_d, joint_frame_ok, kernel_basis,
+                    endo_from_pair, ext_d, kernel_basis,
                     max_principal_angle, two_form_from)
 from .model import (DEFAULT_PLAN, DEFAULT_TOL, LINE, ManifoldModel,
                     SamplePlan, extend_with_line, product_model)
@@ -84,7 +84,7 @@ def ambient_for(c: BraneCandidate) -> AmbientModel:
     P = np.column_stack([GC, EC]) if (GC.size or EC.size) else np.eye(n)
     D = np.linalg.inv(P)
     raw = {}
-    lifted = _lift(c.omega, M, list(range(n)))
+    lifted = lift_form(c.omega, M, list(range(n)))
     for a in range(k):
         eta = D[c.G_frame.rank + a]
         for i in range(n):
@@ -96,16 +96,14 @@ def ambient_for(c: BraneCandidate) -> AmbientModel:
     return AmbientModel(M, omega_M, n)
 
 
-def _lift(form: DifferentialForm, target: ManifoldModel, mapping):
+def lift_form(form: DifferentialForm, target: ManifoldModel,
+              mapping) -> DifferentialForm:
+    """Transport a form to target; mapping[i] = target index of coordinate i."""
     raw = {}
     for idx, f in form.coeffs:
         key = tuple(mapping[i] for i in idx)
         raw[key] = reindex(f, target, mapping)
     return DifferentialForm.build(target, form.degree, raw)
-
-
-def lift_form(form: DifferentialForm, target: ManifoldModel, mapping) -> DifferentialForm:
-    return _lift(form, target, mapping)
 
 
 def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
@@ -161,39 +159,62 @@ def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
     return res
 
 
+def _independent(E: np.ndarray, G: np.ndarray, rel: float) -> bool:
+    """The columns of E and G together have full rank."""
+    M = np.column_stack([E, G])
+    if M.shape[1] == 0:
+        return True
+    s = np.linalg.svd(M, compute_uv=False)
+    return s[-1] > rel * max(s[0], 1.0)
+
+
 def validate_candidate(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
                        tol=DEFAULT_TOL) -> None:
-    pts = plan.points(c.model_Y)
-    for i in range(min(pts.shape[0], 32)):
-        if not joint_frame_ok(c.E_frame, c.G_frame, pts[i], tol.subspace):
+    """Raise ValueError if the E and G frames are dependent: tested once on
+    constant frames, else at the first 32 plan points."""
+    EC, GC = c.E_frame.constant_matrix(), c.G_frame.constant_matrix()
+    pts = plan.points(c.model_Y)[:1 if EC is not None and GC is not None else 32]
+    for p in pts:
+        E = EC if EC is not None else c.E_frame.matrix_at(p)
+        G = GC if GC is not None else c.G_frame.matrix_at(p)
+        if not _independent(E, G, tol.subspace):
             raise ValueError(
-                f"E and G frames dependent at sample {pts[i].tolist()}")
+                f"E and G frames dependent at sample {p.tolist()}")
 
 
 def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
                 tol=DEFAULT_TOL) -> CheckResult:
     """Kernels of omega and F both equal span(E); both forms closed;
-    transverse endomorphism squares to -Id on the G-frame."""
+    transverse endomorphism squares to -Id on the G-frame.
+
+    On constant data (omega, F and both frames constant) the check is
+    EXACT: the Grams and frames are evaluated once, and witnesses and
+    errors name the first plan point.  Otherwise it is SAMPLED at every
+    plan point.
+    """
     validate_candidate(c, plan, tol)
-    exact = (c.omega.is_constant() and c.F.is_constant()
-             and all(v.is_constant() for v in c.E_frame.frame)
-             and all(v.is_constant() for v in c.G_frame.frame))
+    EC, GC = c.E_frame.constant_matrix(), c.G_frame.constant_matrix()
+    W, FC = c.omega.constant_gram(), c.F.constant_gram()
+    exact = not any(x is None for x in (EC, GC, W, FC))
     res = CheckResult("brane", EXACT if exact else SAMPLED, False)
-    res.conditions["omega_closed"] = ext_d(c.omega).is_zero(tol.exact_zero)
-    res.conditions["F_closed"] = ext_d(c.F).is_zero(tol.exact_zero)
-    res.residuals["d_omega"] = ext_d(c.omega).max_coeff()
-    res.residuals["d_F"] = ext_d(c.F).max_coeff()
+    d_omega, d_F = ext_d(c.omega), ext_d(c.F)
+    res.conditions["omega_closed"] = d_omega.is_zero(tol.exact_zero)
+    res.conditions["F_closed"] = d_F.is_zero(tol.exact_zero)
+    res.residuals["d_omega"] = d_omega.max_coeff()
+    res.residuals["d_F"] = d_F.max_coeff()
 
     pts = plan.points(c.model_Y)
+    if exact:
+        pts, WG, FG = pts[:1], W[None], FC[None]
+    else:
+        WG, FG = c.omega.gram_batch(pts), c.F.gram_batch(pts)
     k = c.E_frame.rank
     kernels_ok = True
     squares_ok = True
     worst_kernel = 0.0
     worst_square = 0.0
-    WG = c.omega.gram_batch(pts)
-    FG = c.F.gram_batch(pts)
     for i in range(pts.shape[0]):
-        E = c.E_frame.matrix_at(pts[i])
+        E = EC if EC is not None else c.E_frame.matrix_at(pts[i])
         for label, G in (("omega", WG[i]), ("F", FG[i])):
             nul = kernel_basis(G, tol.subspace)
             if nul.shape[1] != k:
@@ -206,7 +227,7 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
                 kernels_ok = False
                 res.add_witness(pts[i], ang, f"kernel_{label}")
         # transverse complex structure on the G-frame
-        Gm = c.G_frame.matrix_at(pts[i])
+        Gm = GC if GC is not None else c.G_frame.matrix_at(pts[i])
         if Gm.shape[1]:
             Wg = Gm.T @ WG[i] @ Gm
             Fg = Gm.T @ FG[i] @ Gm
@@ -228,16 +249,7 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
     return res
 
 
-def tau_F_subspace(c: BraneCandidate, ambient: AmbientModel,
-                   p) -> np.ndarray:
-    """Basis of {(X, xi): X tangent to Y, xi restricted to TY = i_X F} at p.
-
-    Columns live in R^{2 dim M}; p is a point of M (fiber coordinates are
-    ignored by the constant-coefficient data used here).
-    """
-    m = ambient.model_M.dim
-    n = ambient.n_base
-    FG = c.F.gram_at(np.asarray(p, float)[:n])
+def _tau_F_basis(FG: np.ndarray, m: int, n: int) -> np.ndarray:
     cols = []
     for i in range(n):
         v = np.zeros(2 * m)
@@ -249,6 +261,18 @@ def tau_F_subspace(c: BraneCandidate, ambient: AmbientModel,
         v[m + n + a] = 1.0
         cols.append(v)
     return np.column_stack(cols)
+
+
+def tau_F_subspace(c: BraneCandidate, ambient: AmbientModel,
+                   p) -> np.ndarray:
+    """Basis of {(X, xi): X tangent to Y, xi restricted to TY = i_X F} at p.
+
+    Columns live in R^{2 dim M}; p is a point of M (fiber coordinates are
+    ignored by the constant-coefficient data used here).
+    """
+    n = ambient.n_base
+    return _tau_F_basis(c.F.gram_at(np.asarray(p, float)[:n]),
+                        ambient.model_M.dim, n)
 
 
 def split_pairing_gram(basis: np.ndarray) -> np.ndarray:
@@ -267,24 +291,30 @@ def check_brane_via_J(c: BraneCandidate, ambient: AmbientModel | None = None,
 
     J(X, xi) = (-omega_M^-1 xi, omega_M X); the candidate passes iff
     J tau_F = tau_F at every sample (and the ambient form is closed, which
-    the AmbientModel construction guarantees).
+    the AmbientModel construction guarantees).  When the ambient form and F
+    are constant (as for constant omega and F with ambient_for), J and
+    tau_F are too: the check is EXACT, evaluated once, and witnesses and
+    errors name the first plan point.  Otherwise it is SAMPLED at every
+    plan point.
     """
     if ambient is None:
         ambient = ambient_for(c)
-    res = CheckResult("brane_via_J", SAMPLED, False)
+    WC, FC = ambient.omega_M.constant_gram(), c.F.constant_gram()
+    exact = WC is not None and FC is not None
+    res = CheckResult("brane_via_J", EXACT if exact else SAMPLED, False)
     # J-invariance is pointwise linear algebra; closedness is checked
     # separately so the verdict matches check_brane on non-closed inputs
     res.conditions["omega_closed"] = ext_d(c.omega).is_zero(tol.exact_zero)
     res.conditions["F_closed"] = ext_d(c.F).is_zero(tol.exact_zero)
     m = ambient.model_M.dim
     n = ambient.n_base
-    pts = plan.points(c.model_Y)
+    pts = plan.points(c.model_Y)[:1 if exact else None]
     worst = 0.0
     ok = True
     for i in range(pts.shape[0]):
         p = np.zeros(m)
         p[:n] = pts[i]
-        W = ambient.omega_M.gram_at(p)
+        W = WC if exact else ambient.omega_M.gram_at(p)
         s = np.linalg.svd(W, compute_uv=False)
         if s[-1] == 0 or s[0] / s[-1] > tol.condition_limit:
             raise DegenerateFormError(
@@ -293,7 +323,7 @@ def check_brane_via_J(c: BraneCandidate, ambient: AmbientModel | None = None,
         J = np.zeros((2 * m, 2 * m))
         J[:m, m:] = -np.linalg.inv(Wmap)
         J[m:, :m] = Wmap
-        basis = tau_F_subspace(c, ambient, p)
+        basis = _tau_F_basis(FC if exact else c.F.gram_at(pts[i]), m, n)
         Q, _ = np.linalg.qr(basis)
         img = J @ basis
         resid = img - Q @ (Q.T @ img)
@@ -352,8 +382,8 @@ def product_candidate(c1: BraneCandidate, c2: BraneCandidate) -> BraneCandidate:
     n1 = c1.model_Y.dim
     m1 = list(range(n1))
     m2 = [n1 + i for i in range(c2.model_Y.dim)]
-    omega = _lift(c1.omega, model, m1) + _lift(c2.omega, model, m2)
-    F = _lift(c1.F, model, m1) + _lift(c2.F, model, m2)
+    omega = lift_form(c1.omega, model, m1) + lift_form(c2.omega, model, m2)
+    F = lift_form(c1.F, model, m1) + lift_form(c2.F, model, m2)
 
     def lift_dist(d: Distribution, mapping):
         vecs = []

@@ -26,7 +26,7 @@ from .integrate import FlowError
 from .model import DEFAULT_TOL, FlowOptions, SamplePlan, Tolerances
 from .nearby import (BraneObstruction, closed1f_check, flow, invariance_check,
                      mapping_torus_check, melanie_check, transport_brane)
-from .report import EXACT, SAMPLED, CheckResult, Report
+from .report import ERROR, EXACT, SAMPLED, CheckResult, Report
 from .scene import Scene, SceneError, load_scene, parse_scene
 
 
@@ -241,7 +241,7 @@ def _execute(scene: Scene, spec, cfg: RunConfig) -> CheckResult:
     try:
         rec = _RUNNERS[spec.kind](scene, spec, cfg)
     except _CHECK_ERRORS as e:
-        rec = CheckResult(label, EXACT, False)
+        rec = CheckResult(label, ERROR, False)
         rec.details["error"] = f"{type(e).__name__}: {e}"
     rec.name = label
     expect = spec.opt("expect", "pass")

@@ -507,16 +507,6 @@ class Distribution:
         return s[-1] > rel * max(s[0], 1.0)
 
 
-def joint_frame_ok(e: Distribution, g: Distribution, point,
-                   rel: float = 1e-8) -> bool:
-    """The union of both frames spans a space of full joint rank at point."""
-    M = np.column_stack([e.matrix_at(point), g.matrix_at(point)])
-    if M.shape[1] == 0:
-        return True
-    s = np.linalg.svd(M, compute_uv=False)
-    return s[-1] > rel * max(s[0], 1.0)
-
-
 def kernel_basis(G: np.ndarray, rel: float = 1e-8) -> np.ndarray:
     """Orthonormal basis of the null space of a square matrix."""
     u, s, vt = np.linalg.svd(G)

@@ -5,6 +5,16 @@ basis symbols; forms use wedge chains like ``dx1^dy2`` with field
 coefficients in front.  The ``2*pi`` token is explicit so integer
 frequencies round-trip without floating-point noise.  Serialization is
 canonical: parse(serialize(x)) reproduces x exactly.
+
+A sum is parsed term by term: each term (a product of factors, or a
+parenthesized sum) becomes a canonical, pruned ScalarField, and its
+``(key, coeff)`` pairs are added left to right into one accumulator per
+result (one per field, per vector component, per sorted wedge chain).
+``ScalarField.build`` then canonicalizes and prunes each accumulator once,
+so an n-term sum costs O(n log n) rather than a re-canonicalization of the
+partial sum after every ``+``.  Coefficients that cancel to below the
+pruning threshold are dropped at that single final pruning, not after each
+partial sum.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .fields import COS, SIN, ScalarField, VectorField
-from .forms import DifferentialForm
+from .forms import DifferentialForm, _sort_sign
 from .model import ManifoldModel
 
 _TOKEN = re.compile(
@@ -168,17 +178,31 @@ def _parse_term(toks: _Tokens, model: ManifoldModel, env) -> ScalarField:
     return f
 
 
-def _parse_sum(toks: _Tokens, model: ManifoldModel, env) -> ScalarField:
+def _accumulate(acc: dict, f: ScalarField, sign: float) -> None:
+    """Add sign * f into the coefficient accumulator acc."""
+    for key, c in f.terms:
+        acc[key] = acc.get(key, 0.0) + (c if sign > 0 else -c)
+
+
+def _signed_terms(toks: _Tokens, term) -> None:
+    """Call term(sign) on each term of a sum with an optional leading sign."""
     sign = -1.0 if toks.accept("op", "-") else 1.0
     toks.accept("op", "+")
-    f = _parse_term(toks, model, env) * sign
+    term(sign)
     while True:
         if toks.accept("op", "+"):
-            f = f + _parse_term(toks, model, env)
+            term(1.0)
         elif toks.accept("op", "-"):
-            f = f - _parse_term(toks, model, env)
+            term(-1.0)
         else:
-            return f
+            return
+
+
+def _parse_sum(toks: _Tokens, model: ManifoldModel, env) -> ScalarField:
+    acc: dict = {}
+    _signed_terms(toks, lambda sign: _accumulate(
+        acc, _parse_term(toks, model, env), sign))
+    return ScalarField.build(model, acc)
 
 
 def parse_field(text: str, model: ManifoldModel, env=None) -> ScalarField:
@@ -193,12 +217,12 @@ def parse_field(text: str, model: ManifoldModel, env=None) -> ScalarField:
 def parse_vector(text: str, model: ManifoldModel, env=None) -> VectorField:
     """Sums of scalar-coefficient multiples of d_<coord> basis symbols."""
     toks = _Tokens(text)
-    comps = [ScalarField.zero(model) for _ in range(model.dim)]
+    accs: list[dict] = [{} for _ in range(model.dim)]
     if toks.peek()[:2] == ("num", "0") and len(toks.items) == 1:
-        return VectorField(model, tuple(comps))
+        return VectorField(model, tuple(ScalarField.zero(model) for _ in accs))
 
     def term(sign):
-        coeff = ScalarField.constant(model, sign)
+        coeff = ScalarField.constant(model, 1.0)
         direction = None
         while True:
             k, v, pos = toks.peek()
@@ -214,21 +238,13 @@ def parse_vector(text: str, model: ManifoldModel, env=None) -> VectorField:
         if direction is None:
             raise ParseError("vector term lacks a d_<coord> symbol",
                              toks.peek()[2])
-        comps[direction] = comps[direction] + coeff
+        _accumulate(accs[direction], coeff, sign)
 
-    sign = -1.0 if toks.accept("op", "-") else 1.0
-    term(sign)
-    while True:
-        if toks.accept("op", "+"):
-            term(1.0)
-        elif toks.accept("op", "-"):
-            term(-1.0)
-        else:
-            break
+    _signed_terms(toks, term)
     k, v, pos = toks.peek()
     if k != "eof":
         raise ParseError(f"trailing input {v!r}", pos)
-    return VectorField(model, tuple(comps))
+    return VectorField(model, tuple(ScalarField.build(model, a) for a in accs))
 
 
 def _covector_index(name: str, model: ManifoldModel):
@@ -256,12 +272,12 @@ def parse_form(text: str, model: ManifoldModel, env=None) -> DifferentialForm:
             return DifferentialForm.zero(model, deg)
         toks.i = save
 
-    raw: dict[tuple[int, ...], ScalarField] = {}
+    accs: dict[tuple[int, ...], dict] = {}
     degree = None
 
     def term(sign):
         nonlocal degree
-        coeff = ScalarField.constant(model, sign)
+        coeff = ScalarField.constant(model, 1.0)
         chain: tuple[int, ...] | None = None
         while True:
             k, v, pos = toks.peek()
@@ -289,33 +305,23 @@ def parse_form(text: str, model: ManifoldModel, env=None) -> DifferentialForm:
             degree = len(chain)
         elif degree != len(chain):
             raise ParseError("mixed degrees in form", toks.peek()[2])
-        raw[chain] = raw[chain] + coeff if chain in raw else coeff
+        order, key = _sort_sign(chain)
+        if order is not None:  # a repeated covector wedges to zero
+            _accumulate(accs.setdefault(key, {}), coeff, sign * order)
 
-    sign = -1.0 if toks.accept("op", "-") else 1.0
-    term(sign)
-    while True:
-        if toks.accept("op", "+"):
-            term(1.0)
-        elif toks.accept("op", "-"):
-            term(-1.0)
-        else:
-            break
+    _signed_terms(toks, term)
     k, v, pos = toks.peek()
     if k != "eof":
         raise ParseError(f"trailing input {v!r}", pos)
-    acc: dict[tuple[int, ...], ScalarField] = {}
-    for idx, f in raw.items():
-        acc[idx] = acc[idx] + f if idx in acc else f
-    return DifferentialForm.build(model, degree, acc)
+    return DifferentialForm.build(model, degree, {
+        key: ScalarField.build(model, a) for key, a in accs.items()})
 
 
 # -- serialization -------------------------------------------------------
 
 
 def _num_text(c: float) -> str:
-    if c == int(c) and abs(c) < 1e15:
-        return repr(float(c))
-    return repr(c)
+    return repr(float(c))
 
 
 def _freq_text(model: ManifoldModel, freqs) -> str:

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# EXACT: decided by coefficient arithmetic or one evaluation of constant
+# data; SAMPLED: pointwise evaluation at plan points; ERROR: the check
+# raised, and details["error"] holds the message
 EXACT = "EXACT"
 SAMPLED = "SAMPLED"
+ERROR = "ERROR"
 
 
 def _plain(x):
@@ -89,27 +94,34 @@ class Report:
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        out.write("check,mode,pass,max_residual,conditions\n")
+        rows = csv.writer(out, lineterminator="\n")
+        rows.writerow(["check", "mode", "pass", "max_residual", "conditions",
+                       "error"])
         for c in self.checks:
-            res = max([v for v in c.residuals.values()
-                       if isinstance(v, (int, float))], default=0.0)
             conds = ";".join(f"{k}={v}" for k, v in sorted(c.conditions.items()))
-            out.write(f"{c.name},{c.mode},{c.passed},{res:.3e},{conds}\n")
+            rows.writerow([c.name, c.mode, c.passed, f"{_max_residual(c):.3e}",
+                           conds, c.details.get("error", "")])
         return out.getvalue()
 
     def to_text(self) -> str:
         lines = [f"scene: {self.scene}  seed: {self.seed}"]
         for c in self.checks:
             status = "pass" if c.passed else "FAIL"
-            res = max([v for v in c.residuals.values()
-                       if isinstance(v, (int, float))], default=0.0)
-            lines.append(f"  [{status}] {c.name} ({c.mode}, residual {res:.3e})")
+            lines.append(f"  [{status}] {c.name} ({c.mode}, residual "
+                         f"{_max_residual(c):.3e})")
             for k, v in sorted(c.conditions.items()):
                 if not v:
                     lines.append(f"         failed condition: {k}")
+            if "error" in c.details:
+                lines.append(f"         error: {c.details['error']}")
         n_pass = sum(1 for c in self.checks if c.passed)
         lines.append(f"{n_pass}/{len(self.checks)} checks passed")
         return "\n".join(lines) + "\n"
+
+
+def _max_residual(c: CheckResult) -> float:
+    return max([v for v in c.residuals.values()
+                if isinstance(v, (int, float))], default=0.0)
 
 
 def flow_result_csv(fr) -> str:

@@ -1,18 +1,21 @@
 """Brane verification: direct checker, product ambient, graph-pair oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
-from branelab.brane import (BraneCandidate, ambient_for, charbrane_roundtrip,
-                            check_brane, check_brane_via_J,
+from branelab.brane import (BraneCandidate, RankDropError, ambient_for,
+                            charbrane_roundtrip, check_brane, check_brane_via_J,
                             check_space_filling, local_normal_form,
                             product_candidate, split_pairing_gram,
                             tau_F_subspace)
 from branelab.fields import VectorField
-from branelab.forms import DifferentialForm, Distribution, ext_d
+from branelab.forms import (DifferentialForm, Distribution, ext_d,
+                            kernel_basis, max_principal_angle)
 from branelab.grammar import parse_form, parse_vector
-from branelab.model import (CIRCLE, LINE, SamplePlan, extend_with_circle,
-                            model_from_names)
+from branelab.model import (CIRCLE, DEFAULT_PLAN, DEFAULT_TOL, LINE,
+                            SamplePlan, extend_with_circle, model_from_names)
 
 PLAN = SamplePlan(count=64, seed=0)
 
@@ -171,3 +174,114 @@ def test_lagrangian_candidate_passes_both_checkers():
         Distribution(r2, ()))
     assert check_brane(lag, PLAN).passed
     assert check_brane_via_J(lag, plan=PLAN).passed
+
+
+def sampled_reference(c, plan=DEFAULT_PLAN, tol=DEFAULT_TOL):
+    """(conditions, residuals) of check_brane and of check_brane_via_J from
+    the per-sample loop: every plan point evaluated on its own."""
+    pts = plan.points(c.model_Y)
+    WG, FG = c.omega.gram_batch(pts), c.F.gram_batch(pts)
+    amb = ambient_for(c)
+    m, n = amb.model_M.dim, amb.n_base
+    k = c.E_frame.rank
+    kernel = square = J_res = 0.0
+    for i, p in enumerate(pts):
+        E = c.E_frame.matrix_at(p)
+        for G in (WG[i], FG[i]):
+            nul = kernel_basis(G, tol.subspace)
+            assert nul.shape[1] == k
+            kernel = max(kernel, max_principal_angle(nul, E) if k else 0.0)
+        Gm = c.G_frame.matrix_at(p)
+        I = np.linalg.solve(Gm.T @ WG[i] @ Gm, Gm.T @ FG[i] @ Gm)
+        square = max(square, np.abs(I @ I + np.eye(Gm.shape[1])).max())
+        pM = np.zeros(m)
+        pM[:n] = p
+        W = amb.omega_M.gram_at(pM)
+        J = np.zeros((2 * m, 2 * m))
+        J[:m, m:] = -np.linalg.inv(W.T)
+        J[m:, :m] = W.T
+        basis = tau_F_subspace(c, amb, pM)
+        Q, _ = np.linalg.qr(basis)
+        img = J @ basis
+        r = np.linalg.norm(img - Q @ (Q.T @ img), axis=0).max() / max(
+            np.linalg.norm(img, axis=0).max(), 1.0)
+        J_res = max(J_res, float(r))
+    d_omega, d_F = ext_d(c.omega), ext_d(c.F)
+    closed = {"omega_closed": d_omega.is_zero(tol.exact_zero),
+              "F_closed": d_F.is_zero(tol.exact_zero)}
+    brane = ({**closed, "kernels_equal": kernel <= tol.subspace,
+              "transverse_I_squares": square <= tol.sampled},
+             {"d_omega": d_omega.max_coeff(), "d_F": d_F.max_coeff(),
+              "kernel_angle": kernel, "transverse_square": square})
+    via_J = ({**closed, "J_invariant": J_res <= tol.subspace},
+             {"J_residual": J_res})
+    return brane, via_J
+
+
+def gl4z_candidate(rng):
+    """The standard T^4 pair pulled back by a random GL(4,Z) matrix."""
+    A = np.eye(4)[rng.permutation(4)] * rng.choice([-1.0, 1.0], size=4)
+    for _ in range(3):
+        i, j = rng.choice(4, size=2, replace=False)
+        A[i] += rng.choice([-1.0, 1.0]) * A[j]
+
+    def pullback(form):
+        W = A.T @ form.constant_gram() @ A
+        return DifferentialForm.build(T4, 2, {
+            (i, j): W[i, j] for i in range(4) for j in range(i + 1, 4)
+            if W[i, j]})
+
+    return BraneCandidate(
+        T4, pullback(parse_form("dx1^dy2 + dy1^dx2", T4)),
+        pullback(parse_form("dx1^dx2 - dy1^dy2", T4)), Distribution(T4, ()),
+        Distribution(T4, tuple(VectorField.basis(T4, i) for i in range(4))))
+
+
+CONSTANT_CANDIDATES = (
+    [gl4z_candidate(np.random.default_rng(seed)) for seed in range(6)]
+    + [local_normal_form(1, 1), local_normal_form(2, 1),
+       codim1_candidate(F5),
+       codim1_candidate(F5 * 2.0),                          # fails the square
+       codim1_candidate(F5 + parse_form("0.3*dx1^dy2", Y5)),
+       codim1_candidate(F5 + parse_form("dx1^dq", Y5))])    # wrong kernel
+
+
+@pytest.mark.parametrize("c", CONSTANT_CANDIDATES)
+def test_constant_data_decided_by_one_evaluation(c):
+    (b_conds, b_res), (j_conds, j_res) = sampled_reference(c)
+    rec = check_brane(c)
+    assert rec.mode == "EXACT"
+    assert (rec.conditions, rec.residuals) == (b_conds, b_res)
+    assert rec.passed == all(b_conds.values())
+    first = DEFAULT_PLAN.points(c.model_Y)[0].tolist()
+    assert all(w["point"] == first for w in rec.witnesses)
+    assert len(rec.witnesses) == sum(not v for v in b_conds.values())
+    rec = check_brane_via_J(c)
+    assert rec.mode == "EXACT"
+    assert (rec.conditions, rec.residuals) == (j_conds, j_res)
+    assert rec.passed == all(j_conds.values())
+    assert all(w["point"] == first for w in rec.witnesses)
+
+
+def test_failing_constant_candidates_fail_both_checks():
+    for c in CONSTANT_CANDIDATES[-3:]:
+        assert not check_brane(c).passed
+        assert not check_brane_via_J(c).passed
+
+
+def test_q_dependent_candidate_stays_sampled():
+    c = codim1_candidate(F5 + parse_form("0.1*cos(2*pi*q)*dx1^dy1", Y5))
+    (b_conds, b_res), (j_conds, j_res) = sampled_reference(c, PLAN)
+    rec = check_brane(c, PLAN)
+    assert rec.mode == "SAMPLED"
+    assert (rec.conditions, rec.residuals) == (b_conds, b_res)
+    rec = check_brane_via_J(c, plan=PLAN)
+    assert rec.mode == "SAMPLED"
+    assert (rec.conditions, rec.residuals) == (j_conds, j_res)
+
+
+def test_rank_drop_on_constant_data_names_the_first_plan_point():
+    c = BraneCandidate(Y5, DifferentialForm.zero(Y5, 2), F5, E5, G5)
+    first = DEFAULT_PLAN.points(Y5)[0].tolist()
+    with pytest.raises(RankDropError, match=re.escape(str(first))):
+        check_brane(c)

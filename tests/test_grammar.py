@@ -1,9 +1,12 @@
 """Round-trip and canonical-text behavior of the expression grammar."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branelab.fields import COS, SIN, ScalarField
+from branelab import fields
+from branelab.fields import COS, SIN, ScalarField, partial
+from branelab.forms import DifferentialForm
 from branelab.grammar import (ParseError, field_to_text, form_to_text,
                               parse_field, parse_form, parse_vector,
                               vector_to_text)
@@ -136,3 +139,91 @@ def field_strategy():
 def test_serialize_parse_roundtrip_exact(f):
     """repr-float serialization reparses to the identical canonical field."""
     assert parse_field(field_to_text(f), T2) == f
+
+
+# two circles and a line, so keys carry powers, frequencies and both phases
+P = model_from_names([("x1", CIRCLE), ("y1", LINE), ("q", CIRCLE)])
+
+
+def raw_terms(max_terms):
+    """Raw (key, coeff) dicts on P; ScalarField.build makes them canonical."""
+    power = st.integers(min_value=0, max_value=3)
+    freq = st.integers(min_value=-3, max_value=3)
+    key = st.tuples(st.tuples(power, power, power),
+                    st.tuples(freq, st.just(0), freq),
+                    st.sampled_from([COS, SIN]))
+    coeff = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                      allow_infinity=False).filter(lambda c: abs(c) > 1e-9)
+    return st.dictionaries(key, coeff, max_size=max_terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw_terms(60))
+def test_long_field_roundtrip_exact(raw):
+    f = ScalarField.build(P, raw)
+    assert parse_field(field_to_text(f), P) == f
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.dictionaries(st.sampled_from([(0, 1), (0, 2), (1, 2)]),
+                       raw_terms(20), min_size=1))
+def test_long_form_roundtrip_exact(raw):
+    a = DifferentialForm.build(
+        P, 2, {idx: ScalarField.build(P, r) for idx, r in raw.items()})
+    assert parse_form(form_to_text(a), P) == a
+
+
+def test_sum_is_left_to_right_sum_of_parsed_terms_pruned_once():
+    terms = ["y1", "- 0.9999999999995*y1", "+ 0.9999999999995*y1",
+             "+ cos(2*pi*x1)", "+ 0.25*y1*q^2", "- cos(2*pi*x1)",
+             "+ cos(2*pi*x1)*cos(2*pi*q)", "- (y1 - 2*q)",
+             "+ 0.1*cos(2*pi*(x1 + q))", "- 0.1*cos(2*pi*(x1 + q))"]
+    acc = {}
+    for t in terms:
+        for key, c in parse_field(t, P).terms:
+            acc[key] = acc.get(key, 0.0) + c
+    assert parse_field(" ".join(terms), P) == ScalarField.build(P, acc)
+    # 1 - 0.9999999999995 is 5e-13, below the pruning threshold; pruning
+    # that partial sum would leave 0.9999999999995*y1 instead of y1
+    assert parse_field(" ".join(terms[:3]), P) == parse_field("y1", P)
+    assert parse_vector("y1*d_x1 + d_q - y1*d_x1 + 0.5*d_q", P) == \
+        parse_vector("1.5*d_q", P)
+    assert parse_form("dx1^dy1 - dy1^dx1 + dq^dq", P) == \
+        parse_form("2*dx1^dy1", P)
+
+
+def _canonicalized(parse, text):
+    """(calls, raw items) that parsing text passes through fields._canonical."""
+    sizes = []
+    real = fields._canonical
+
+    def counted(raw, prune=None):
+        sizes.append(len(raw))
+        return real(raw, prune)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_canonical", counted)
+        parse(text, P)
+    return len(sizes), sum(sizes)
+
+
+@pytest.mark.parametrize("parse,suffix", [
+    (parse_field, ""), (parse_vector, "*d_y1"), (parse_form, "*dx1^dy1")])
+def test_parsing_canonicalizes_linearly_many_terms(parse, suffix):
+    def text(n):
+        return " + ".join(f"{k}.5*cos(2*pi*{k}*x1){suffix}"
+                          for k in range(1, n + 1))
+
+    calls, items = _canonicalized(parse, text(40))
+    calls2, items2 = _canonicalized(parse, text(80))
+    assert calls2 <= 2 * calls + 4
+    assert items2 <= 2 * items + 4
+
+
+def test_numpy_scalar_coefficients_print_as_plain_floats():
+    f = parse_field("0.2*cos(2*pi*x1)*y2^2", M) * np.float64(1.5)
+    text = field_to_text(f)
+    assert text == "0.30000000000000004*y2^2*cos(2*pi*x1)"
+    assert parse_field(text, M) == f
+    d = partial(f, 0)
+    assert parse_field(field_to_text(d), M) == d

@@ -1,6 +1,8 @@
 """Scene DSL parsing, bundled catalog health, and CLI behavior."""
 
 import copy
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -275,7 +277,7 @@ def test_blowing_up_flow_is_a_failed_record_not_an_abort(tmp_path, capsys):
         "check closed1f shear\n", "--steps", "64")
     assert code == 1
     blown, after = data["checks"]
-    assert not blown["pass"]
+    assert not blown["pass"] and blown["mode"] == "ERROR"
     assert blown["details"]["error"] == (
         "FlowError: non-finite state at step 56 (q = 0.875) on the trajectory "
         "of seed point (0.704591, 0.507004, 0.302352, 0.954616)")
@@ -310,5 +312,23 @@ def test_uncancelled_circle_terms_are_a_named_error(capsys, monkeypatch):
     data = json.loads(capsys.readouterr().out)
     rec = next(c for c in data["checks"]
                if c["name"] == "build_infdef(rho_ok, B0N, c)")
-    assert not rec["pass"]
+    assert not rec["pass"] and rec["mode"] == "ERROR"
     assert rec["details"]["error"].startswith("CircleTermsError: ")
+
+
+def test_raised_check_shows_its_error_in_text_and_csv(capsys, monkeypatch):
+    monkeypatch.setattr(branelab.infdef, "q_antiderivative",
+                        lambda a, i: a * parse_field("q", a.model))
+    name = "build_infdef(rho_ok, B0N, c)"
+    assert main(["run", "infdef_torus", "--format", "text"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, ln in enumerate(lines) if name in ln)
+    assert lines[at].startswith(f"  [FAIL] {name} (ERROR, residual")
+    assert lines[at + 1].startswith("         error: CircleTermsError: ")
+    assert main(["run", "infdef_torus", "--format", "csv"]) == 1
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out.strip())))
+    assert rows[0] == ["check", "mode", "pass", "max_residual", "conditions",
+                       "error"]
+    row = next(r for r in rows if r[0] == name)
+    assert row[1:3] == ["ERROR", "False"]
+    assert row[-1].startswith("CircleTermsError: ")
