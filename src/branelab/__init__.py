@@ -18,7 +18,7 @@ from .forms import (DegenerateFormError, DifferentialForm, Distribution,
 from .grammar import (ParseError, field_to_text, form_to_text, parse_field,
                       parse_form, parse_vector, vector_to_text)
 from .integrate import FlowError, rk4_flow
-from .report import CheckResult, Report, flow_result_csv
+from .report import CheckResult, Report
 from .brane import (AmbientModel, BraneCandidate, RankDropError, ambient_for,
                     charbrane_roundtrip, check_brane, check_brane_via_J,
                     check_space_filling, lift_form, local_normal_form,
@@ -33,7 +33,7 @@ from .infdef import (AverageObstruction, CircleTermsError, ComplexSlice,
                      InfDefPair, Type11Violation, build_infdef, check_infdef,
                      complex_slice, constant_type11_basis,
                      hamiltonian_generator, infdef_general_check,
-                     pair_from_values, transverse_endo, upsilon,
+                     pair_from_values, transverse_endo,
                      upsilon_image_check)
 from .scene import (CheckSpec, Scene, SceneError, load_scene, parse_scene,
                     serialize_scene)

@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -35,6 +34,7 @@ class RunConfig:
     plan: SamplePlan
     tol: Tolerances
     flow: FlowOptions
+    # echoed as the report's q_grid (--q-grid); no check reads it
     grid: int = 64
 
 
@@ -66,8 +66,8 @@ def _transported(scene, spec, cfg):
     g = scene.lookup("deforms", spec.args[0])
     F = scene.lookup("forms", spec.args[1])
     gate = SamplePlan(count=64, seed=cfg.plan.seed)
-    return g, transport_brane(g, F, grid_q=cfg.grid, plan=gate,
-                              tol=cfg.tol.sampled, opts=cfg.flow)
+    return g, transport_brane(g, F, plan=gate, tol=cfg.tol.sampled,
+                              opts=cfg.flow)
 
 
 def _run_space_filling(scene, spec, cfg):
@@ -177,7 +177,8 @@ def _run_build_infdef(scene, spec, cfg):
     except (AverageObstruction, Type11Violation) as e:
         rec = CheckResult("build_infdef", EXACT, expect == "obstruction")
         rec.conditions["raised_obstruction"] = True
-        rec.details["error"] = str(e)
+        # a raised obstruction that was not expected is the failure reason
+        rec.details["obstruction" if rec.passed else "error"] = str(e)
         if getattr(e, "residual", None) is not None:
             rec.residuals["average_defect"] = float(e.residual)
         return rec
@@ -252,13 +253,8 @@ def _execute(scene: Scene, spec, cfg: RunConfig) -> CheckResult:
     return rec
 
 
-def run_scene(scene: Scene, cfg: RunConfig, parallel: bool = False) -> Report:
-    if parallel and len(scene.checks) > 1:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(
-                lambda spec: _execute(scene, spec, cfg), scene.checks))
-    else:
-        results = [_execute(scene, spec, cfg) for spec in scene.checks]
+def run_scene(scene: Scene, cfg: RunConfig) -> Report:
+    results = [_execute(scene, spec, cfg) for spec in scene.checks]
     tol = cfg.tol
     return Report(scene.name, cfg.plan.seed, {
         "exact_zero": tol.exact_zero, "sampled": tol.sampled,
@@ -294,7 +290,7 @@ def cmd_run(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     cfg = _config_from(scene, args)
-    report = run_scene(scene, cfg, parallel=args.parallel)
+    report = run_scene(scene, cfg)
     if args.format == "json":
         payload = report.to_json()
     elif args.format == "csv":
@@ -385,11 +381,10 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--steps", type=int, default=None,
                      help="flow steps per unit time")
     run.add_argument("--q-grid", dest="q_grid", type=int, default=None,
-                     help="transport interpolation nodes per circle")
+                     help="echoed as the report's q_grid; no check reads it")
     run.add_argument("--out", default=None)
     run.add_argument("--format", choices=("json", "csv", "text"),
                      default="json")
-    run.add_argument("--parallel", action="store_true")
     run.set_defaults(func=cmd_run)
 
     ex = sub.add_parser("examples", help="list bundled scenes")

@@ -56,10 +56,13 @@ def _norm_term(powers, freqs, phase, coeff):
     return (powers, freqs, phase), coeff
 
 
-def _canonical(raw: dict[Key, float], prune: float | None = None) -> tuple:
+def _canonical(pairs, prune: float | None = None) -> tuple:
+    """Canonical terms of a sum of (key, coeff) pairs: each key is
+    sign-normalized, the coefficients of equal keys are added in the
+    order given, and the sums are pruned once."""
     eps = PRUNE_EPS if prune is None else prune
     acc: dict[Key, float] = {}
-    for (powers, freqs, phase), coeff in raw.items():
+    for (powers, freqs, phase), coeff in pairs:
         normed = _norm_term(powers, freqs, phase, coeff)
         if normed is None:
             continue
@@ -79,7 +82,7 @@ class ScalarField:
     @staticmethod
     def build(model: ManifoldModel, raw: dict[Key, float],
               prune: float | None = None) -> "ScalarField":
-        return ScalarField(model, _canonical(raw, prune))
+        return ScalarField(model, _canonical(raw.items(), prune))
 
     @staticmethod
     def zero(model: ManifoldModel) -> "ScalarField":
@@ -226,62 +229,43 @@ def field_mul(a: ScalarField, b: ScalarField) -> ScalarField:
     """Product, rewritten to canonical form via product-to-sum identities."""
     if a.model != b.model:
         raise ValueError("fields live on different models")
-    raw: dict[Key, float] = {}
-
-    def put(powers, freqs, phase, coeff):
-        normed = _norm_term(powers, freqs, phase, coeff)
-        if normed is None:
-            return
-        key, c = normed
-        raw[key] = raw.get(key, 0.0) + c
-
+    out = []
     for (p1, k1, f1), c1 in a.terms:
         for (p2, k2, f2), c2 in b.terms:
             p = tuple(x + y for x, y in zip(p1, p2))
             c = c1 * c2
             if not any(k1):
-                put(p, k2, f2, c)
+                out.append(((p, k2, f2), c))
                 continue
             if not any(k2):
-                put(p, k1, f1, c)
+                out.append(((p, k1, f1), c))
                 continue
             diff = tuple(x - y for x, y in zip(k1, k2))
             summ = tuple(x + y for x, y in zip(k1, k2))
             if f1 == COS and f2 == COS:
-                put(p, diff, COS, 0.5 * c)
-                put(p, summ, COS, 0.5 * c)
+                out += [((p, diff, COS), 0.5 * c), ((p, summ, COS), 0.5 * c)]
             elif f1 == SIN and f2 == SIN:
-                put(p, diff, COS, 0.5 * c)
-                put(p, summ, COS, -0.5 * c)
+                out += [((p, diff, COS), 0.5 * c), ((p, summ, COS), -0.5 * c)]
             elif f1 == SIN and f2 == COS:
-                put(p, diff, SIN, 0.5 * c)
-                put(p, summ, SIN, 0.5 * c)
+                out += [((p, diff, SIN), 0.5 * c), ((p, summ, SIN), 0.5 * c)]
             else:  # cos * sin
-                put(p, diff, SIN, -0.5 * c)
-                put(p, summ, SIN, 0.5 * c)
-    return ScalarField.build(a.model, raw)
+                out += [((p, diff, SIN), -0.5 * c), ((p, summ, SIN), 0.5 * c)]
+    return ScalarField(a.model, _canonical(out))
 
 
 def partial(a: ScalarField, i: int) -> ScalarField:
     """Exact partial derivative in coordinate i."""
-    raw: dict[Key, float] = {}
-
-    def put(key_coeff):
-        if key_coeff is None:
-            return
-        key, c = key_coeff
-        raw[key] = raw.get(key, 0.0) + c
-
+    out = []
     for (p, k, phase), c in a.terms:
         if p[i] > 0:
             p2 = tuple(x - 1 if j == i else x for j, x in enumerate(p))
-            put(_norm_term(p2, k, phase, c * p[i]))
+            out.append(((p2, k, phase), c * p[i]))
         if k[i] != 0:
             if phase == COS:
-                put(_norm_term(p, k, SIN, -TWO_PI * k[i] * c))
+                out.append(((p, k, SIN), -TWO_PI * k[i] * c))
             else:
-                put(_norm_term(p, k, COS, TWO_PI * k[i] * c))
-    return ScalarField.build(a.model, raw)
+                out.append(((p, k, COS), TWO_PI * k[i] * c))
+    return ScalarField(a.model, _canonical(out))
 
 
 def circle_average(a: ScalarField, i: int) -> ScalarField:
@@ -308,58 +292,42 @@ def q_antiderivative(a: ScalarField, i: int) -> ScalarField:
     """
     if not a.model.is_circle(i):
         raise ValueError(f"{a.model.names[i]!r} is not a circle coordinate")
-    raw: dict[Key, float] = {}
-
-    def put(key_coeff):
-        if key_coeff is None:
-            return
-        key, c = key_coeff
-        raw[key] = raw.get(key, 0.0) + c
-
+    out = []
     for (p, k, phase), c in a.terms:
         if p[i] != 0:
             raise ValueError("field already carries a power on this coordinate")
         if k[i] == 0:
             p2 = tuple(x + 1 if j == i else x for j, x in enumerate(p))
-            put(((p2, k, phase), c))
+            out.append(((p2, k, phase), c))
             continue
         k0 = tuple(0 if j == i else x for j, x in enumerate(k))
         scale = c / (TWO_PI * k[i])
         if phase == COS:
-            put(_norm_term(p, k, SIN, scale))
-            put(_norm_term(p, k0, SIN, -scale))
+            out += [((p, k, SIN), scale), ((p, k0, SIN), -scale)]
         else:
-            put(_norm_term(p, k, COS, -scale))
-            put(_norm_term(p, k0, COS, scale))
-    return ScalarField.build(a.model, raw)
+            out += [((p, k, COS), -scale), ((p, k0, COS), scale)]
+    return ScalarField(a.model, _canonical(out))
 
 
 def substitute(a: ScalarField, i: int, value: float) -> ScalarField:
     """Freeze coordinate i at a constant; the result no longer depends on it."""
-    raw: dict[Key, float] = {}
-
-    def put(key_coeff):
-        if key_coeff is None:
-            return
-        key, c = key_coeff
-        raw[key] = raw.get(key, 0.0) + c
-
+    out = []
     for (p, k, phase), c in a.terms:
         factor = float(value) ** p[i] if p[i] else 1.0
         p2 = tuple(0 if j == i else x for j, x in enumerate(p))
         if k[i] == 0:
-            put(((p2, k, phase), c * factor))
+            out.append(((p2, k, phase), c * factor))
             continue
         k2 = tuple(0 if j == i else x for j, x in enumerate(k))
         phi = TWO_PI * k[i] * value
         cphi, sphi = math.cos(phi), math.sin(phi)
         if phase == COS:
-            put(_norm_term(p2, k2, COS, c * factor * cphi))
-            put(_norm_term(p2, k2, SIN, -c * factor * sphi))
+            out += [((p2, k2, COS), c * factor * cphi),
+                    ((p2, k2, SIN), -c * factor * sphi)]
         else:
-            put(_norm_term(p2, k2, SIN, c * factor * cphi))
-            put(_norm_term(p2, k2, COS, c * factor * sphi))
-    return ScalarField.build(a.model, raw)
+            out += [((p2, k2, SIN), c * factor * cphi),
+                    ((p2, k2, COS), c * factor * sphi)]
+    return ScalarField(a.model, _canonical(out))
 
 
 def reindex(a: ScalarField, target: ManifoldModel, mapping) -> ScalarField:

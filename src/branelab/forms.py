@@ -149,17 +149,6 @@ class DifferentialForm:
             G[j, i] -= v
         return G
 
-    def eval_on(self, vectors, point) -> float:
-        """Evaluate a k-form on k constant tangent vectors at a point."""
-        vecs = [np.asarray(v, float) for v in vectors]
-        if len(vecs) != self.degree:
-            raise ValueError("wrong number of vectors")
-        total = 0.0
-        for idx, f in self.coeffs:
-            sub = np.array([[v[i] for v in vecs] for i in idx])
-            total += f.eval(point) * np.linalg.det(sub)
-        return total
-
 
 def gram_fields(B: DifferentialForm) -> list[list[ScalarField]]:
     """Full antisymmetric matrix of coefficient fields of a 2-form."""
@@ -457,26 +446,6 @@ def is_type_11(B: DifferentialForm, I: EndoField, plan=None,
     return bool(res <= DEFAULT_TOL.sampled)
 
 
-def restrict_to_frame(B: DifferentialForm, frame, point=None):
-    """Matrix of a 2-form against a frame.
-
-    With point: numeric len(frame) x len(frame) matrix.  Without: matrix of
-    scalar fields (frame vectors as VectorFields).
-    """
-    if point is not None:
-        E = np.column_stack([
-            v.eval(point) if isinstance(v, VectorField) else np.asarray(v, float)
-            for v in frame]) if frame else np.zeros((B.model.dim, 0))
-        G = B.gram_at(point)
-        return E.T @ G @ E
-    n = len(frame)
-    out = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            out[a][b] = apply_form(B, [frame[a], frame[b]])
-    return out
-
-
 @dataclass(frozen=True)
 class Distribution:
     """A subbundle given by a global frame of vector fields (possibly empty)."""
@@ -499,12 +468,6 @@ class Distribution:
         if not self.frame:
             return np.zeros((self.model.dim, 0))
         return np.column_stack([v.constant_vector() for v in self.frame])
-
-    def independent_at(self, point, rel: float = 1e-8) -> bool:
-        if not self.frame:
-            return True
-        s = np.linalg.svd(self.matrix_at(point), compute_uv=False)
-        return s[-1] > rel * max(s[0], 1.0)
 
 
 def kernel_basis(G: np.ndarray, rel: float = 1e-8) -> np.ndarray:

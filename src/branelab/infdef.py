@@ -63,15 +63,12 @@ class InfDefPair:
 
     r: DifferentialForm
     B: DifferentialForm
-    r_bar: DifferentialForm | None = None
 
     def __post_init__(self):
         if self.r.degree != 1 or self.B.degree != 2:
             raise ValueError("pair needs a 1-form and a 2-form")
         if self.r.model != self.B.model:
             raise ValueError("pair components live on different models")
-        if self.r_bar is None:
-            object.__setattr__(self, "r_bar", self.r)
 
 
 def joint_inverse(c: BraneCandidate) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +108,7 @@ def pair_from_values(c: BraneCandidate, values, B: DifferentialForm) -> InfDefPa
 
 def kernel_values(pair: InfDefPair, c: BraneCandidate) -> list[ScalarField]:
     """The speeds r(e_a) along the kernel frame."""
-    return [apply_form(pair.r_bar, [e]) for e in c.E_frame.frame]
+    return [apply_form(pair.r, [e]) for e in c.E_frame.frame]
 
 
 def transverse_endo(c: BraneCandidate) -> EndoField:
@@ -166,7 +163,7 @@ def check_infdef(pair: InfDefPair, c: BraneCandidate,
     E, G = c.E_frame, c.G_frame
     I_hat = transverse_endo(c)
     res = CheckResult("infdef", EXACT, False)
-    dr = ext_d(pair.r_bar)
+    dr = ext_d(pair.r)
 
     r_fc = 0.0
     for a in range(E.rank):
@@ -219,7 +216,7 @@ def _eq_iv_residual(pair: InfDefPair, c: BraneCandidate,
     """Residual of the transverse quadratic equation, with kernel-frame
     arguments lifted by zero and transverse arguments through the
     transverse frame."""
-    omega_dot = -ext_d(pair.r_bar)
+    omega_dot = -ext_d(pair.r)
     worst = 0.0
     for x in tuple(c.E_frame.frame) + tuple(c.G_frame.frame):
         ix = I_hat.apply(x)
@@ -241,7 +238,7 @@ def infdef_general_check(pair: InfDefPair, c: BraneCandidate,
     E, G = c.E_frame, c.G_frame
     I_hat = transverse_endo(c)
     res = CheckResult("infdef_general", EXACT, False)
-    omega_dot = -ext_d(pair.r_bar)
+    omega_dot = -ext_d(pair.r)
 
     hor = 0.0
     for a in range(E.rank):
@@ -313,11 +310,6 @@ def hamiltonian_generator(f: ScalarField, c: BraneCandidate) -> InfDefPair:
     values = [directional(e, f) for e in c.E_frame.frame]
     p = pair_from_values(c, values, B)
     return p
-
-
-def upsilon(pair: InfDefPair) -> DifferentialForm:
-    """Forgetful projection onto the kernel-direction component."""
-    return pair.r
 
 
 def _project_drop(f: ScalarField, target: ManifoldModel,

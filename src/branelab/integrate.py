@@ -2,7 +2,15 @@
 equation integrated alongside for tangent maps.
 
 States are batches: many seed points advance in lockstep, which is what
-makes 1/1024 steps affordable in pure Python.
+makes 1/1024 steps affordable in pure Python.  One sweep, rk4_sweep, owns
+the step loop: step s starts at q0 + s*h, and every flow of the package
+is one call to it.  rk4_flow is a sweep of all rows from q0 to q1.  A
+sweep can also let rows enter late (the backward transport solves of
+nearby, each from its own q to the zero slice, ride one sweep as a
+growing prefix of the batch) and read given rows out after given step
+counts (the mapping-torus check reads each sample at its own q and at
+the stencil stations around it, from one forward and one backward
+sweep).
 
 The right-hand side is compiled once into a term bank.  The velocity
 components and their partial derivatives are trig-polynomials over the
@@ -23,6 +31,7 @@ point whose trajectory left them.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -86,17 +95,23 @@ class _RHS:
     """Velocity and its spatial Jacobian, compiled into term banks.
 
     components live on a model containing the moving coordinates
-    (n_indices) and optionally the time coordinate (q_index).
+    (n_indices) and optionally the time coordinate (q_index).  The bank of
+    the velocity and its Jacobian is compiled on first use, that is by the
+    first sweep that carries tangent maps.
     """
 
     def __init__(self, components, n_indices, q_index):
-        self.model = components[0].model
+        self.components = tuple(components)
+        self.model = self.components[0].model
         self.n_indices = list(n_indices)
         self.q_index = q_index
-        comps = tuple(components)
-        jac = tuple(partial(c, j) for c in comps for j in self.n_indices)
-        self._velocity = _TermBank(comps, self.model.dim)
-        self._both = _TermBank(comps + jac, self.model.dim)
+        self._velocity = _TermBank(self.components, self.model.dim)
+
+    @functools.cached_property
+    def _both(self) -> _TermBank:
+        jac = tuple(partial(c, j) for c in self.components
+                    for j in self.n_indices)
+        return _TermBank(self.components + jac, self.model.dim)
 
     def __call__(self, x, q, with_jacobian):
         """(velocity (m, n), Jacobian (m, n, n) or None) at states x."""
@@ -111,36 +126,73 @@ class _RHS:
         return out[:, :n], out[:, n:].reshape(m, n, n)
 
 
-def rk4_flow(components, n_indices, x0, q0, q1, step,
-             q_index=None, with_jacobian=True):
-    """Integrate dx/dq = V(x, q) from q0 to q1.
+def rk4_flow(rhs: _RHS, x0, q0, q1, step, with_jacobian=True):
+    """Integrate dx/dq = V(x, q) from q0 to q1 in equal steps of at most
+    step.
 
-    components: ScalarFields giving V over the n_indices coordinates.
-    x0: (m, len(n_indices)) seed points.
+    rhs: the compiled V.  x0: (m, n) seed points.
     Returns (x, J, nsteps) with J the tangent maps (or None).
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    x = np.array(x0, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    m, n = x.shape
-    J = np.broadcast_to(np.eye(n), (m, n, n)).copy() if with_jacobian else None
+    x0 = np.asarray(x0, dtype=float)
+    m, n = x0.shape
     span = q1 - q0
-    if span == 0.0:
-        return (x[0], J[0], 0) if single else (x, J, 0)
-    nsteps = max(1, math.ceil(abs(span) / step - 1e-12))
-    h = span / nsteps
-    rhs = _RHS(components, n_indices, q_index)
-    seeds = x
-    q = q0
-    for s in range(1, nsteps + 1):
-        x, J = _rk4_step(rhs, x, J, q, h, s, seeds)
-        q += h
-    if single:
-        return x[0], (J[0] if J is not None else None), nsteps
+    nsteps = max(1, math.ceil(abs(span) / step - 1e-12)) if span else 0
+    h = span / nsteps if nsteps else 0.0
+    J = np.broadcast_to(np.eye(n), (m, n, n)) if with_jacobian else None
+    x, J = rk4_sweep(rhs, x0, J, q0, h, nsteps, x0)
     return x, J, nsteps
+
+
+def rk4_sweep(rhs: _RHS, x, J, q0, h, nsteps, seeds, entered=None,
+              reads=None):
+    """Advance the rows of x (m, n), with their tangent maps J (m, n, n)
+    or None, through nsteps RK4 steps of size h; step s (counted from 0)
+    starts at q0 + s*h.
+
+    entered: optional rows in flight per step.  Step s advances only the
+    first entered[s] rows; the counts never fall, so a row stays in flight
+    from the step it enters, and rows not yet in flight keep their state.
+    reads: optional (rows, after) index arrays.  The sweep then returns the
+    state of row rows[r] after after[r] steps, for every r, instead of the
+    final state of every row.
+    seeds[i] is the seed point that names row i's trajectory in a
+    FlowError.  Returns (x, J), J None when it was given as None.
+    """
+    x = np.array(x, dtype=float, order="C")
+    J = None if J is None else np.array(J, dtype=float, order="C")
+    if reads is not None:
+        rows, after = (np.asarray(a, dtype=int) for a in reads)
+        if after.size and not 0 <= after.min() <= after.max() <= nsteps:
+            raise ValueError("read after a step count outside the sweep")
+        order = np.argsort(after, kind="stable")
+        cuts = np.searchsorted(after[order], np.arange(nsteps + 2))
+        out_x = np.empty((len(rows), x.shape[1]))
+        out_J = None if J is None else np.empty((len(rows),) + J.shape[1:])
+
+    def read(s):
+        sel = order[cuts[s]:cuts[s + 1]]
+        out_x[sel] = x[rows[sel]]
+        if J is not None:
+            out_J[sel] = J[rows[sel]]
+
+    for s in range(nsteps):
+        if reads is not None:
+            read(s)
+        a = len(x) if entered is None else entered[s]
+        xa, Ja = _rk4_step(rhs, x[:a], None if J is None else J[:a],
+                           q0 + s * h, h, s + 1, seeds[:a])
+        if a == len(x):   # every row in flight: no copy back
+            x, J = xa, Ja
+            continue
+        x[:a] = xa
+        if J is not None:
+            J[:a] = Ja
+    if reads is None:
+        return x, J
+    read(nsteps)
+    return out_x, out_J
 
 
 def _rk4_step(rhs, x, J, q, h, step, seeds):

@@ -147,19 +147,22 @@ def _velocity(g: GraphDeformation):
     return tuple(-x.components[i] for i in g.n_indices)
 
 
+def _flow_rhs(g: GraphDeformation) -> integrate._RHS:
+    """The compiled right-hand side of dx/dq = -X_{f_q}."""
+    return integrate._RHS(_velocity(g), g.n_indices, g.q_index)
+
+
 def flow(g: GraphDeformation, q0: float, q1: float, points,
          opts: FlowOptions = DEFAULT_FLOW) -> FlowResult:
     """RK4 flow of dx/dq = -X_{f_q} from q0 to q1, with tangent maps."""
     pts = np.atleast_2d(np.asarray(points, float))
-    vel = _velocity(g)
-    images, jacs, nsteps = integrate.rk4_flow(
-        vel, g.n_indices, pts, q0, q1, opts.step, q_index=g.q_index)
+    rhs = _flow_rhs(g)
+    images, jacs, nsteps = integrate.rk4_flow(rhs, pts, q0, q1, opts.step)
     probe = min(opts.error_probe, pts.shape[0])
     err = 0.0
     if probe and nsteps:
-        fine, _, _ = integrate.rk4_flow(
-            vel, g.n_indices, pts[:probe], q0, q1, opts.step / 2.0,
-            q_index=g.q_index, with_jacobian=False)
+        fine, _, _ = integrate.rk4_flow(rhs, pts[:probe], q0, q1,
+                                        opts.step / 2.0, with_jacobian=False)
         err = float(np.abs(fine - images[:probe]).max())
     W = g.omega_N.constant_gram()
     if W is not None:
@@ -204,20 +207,16 @@ def _batch_backward(g: GraphDeformation, points, opts: FlowOptions):
     pts = np.atleast_2d(np.asarray(points, float))
     m, dN = pts.shape[0], g.n_dim
     ks = _snap(pts[:, g.q_index] % 1.0, opts.step)
-    # rows sorted by descending start step, so the samples already in
-    # flight at step k are a prefix of the batch
+    # rows sorted by descending start step, so the samples in flight at
+    # step k are a prefix of the batch, started[k] rows long
     order = np.argsort(-ks, kind="stable")
     started = np.cumsum(np.bincount(ks, minlength=1)[::-1])[::-1]
     seeds = pts[order]
-    X = seeds[:, :dN].copy()
-    J = np.broadcast_to(np.eye(dN), (m, dN, dN)).copy()
     kmax = int(ks.max(initial=0))
-    rhs = integrate._RHS(_velocity(g), g.n_indices, g.q_index)
-    for k in range(kmax, 0, -1):
-        a = started[k]
-        X[:a], J[:a] = integrate._rk4_step(
-            rhs, X[:a], J[:a], k * opts.step, -opts.step, kmax - k + 1,
-            seeds[:a])
+    X, J = integrate.rk4_sweep(
+        _flow_rhs(g), seeds[:, :dN], np.broadcast_to(np.eye(dN), (m, dN, dN)),
+        kmax * opts.step, -opts.step, kmax, seeds,
+        entered=started[kmax:0:-1])
     back = np.empty_like(order)
     back[order] = np.arange(m)
     X, J = X[back], J[back]
@@ -230,24 +229,21 @@ class TransportedForm:
     """The invariant extension of a transverse form, evaluated through
     backward flow transport.
 
-    Exact mode solves the flow from the requested q back to the zero slice;
-    grid mode interpolates linearly between cached node evaluations.
-    Coefficients leave the trig-polynomial class, so closedness is only
-    checkable by finite differences.
+    matrices_at solves the flow from each requested q (snapped to the RK4
+    grid) back to the zero slice, all points in one backward sweep, and
+    pulls the transverse form there back along it.  Coefficients leave the
+    trig-polynomial class, so closedness is only checkable by finite
+    differences.
     """
 
     def __init__(self, g: GraphDeformation, F_N_tilde: DifferentialForm,
-                 grid_q: int = 64, opts: FlowOptions = DEFAULT_FLOW):
+                 opts: FlowOptions = DEFAULT_FLOW):
         if F_N_tilde.model != g.N_model or F_N_tilde.degree != 2:
             raise ValueError("transverse form must be a 2-form on N")
         self.g = g
         self.F_N = F_N_tilde
-        self.grid_q = grid_q
         self.opts = opts
         self._hamiltonian = slicewise_hamiltonian(g)
-        self._node_cache: dict = {}
-
-    # -- exact mode ------------------------------------------------------
 
     def matrices_at(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Gram matrices at a batch of Y-points (q snapped to the RK4 grid).
@@ -263,45 +259,6 @@ class TransportedForm:
         C = np.concatenate([A, b[:, :, None]], axis=2)
         G = self.F_N.gram_batch(g.N_model.wrap(y))
         return snapped, np.einsum("kia,kij,kjb->kab", C, G, C)
-
-    def matrix_at(self, point, exact: bool = True) -> np.ndarray:
-        """Gram matrix at one Y-point; exact backward solve or grid
-        interpolation."""
-        point = np.asarray(point, float)
-        if exact:
-            g = self.g
-            q = point[g.q_index] % 1.0
-            vel = _velocity(g)
-            y, A, _ = integrate.rk4_flow(vel, g.n_indices, point[:g.n_dim],
-                                         q, 0.0, self.opts.step,
-                                         q_index=g.q_index)
-            Xf = np.array([c.eval(point) for c in
-                           self._hamiltonian.components[:g.n_dim]])
-            b = A @ Xf
-            C = np.concatenate([A, b[:, None]], axis=1)
-            G = self.F_N.gram_at(g.N_model.wrap(y))
-            return C.T @ G @ C
-        return self._interpolated(point)
-
-    def _node_matrix(self, node: int, x: tuple) -> np.ndarray:
-        key = (node, x)
-        if key not in self._node_cache:
-            q = node / self.grid_q
-            pt = np.array(list(x) + [q])
-            self._node_cache[key] = self.matrix_at(pt, exact=True)
-        return self._node_cache[key]
-
-    def _interpolated(self, point) -> np.ndarray:
-        g = self.g
-        q = float(point[g.q_index] % 1.0)
-        x = tuple(point[:g.n_dim])
-        lo = int(np.floor(q * self.grid_q))
-        t = q * self.grid_q - lo
-        M0 = self._node_matrix(lo, x)
-        if t == 0.0:
-            return M0
-        M1 = self._node_matrix(lo + 1, x)
-        return (1.0 - t) * M0 + t * M1
 
     # -- checks ----------------------------------------------------------
 
@@ -386,18 +343,20 @@ class TransportedForm:
 
 
 def transport_brane(g: GraphDeformation, F_N_tilde: DifferentialForm,
-                    grid_q: int = 64, plan: SamplePlan | None = None,
+                    plan: SamplePlan | None = None,
                     tol: float = DEFAULT_TOL.sampled,
                     opts: FlowOptions = DEFAULT_FLOW) -> TransportedForm:
-    """Invariant extension of F_N_tilde over Y, gated on the holonomy
-    actually preserving it (otherwise BraneObstruction)."""
+    """Invariant extension of F_N_tilde over Y, gated on the time-1 flow
+    of plan's points (64 seeded points by default) preserving it within
+    tol (otherwise BraneObstruction).  The extension is evaluated by
+    backward transport with opts' step; see TransportedForm."""
     if plan is None:
         plan = SamplePlan(count=64, seed=3)
     obstruction = _gate(g, F_N_tilde, plan, tol, opts)
     if obstruction is not None:
         msg, point, residual = obstruction
         raise BraneObstruction(msg, point=list(point), residual=residual)
-    return TransportedForm(g, F_N_tilde, grid_q=grid_q, opts=opts)
+    return TransportedForm(g, F_N_tilde, opts=opts)
 
 
 @functools.lru_cache(maxsize=16)
@@ -528,57 +487,30 @@ def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
     pts[:, g.q_index] = _snap(pts[:, g.q_index], opts.step) * opts.step
     m = pts.shape[0]
 
-    # forward sweep 0 -> 1 capturing flow states at each sample's q and at
-    # the four stencil stations around it
+    # flow states at each sample's q (offset 0) and at the four stencil
+    # stations around it, read from one backward sweep (stations before
+    # q = 0) and one forward sweep
     delta_steps = max(4, round(1e-2 / opts.step))
     delta = delta_steps * opts.step
-    ks = _snap(pts[:, g.q_index], opts.step)
-    stations = {}
-    for off in (-2, -1, 0, 1, 2):
-        for k in np.unique(ks) + off * delta_steps:
-            stations.setdefault(int(k), None)
-    vel = _velocity(g)
-    rhs = integrate._RHS(vel, g.n_indices, g.q_index)
-    kmin = min(stations)
-    kmax = max(stations)
-    X = pts[:, :dN].copy()
-    J = np.broadcast_to(np.eye(dN), (m, dN, dN)).copy()
-    if kmin < 0:
-        Xb, Jb = X, J
-        for k in range(0, kmin, -1):
-            if k in stations:
-                stations[k] = (Xb.copy(), Jb.copy())
-            Xb, Jb = integrate._rk4_step(rhs, Xb, Jb, k * opts.step,
-                                         -opts.step, 1 - k, pts)
-        if kmin in stations:
-            stations[kmin] = (Xb.copy(), Jb.copy())
-    for k in range(0, kmax + 1):
-        if k in stations:
-            stations[k] = (X.copy(), J.copy())
-        if k < kmax:
-            X, J = integrate._rk4_step(rhs, X, J, k * opts.step, opts.step,
-                                       k + 1, pts)
-    if kmax in stations and stations[kmax] is None:
-        stations[kmax] = (X.copy(), J.copy())
-
-    def at_offset(off):
-        out_x = np.empty((m, dN))
-        out_j = np.empty((m, dN, dN))
-        for i in range(m):
-            xx, jj = stations[int(ks[i]) + off * delta_steps]
-            out_x[i] = xx[i]
-            out_j[i] = jj[i]
-        return out_x, out_j
-
-    y0, J0 = at_offset(0)
+    at = (_snap(pts[:, g.q_index], opts.step)[None, :]
+          + delta_steps * np.arange(-2, 3)[:, None])
+    rows = np.broadcast_to(np.arange(m), at.shape)
+    rhs = _flow_rhs(g)
+    X = np.empty(at.shape + (dN,))
+    Jx = np.empty(at.shape + (dN, dN))
+    for sign, sel in ((-1, at < 0), (1, at >= 0)):
+        if sel.any():
+            after = sign * at[sel]
+            X[sel], Jx[sel] = integrate.rk4_sweep(
+                rhs, pts[:, :dN], np.broadcast_to(np.eye(dN), (m, dN, dN)),
+                0.0, sign * opts.step, int(after.max()), pts,
+                reads=(rows[sel], after))
+    xm2, xm1, y0, xp1, xp2 = X
+    J0 = Jx[2]
     psi_pts = pts.copy()
     psi_pts[:, :dN] = y0
 
     # (a) pushforward of d/dq equals the kernel field along psi
-    xm2, _ = at_offset(-2)
-    xm1, _ = at_offset(-1)
-    xp1, _ = at_offset(1)
-    xp2, _ = at_offset(2)
     # grouped as differences so coincident stations cancel exactly
     dq_push = ((xm2 - xp2) + 8.0 * (xp1 - xm1)) / (12.0 * delta)
     Xf = np.stack([c.eval_batch(psi_pts) for c in
@@ -628,15 +560,14 @@ def convergence_order(g: GraphDeformation, points, q1: float = 1.0,
     """Log2 slope of endpoint error under step halving (reference: two
     further halvings)."""
     pts = np.atleast_2d(np.asarray(points, float))
-    vel = _velocity(g)
-    ref, _, _ = integrate.rk4_flow(
-        vel, g.n_indices, pts, 0.0, q1, base_step / 2 ** (levels + 2),
-        q_index=g.q_index, with_jacobian=False)
+    rhs = _flow_rhs(g)
+    ref, _, _ = integrate.rk4_flow(rhs, pts, 0.0, q1,
+                                   base_step / 2 ** (levels + 2),
+                                   with_jacobian=False)
     errs = []
     for lev in range(levels):
-        im, _, _ = integrate.rk4_flow(
-            vel, g.n_indices, pts, 0.0, q1, base_step / 2 ** lev,
-            q_index=g.q_index, with_jacobian=False)
+        im, _, _ = integrate.rk4_flow(rhs, pts, 0.0, q1, base_step / 2 ** lev,
+                                      with_jacobian=False)
         errs.append(np.abs(im - ref).max())
     errs = np.array(errs)
     # a genuine 4th-order sequence drops ~2^(4(levels-1)); a flat one is

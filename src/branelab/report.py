@@ -123,17 +123,3 @@ def _max_residual(c: CheckResult) -> float:
     return max([v for v in c.residuals.values()
                 if isinstance(v, (int, float))], default=0.0)
 
-
-def flow_result_csv(fr) -> str:
-    """point, image, Jacobian (row-major) and symplectic residual rows."""
-    out = io.StringIO()
-    n = fr.points.shape[1]
-    cols = ([f"x{i}" for i in range(n)] + [f"phi{i}" for i in range(n)]
-            + [f"J{i}{j}" for i in range(n) for j in range(n)]
-            + ["symplectic_residual"])
-    out.write(",".join(cols) + "\n")
-    for k in range(fr.points.shape[0]):
-        row = list(fr.points[k]) + list(fr.images[k]) + \
-            list(fr.jacobians[k].reshape(-1)) + [fr.symplectic_residuals[k]]
-        out.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return out.getvalue()

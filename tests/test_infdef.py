@@ -15,7 +15,7 @@ from branelab.infdef import (AverageObstruction, InfDefPair, Type11Violation,
                              _block_rank, build_infdef, check_infdef, complex_slice,
                              constant_type11_basis, hamiltonian_generator,
                              infdef_general_check, kernel_values,
-                             pair_from_values, transverse_endo, upsilon,
+                             pair_from_values, transverse_endo,
                              upsilon_image_check)
 from branelab.model import (CIRCLE, LINE, SamplePlan, extend_with_circle,
                             model_from_names)
@@ -67,7 +67,8 @@ def test_pair_from_values_roundtrip():
     back = kernel_values(pair, C5)
     assert len(back) == 1
     assert (back[0] - v).is_zero(1e-12)
-    assert (upsilon(pair) - pair.r).is_zero(1e-15)
+    # the kernel frame of C5 is d_q, so its dual coframe row is dq
+    assert (pair.r - DifferentialForm.build(T5, 1, {(4,): v})).is_zero(1e-15)
 
 
 def test_transverse_endo_lifts_standard_structure():
@@ -133,7 +134,7 @@ def test_mixed_condition_detects_missing_coupling():
     assert not rec.conditions["mixed_iii"]
     built = build_infdef(rho, DifferentialForm.zero(T4, 2), C5)
     assert check_infdef(built, C5, plan=PLAN).passed
-    assert (upsilon(built) - r).is_zero(1e-12)
+    assert (built.r - r).is_zero(1e-12)
 
 
 def test_build_rejects_nonflat_average():

@@ -1,16 +1,19 @@
 """The compiled right-hand side of the RK4 flow and its per-step checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from branelab.fields import ScalarField, partial
 from branelab.grammar import parse_form
-from branelab.integrate import FlowError, _RHS, rk4_flow
+from branelab.integrate import FlowError, _RHS, rk4_flow, rk4_sweep
 from branelab.model import (CIRCLE, LINE, FlowOptions, SamplePlan,
                             extend_with_circle, model_from_names)
-from branelab.nearby import (TransportedForm, _velocity, graph_deformation,
-                             mapping_torus_check)
+from branelab.nearby import (TransportedForm, _flow_rhs, _velocity,
+                             graph_deformation, mapping_torus_check,
+                             slicewise_hamiltonian)
 
 N_MIX = model_from_names([("x1", CIRCLE), ("y1", LINE),
                           ("x2", LINE), ("y2", LINE)])
@@ -25,6 +28,9 @@ FAMILY_B = ("0.37*cos(2*pi*(x1 - 2*q)) + 0.21*y1*sin(2*pi*(2*x1 + q)) "
             "- 0.13*x2*cos(2*pi*x1) + 0.29*y2*sin(2*pi*(x1 - q))")
 # blows up before q = 1 on N_MIX: near x1 = 3/4, dy2/dq ~ 1.26 y2^2
 BLOWUP = "0.2*cos(2*pi*x1)*y2^2 + 0.1*sin(2*pi*q)*y1*x2"
+# q-modulated shear: slicewise translations, so time-1 invariance holds,
+# but the transported matrix genuinely varies with q
+Q_SHEAR = f"({float(math.sqrt(2) - 1)!r} + 0.3*sin(2*pi*q))*y2"
 
 
 @st.composite
@@ -100,13 +106,13 @@ def test_flow_matches_a_per_field_reference_step():
     x, J = x0, np.broadcast_to(np.eye(4), (12, 4, 4)).copy()
     for s in range(steps):
         x, J = _reference_step(vel, jac, x, J, s / steps, 1.0 / steps)
-    images, tangents, n = rk4_flow(vel, N_IDX, x0, 0.0, 1.0, 1.0 / steps,
-                                   q_index=Q)
+    rhs = _RHS(vel, N_IDX, Q)
+    images, tangents, n = rk4_flow(rhs, x0, 0.0, 1.0, 1.0 / steps)
     assert n == steps
     assert np.abs(images - x).max() < 1e-12
     assert np.abs(tangents - J).max() < 1e-12
-    plain, none, _ = rk4_flow(vel, N_IDX, x0, 0.0, 1.0, 1.0 / steps,
-                              q_index=Q, with_jacobian=False)
+    plain, none, _ = rk4_flow(rhs, x0, 0.0, 1.0, 1.0 / steps,
+                              with_jacobian=False)
     assert none is None
     assert np.abs(plain - x).max() < 1e-12
 
@@ -114,17 +120,17 @@ def test_flow_matches_a_per_field_reference_step():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_blow_up_stops_at_the_first_non_finite_step():
-    vel = _velocity(graph_deformation(N_MIX, OMEGA_N, F_N, BLOWUP))
+    rhs = _flow_rhs(graph_deformation(N_MIX, OMEGA_N, F_N, BLOWUP))
     seeds = np.array([[0.0, 0.0, 0.0, 0.0], [0.75, 0.5, 0.5, 0.9]])
     with pytest.raises(FlowError) as err:
-        rk4_flow(vel, N_IDX, seeds, 0.0, 1.0, 1.0 / 64, q_index=Q)
+        rk4_flow(rhs, seeds, 0.0, 1.0, 1.0 / 64)
     msg = str(err.value)
     step = int(msg.split()[4])
     assert msg == (f"non-finite state at step {step} (q = {step / 64:g}) "
                    "on the trajectory of seed point (0.75, 0.5, 0.5, 0.9)")
     # the state one step earlier is still finite
     q = (step - 1) / 64
-    before, _, _ = rk4_flow(vel, N_IDX, seeds, 0.0, q, 1.0 / 64, q_index=Q)
+    before, _, _ = rk4_flow(rhs, seeds, 0.0, q, 1.0 / 64)
     assert np.isfinite(before).all()
 
 
@@ -148,12 +154,42 @@ def test_backward_and_mapping_torus_sweeps_check_every_step():
         "seed point (0.278991, 0.569581, -0.0873428, -0.946625, 0.640625)")
 
 
+def _transported_by_rk4_flow(tf, p):
+    """The transported Gram matrix at one Y-point from its own rk4_flow
+    solve back to the zero slice."""
+    g = tf.g
+    y, A, _ = rk4_flow(_flow_rhs(g), p[None, :4], p[Q] % 1.0, 0.0,
+                       tf.opts.step)
+    Xf = slicewise_hamiltonian(g).eval(p)[:4]
+    C = np.concatenate([A[0], (A[0] @ Xf)[:, None]], axis=1)
+    return C.T @ F_N.gram_at(N_MIX.wrap(y[0])) @ C
+
+
 def test_backward_sweep_matches_single_point_solves():
-    g = graph_deformation(N_MIX, OMEGA_N, F_N, FAMILY_B)
-    tf = TransportedForm(g, F_N)
-    pts = SamplePlan(count=6, seed=2).points(Y)
-    pts[0, Q] = 0.0
-    snapped, M = tf.matrices_at(pts)
-    for p, Mp in zip(snapped, M):
-        assert np.abs(Mp - tf.matrix_at(p)).max() < 1e-11
-    assert np.abs(M[0][:4, :4] - F_N.gram_at(pts[0, :4])).max() == 0.0
+    for f in (FAMILY_B, Q_SHEAR):
+        tf = TransportedForm(graph_deformation(N_MIX, OMEGA_N, F_N, f), F_N)
+        pts = SamplePlan(count=6, seed=2).points(Y)
+        pts[0, Q] = 0.0
+        snapped, M = tf.matrices_at(pts)
+        for p, Mp in zip(snapped, M):
+            assert np.abs(Mp - _transported_by_rk4_flow(tf, p)).max() < 1e-11
+        assert np.abs(M[0][:4, :4] - F_N.gram_at(pts[0, :4])).max() == 0.0
+
+
+def test_sweep_reads_rows_at_their_step_counts():
+    # the reference flows the same five rows, because a batched matmul may
+    # round a row differently at another batch size
+    rhs = _flow_rhs(graph_deformation(N_MIX, OMEGA_N, F_N, FAMILY_B))
+    x0 = SamplePlan(count=5, seed=3).points(N_MIX)
+    eye = np.broadcast_to(np.eye(4), (5, 4, 4))
+    h = 1.0 / 64
+    rows = np.array([0, 1, 1, 2, 3, 4, 4, 0])
+    after = np.array([0, 3, 17, 64, 1, 17, 40, 64])
+    for sign in (1, -1):
+        x, J = rk4_sweep(rhs, x0, eye, 0.0, sign * h, 64, x0,
+                         reads=(rows, after))
+        for r, (i, k) in enumerate(zip(rows, after)):
+            y, A, _ = rk4_flow(rhs, x0, 0.0, sign * k * h, h)
+            assert np.array_equal(x[r], y[i]) and np.array_equal(J[r], A[i])
+    with pytest.raises(ValueError):
+        rk4_sweep(rhs, x0, eye, 0.0, h, 64, x0, reads=(rows, after + 1))

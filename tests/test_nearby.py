@@ -128,20 +128,6 @@ def test_transport_kernel_and_slice():
     assert t.fd_exterior_check().passed
 
 
-def test_transport_matrix_agrees_between_exact_and_grid():
-    # q-modulated shear: slicewise translations, so time-1 invariance holds,
-    # but the transported matrix genuinely varies with q
-    g = graph_deformation(
-        N_MIX, OMEGA_N, F_N, f"({LAM!r} + 0.3*sin(2*pi*q))*y2")
-    t = transport_brane(g, F_N)
-    p = np.array([0.31, 0.17, -0.42, 0.55, 0.633])
-    exact = t.matrix_at(p, exact=True)
-    interp = t.matrix_at(p, exact=False)
-    assert np.abs(exact - interp).max() < 5e-3
-    snapped, batch = t.matrices_at(p[None, :])
-    assert np.abs(batch[0] - t.matrix_at(snapped[0], exact=True)).max() < 1e-9
-
-
 def test_transport_obstruction_raised_for_twisting_f():
     g = graph_deformation(N_MIX, OMEGA_N, F_N, "0.01*cos(2*pi*x1)")
     with pytest.raises(BraneObstruction) as err:

@@ -118,14 +118,6 @@ def test_run_is_deterministic(tmp_path, capsys):
     assert d1 == d2
 
 
-def test_parallel_run_matches_serial(tmp_path):
-    a = tmp_path / "serial.json"
-    b = tmp_path / "parallel.json"
-    assert main(["run", "frame_11", "--out", str(a)]) == 0
-    assert main(["run", "frame_11", "--parallel", "--out", str(b)]) == 0
-    assert scrub(json.loads(a.read_text())) == scrub(json.loads(b.read_text()))
-
-
 def test_exit_codes(capsys):
     assert main(["run", "example_r4"]) == 0
     capsys.readouterr()
@@ -332,3 +324,27 @@ def test_raised_check_shows_its_error_in_text_and_csv(capsys, monkeypatch):
     row = next(r for r in rows if r[0] == name)
     assert row[1:3] == ["ERROR", "False"]
     assert row[-1].startswith("CircleTermsError: ")
+
+
+def test_expected_obstruction_is_no_error_line(tmp_path, capsys):
+    name = "build_infdef(rho_bad, B0N, c)"
+    main(["run", "infdef_torus", "--format", "text"])
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, ln in enumerate(lines) if name in ln)
+    assert lines[at].startswith(f"  [pass] {name} (EXACT, residual")
+    assert not lines[at + 1].lstrip().startswith("error:")
+    main(["run", "infdef_torus", "--format", "json"])
+    rec = next(c for c in json.loads(capsys.readouterr().out)["checks"]
+               if c["name"] == name)
+    assert "error" not in rec["details"]
+    assert rec["details"]["obstruction"].startswith(
+        "circle average of the slice 1-form is not closed")
+    # an obstruction nobody expected is the failure reason
+    text = (bundled_scene_dir() / "infdef_torus.scene").read_text()
+    _, data = run_json(tmp_path, capsys, text.replace(
+        "rho_bad B0N c expect=obstruction", "rho_bad B0N c"))
+    rec = next(c for c in data["checks"] if c["name"] == name)
+    assert not rec["pass"]
+    assert rec["details"]["error"].startswith(
+        "circle average of the slice 1-form is not closed")
+    assert "obstruction" not in rec["details"]
