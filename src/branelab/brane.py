@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField, VectorField, reindex
-from .forms import (DegenerateFormError, DifferentialForm, Distribution,
+from .forms import (DifferentialForm, Distribution, _condition_gate,
                     endo_from_pair, ext_d, kernel_basis,
                     max_principal_angle, two_form_from)
 from .model import (DEFAULT_PLAN, DEFAULT_TOL, LINE, ManifoldModel,
@@ -173,10 +173,12 @@ def validate_candidate(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
     """Raise ValueError if the E and G frames are dependent: tested once on
     constant frames, else at the first 32 plan points."""
     EC, GC = c.E_frame.constant_matrix(), c.G_frame.constant_matrix()
-    pts = plan.points(c.model_Y)[:1 if EC is not None and GC is not None else 32]
-    for p in pts:
-        E = EC if EC is not None else c.E_frame.matrix_at(p)
-        G = GC if GC is not None else c.G_frame.matrix_at(p)
+    if EC is not None and GC is not None:
+        pts, frames = plan.points(c.model_Y)[:1], [(EC, GC)]
+    else:
+        pts = plan.points(c.model_Y)[:32]
+        frames = zip(c.E_frame.matrices(pts), c.G_frame.matrices(pts))
+    for p, (E, G) in zip(pts, frames):
         if not _independent(E, G, tol.subspace):
             raise ValueError(
                 f"E and G frames dependent at sample {p.tolist()}")
@@ -205,16 +207,17 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
 
     pts = plan.points(c.model_Y)
     if exact:
-        pts, WG, FG = pts[:1], W[None], FC[None]
+        pts, WG, FG, EM, GM = pts[:1], W[None], FC[None], EC[None], GC[None]
     else:
         WG, FG = c.omega.gram_batch(pts), c.F.gram_batch(pts)
+        EM, GM = c.E_frame.matrices(pts), c.G_frame.matrices(pts)
     k = c.E_frame.rank
     kernels_ok = True
     squares_ok = True
     worst_kernel = 0.0
     worst_square = 0.0
     for i in range(pts.shape[0]):
-        E = EC if EC is not None else c.E_frame.matrix_at(pts[i])
+        E = EM[i]
         for label, G in (("omega", WG[i]), ("F", FG[i])):
             nul = kernel_basis(G, tol.subspace)
             if nul.shape[1] != k:
@@ -227,14 +230,12 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
                 kernels_ok = False
                 res.add_witness(pts[i], ang, f"kernel_{label}")
         # transverse complex structure on the G-frame
-        Gm = GC if GC is not None else c.G_frame.matrix_at(pts[i])
+        Gm = GM[i]
         if Gm.shape[1]:
             Wg = Gm.T @ WG[i] @ Gm
             Fg = Gm.T @ FG[i] @ Gm
-            s = np.linalg.svd(Wg, compute_uv=False)
-            if s[-1] == 0 or s[0] / s[-1] > tol.condition_limit:
-                raise DegenerateFormError(
-                    f"omega degenerate on G at sample {pts[i].tolist()}")
+            _condition_gate(Wg, f"sample {pts[i].tolist()} on the G-frame",
+                            tol.condition_limit)
             I = np.linalg.solve(Wg, Fg)
             r = np.abs(I @ I + np.eye(Gm.shape[1])).max()
             worst_square = max(worst_square, r)
@@ -309,21 +310,22 @@ def check_brane_via_J(c: BraneCandidate, ambient: AmbientModel | None = None,
     m = ambient.model_M.dim
     n = ambient.n_base
     pts = plan.points(c.model_Y)[:1 if exact else None]
+    P = np.zeros((pts.shape[0], m))
+    P[:, :n] = pts
+    if exact:
+        WG, FG = WC[None], FC[None]
+    else:
+        WG, FG = ambient.omega_M.gram_batch(P), c.F.gram_batch(pts)
     worst = 0.0
     ok = True
-    for i in range(pts.shape[0]):
-        p = np.zeros(m)
-        p[:n] = pts[i]
-        W = WC if exact else ambient.omega_M.gram_at(p)
-        s = np.linalg.svd(W, compute_uv=False)
-        if s[-1] == 0 or s[0] / s[-1] > tol.condition_limit:
-            raise DegenerateFormError(
-                f"ambient omega degenerate at sample {p.tolist()}")
-        Wmap = W.T  # matrix of v -> i_v omega
+    for i, p in enumerate(P):
+        _condition_gate(WG[i], f"ambient sample {p.tolist()}",
+                        tol.condition_limit)
+        Wmap = WG[i].T  # matrix of v -> i_v omega
         J = np.zeros((2 * m, 2 * m))
         J[:m, m:] = -np.linalg.inv(Wmap)
         J[m:, :m] = Wmap
-        basis = _tau_F_basis(FC if exact else c.F.gram_at(pts[i]), m, n)
+        basis = _tau_F_basis(FG[i], m, n)
         Q, _ = np.linalg.qr(basis)
         img = J @ basis
         resid = img - Q @ (Q.T @ img)

@@ -19,11 +19,28 @@ agree up to the pruning threshold.
 Powers on circle coordinates are permitted (needed transiently for
 antiderivatives in the deformation builder) but flag the field as not
 globally defined on the torus factor; see has_circle_powers.
+
+Every evaluation at points goes through one evaluator, TermBank.  A bank
+compiles a list of fields over one model into the union of their term
+keys (powers, freqs, phase) and a coefficient matrix C with one row per
+term and one column per field.  A call evaluates each term once over the
+batch, raising only the coordinates that carry a power, taking cos only
+of the cos terms and sin only of the sin terms and no trig of the
+zero-frequency terms; one matmul with C then gives every field at every
+point.  A scalar field is a bank of one, a vector field a bank of its
+components, a 2-form's Gram matrices a bank of its coefficients and a
+frame's matrices a bank of all its vectors' components; the flows compile
+the velocity and its Jacobian into one bank (integrate._RHS).
+
+The matmul with C, like any batched product, may round a row differently
+with the number of rows: a point's value can differ in its last bits
+between a one-point call and the same point inside a larger batch.
+Checks that must agree exactly therefore compare values from batches of
+the same size, or from constant data, whose values are exact.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -98,11 +115,6 @@ class ScalarField:
         z = (0,) * model.dim
         p = tuple(1 if j == i else 0 for j in range(model.dim))
         return ScalarField.build(model, {(p, z, COS): 1.0})
-
-    @staticmethod
-    def monomial(model: ManifoldModel, powers, coeff: float = 1.0) -> "ScalarField":
-        z = (0,) * model.dim
-        return ScalarField.build(model, {(tuple(powers), z, COS): float(coeff)})
 
     @staticmethod
     def _trig(model, freqs, phase, coeff):
@@ -188,14 +200,7 @@ class ScalarField:
         return float(self.eval_batch(point[None, :])[0])
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
-        P, K, ph, co = _compiled(self)
-        points = np.asarray(points, dtype=float)
-        if co.size == 0:
-            return np.zeros(points.shape[0])
-        mono = np.prod(points[:, None, :] ** P[None, :, :], axis=2)
-        arg = TWO_PI * (points @ K.T)
-        trig = np.where(ph[None, :] == COS, np.cos(arg), np.sin(arg))
-        return (mono * trig) @ co
+        return TermBank((self,), self.model.dim)(points)[:, 0]
 
 
 def _coerce(model: ManifoldModel, x) -> ScalarField:
@@ -208,21 +213,53 @@ def _coerce(model: ManifoldModel, x) -> ScalarField:
     raise TypeError(f"cannot treat {type(x)} as a scalar field")
 
 
-@functools.lru_cache(maxsize=8192)
-def _compiled(f: ScalarField):
-    n, d = len(f.terms), f.model.dim
-    P = np.zeros((n, d), dtype=np.int64)
-    K = np.zeros((n, d), dtype=np.int64)
-    ph = np.zeros(n, dtype=np.int64)
-    co = np.zeros(n, dtype=float)
-    for t, ((powers, freqs, phase), c) in enumerate(f.terms):
-        P[t] = powers
-        K[t] = freqs
-        ph[t] = phase
-        co[t] = c
-    P.setflags(write=False)
-    K.setflags(write=False)
-    return P, K, ph, co
+class TermBank:
+    """Fields over one model evaluated through one shared term table.
+
+    Terms are ordered zero-frequency first, then cos, then sin, and the
+    table is laid out term by point, so that each trig function writes
+    one contiguous block of it.
+    """
+
+    def __init__(self, fields, dim):
+        keys = sorted({key for f in fields for key, _ in f.terms},
+                      key=lambda k: (k[2] + 1 if any(k[1]) else 0, k))
+        row = {key: t for t, key in enumerate(keys)}
+        self.C = np.zeros((len(keys), len(fields)))
+        for col, f in enumerate(fields):
+            for key, c in f.terms:
+                self.C[row[key], col] = c
+        P = np.array([k[0] for k in keys], dtype=np.int64).reshape(-1, dim)
+        K = np.array([k[1] for k in keys], dtype=float).reshape(-1, dim)
+        # (coordinate, exponent of every term, largest exponent) for each
+        # coordinate that carries a power
+        self.powers = [(j, P[:, j], int(P[:, j].max()))
+                       for j in range(dim) if P[:, j].any()]
+        n_free = sum(not any(k[1]) for k in keys)
+        n_cos = sum(any(k[1]) and k[2] == COS for k in keys)
+        self.free = slice(0, n_free)
+        self.cos = slice(n_free, n_free + n_cos)
+        self.sin = slice(n_free + n_cos, len(keys))
+        self.K_cos = K[self.cos]
+        self.K_sin = K[self.sin]
+
+    def __call__(self, points) -> np.ndarray:
+        """(m, fields) values at points given as an (m, dim) array."""
+        points = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+        vals = np.empty((self.C.shape[0], points.shape[1]))
+        vals[self.free] = 1.0
+        if len(self.K_cos):
+            np.cos(TWO_PI * (self.K_cos @ points), out=vals[self.cos])
+        if len(self.K_sin):
+            np.sin(TWO_PI * (self.K_sin @ points), out=vals[self.sin])
+        for j, exps, top in self.powers:
+            table = np.empty((top + 1, points.shape[1]))
+            table[0] = 1.0
+            table[1] = points[j]
+            for e in range(2, top + 1):
+                table[e] = table[e - 1] * points[j]
+            vals *= table[exps]
+        return vals.T @ self.C
 
 
 def field_mul(a: ScalarField, b: ScalarField) -> ScalarField:
@@ -384,10 +421,10 @@ class VectorField:
         return np.array([c.constant_value() for c in self.components])
 
     def eval(self, point) -> np.ndarray:
-        return np.array([c.eval(point) for c in self.components])
+        return self.eval_batch(np.asarray(point, dtype=float)[None, :])[0]
 
     def eval_batch(self, points) -> np.ndarray:
-        return np.stack([c.eval_batch(points) for c in self.components], axis=1)
+        return TermBank(self.components, self.model.dim)(points)
 
     def __add__(self, other):
         return VectorField(self.model, tuple(

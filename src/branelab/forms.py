@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fields import ScalarField, VectorField, partial
+from .fields import ScalarField, TermBank, VectorField, bracket, partial
 from .model import DEFAULT_TOL, ManifoldModel
 
 
@@ -128,13 +128,12 @@ class DifferentialForm:
     def gram_batch(self, points) -> np.ndarray:
         if self.degree != 2:
             raise ValueError("gram matrices are for 2-forms")
-        points = np.asarray(points, float)
-        n, d = points.shape[0], self.model.dim
-        G = np.zeros((n, d, d))
-        for (i, j), f in self.coeffs:
-            v = f.eval_batch(points)
-            G[:, i, j] += v
-            G[:, j, i] -= v
+        d = self.model.dim
+        vals = TermBank([f for _, f in self.coeffs], d)(points)
+        ij = np.array([k for k, _ in self.coeffs], dtype=int).reshape(-1, 2)
+        G = np.zeros((vals.shape[0], d, d))
+        G[:, ij[:, 0], ij[:, 1]] = vals
+        G[:, ij[:, 1], ij[:, 0]] = -vals
         return G
 
     def constant_gram(self) -> np.ndarray | None:
@@ -271,7 +270,9 @@ def sharp(omega: DifferentialForm, xi: DifferentialForm, point=None,
         raise ValueError("non-constant omega needs an evaluation point")
     Wp = omega.gram_at(point)
     _condition_gate(Wp, f"point {np.asarray(point).tolist()}")
-    rhs = np.array([xi.coeff((j,)).eval(point) for j in range(omega.model.dim)])
+    d = omega.model.dim
+    rhs = TermBank([xi.coeff((j,)) for j in range(d)], d)(
+        np.asarray(point, float)[None, :])[0]
     return np.linalg.solve(Wp.T, rhs)
 
 
@@ -299,19 +300,6 @@ class EndoField:
                   for j in range(model.dim))
             for i in range(model.dim))
         return EndoField(model, rows)
-
-    @staticmethod
-    def from_fields(model: ManifoldModel, rows) -> "EndoField":
-        return EndoField(model, tuple(tuple(r) for r in rows))
-
-    @staticmethod
-    def identity(model: ManifoldModel) -> "EndoField":
-        return EndoField.from_matrix(model, np.eye(model.dim))
-
-    def matrix_at(self, point) -> np.ndarray:
-        d = self.model.dim
-        return np.array([[self.entries[i][j].eval(point) for j in range(d)]
-                         for i in range(d)])
 
     def constant_matrix(self) -> np.ndarray | None:
         if not all(f.is_constant() for row in self.entries for f in row):
@@ -428,22 +416,11 @@ def two_form_from(omega: DifferentialForm, I: EndoField) -> DifferentialForm:
     return DifferentialForm.build(omega.model, 2, raw)
 
 
-def is_type_11(B: DifferentialForm, I: EndoField, plan=None,
-               tol: float = 1e-10, mode: str = "auto") -> bool:
-    """Whether B(I v, I w) = B(v, w) identically.
-
-    mode "exact" decides by coefficient arithmetic; "sampled" by Gram
-    residuals at plan points; "auto" prefers exact (always available for
-    trig-polynomial data).
-    """
-    delta = I.pullback_twoform(B) - B
-    if mode in ("auto", "exact"):
-        return delta.is_zero(tol)
-    if plan is None:
-        raise ValueError("sampled mode needs a plan")
-    pts = plan.points(B.model)
-    res = np.abs(delta.gram_batch(pts)).max()
-    return bool(res <= DEFAULT_TOL.sampled)
+def is_type_11(B: DifferentialForm, I: EndoField,
+               tol: float = 1e-10) -> bool:
+    """Whether B(I v, I w) = B(v, w) identically, decided by coefficient
+    arithmetic."""
+    return (I.pullback_twoform(B) - B).is_zero(tol)
 
 
 @dataclass(frozen=True)
@@ -457,10 +434,15 @@ class Distribution:
     def rank(self) -> int:
         return len(self.frame)
 
+    def matrices(self, points) -> np.ndarray:
+        """(m, dim, rank) frame matrices at a batch of points."""
+        d = self.model.dim
+        comps = [c for v in self.frame for c in v.components]
+        vals = TermBank(comps, d)(points)
+        return vals.reshape(vals.shape[0], self.rank, d).transpose(0, 2, 1)
+
     def matrix_at(self, point) -> np.ndarray:
-        if not self.frame:
-            return np.zeros((self.model.dim, 0))
-        return np.column_stack([v.eval(point) for v in self.frame])
+        return self.matrices(np.asarray(point, float)[None, :])[0]
 
     def constant_matrix(self) -> np.ndarray | None:
         if not all(v.is_constant() for v in self.frame):
@@ -486,6 +468,22 @@ def max_principal_angle(A: np.ndarray, B: np.ndarray) -> float:
     if A.shape[1] == 0:
         return 0.0
     return float(np.max(scipy.linalg.subspace_angles(A, B)))
+
+
+def bracket_span_residual(dist: Distribution, points) -> float:
+    """Worst span_residual of the frame's pairwise brackets against the
+    frame, over a batch of points; 0 below rank 2.  The distribution is
+    involutive at the points when it is within the subspace tolerance."""
+    brackets = [bracket(dist.frame[a], dist.frame[b])
+                for a in range(dist.rank) for b in range(a + 1, dist.rank)]
+    if not brackets:
+        return 0.0
+    d = dist.model.dim
+    frames = dist.matrices(points)
+    vals = TermBank([c for br in brackets for c in br.components], d)(points)
+    vals = vals.reshape(len(frames), len(brackets), d)
+    return max((span_residual(E, v)
+                for E, row in zip(frames, vals) for v in row), default=0.0)
 
 
 def span_residual(E: np.ndarray, v: np.ndarray) -> float:

@@ -26,11 +26,12 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .brane import BraneCandidate, lift_form
-from .fields import (COS, SIN, ScalarField, VectorField, bracket,
-                     circle_average, directional, partial, q_antiderivative)
+from .fields import (COS, SIN, ScalarField, VectorField, circle_average,
+                     directional, partial, q_antiderivative)
 from .forms import (DifferentialForm, EndoField, _condition_gate, apply_form,
-                    d_scalar, endo_from_pair, ext_d, horizontal_d, interior,
-                    is_type_11, lie_derivative, sharp, span_residual, wedge)
+                    bracket_span_residual, d_scalar, endo_from_pair, ext_d,
+                    horizontal_d, interior, is_type_11, lie_derivative, sharp,
+                    wedge)
 from .model import (DEFAULT_PLAN, DEFAULT_TOL, ManifoldModel, SamplePlan,
                     Tolerances)
 from .report import EXACT, CheckResult
@@ -130,17 +131,8 @@ def transverse_endo(c: BraneCandidate) -> EndoField:
 
 
 def _involutive(dist, plan: SamplePlan, tol: float) -> bool:
-    if dist.constant_matrix() is not None:
-        return True
-    pts = plan.points(dist.model)
-    for a in range(dist.rank):
-        for b in range(a + 1, dist.rank):
-            br = bracket(dist.frame[a], dist.frame[b])
-            vals = br.eval_batch(pts)
-            for i in range(pts.shape[0]):
-                if span_residual(dist.matrix_at(pts[i]), vals[i]) > tol:
-                    return False
-    return True
+    return (dist.constant_matrix() is not None
+            or bracket_span_residual(dist, plan.points(dist.model)) <= tol)
 
 
 def _pairing(alpha: DifferentialForm, x: VectorField) -> ScalarField:

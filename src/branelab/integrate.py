@@ -12,17 +12,15 @@ counts (the mapping-torus check reads each sample at its own q and at
 the stencil stations around it, from one forward and one backward
 sweep).
 
-The right-hand side is compiled once into a term bank.  The velocity
-components and their partial derivatives are trig-polynomials over the
-same coordinates, so the bank keeps the union of their term keys
-(powers, freqs, phase) and a coefficient matrix C with one row per term
-and one column per field: the n velocity components, then the n*n
-Jacobian entries row by row (a zero partial is a zero column).  An RK4
-stage evaluates each term once over the batch, raising only the
-coordinates that carry a power, taking cos only of the cos terms and sin
-only of the sin terms and no trig of the zero-frequency terms; one matmul
-with C then gives the velocity and the Jacobian together.  Without
-tangent maps a bank of the velocity's own terms is used.
+The right-hand side is compiled once into a term bank (fields.TermBank)
+whose fields are the n velocity components, then the n*n Jacobian
+entries row by row (a zero partial is a zero column), so one bank call
+per RK4 stage gives the velocity and the Jacobian together.  Without
+tangent maps a bank of the velocity's own terms is used.  The bank's
+matmul and the tangent-map products A @ J are batched, so a seed point's
+tangent map can differ in its last bits with how many rows share its
+sweep (see fields); a reference that must match exactly flows the same
+batch.
 
 Every step tests its new state for finiteness and raises FlowError at the
 first step that leaves the finite numbers, naming the step and the seed
@@ -36,59 +34,11 @@ import math
 
 import numpy as np
 
-from .fields import COS, TWO_PI, partial
+from .fields import TermBank, partial
 
 
 class FlowError(RuntimeError):
     pass
-
-
-class _TermBank:
-    """Fields over one model evaluated through one shared term table.
-
-    Terms are ordered zero-frequency first, then cos, then sin, and the
-    table is laid out term by point, so that each trig function writes
-    one contiguous block of it.
-    """
-
-    def __init__(self, fields, dim):
-        keys = sorted({key for f in fields for key, _ in f.terms},
-                      key=lambda k: (k[2] + 1 if any(k[1]) else 0, k))
-        row = {key: t for t, key in enumerate(keys)}
-        self.C = np.zeros((len(keys), len(fields)))
-        for col, f in enumerate(fields):
-            for key, c in f.terms:
-                self.C[row[key], col] = c
-        P = np.array([k[0] for k in keys], dtype=np.int64).reshape(-1, dim)
-        K = np.array([k[1] for k in keys], dtype=float).reshape(-1, dim)
-        # (coordinate, exponent of every term, largest exponent) for each
-        # coordinate that carries a power
-        self.powers = [(j, P[:, j], int(P[:, j].max()))
-                       for j in range(dim) if P[:, j].any()]
-        n_free = sum(not any(k[1]) for k in keys)
-        n_cos = sum(any(k[1]) and k[2] == COS for k in keys)
-        self.free = slice(0, n_free)
-        self.cos = slice(n_free, n_free + n_cos)
-        self.sin = slice(n_free + n_cos, len(keys))
-        self.K_cos = K[self.cos]
-        self.K_sin = K[self.sin]
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """(m, fields) values at points given as a (dim, m) array."""
-        vals = np.empty((self.C.shape[0], points.shape[1]))
-        vals[self.free] = 1.0
-        if len(self.K_cos):
-            np.cos(TWO_PI * (self.K_cos @ points), out=vals[self.cos])
-        if len(self.K_sin):
-            np.sin(TWO_PI * (self.K_sin @ points), out=vals[self.sin])
-        for j, exps, top in self.powers:
-            table = np.empty((top + 1, points.shape[1]))
-            table[0] = 1.0
-            table[1] = points[j]
-            for e in range(2, top + 1):
-                table[e] = table[e - 1] * points[j]
-            vals *= table[exps]
-        return vals.T @ self.C
 
 
 class _RHS:
@@ -105,20 +55,21 @@ class _RHS:
         self.model = self.components[0].model
         self.n_indices = list(n_indices)
         self.q_index = q_index
-        self._velocity = _TermBank(self.components, self.model.dim)
+        self._velocity = TermBank(self.components, self.model.dim)
 
     @functools.cached_property
-    def _both(self) -> _TermBank:
+    def _both(self) -> TermBank:
         jac = tuple(partial(c, j) for c in self.components
                     for j in self.n_indices)
-        return _TermBank(self.components + jac, self.model.dim)
+        return TermBank(self.components + jac, self.model.dim)
 
     def __call__(self, x, q, with_jacobian):
         """(velocity (m, n), Jacobian (m, n, n) or None) at states x."""
-        pts = np.zeros((self.model.dim, x.shape[0]))
-        pts[self.n_indices] = x.T
+        # column-major, so that the bank's coordinate rows need no copy
+        pts = np.zeros((x.shape[0], self.model.dim), order="F")
+        pts[:, self.n_indices] = x
         if self.q_index is not None:
-            pts[self.q_index] = q
+            pts[:, self.q_index] = q
         if not with_jacobian:
             return self._velocity(pts), None
         m, n = x.shape

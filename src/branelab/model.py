@@ -54,10 +54,6 @@ class ManifoldModel:
     def circle_indices(self) -> tuple[int, ...]:
         return tuple(i for i, (_, k) in enumerate(self.coords) if k == CIRCLE)
 
-    @property
-    def line_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, (_, k) in enumerate(self.coords) if k == LINE)
-
     def index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.coords):
             if n == name:

@@ -12,15 +12,15 @@ kernel line of the deformed form.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import integrate
-from .fields import ScalarField, VectorField, bracket, partial, substitute
-from .forms import (DifferentialForm, Distribution, apply_form, endo_from_pair,
-                    ext_d, horizontal_d, interior, lie_derivative,
-                    span_residual)
+from .fields import ScalarField, TermBank, VectorField, partial, substitute
+from .forms import (DifferentialForm, Distribution, apply_form,
+                    bracket_span_residual, endo_from_pair, ext_d,
+                    horizontal_d, interior, lie_derivative)
 from .model import (DEFAULT_FLOW, DEFAULT_PLAN, DEFAULT_TOL, FlowOptions,
                     ManifoldModel, SamplePlan, extend_with_circle)
 from .report import EXACT, SAMPLED, CheckResult
@@ -59,9 +59,6 @@ class GraphDeformation:
     def lift(self, form_on_N: DifferentialForm) -> DifferentialForm:
         from .brane import lift_form
         return lift_form(form_on_N, self.y_model, list(self.n_indices))
-
-    def with_f(self, f: ScalarField) -> "GraphDeformation":
-        return replace(self, f=f)
 
 
 def graph_deformation(N_model: ManifoldModel, omega_N: DifferentialForm,
@@ -118,7 +115,8 @@ def kernel_field_at(g: GraphDeformation, point) -> np.ndarray:
     """Pointwise kernel direction for non-constant omega_N."""
     point = np.asarray(point, float)
     W = g.omega_N.gram_at(point[:g.n_dim])
-    rhs = np.array([partial(g.f, j).eval(point) for j in g.n_indices])
+    rhs = TermBank([partial(g.f, j) for j in g.n_indices],
+                   g.y_model.dim)(point[None, :])[0]
     x = np.linalg.solve(W.T, rhs)
     out = np.zeros(g.y_model.dim)
     out[:g.n_dim] = -x
@@ -253,8 +251,7 @@ class TransportedForm:
         g = self.g
         snapped, y, A = _batch_backward(g, points, self.opts)
         dN = g.n_dim
-        Xf = np.stack([c.eval_batch(snapped) for c in
-                       self._hamiltonian.components[:dN]], axis=1)
+        Xf = self._hamiltonian.eval_batch(snapped)[:, :dN]
         b = np.einsum("kij,kj->ki", A, Xf)
         C = np.concatenate([A, b[:, :, None]], axis=2)
         G = self.F_N.gram_batch(g.N_model.wrap(y))
@@ -431,19 +428,8 @@ def melanie_check(F: DifferentialForm, E: Distribution, G: Distribution,
             raise ValueError("declared kernel frame does not annihilate F")
     res = CheckResult("melanie", EXACT, False)
 
-    worst_bracket = 0.0
-    pts = plan.points(model)
-    inv_ok = True
-    for a in range(E.rank):
-        for b in range(a + 1, E.rank):
-            br = bracket(E.frame[a], E.frame[b])
-            vals = br.eval_batch(pts)
-            for i in range(pts.shape[0]):
-                r = span_residual(E.matrix_at(pts[i]), vals[i])
-                worst_bracket = max(worst_bracket, r)
-                if r > tol.subspace:
-                    inv_ok = False
-    res.conditions["i_involutive"] = inv_ok
+    worst_bracket = bracket_span_residual(E, plan.points(model))
+    res.conditions["i_involutive"] = bool(worst_bracket <= tol.subspace)
     res.residuals["bracket_span"] = worst_bracket
 
     lie_worst = 0.0
@@ -513,8 +499,7 @@ def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
     # (a) pushforward of d/dq equals the kernel field along psi
     # grouped as differences so coincident stations cancel exactly
     dq_push = ((xm2 - xp2) + 8.0 * (xp1 - xm1)) / (12.0 * delta)
-    Xf = np.stack([c.eval_batch(psi_pts) for c in
-                   slicewise_hamiltonian(g).components[:dN]], axis=1)
+    Xf = slicewise_hamiltonian(g).eval_batch(psi_pts)[:, :dN]
     r_push = np.abs(dq_push + Xf).max(axis=1)
     res.residuals["pushforward"] = float(r_push.max(initial=0.0))
     res.conditions["pushes_dq_to_kernel"] = bool(r_push.max(initial=0.0) <= tol)

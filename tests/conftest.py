@@ -1,9 +1,12 @@
 """Shared fixtures plus a one-line-per-criterion acceptance summary."""
 
+import math
 import re
 
 import numpy as np
 import pytest
+
+from branelab.fields import COS
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 _acceptance: dict[int, tuple[str, str]] = {}
@@ -32,6 +35,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         outcome, title = _acceptance[num]
         word = "PASS" if outcome == "PASSED" else outcome
         tw.write_line(f"  [{num:02d}] {word:6s} {title}")
+
+
+def naive_eval(f, pts):
+    """Reference evaluation straight from the term definition, one term at
+    a time, independent of the package's evaluator."""
+    out = np.zeros(pts.shape[0])
+    for (powers, freqs, phase), coeff in f.terms:
+        mono = np.ones(pts.shape[0])
+        for i, p in enumerate(powers):
+            mono *= pts[:, i] ** p
+        arg = 2.0 * math.pi * pts @ np.array(freqs, dtype=float)
+        trig = np.cos(arg) if phase == COS else np.sin(arg)
+        out += coeff * mono * trig
+    return out
 
 
 @pytest.fixture

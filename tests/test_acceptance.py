@@ -86,9 +86,9 @@ def test_criterion_02_invariant_type_frame():
     members = ["dx1^dy1", "dx2^dy2", "dx1^dx2 + dy1^dy2",
                "-dx1^dy2 + dy1^dx2"]
     for text in members:
-        assert is_type_11(parse_form(text, T4), I, mode="exact")
+        assert is_type_11(parse_form(text, T4), I)
     for text in ["dx1^dx2", "dy1^dy2"]:
-        assert not is_type_11(parse_form(text, T4), I, mode="exact")
+        assert not is_type_11(parse_form(text, T4), I)
 
 
 def test_criterion_03_shear_flow_is_translation():

@@ -9,23 +9,12 @@ from hypothesis import given, settings, strategies as st
 from branelab.fields import (COS, SIN, ScalarField, VectorField, bracket,
                              circle_average, directional, field_mul, partial,
                              q_antiderivative, reindex, substitute)
+from branelab.forms import DifferentialForm, Distribution
 from branelab.model import CIRCLE, LINE, model_from_names
+from conftest import naive_eval
 
 T3 = model_from_names([("a", CIRCLE), ("b", CIRCLE), ("c", CIRCLE)])
 MIX = model_from_names([("x", CIRCLE), ("u", LINE), ("v", LINE)])
-
-
-def naive_eval(f, pts):
-    """Reference evaluation straight from the term definition."""
-    out = np.zeros(pts.shape[0])
-    for (powers, freqs, phase), coeff in f.terms:
-        mono = np.ones(pts.shape[0])
-        for i, p in enumerate(powers):
-            mono *= pts[:, i] ** p
-        arg = 2.0 * math.pi * pts @ np.array(freqs, dtype=float)
-        trig = np.cos(arg) if phase == COS else np.sin(arg)
-        out += coeff * mono * trig
-    return out
 
 
 def small_fields(model, max_terms=3):
@@ -95,11 +84,41 @@ def test_has_circle_powers_flag():
 
 
 def test_eval_matches_naive(rng):
+    """Scalar and vector fields, Gram batches and frame matrices, with and
+    without terms, on batches of 40, 1 and 0 points, all against the
+    per-term reference."""
     f = (ScalarField.cosine(T3, (1, 0, 0), 0.7)
          + ScalarField.sine(T3, (1, -1, 2), -1.3)
          + ScalarField.constant(T3, 0.25))
-    pts = rng.uniform(0, 1, size=(40, 3))
-    assert np.allclose(f.eval_batch(pts), naive_eval(f, pts), atol=1e-12)
+    u, v = ScalarField.coordinate(MIX, 1), ScalarField.coordinate(MIX, 2)
+    g = (u * u * u * ScalarField.cosine(MIX, (1, 0, 0), 1.1)
+         + v * u * ScalarField.sine(MIX, (2, 0, 0), -0.4) - 0.5 * v)
+    for model, h in ((T3, f), (MIX, g)):
+        zero = ScalarField.zero(model)
+        vec = VectorField(model, (h, zero, partial(h, 0) * h))
+        form = DifferentialForm.build(model, 2, {(0, 1): h, (1, 2): -2.0 * h})
+        frames = (Distribution(model, (vec, VectorField.basis(model, 2))),
+                  Distribution(model, ()))
+        for m in (40, 1, 0):
+            pts = rng.uniform(0, 1, size=(m, 3))
+            for s in (h, zero):
+                got = s.eval_batch(pts)
+                assert got.shape == (m,)
+                assert np.allclose(got, naive_eval(s, pts), atol=1e-12)
+            ref = np.stack([naive_eval(c, pts) for c in vec.components], 1)
+            assert np.allclose(vec.eval_batch(pts), ref, atol=1e-12)
+            for B in (form, DifferentialForm.zero(model, 2)):
+                ref = np.zeros((m, 3, 3))
+                for (i, j), c in B.coeffs:
+                    ref[:, i, j] = naive_eval(c, pts)
+                    ref[:, j, i] = -ref[:, i, j]
+                assert np.allclose(B.gram_batch(pts), ref, atol=1e-12)
+            for E in frames:
+                ref = np.zeros((m, 3, E.rank))
+                for r, w in enumerate(E.frame):
+                    for i, c in enumerate(w.components):
+                        ref[:, i, r] = naive_eval(c, pts)
+                assert np.allclose(E.matrices(pts), ref, atol=1e-12)
 
 
 def test_eval_single_point_matches_batch():

@@ -10,7 +10,7 @@ from branelab.forms import (DegenerateFormError, DifferentialForm,
                             ext_d, horizontal_d, interior, is_type_11,
                             kernel_basis, lie_derivative, sharp, two_form_from,
                             wedge)
-from branelab.model import CIRCLE, LINE, SamplePlan, model_from_names
+from branelab.model import CIRCLE, LINE, model_from_names
 
 T4 = model_from_names([("x1", CIRCLE), ("y1", CIRCLE),
                        ("x2", CIRCLE), ("y2", CIRCLE)])
@@ -190,15 +190,6 @@ def test_type_11_frame_membership():
         assert is_type_11(b, I)
     assert not is_type_11(DifferentialForm.build(T4, 2, {(0, 2): 1.0}), I)
     assert not is_type_11(DifferentialForm.build(T4, 2, {(1, 3): 1.0}), I)
-
-
-def test_type_11_sampled_agrees_with_exact(rng):
-    I = endo_from_pair(OMEGA, F_SPLIT)
-    plan = SamplePlan(count=64, seed=5)
-    good = DifferentialForm.build(T4, 2, {(0, 1): 1.0}) * trig((1, 1, 0, 0))
-    bad = DifferentialForm.build(T4, 2, {(0, 2): 1.0}) * trig((1, 1, 0, 0))
-    for b in (good, bad):
-        assert is_type_11(b, I) == is_type_11(b, I, plan=plan, mode="sampled")
 
 
 def test_kernel_basis_of_degenerate_gram():

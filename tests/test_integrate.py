@@ -14,6 +14,7 @@ from branelab.model import (CIRCLE, LINE, FlowOptions, SamplePlan,
 from branelab.nearby import (TransportedForm, _flow_rhs, _velocity,
                              graph_deformation, mapping_torus_check,
                              slicewise_hamiltonian)
+from conftest import naive_eval
 
 N_MIX = model_from_names([("x1", CIRCLE), ("y1", LINE),
                           ("x2", LINE), ("y2", LINE)])
@@ -66,8 +67,8 @@ def test_term_bank_matches_per_field_evaluation(comps, seed):
     v, A = rhs(x, q, True)
     v_only, none = rhs(x, q, False)
     assert none is None
-    v_ref = np.stack([c.eval_batch(pts) for c in comps], axis=1)
-    A_ref = np.stack([np.stack([partial(c, j).eval_batch(pts) for j in N_IDX],
+    v_ref = np.stack([naive_eval(c, pts) for c in comps], axis=1)
+    A_ref = np.stack([np.stack([naive_eval(partial(c, j), pts) for j in N_IDX],
                                axis=1) for c in comps], axis=1)
     for got, ref in ((v, v_ref), (v_only, v_ref), (A, A_ref)):
         scale = max(1.0, float(np.abs(ref).max(initial=0.0)))
