@@ -17,7 +17,7 @@ import numpy as np
 
 from .fields import ScalarField, VectorField, reindex
 from .forms import (DifferentialForm, Distribution, _condition_gate,
-                    endo_from_pair, ext_d, kernel_basis,
+                    condition_number, endo_from_pair, ext_d, kernel_basis,
                     max_principal_angle, two_form_from)
 from .model import (DEFAULT_PLAN, DEFAULT_TOL, LINE, ManifoldModel,
                     SamplePlan, extend_with_line, product_model)
@@ -83,16 +83,11 @@ def ambient_for(c: BraneCandidate) -> AmbientModel:
     # dual coframe rows of the E part of the joint frame
     P = np.column_stack([GC, EC]) if (GC.size or EC.size) else np.eye(n)
     D = np.linalg.inv(P)
-    raw = {}
-    lifted = lift_form(c.omega, M, list(range(n)))
-    for a in range(k):
-        eta = D[c.G_frame.rank + a]
-        for i in range(n):
-            if eta[i] != 0.0:
-                key = (i, n + a)
-                f = ScalarField.constant(M, eta[i])
-                raw[key] = raw[key] + f if key in raw else f
-    omega_M = lifted + DifferentialForm.build(M, 2, raw)
+    eta = D[c.G_frame.rank:]
+    coupling = DifferentialForm.build(M, 2, {
+        (i, n + a): eta[a, i]
+        for a in range(k) for i in range(n) if eta[a, i] != 0.0})
+    omega_M = lift_form(c.omega, M, list(range(n))) + coupling
     return AmbientModel(M, omega_M, n)
 
 
@@ -109,50 +104,52 @@ def lift_form(form: DifferentialForm, target: ManifoldModel,
 def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
                         plan: SamplePlan = DEFAULT_PLAN,
                         tol=DEFAULT_TOL) -> CheckResult:
-    """closed omega, closed F, nondegenerate omega, and (omega^-1 F)^2 = -Id."""
-    exact = omega.is_constant() and F.is_constant()
+    """closed omega, closed F, nondegenerate omega, and (omega^-1 F)^2 = -Id.
+
+    On constant omega and F the check is EXACT: the Grams are evaluated
+    once, held to tol.exact_zero, and witnesses name the first plan point;
+    the record keeps omega's condition number and the matrix I.
+    Otherwise it is SAMPLED at every plan point, held to tol.sampled.
+    I_squared_plus_id is the worst residual over the nondegenerate
+    samples, and is absent when there are none.
+    """
+    W, FC = omega.constant_gram(), F.constant_gram()
+    exact = W is not None and FC is not None
     res = CheckResult("space_filling", EXACT if exact else SAMPLED, False)
-    res.conditions["closed_omega"] = ext_d(omega).is_zero(tol.exact_zero)
-    res.conditions["closed_F"] = ext_d(F).is_zero(tol.exact_zero)
-    res.residuals["d_omega"] = ext_d(omega).max_coeff()
-    res.residuals["d_F"] = ext_d(F).max_coeff()
+    d_omega, d_F = ext_d(omega), ext_d(F)
+    res.conditions["closed_omega"] = d_omega.is_zero(tol.exact_zero)
+    res.conditions["closed_F"] = d_F.is_zero(tol.exact_zero)
+    res.residuals["d_omega"] = d_omega.max_coeff()
+    res.residuals["d_F"] = d_F.max_coeff()
 
     model = omega.model
-    nondeg = True
-    squares = True
+    pts = plan.points(model)
     if exact:
-        W = omega.constant_gram()
-        s = np.linalg.svd(W, compute_uv=False)
-        nondeg = s[-1] > 0 and s[0] / s[-1] <= tol.condition_limit
-        res.details["omega_condition"] = float(
-            s[0] / s[-1]) if s[-1] > 0 else float("inf")
-        if nondeg:
-            I = np.linalg.solve(W, F.constant_gram())
-            r = np.abs(I @ I + np.eye(model.dim)).max()
-            squares = r <= tol.exact_zero
-            res.residuals["I_squared_plus_id"] = float(r)
-            res.details["I_matrix"] = I.tolist()
+        pts, WG, FG = pts[:1], W[None], FC[None]
     else:
-        pts = plan.points(model)
-        WG = omega.gram_batch(pts)
-        FG = F.gram_batch(pts)
-        worst = 0.0
-        worst_at = 0
-        for i in range(pts.shape[0]):
-            s = np.linalg.svd(WG[i], compute_uv=False)
-            if s[-1] == 0 or s[0] / s[-1] > tol.condition_limit:
-                nondeg = False
-                res.add_witness(pts[i], float("inf"), "degenerate_omega")
-                continue
-            I = np.linalg.solve(WG[i], FG[i])
-            r = np.abs(I @ I + np.eye(model.dim)).max()
-            if r > worst:
-                worst, worst_at = r, i
-            if r > tol.sampled:
-                squares = False
+        WG, FG = omega.gram_batch(pts), F.gram_batch(pts)
+    bound = tol.exact_zero if exact else tol.sampled
+    nondeg = True
+    worst, worst_at = None, 0
+    for i in range(pts.shape[0]):
+        cond = condition_number(WG[i])
+        if exact:
+            res.details["omega_condition"] = cond
+        if cond > tol.condition_limit:
+            nondeg = False
+            res.add_witness(pts[i], float("inf"), "degenerate_omega")
+            continue
+        I = np.linalg.solve(WG[i], FG[i])
+        r = float(np.abs(I @ I + np.eye(model.dim)).max())
+        if exact:
+            res.details["I_matrix"] = I.tolist()
+        if worst is None or r > worst:
+            worst, worst_at = r, i
+    squares = worst is None or worst <= bound
+    if worst is not None:
         res.residuals["I_squared_plus_id"] = worst
-        if not squares:
-            res.add_witness(pts[worst_at], worst, "I_square")
+    if not squares:
+        res.add_witness(pts[worst_at], worst, "I_square")
     res.conditions["nondegenerate"] = bool(nondeg)
     res.conditions["I_squares_minus_id"] = bool(squares)
     res.passed = all(res.conditions.values())

@@ -16,6 +16,14 @@ sin with zero frequency is dropped, and coefficients below PRUNE_EPS are
 pruned.  Two fields are equal as functions iff their canonical term dicts
 agree up to the pruning threshold.
 
+The sum rule: every sum of fields, and every component of a sum of forms,
+is one _canonical pass over the (key, coeff) pairs of its terms, through
+combine (or forms._form_sum, which calls combine once per component).
+The coefficients of equal keys are added left to right in the order the
+terms are given, and the sums are pruned once at the end, never after a
+partial sum.  Products, partials, antiderivatives and parsed sums follow
+the same rule, so no other code adds the coefficients of equal keys.
+
 Powers on circle coordinates are permitted (needed transiently for
 antiderivatives in the deformation builder) but flag the field as not
 globally defined on the torus factor; see has_circle_powers.
@@ -162,11 +170,8 @@ class ScalarField:
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(self.model, other)
-        raw: dict[Key, float] = dict(self.terms)
-        for k, c in other.terms:
-            raw[k] = raw.get(k, 0.0) + c
-        return ScalarField.build(self.model, raw)
+        return combine(self.model, [(self, 1.0),
+                                    (_coerce(self.model, other), 1.0)])
 
     __radd__ = __add__
 
@@ -174,17 +179,16 @@ class ScalarField:
         return ScalarField(self.model, tuple((k, -c) for k, c in self.terms))
 
     def __sub__(self, other):
-        return self + (-_coerce(self.model, other))
+        return combine(self.model, [(self, 1.0),
+                                    (_coerce(self.model, other), -1.0)])
 
     def __rsub__(self, other):
-        return _coerce(self.model, other) + (-self)
+        return combine(self.model, [(_coerce(self.model, other), 1.0),
+                                    (self, -1.0)])
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            if other == 0:
-                return ScalarField.zero(self.model)
-            return ScalarField.build(
-                self.model, {k: c * other for k, c in self.terms})
+            return combine(self.model, [(self, other)])
         return field_mul(self, other)
 
     __rmul__ = __mul__
@@ -201,6 +205,22 @@ class ScalarField:
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         return TermBank((self,), self.model.dim)(points)[:, 0]
+
+
+def combine(model: ManifoldModel, pairs: list) -> ScalarField:
+    """The sum of scale * f over a list of (field, scale) pairs, in one
+    canonical pass: the scaled terms are added left to right and pruned
+    once."""
+    for f, _ in pairs:
+        if f.model != model:
+            raise ValueError("fields live on different models")
+    if len(pairs) == 1 and pairs[0][1] in (1, -1):
+        # a canonical field times +-1 is canonical: the pass would return
+        # its terms unchanged
+        f, scale = pairs[0]
+        return f if scale == 1 else -f
+    return ScalarField(model, _canonical(
+        [(key, c * scale) for f, scale in pairs for key, c in f.terms]))
 
 
 def _coerce(model: ManifoldModel, x) -> ScalarField:
@@ -309,15 +329,12 @@ def circle_average(a: ScalarField, i: int) -> ScalarField:
     """Exact average over the circle coordinate i."""
     if not a.model.is_circle(i):
         raise ValueError(f"{a.model.names[i]!r} is not a circle coordinate")
-    raw: dict[Key, float] = {}
-    for (p, k, phase), c in a.terms:
-        if p[i] != 0:
-            raise ValueError(
-                "cannot average a field with a power on the circle coordinate")
-        if k[i] != 0:
-            continue
-        raw[(p, k, phase)] = raw.get((p, k, phase), 0.0) + c
-    return ScalarField.build(a.model, raw)
+    if any(p[i] for (p, _, _), _ in a.terms):
+        raise ValueError(
+            "cannot average a field with a power on the circle coordinate")
+    # dropping the terms that oscillate in x_i keeps the rest canonical
+    return ScalarField(a.model, tuple(
+        (key, c) for key, c in a.terms if key[1][i] == 0))
 
 
 def q_antiderivative(a: ScalarField, i: int) -> ScalarField:
@@ -370,7 +387,7 @@ def substitute(a: ScalarField, i: int, value: float) -> ScalarField:
 def reindex(a: ScalarField, target: ManifoldModel, mapping) -> ScalarField:
     """Transport a field to another model; mapping[i] = target index of
     source coordinate i.  Kinds must match."""
-    raw: dict[Key, float] = {}
+    out = []
     for (p, k, phase), c in a.terms:
         p2 = [0] * target.dim
         k2 = [0] * target.dim
@@ -379,9 +396,8 @@ def reindex(a: ScalarField, target: ManifoldModel, mapping) -> ScalarField:
                 raise ValueError("coordinate kinds differ under reindex")
             p2[j] = p[i]
             k2[j] = k[i]
-        key = (tuple(p2), tuple(k2), phase)
-        raw[key] = raw.get(key, 0.0) + c
-    return ScalarField.build(target, raw)
+        out.append(((tuple(p2), tuple(k2), phase), c))
+    return ScalarField(target, _canonical(out))
 
 
 @dataclass(frozen=True)
@@ -451,17 +467,15 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
     """Lie bracket [x, y], componentwise x(y^i) - y(x^i)."""
     comps = []
     for i in range(x.model.dim):
-        acc = ScalarField.zero(x.model)
+        pairs = []
         for j in range(x.model.dim):
-            acc = acc + x.components[j] * partial(y.components[i], j)
-            acc = acc - y.components[j] * partial(x.components[i], j)
-        comps.append(acc)
+            pairs += [(x.components[j] * partial(y.components[i], j), 1.0),
+                      (y.components[j] * partial(x.components[i], j), -1.0)]
+        comps.append(combine(x.model, pairs))
     return VectorField(x.model, tuple(comps))
 
 
 def directional(x: VectorField, f: ScalarField) -> ScalarField:
     """Derivative of f along x."""
-    acc = ScalarField.zero(x.model)
-    for j in range(x.model.dim):
-        acc = acc + x.components[j] * partial(f, j)
-    return acc
+    return combine(x.model, [(x.components[j] * partial(f, j), 1.0)
+                             for j in range(x.model.dim)])

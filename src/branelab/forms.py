@@ -4,6 +4,11 @@ Forms are stored componentwise against strictly increasing coordinate index
 tuples, with trig-polynomial coefficient fields, so the exterior calculus
 (wedge, d, contraction, Lie derivative) is exact coefficient arithmetic.
 Numeric Gram evaluation at sample points backs the SAMPLED-mode checks.
+
+Every form is built by _form_sum from (index tuple, field, scale) triples:
+each index tuple is sorted with its sign, and each component is one
+fields.combine of its triples, so a sum of forms follows the fields
+module's sum rule (added left to right, pruned once).
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fields import ScalarField, TermBank, VectorField, bracket, partial
+from .fields import (ScalarField, TermBank, VectorField, bracket, combine,
+                     partial)
 from .model import DEFAULT_TOL, ManifoldModel
 
 
@@ -38,6 +44,22 @@ def _sort_sign(idx):
     return sign, tuple(idx)
 
 
+def _form_sum(model: ManifoldModel, degree: int, triples) -> "DifferentialForm":
+    """The form sum of scale * f dx^idx over (idx, f, scale) triples; idx in
+    any order, repeats allowed.  Each component is one combine of its
+    triples, in the order given."""
+    groups: dict[tuple[int, ...], list] = {}
+    for idx, f, scale in triples:
+        if len(idx) != degree:
+            raise ValueError(f"index {idx} has wrong length for degree {degree}")
+        sign, key = _sort_sign(idx)
+        if sign is not None:
+            groups.setdefault(key, []).append((f, scale * sign))
+    comps = ((key, combine(model, pairs)) for key, pairs in groups.items())
+    return DifferentialForm(model, degree, tuple(sorted(
+        (key, f) for key, f in comps if f.terms)))
+
+
 @dataclass(frozen=True)
 class DifferentialForm:
     model: ManifoldModel
@@ -46,21 +68,12 @@ class DifferentialForm:
 
     @staticmethod
     def build(model: ManifoldModel, degree: int, raw) -> "DifferentialForm":
-        """raw maps index tuples (any order, repeats allowed) to fields."""
-        acc: dict[tuple[int, ...], ScalarField] = {}
-        for idx, f in raw.items():
-            if isinstance(f, (int, float)):
-                f = ScalarField.constant(model, f)
-            if len(idx) != degree:
-                raise ValueError(f"index {idx} has wrong length for degree {degree}")
-            sign, key = _sort_sign(idx)
-            if sign is None:
-                continue
-            g = f if sign > 0 else -f
-            acc[key] = acc[key] + g if key in acc else g
-        items = tuple(sorted(
-            (k, f) for k, f in acc.items() if f.terms))
-        return DifferentialForm(model, degree, items)
+        """raw maps index tuples (any order, repeats allowed) to fields or
+        numbers."""
+        return _form_sum(model, degree, (
+            (idx, ScalarField.constant(model, f)
+             if isinstance(f, (int, float)) else f, 1.0)
+            for idx, f in raw.items()))
 
     @staticmethod
     def zero(model: ManifoldModel, degree: int) -> "DifferentialForm":
@@ -97,10 +110,8 @@ class DifferentialForm:
     def __add__(self, other):
         if self.degree != other.degree or self.model != other.model:
             raise ValueError("degree or model mismatch")
-        raw = {k: f for k, f in self.coeffs}
-        for k, f in other.coeffs:
-            raw[k] = raw[k] + f if k in raw else f
-        return DifferentialForm.build(self.model, self.degree, raw)
+        return _form_sum(self.model, self.degree, [
+            (k, f, 1.0) for k, f in self.coeffs + other.coeffs])
 
     def __neg__(self):
         return DifferentialForm(self.model, self.degree,
@@ -155,23 +166,16 @@ def gram_fields(B: DifferentialForm) -> list[list[ScalarField]]:
     Z = ScalarField.zero(B.model)
     G = [[Z for _ in range(d)] for _ in range(d)]
     for (i, j), f in B.coeffs:
-        G[i][j] = G[i][j] + f
-        G[j][i] = G[j][i] - f
+        G[i][j], G[j][i] = f, -f
     return G
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     if a.model != b.model:
         raise ValueError("model mismatch")
-    raw: dict[tuple[int, ...], ScalarField] = {}
-    for I, f in a.coeffs:
-        for J, g in b.coeffs:
-            sign, key = _sort_sign(I + J)
-            if sign is None:
-                continue
-            h = (f * g) * sign
-            raw[key] = raw[key] + h if key in raw else h
-    return DifferentialForm.build(a.model, a.degree + b.degree, raw)
+    return _form_sum(a.model, a.degree + b.degree, [
+        (I + J, f * g, 1.0) for I, f in a.coeffs for J, g in b.coeffs
+        if set(I).isdisjoint(J)])
 
 
 def ext_d(a: DifferentialForm) -> DifferentialForm:
@@ -184,18 +188,9 @@ def horizontal_d(a: DifferentialForm, active) -> DifferentialForm:
 
 
 def _d_along(a: DifferentialForm, directions) -> DifferentialForm:
-    raw: dict[tuple[int, ...], ScalarField] = {}
-    for I, f in a.coeffs:
-        for j in directions:
-            if j in I:
-                continue
-            df = partial(f, j)
-            if not df.terms:
-                continue
-            sign, key = _sort_sign((j,) + I)
-            g = df if sign > 0 else -df
-            raw[key] = raw[key] + g if key in raw else g
-    return DifferentialForm.build(a.model, a.degree + 1, raw)
+    return _form_sum(a.model, a.degree + 1, [
+        ((j,) + I, partial(f, j), 1.0) for I, f in a.coeffs
+        for j in directions if j not in I])
 
 
 def d_scalar(f: ScalarField) -> DifferentialForm:
@@ -206,16 +201,10 @@ def interior(x: VectorField, a: DifferentialForm) -> DifferentialForm:
     """Contraction in the first slot, (interior(x, a))(v...) = a(x, v...)."""
     if a.degree == 0:
         raise ValueError("cannot contract a 0-form")
-    raw: dict[tuple[int, ...], ScalarField] = {}
-    for I, f in a.coeffs:
-        for pos, i in enumerate(I):
-            comp = x.components[i]
-            if not comp.terms:
-                continue
-            key = I[:pos] + I[pos + 1:]
-            g = (comp * f) * ((-1) ** pos)
-            raw[key] = raw[key] + g if key in raw else g
-    return DifferentialForm.build(a.model, a.degree - 1, raw)
+    return _form_sum(a.model, a.degree - 1, [
+        (I[:pos] + I[pos + 1:], x.components[i] * f, (-1) ** pos)
+        for I, f in a.coeffs for pos, i in enumerate(I)
+        if x.components[i].terms])
 
 
 def lie_derivative(x: VectorField, a: DifferentialForm) -> DifferentialForm:
@@ -231,15 +220,14 @@ def apply_form(a: DifferentialForm, vectors) -> ScalarField:
     vecs = list(vectors)
     if len(vecs) != a.degree:
         raise ValueError("wrong number of vector fields")
-    acc = ScalarField.zero(a.model)
+    pairs = []
     for idx, f in a.coeffs:
         for perm in itertools.permutations(range(len(idx))):
-            sign, _ = _sort_sign(perm)
             prod = f
             for row, p in enumerate(perm):
                 prod = prod * vecs[p].components[idx[row]]
-            acc = acc + prod * sign
-    return acc
+            pairs.append((prod, _sort_sign(perm)[0]))
+    return combine(a.model, pairs)
 
 
 def sharp(omega: DifferentialForm, xi: DifferentialForm, point=None,
@@ -257,15 +245,11 @@ def sharp(omega: DifferentialForm, xi: DifferentialForm, point=None,
     if W is not None and point is None:
         _condition_gate(W, "constant form")
         Winv_T = np.linalg.inv(W.T)
-        comps = []
-        for i in range(omega.model.dim):
-            acc = ScalarField.zero(omega.model)
-            for j in range(omega.model.dim):
-                c = Winv_T[i, j]
-                if c != 0.0:
-                    acc = acc + xi.coeff((j,)) * c
-            comps.append(acc)
-        return VectorField(omega.model, tuple(comps))
+        d = range(omega.model.dim)
+        return VectorField(omega.model, tuple(
+            combine(omega.model, [(xi.coeff((j,)), Winv_T[i, j])
+                                  for j in d if Winv_T[i, j] != 0.0])
+            for i in d))
     if point is None:
         raise ValueError("non-constant omega needs an evaluation point")
     Wp = omega.gram_at(point)
@@ -276,12 +260,17 @@ def sharp(omega: DifferentialForm, xi: DifferentialForm, point=None,
     return np.linalg.solve(Wp.T, rhs)
 
 
-def _condition_gate(W: np.ndarray, where: str, limit=DEFAULT_TOL.condition_limit):
+def condition_number(W: np.ndarray) -> float:
+    """Largest over smallest singular value of W; inf when W is singular."""
     s = np.linalg.svd(W, compute_uv=False)
-    if s[-1] == 0.0 or s[0] / s[-1] > limit:
-        cond = "inf" if s[-1] == 0.0 else f"{s[0] / s[-1]:.3g}"
+    return float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
+
+
+def _condition_gate(W: np.ndarray, where: str, limit=DEFAULT_TOL.condition_limit):
+    cond = condition_number(W)
+    if cond > limit:
         raise DegenerateFormError(
-            f"form degenerate at {where}: condition number {cond}")
+            f"form degenerate at {where}: condition number {cond:.3g}")
 
 
 @dataclass(frozen=True)
@@ -309,70 +298,26 @@ class EndoField:
                           for j in range(d)] for i in range(d)])
 
     def apply(self, x: VectorField) -> VectorField:
-        comps = []
-        for i in range(self.model.dim):
-            acc = ScalarField.zero(self.model)
-            for j in range(self.model.dim):
-                acc = acc + self.entries[i][j] * x.components[j]
-            comps.append(acc)
-        return VectorField(self.model, tuple(comps))
-
-    def compose(self, other: "EndoField") -> "EndoField":
-        d = self.model.dim
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = ScalarField.zero(self.model)
-                for k in range(d):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return EndoField(self.model, tuple(rows))
-
-    def square(self) -> "EndoField":
-        return self.compose(self)
-
-    def __add__(self, other):
-        return EndoField(self.model, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
-
-    def __sub__(self, other):
-        return EndoField(self.model, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
-
-    def is_zero(self, tol: float = 1e-10) -> bool:
-        return all(f.is_zero(tol) for row in self.entries for f in row)
-
-    def max_coeff(self) -> float:
-        return max((f.max_coeff() for row in self.entries for f in row),
-                   default=0.0)
+        d = range(self.model.dim)
+        return VectorField(self.model, tuple(
+            combine(self.model, [(self.entries[i][j] * x.components[j], 1.0)
+                                 for j in d])
+            for i in d))
 
     def pullback_oneform(self, xi: DifferentialForm) -> DifferentialForm:
         """(I^* xi)(v) = xi(I v)."""
-        raw = {}
-        for j in range(self.model.dim):
-            acc = ScalarField.zero(self.model)
-            for i in range(self.model.dim):
-                acc = acc + xi.coeff((i,)) * self.entries[i][j]
-            raw[(j,)] = acc
-        return DifferentialForm.build(self.model, 1, raw)
+        d = range(self.model.dim)
+        return _form_sum(self.model, 1, [
+            ((j,), xi.coeff((i,)) * self.entries[i][j], 1.0)
+            for j in d for i in d])
 
     def pullback_twoform(self, B: DifferentialForm) -> DifferentialForm:
         """(I^* B)(v, w) = B(I v, I w)."""
         G = gram_fields(B)
-        d = self.model.dim
-        raw = {}
-        for a in range(d):
-            for b in range(a + 1, d):
-                acc = ScalarField.zero(self.model)
-                for i in range(d):
-                    for j in range(d):
-                        acc = acc + self.entries[i][a] * G[i][j] * self.entries[j][b]
-                raw[(a, b)] = acc
-        return DifferentialForm.build(self.model, 2, raw)
+        d = range(self.model.dim)
+        return _form_sum(self.model, 2, [
+            ((a, b), self.entries[i][a] * G[i][j] * self.entries[j][b], 1.0)
+            for a in d for b in d if a < b for i in d for j in d])
 
 
 def endo_from_pair(omega: DifferentialForm, F: DifferentialForm) -> EndoField:
@@ -387,33 +332,21 @@ def endo_from_pair(omega: DifferentialForm, F: DifferentialForm) -> EndoField:
     _condition_gate(W, "constant form")
     Winv = np.linalg.inv(W)
     G = gram_fields(F)
-    d = omega.model.dim
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = ScalarField.zero(omega.model)
-            for k in range(d):
-                c = Winv[i, k]
-                if c != 0.0:
-                    acc = acc + G[k][j] * c
-            row.append(acc)
-        rows.append(tuple(row))
-    return EndoField(omega.model, tuple(rows))
+    d = range(omega.model.dim)
+    return EndoField(omega.model, tuple(
+        tuple(combine(omega.model, [(G[k][j], Winv[i, k])
+                                    for k in d if Winv[i, k] != 0.0])
+              for j in d)
+        for i in d))
 
 
 def two_form_from(omega: DifferentialForm, I: EndoField) -> DifferentialForm:
     """Recover F with F(v, w) = omega(I v, w); inverse of endo_from_pair."""
     G = gram_fields(omega)
-    d = omega.model.dim
-    raw = {}
-    for a in range(d):
-        for b in range(a + 1, d):
-            acc = ScalarField.zero(omega.model)
-            for i in range(d):
-                acc = acc + I.entries[i][a] * G[i][b]
-            raw[(a, b)] = acc
-    return DifferentialForm.build(omega.model, 2, raw)
+    d = range(omega.model.dim)
+    return _form_sum(omega.model, 2, [
+        ((a, b), I.entries[i][a] * G[i][b], 1.0)
+        for a in d for b in d if a < b for i in d])
 
 
 def is_type_11(B: DifferentialForm, I: EndoField,

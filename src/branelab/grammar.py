@@ -7,22 +7,20 @@ frequencies round-trip without floating-point noise.  Serialization is
 canonical: parse(serialize(x)) reproduces x exactly.
 
 A sum is parsed term by term: each term (a product of factors, or a
-parenthesized sum) becomes a canonical, pruned ScalarField, and its
-``(key, coeff)`` pairs are added left to right into one accumulator per
-result (one per field, per vector component, per sorted wedge chain).
-``ScalarField.build`` then canonicalizes and prunes each accumulator once,
-so an n-term sum costs O(n log n) rather than a re-canonicalization of the
-partial sum after every ``+``.  Coefficients that cancel to below the
-pruning threshold are dropped at that single final pruning, not after each
-partial sum.
+parenthesized sum) becomes a canonical, pruned ScalarField with its sign,
+and the signed terms of each result (a field, a vector component, a form
+component) are summed by the sum rule of the ``fields`` module docstring:
+one ``fields.combine`` per result, added left to right and pruned once.
+An n-term sum therefore costs O(n log n) rather than a
+re-canonicalization of the partial sum after every ``+``.
 """
 
 from __future__ import annotations
 
 import re
 
-from .fields import COS, SIN, ScalarField, VectorField
-from .forms import DifferentialForm, _sort_sign
+from .fields import COS, SIN, ScalarField, VectorField, combine
+from .forms import DifferentialForm, _form_sum
 from .model import ManifoldModel
 
 _TOKEN = re.compile(
@@ -178,12 +176,6 @@ def _parse_term(toks: _Tokens, model: ManifoldModel, env) -> ScalarField:
     return f
 
 
-def _accumulate(acc: dict, f: ScalarField, sign: float) -> None:
-    """Add sign * f into the coefficient accumulator acc."""
-    for key, c in f.terms:
-        acc[key] = acc.get(key, 0.0) + (c if sign > 0 else -c)
-
-
 def _signed_terms(toks: _Tokens, term) -> None:
     """Call term(sign) on each term of a sum with an optional leading sign."""
     sign = -1.0 if toks.accept("op", "-") else 1.0
@@ -199,10 +191,10 @@ def _signed_terms(toks: _Tokens, term) -> None:
 
 
 def _parse_sum(toks: _Tokens, model: ManifoldModel, env) -> ScalarField:
-    acc: dict = {}
-    _signed_terms(toks, lambda sign: _accumulate(
-        acc, _parse_term(toks, model, env), sign))
-    return ScalarField.build(model, acc)
+    pairs: list = []
+    _signed_terms(toks, lambda sign: pairs.append(
+        (_parse_term(toks, model, env), sign)))
+    return combine(model, pairs)
 
 
 def parse_field(text: str, model: ManifoldModel, env=None) -> ScalarField:
@@ -217,9 +209,9 @@ def parse_field(text: str, model: ManifoldModel, env=None) -> ScalarField:
 def parse_vector(text: str, model: ManifoldModel, env=None) -> VectorField:
     """Sums of scalar-coefficient multiples of d_<coord> basis symbols."""
     toks = _Tokens(text)
-    accs: list[dict] = [{} for _ in range(model.dim)]
+    pairs: list[list] = [[] for _ in range(model.dim)]
     if toks.peek()[:2] == ("num", "0") and len(toks.items) == 1:
-        return VectorField(model, tuple(ScalarField.zero(model) for _ in accs))
+        return VectorField(model, tuple(ScalarField.zero(model) for _ in pairs))
 
     def term(sign):
         coeff = ScalarField.constant(model, 1.0)
@@ -238,13 +230,13 @@ def parse_vector(text: str, model: ManifoldModel, env=None) -> VectorField:
         if direction is None:
             raise ParseError("vector term lacks a d_<coord> symbol",
                              toks.peek()[2])
-        _accumulate(accs[direction], coeff, sign)
+        pairs[direction].append((coeff, sign))
 
     _signed_terms(toks, term)
     k, v, pos = toks.peek()
     if k != "eof":
         raise ParseError(f"trailing input {v!r}", pos)
-    return VectorField(model, tuple(ScalarField.build(model, a) for a in accs))
+    return VectorField(model, tuple(combine(model, p) for p in pairs))
 
 
 def _covector_index(name: str, model: ManifoldModel):
@@ -272,7 +264,7 @@ def parse_form(text: str, model: ManifoldModel, env=None) -> DifferentialForm:
             return DifferentialForm.zero(model, deg)
         toks.i = save
 
-    accs: dict[tuple[int, ...], dict] = {}
+    triples: list = []
     degree = None
 
     def term(sign):
@@ -305,16 +297,13 @@ def parse_form(text: str, model: ManifoldModel, env=None) -> DifferentialForm:
             degree = len(chain)
         elif degree != len(chain):
             raise ParseError("mixed degrees in form", toks.peek()[2])
-        order, key = _sort_sign(chain)
-        if order is not None:  # a repeated covector wedges to zero
-            _accumulate(accs.setdefault(key, {}), coeff, sign * order)
+        triples.append((chain, coeff, sign))
 
     _signed_terms(toks, term)
     k, v, pos = toks.peek()
     if k != "eof":
         raise ParseError(f"trailing input {v!r}", pos)
-    return DifferentialForm.build(model, degree, {
-        key: ScalarField.build(model, a) for key, a in accs.items()})
+    return _form_sum(model, degree, triples)
 
 
 # -- serialization -------------------------------------------------------

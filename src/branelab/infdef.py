@@ -27,13 +27,14 @@ from scipy.sparse.csgraph import connected_components
 
 from .brane import BraneCandidate, lift_form
 from .fields import (COS, SIN, ScalarField, VectorField, circle_average,
-                     directional, partial, q_antiderivative)
-from .forms import (DifferentialForm, EndoField, _condition_gate, apply_form,
-                    bracket_span_residual, d_scalar, endo_from_pair, ext_d,
-                    horizontal_d, interior, is_type_11, lie_derivative, sharp,
-                    wedge)
+                     combine, directional, q_antiderivative)
+from .forms import (DifferentialForm, EndoField, _condition_gate, _form_sum,
+                    apply_form, bracket_span_residual, d_scalar,
+                    endo_from_pair, ext_d, horizontal_d, interior, is_type_11,
+                    lie_derivative, sharp, wedge)
 from .model import (DEFAULT_PLAN, DEFAULT_TOL, ManifoldModel, SamplePlan,
                     Tolerances)
+from .nearby import slice_oneform
 from .report import EXACT, CheckResult
 
 
@@ -93,18 +94,15 @@ def pair_from_values(c: BraneCandidate, values, B: DifferentialForm) -> InfDefPa
     """
     y = c.model_Y
     _, D = joint_inverse(c)
-    raw: dict = {}
+    triples = []
     for a in range(c.E_frame.rank):
         v = values[a]
         if isinstance(v, (int, float)):
             v = ScalarField.constant(y, v)
         eta = D[c.G_frame.rank + a]
-        for i in range(y.dim):
-            if eta[i] != 0.0:
-                piece = v * float(eta[i])
-                raw[(i,)] = raw[(i,)] + piece if (i,) in raw else piece
-    r = DifferentialForm.build(y, 1, raw)
-    return InfDefPair(r, B)
+        triples += [((i,), v, float(eta[i]))
+                    for i in range(y.dim) if eta[i] != 0.0]
+    return InfDefPair(_form_sum(y, 1, triples), B)
 
 
 def kernel_values(pair: InfDefPair, c: BraneCandidate) -> list[ScalarField]:
@@ -133,10 +131,6 @@ def transverse_endo(c: BraneCandidate) -> EndoField:
 def _involutive(dist, plan: SamplePlan, tol: float) -> bool:
     return (dist.constant_matrix() is not None
             or bracket_span_residual(dist, plan.points(dist.model)) <= tol)
-
-
-def _pairing(alpha: DifferentialForm, x: VectorField) -> ScalarField:
-    return apply_form(alpha, [x])
 
 
 def check_infdef(pair: InfDefPair, c: BraneCandidate,
@@ -181,7 +175,8 @@ def check_infdef(pair: InfDefPair, c: BraneCandidate,
     for e in E.frame:
         alpha = interior(e, dr)
         for v in G.frame:
-            resid = apply_form(pair.B, [e, v]) + _pairing(alpha, I_hat.apply(v))
+            resid = (apply_form(pair.B, [e, v])
+                     + apply_form(alpha, [I_hat.apply(v)]))
             mixed = max(mixed, resid.max_coeff())
     res.conditions["mixed_iii"] = bool(mixed <= tol.exact_zero)
     res.residuals["mixed_iii"] = mixed
@@ -256,7 +251,8 @@ def infdef_general_check(pair: InfDefPair, c: BraneCandidate,
     for e in E.frame:
         alpha = interior(e, omega_dot)
         for v in G.frame:
-            resid = apply_form(pair.B, [e, v]) - _pairing(alpha, I_hat.apply(v))
+            resid = (apply_form(pair.B, [e, v])
+                     - apply_form(alpha, [I_hat.apply(v)]))
             mixed = max(mixed, resid.max_coeff())
     res.conditions["mixed_iii"] = bool(mixed <= tol.exact_zero)
     res.residuals["mixed_iii"] = mixed
@@ -288,16 +284,14 @@ def hamiltonian_generator(f: ScalarField, c: BraneCandidate) -> InfDefPair:
     A = np.linalg.inv(Wg.T)
     rhs = [directional(c.G_frame.frame[b], f) for b in range(rg)]
     y = c.model_Y
-    comps = [ScalarField.zero(y) for _ in range(y.dim)]
-    for a in range(rg):
-        coeff_a = ScalarField.zero(y)
-        for b in range(rg):
-            if A[a, b] != 0.0:
-                coeff_a = coeff_a + rhs[b] * float(A[a, b])
-        for i in range(y.dim):
-            if GC[i, a] != 0.0:
-                comps[i] = comps[i] + coeff_a * float(GC[i, a])
-    X_f = VectorField(y, tuple(comps))
+    # X_f = sum_a coeff[a] * (a-th transverse frame field)
+    coeff = [combine(y, [(rhs[b], float(A[a, b]))
+                         for b in range(rg) if A[a, b] != 0.0])
+             for a in range(rg)]
+    X_f = VectorField(y, tuple(
+        combine(y, [(coeff[a], float(GC[i, a]))
+                    for a in range(rg) if GC[i, a] != 0.0])
+        for i in range(y.dim)))
     B = lie_derivative(X_f, c.F)
     values = [directional(e, f) for e in c.E_frame.frame]
     p = pair_from_values(c, values, B)
@@ -306,13 +300,12 @@ def hamiltonian_generator(f: ScalarField, c: BraneCandidate) -> InfDefPair:
 
 def _project_drop(f: ScalarField, target: ManifoldModel,
                   drop: int) -> ScalarField:
-    raw = {}
-    for (p, k, ph), coeff in f.terms:
-        if p[drop] != 0 or k[drop] != 0:
-            raise ValueError("field still depends on the dropped coordinate")
-        key = (p[:drop] + p[drop + 1:], k[:drop] + k[drop + 1:], ph)
-        raw[key] = raw.get(key, 0.0) + coeff
-    return ScalarField.build(target, raw)
+    if any(p[drop] or k[drop] for (p, k, _), _ in f.terms):
+        raise ValueError("field still depends on the dropped coordinate")
+    # dropping an entry that is zero in every key keeps the keys distinct
+    return ScalarField.build(target, {
+        (p[:drop] + p[drop + 1:], k[:drop] + k[drop + 1:], ph): coeff
+        for (p, k, ph), coeff in f.terms})
 
 
 def _drop_last_circle(model: ManifoldModel) -> tuple[ManifoldModel, int]:
@@ -406,19 +399,10 @@ def build_infdef(rho, B_N0: DifferentialForm, c: BraneCandidate,
 
     # slice 1-form: the transverse complex structure applied to the slice
     # differential of rho
-    grads = [partial(rho, j) for j in range(N_model.dim)]
-    gamma = []
-    for j in range(N_model.dim):
-        acc = ScalarField.zero(y)
-        for i in range(N_model.dim):
-            if IN[i, j] != 0.0:
-                acc = acc + grads[i] * float(IN[i, j])
-        gamma.append(acc)
-    gamma_form = DifferentialForm.build(
-        y, 1, {(j,): gamma[j] for j in range(N_model.dim)})
+    gamma_form = slice_oneform(rho, IN)
 
     avg = DifferentialForm.build(
-        y, 1, {(j,): circle_average(gamma[j], q) for j in range(N_model.dim)})
+        y, 1, {j: circle_average(f, q) for j, f in gamma_form.coeffs})
     d_avg = horizontal_d(avg, range(N_model.dim))
     if not d_avg.is_zero(tol.exact_zero):
         raise AverageObstruction(
@@ -427,7 +411,7 @@ def build_infdef(rho, B_N0: DifferentialForm, c: BraneCandidate,
             residual=d_avg.max_coeff())
 
     anti = DifferentialForm.build(
-        y, 1, {(j,): q_antiderivative(gamma[j], q) for j in range(N_model.dim)})
+        y, 1, {j: q_antiderivative(f, q) for j, f in gamma_form.coeffs})
     d_anti = horizontal_d(anti, range(N_model.dim))
     if any(f.has_circle_powers for _, f in d_anti.coeffs):
         raise CircleTermsError(

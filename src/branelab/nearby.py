@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate
-from .fields import ScalarField, TermBank, VectorField, partial, substitute
-from .forms import (DifferentialForm, Distribution, apply_form,
+from .fields import (ScalarField, TermBank, VectorField, combine, partial,
+                     substitute)
+from .forms import (DifferentialForm, Distribution, _form_sum, apply_form,
                     bracket_span_residual, endo_from_pair, ext_d,
                     horizontal_d, interior, lie_derivative)
 from .model import (DEFAULT_FLOW, DEFAULT_PLAN, DEFAULT_TOL, FlowOptions,
@@ -94,12 +95,8 @@ def slicewise_hamiltonian(g: GraphDeformation) -> VectorField:
     comps = [ScalarField.zero(y) for _ in range(y.dim)]
     grads = [partial(g.f, j) for j in g.n_indices]
     for i in g.n_indices:
-        acc = ScalarField.zero(y)
-        for j in g.n_indices:
-            c = Winv_T[i, j]
-            if c != 0.0:
-                acc = acc + grads[j] * c
-        comps[i] = acc
+        comps[i] = combine(y, [(grads[j], Winv_T[i, j]) for j in g.n_indices
+                               if Winv_T[i, j] != 0.0])
     return VectorField(y, tuple(comps))
 
 
@@ -382,17 +379,17 @@ def closed1f_residual(g: GraphDeformation) -> DifferentialForm:
     I = endo_from_pair(g.omega_N, g.F_N).constant_matrix()
     if I is None:
         raise ValueError("needs constant-coefficient omega_N, F_N")
-    y = g.y_model
-    grads = [partial(g.f, j) for j in g.n_indices]
-    raw = {}
-    for j in g.n_indices:
-        acc = ScalarField.zero(y)
-        for i in g.n_indices:
-            if I[i, j] != 0.0:
-                acc = acc + grads[i] * I[i, j]
-        raw[(j,)] = acc
-    alpha = DifferentialForm.build(y, 1, raw)
-    return horizontal_d(alpha, g.n_indices)
+    return horizontal_d(slice_oneform(g.f, I), g.n_indices)
+
+
+def slice_oneform(f: ScalarField, I: np.ndarray) -> DifferentialForm:
+    """The slice 1-form sum_j (sum_i I[i, j] d_i f) dx_j over the first
+    n = len(I) coordinates: the slice differential of f pulled back
+    through the constant n x n endomorphism I."""
+    n = range(len(I))
+    grads = [partial(f, i) for i in n]
+    return _form_sum(f.model, 1, [((j,), grads[i], I[i, j])
+                                  for j in n for i in n if I[i, j] != 0.0])
 
 
 def closed1f_check(g: GraphDeformation, grid_q: int = 8,

@@ -56,6 +56,21 @@ def test_space_filling_detects_wrong_square():
     rec = check_space_filling(OMEGA4, F4 * 2.0)
     assert not rec.passed
     assert not rec.conditions["I_squares_minus_id"]
+    # (omega^-1 2F)^2 = -4 Id, named at the first plan point
+    assert [w["label"] for w in rec.witnesses] == ["I_square"]
+    assert rec.witnesses[0]["residual"] == pytest.approx(3.0, abs=1e-12)
+
+
+def test_space_filling_degenerate_constant_omega_has_witness():
+    degenerate = DifferentialForm.build(R4, 2, {(0, 1): 1.0})
+    rec = check_space_filling(degenerate, F4)
+    assert rec.mode == "EXACT" and not rec.passed
+    assert not rec.conditions["nondegenerate"]
+    assert rec.details["omega_condition"] == float("inf")
+    assert "I_matrix" not in rec.details
+    assert "I_squared_plus_id" not in rec.residuals
+    assert [w["label"] for w in rec.witnesses] == ["degenerate_omega"]
+    assert rec.witnesses[0]["point"] == DEFAULT_PLAN.points(R4)[0].tolist()
 
 
 def test_space_filling_detects_nonclosed():

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branelab.fields import (COS, SIN, ScalarField, VectorField, bracket,
-                             circle_average, directional, field_mul, partial,
-                             q_antiderivative, reindex, substitute)
+from branelab.fields import (COS, PRUNE_EPS, SIN, ScalarField, VectorField,
+                             bracket, circle_average, combine, directional,
+                             field_mul, partial, q_antiderivative, reindex,
+                             substitute)
 from branelab.forms import DifferentialForm, Distribution
 from branelab.model import CIRCLE, LINE, model_from_names
 from conftest import naive_eval
@@ -144,6 +145,48 @@ def test_partials_commute_exactly(f):
     for i in range(3):
         for j in range(i):
             assert partial(partial(f, i), j) == partial(partial(f, j), i)
+
+
+def _prunes_a_partial_sum(pairs) -> bool:
+    """Whether the chained sum acc + f * c prunes a scaled term or a
+    partial sum on the way."""
+    acc = {}
+    for f, c in pairs:
+        for key, v in f.terms:
+            acc[key] = acc.get(key, 0.0) + v * c
+            if abs(v * c) <= PRUNE_EPS or abs(acc[key]) <= PRUNE_EPS:
+                return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(small_fields(MIX),
+                          st.floats(min_value=-3, max_value=3,
+                                    allow_nan=False)),
+                min_size=1, max_size=5))
+def test_combine_is_the_sum_added_left_to_right(pairs):
+    pts = np.random.default_rng(11).uniform(-1, 1, size=(25, 3))
+    pts[:, 0] %= 1.0
+    got = naive_eval(combine(MIX, pairs), pts)
+    ref = sum(c * naive_eval(f, pts) for f, c in pairs)
+    scale = 1.0 + sum(abs(c) * np.abs(naive_eval(f, pts)).max()
+                      for f, c in pairs)
+    assert np.abs(got - ref).max() <= 1e-10 * scale
+    if not _prunes_a_partial_sum(pairs):
+        chained = ScalarField.zero(MIX)
+        for f, c in pairs:
+            chained = chained + f * c
+        assert combine(MIX, pairs).terms == chained.terms
+
+
+def test_combine_prunes_once_not_after_each_partial_sum():
+    y = ScalarField.coordinate(MIX, 1)
+    pairs = [(y, 1.0), (y, -0.9999999999995), (y, 0.9999999999995)]
+    # 1 - 0.9999999999995 is 5e-13, below the pruning threshold: pruning
+    # that partial sum would leave 0.9999999999995*y instead of y
+    assert combine(MIX, pairs) == y
+    chained = y - y * 0.9999999999995 + y * 0.9999999999995
+    assert chained == y * 0.9999999999995
 
 
 def test_partial_matches_finite_difference(rng):
