@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField, VectorField, reindex
-from .forms import (DifferentialForm, Distribution, _condition_gate,
-                    condition_number, endo_from_pair, ext_d, kernel_basis,
-                    max_principal_angle, two_form_from)
+from .forms import (CONDITION_LIMIT, DifferentialForm, Distribution,
+                    _condition_gate, condition_number, endo_from_pair, ext_d,
+                    kernel_basis, max_principal_angle, two_form_from)
 from .model import (DEFAULT_PLAN, DEFAULT_TOL, LINE, ManifoldModel,
                     SamplePlan, extend_with_line, product_model)
 from .report import EXACT, SAMPLED, CheckResult
@@ -116,11 +116,9 @@ def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
     W, FC = omega.constant_gram(), F.constant_gram()
     exact = W is not None and FC is not None
     res = CheckResult("space_filling", EXACT if exact else SAMPLED, False)
-    d_omega, d_F = ext_d(omega), ext_d(F)
-    res.conditions["closed_omega"] = d_omega.is_zero(tol.exact_zero)
-    res.conditions["closed_F"] = d_F.is_zero(tol.exact_zero)
-    res.residuals["d_omega"] = d_omega.max_coeff()
-    res.residuals["d_F"] = d_F.max_coeff()
+    res.hold("closed_omega", ext_d(omega).max_coeff(), tol.exact_zero,
+             "d_omega")
+    res.hold("closed_F", ext_d(F).max_coeff(), tol.exact_zero, "d_F")
 
     model = omega.model
     pts = plan.points(model)
@@ -135,7 +133,7 @@ def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
         cond = condition_number(WG[i])
         if exact:
             res.details["omega_condition"] = cond
-        if cond > tol.condition_limit:
+        if cond > CONDITION_LIMIT:
             nondeg = False
             res.add_witness(pts[i], float("inf"), "degenerate_omega")
             continue
@@ -196,11 +194,9 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
     W, FC = c.omega.constant_gram(), c.F.constant_gram()
     exact = not any(x is None for x in (EC, GC, W, FC))
     res = CheckResult("brane", EXACT if exact else SAMPLED, False)
-    d_omega, d_F = ext_d(c.omega), ext_d(c.F)
-    res.conditions["omega_closed"] = d_omega.is_zero(tol.exact_zero)
-    res.conditions["F_closed"] = d_F.is_zero(tol.exact_zero)
-    res.residuals["d_omega"] = d_omega.max_coeff()
-    res.residuals["d_F"] = d_F.max_coeff()
+    res.hold("omega_closed", ext_d(c.omega).max_coeff(), tol.exact_zero,
+             "d_omega")
+    res.hold("F_closed", ext_d(c.F).max_coeff(), tol.exact_zero, "d_F")
 
     pts = plan.points(c.model_Y)
     if exact:
@@ -209,8 +205,6 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
         WG, FG = c.omega.gram_batch(pts), c.F.gram_batch(pts)
         EM, GM = c.E_frame.matrices(pts), c.G_frame.matrices(pts)
     k = c.E_frame.rank
-    kernels_ok = True
-    squares_ok = True
     worst_kernel = 0.0
     worst_square = 0.0
     for i in range(pts.shape[0]):
@@ -224,25 +218,21 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
             ang = max_principal_angle(nul, E) if k else 0.0
             worst_kernel = max(worst_kernel, ang)
             if ang > tol.subspace:
-                kernels_ok = False
                 res.add_witness(pts[i], ang, f"kernel_{label}")
         # transverse complex structure on the G-frame
         Gm = GM[i]
         if Gm.shape[1]:
             Wg = Gm.T @ WG[i] @ Gm
             Fg = Gm.T @ FG[i] @ Gm
-            _condition_gate(Wg, f"sample {pts[i].tolist()} on the G-frame",
-                            tol.condition_limit)
+            _condition_gate(Wg, f"sample {pts[i].tolist()} on the G-frame")
             I = np.linalg.solve(Wg, Fg)
             r = np.abs(I @ I + np.eye(Gm.shape[1])).max()
             worst_square = max(worst_square, r)
             if r > tol.sampled:
-                squares_ok = False
                 res.add_witness(pts[i], r, "transverse_square")
-    res.conditions["kernels_equal"] = kernels_ok
-    res.conditions["transverse_I_squares"] = squares_ok
-    res.residuals["kernel_angle"] = worst_kernel
-    res.residuals["transverse_square"] = worst_square
+    res.hold("kernels_equal", worst_kernel, tol.subspace, "kernel_angle")
+    res.hold("transverse_I_squares", worst_square, tol.sampled,
+             "transverse_square")
     res.passed = all(res.conditions.values())
     return res
 
@@ -314,10 +304,8 @@ def check_brane_via_J(c: BraneCandidate, ambient: AmbientModel | None = None,
     else:
         WG, FG = ambient.omega_M.gram_batch(P), c.F.gram_batch(pts)
     worst = 0.0
-    ok = True
     for i, p in enumerate(P):
-        _condition_gate(WG[i], f"ambient sample {p.tolist()}",
-                        tol.condition_limit)
+        _condition_gate(WG[i], f"ambient sample {p.tolist()}")
         Wmap = WG[i].T  # matrix of v -> i_v omega
         J = np.zeros((2 * m, 2 * m))
         J[:m, m:] = -np.linalg.inv(Wmap)
@@ -330,10 +318,8 @@ def check_brane_via_J(c: BraneCandidate, ambient: AmbientModel | None = None,
         r = float(np.linalg.norm(resid, axis=0).max() / scale)
         worst = max(worst, r)
         if r > tol.subspace:
-            ok = False
             res.add_witness(pts[i], r, "J_invariance")
-    res.conditions["J_invariant"] = ok
-    res.residuals["J_residual"] = worst
+    res.hold("J_invariant", worst, tol.subspace, "J_residual")
     res.passed = all(res.conditions.values())
     return res
 

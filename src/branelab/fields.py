@@ -81,11 +81,10 @@ def _norm_term(powers, freqs, phase, coeff):
     return (powers, freqs, phase), coeff
 
 
-def _canonical(pairs, prune: float | None = None) -> tuple:
+def _canonical(pairs) -> tuple:
     """Canonical terms of a sum of (key, coeff) pairs: each key is
     sign-normalized, the coefficients of equal keys are added in the
-    order given, and the sums are pruned once."""
-    eps = PRUNE_EPS if prune is None else prune
+    order given, and the sums are pruned once at PRUNE_EPS."""
     acc: dict[Key, float] = {}
     for (powers, freqs, phase), coeff in pairs:
         normed = _norm_term(powers, freqs, phase, coeff)
@@ -93,8 +92,8 @@ def _canonical(pairs, prune: float | None = None) -> tuple:
             continue
         key, c = normed
         acc[key] = acc.get(key, 0.0) + c
-    items = tuple(sorted((k, c) for k, c in acc.items() if abs(c) > eps))
-    return items
+    return tuple(sorted((k, c) for k, c in acc.items()
+                        if abs(c) > PRUNE_EPS))
 
 
 @dataclass(frozen=True)
@@ -105,9 +104,8 @@ class ScalarField:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def build(model: ManifoldModel, raw: dict[Key, float],
-              prune: float | None = None) -> "ScalarField":
-        return ScalarField(model, _canonical(raw.items(), prune))
+    def build(model: ManifoldModel, raw: dict[Key, float]) -> "ScalarField":
+        return ScalarField(model, _canonical(raw.items()))
 
     @staticmethod
     def zero(model: ManifoldModel) -> "ScalarField":

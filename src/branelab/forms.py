@@ -21,7 +21,11 @@ import scipy.linalg
 
 from .fields import (ScalarField, TermBank, VectorField, bracket, combine,
                      partial)
-from .model import DEFAULT_TOL, ManifoldModel
+from .model import ManifoldModel
+
+# Gram condition number above which a form is treated as degenerate at a
+# point (raises, never a silent pass)
+CONDITION_LIMIT = 1e8
 
 
 class DegenerateFormError(Exception):
@@ -230,8 +234,15 @@ def apply_form(a: DifferentialForm, vectors) -> ScalarField:
     return combine(a.model, pairs)
 
 
-def sharp(omega: DifferentialForm, xi: DifferentialForm, point=None,
-          tol=DEFAULT_TOL):
+def frame_residual(a: DifferentialForm, vectors) -> float:
+    """Largest coefficient of the k-form a on any increasing k-tuple of
+    vectors (in itertools.combinations order); 0 when there is none."""
+    return max((apply_form(a, t).max_coeff()
+                for t in itertools.combinations(vectors, a.degree)),
+               default=0.0)
+
+
+def sharp(omega: DifferentialForm, xi: DifferentialForm, point=None):
     """Solve interior(X, omega) = xi for X.
 
     With a constant-coefficient omega the solve is done once on the Gram
@@ -266,9 +277,9 @@ def condition_number(W: np.ndarray) -> float:
     return float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
 
 
-def _condition_gate(W: np.ndarray, where: str, limit=DEFAULT_TOL.condition_limit):
+def _condition_gate(W: np.ndarray, where: str):
     cond = condition_number(W)
-    if cond > limit:
+    if cond > CONDITION_LIMIT:
         raise DegenerateFormError(
             f"form degenerate at {where}: condition number {cond:.3g}")
 

@@ -17,6 +17,7 @@ re-canonicalization of the partial sum after every ``+``.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .fields import COS, SIN, ScalarField, VectorField, combine
@@ -48,10 +49,8 @@ class _Tokens:
                 if text[pos:].strip() == "":
                     break
                 raise ParseError(f"bad character {text[pos]!r}", pos)
-            for kind in ("num", "name", "op"):
-                if m.group(kind) is not None:
-                    self.items.append((kind, m.group(kind), m.start(kind)))
-                    break
+            kind = m.lastgroup
+            self.items.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
         self.i = 0
 
@@ -136,7 +135,10 @@ def _parse_atom(toks: _Tokens, model: ManifoldModel, env) -> ScalarField:
     k, v, pos = toks.peek()
     if k == "num":
         toks.next()
-        return ScalarField.constant(model, float(v))
+        c = float(v)
+        if not math.isfinite(c):
+            raise ParseError(f"number {v!r} overflows", pos)
+        return ScalarField.constant(model, c)
     if k == "op" and v == "(":
         toks.next()
         f = _parse_sum(toks, model, env)

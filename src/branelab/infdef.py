@@ -30,8 +30,8 @@ from .fields import (COS, SIN, ScalarField, VectorField, circle_average,
                      combine, directional, q_antiderivative)
 from .forms import (DifferentialForm, EndoField, _condition_gate, _form_sum,
                     apply_form, bracket_span_residual, d_scalar,
-                    endo_from_pair, ext_d, horizontal_d, interior, is_type_11,
-                    lie_derivative, sharp, wedge)
+                    endo_from_pair, ext_d, frame_residual, horizontal_d,
+                    interior, is_type_11, lie_derivative, sharp, wedge)
 from .model import (DEFAULT_PLAN, DEFAULT_TOL, ManifoldModel, SamplePlan,
                     Tolerances)
 from .nearby import slice_oneform
@@ -148,52 +148,27 @@ def check_infdef(pair: InfDefPair, c: BraneCandidate,
         raise ValueError("pair and candidate live on different models")
     E, G = c.E_frame, c.G_frame
     I_hat = transverse_endo(c)
+    IG = [I_hat.apply(v) for v in G.frame]
     res = CheckResult("infdef", EXACT, False)
     dr = ext_d(pair.r)
-
-    r_fc = 0.0
-    for a in range(E.rank):
-        for b in range(a + 1, E.rank):
-            r_fc = max(r_fc, apply_form(
-                dr, [E.frame[a], E.frame[b]]).max_coeff())
-    res.conditions["r_foliated_closed"] = bool(r_fc <= tol.exact_zero)
-    res.residuals["r_foliated_closed"] = r_fc
-
-    dB = ext_d(pair.B)
-    res.conditions["B_closed"] = dB.is_zero(tol.exact_zero)
-    res.residuals["B_closed"] = dB.max_coeff()
-
-    hor = 0.0
-    for a in range(E.rank):
-        for b in range(a + 1, E.rank):
-            hor = max(hor, apply_form(
-                pair.B, [E.frame[a], E.frame[b]]).max_coeff())
-    res.conditions["B_horizontal"] = bool(hor <= tol.exact_zero)
-    res.residuals["B_horizontal"] = hor
-
-    mixed = 0.0
-    for e in E.frame:
-        alpha = interior(e, dr)
-        for v in G.frame:
-            resid = (apply_form(pair.B, [e, v])
-                     + apply_form(alpha, [I_hat.apply(v)]))
-            mixed = max(mixed, resid.max_coeff())
-    res.conditions["mixed_iii"] = bool(mixed <= tol.exact_zero)
-    res.residuals["mixed_iii"] = mixed
-
+    bound = tol.exact_zero
+    res.hold("r_foliated_closed", frame_residual(dr, E.frame), bound)
+    res.hold("B_closed", ext_d(pair.B).max_coeff(), bound)
+    res.hold("B_horizontal", frame_residual(pair.B, E.frame), bound)
+    alphas = [interior(e, dr) for e in E.frame]
+    res.hold("mixed_iii", max((
+        (apply_form(pair.B, [e, v]) + apply_form(alpha, [iv])).max_coeff()
+        for e, alpha in zip(E.frame, alphas)
+        for v, iv in zip(G.frame, IG)), default=0.0), bound)
     if _involutive(G, plan, tol.subspace):
-        quad = 0.0
-        for a in range(G.rank):
-            for b in range(a + 1, G.rank):
-                resid = apply_form(
-                    pair.B, [I_hat.apply(G.frame[a]), I_hat.apply(G.frame[b])]
-                ) - apply_form(pair.B, [G.frame[a], G.frame[b]])
-                quad = max(quad, resid.max_coeff())
+        quad = max((
+            (apply_form(pair.B, [ia, ib])
+             - apply_form(pair.B, [a, b])).max_coeff()
+            for (a, ia), (b, ib) in itertools.combinations(
+                zip(G.frame, IG), 2)), default=0.0)
     else:
         quad = _eq_iv_residual(pair, c, I_hat)
-    res.conditions["quad_iv"] = bool(quad <= tol.exact_zero)
-    res.residuals["quad_iv"] = quad
-
+    res.hold("quad_iv", quad, bound)
     res.passed = all(res.conditions.values())
     return res
 
@@ -224,43 +199,20 @@ def infdef_general_check(pair: InfDefPair, c: BraneCandidate,
         raise ValueError("pair and candidate live on different models")
     E, G = c.E_frame, c.G_frame
     I_hat = transverse_endo(c)
+    IG = [I_hat.apply(v) for v in G.frame]
     res = CheckResult("infdef_general", EXACT, False)
     omega_dot = -ext_d(pair.r)
-
-    hor = 0.0
-    for a in range(E.rank):
-        for b in range(a + 1, E.rank):
-            hor = max(hor, apply_form(
-                omega_dot, [E.frame[a], E.frame[b]]).max_coeff())
-    res.conditions["omega_dot_horizontal"] = bool(hor <= tol.exact_zero)
-    res.residuals["omega_dot_horizontal"] = hor
-
-    dB = ext_d(pair.B)
-    res.conditions["F_dot_closed"] = dB.is_zero(tol.exact_zero)
-    res.residuals["F_dot_closed"] = dB.max_coeff()
-
-    fhor = 0.0
-    for a in range(E.rank):
-        for b in range(a + 1, E.rank):
-            fhor = max(fhor, apply_form(
-                pair.B, [E.frame[a], E.frame[b]]).max_coeff())
-    res.conditions["F_dot_horizontal"] = bool(fhor <= tol.exact_zero)
-    res.residuals["F_dot_horizontal"] = fhor
-
-    mixed = 0.0
-    for e in E.frame:
-        alpha = interior(e, omega_dot)
-        for v in G.frame:
-            resid = (apply_form(pair.B, [e, v])
-                     - apply_form(alpha, [I_hat.apply(v)]))
-            mixed = max(mixed, resid.max_coeff())
-    res.conditions["mixed_iii"] = bool(mixed <= tol.exact_zero)
-    res.residuals["mixed_iii"] = mixed
-
-    quad = _eq_iv_residual(pair, c, I_hat)
-    res.conditions["eq_iv"] = bool(quad <= tol.exact_zero)
-    res.residuals["eq_iv"] = quad
-
+    bound = tol.exact_zero
+    res.hold("omega_dot_horizontal", frame_residual(omega_dot, E.frame),
+             bound)
+    res.hold("F_dot_closed", ext_d(pair.B).max_coeff(), bound)
+    res.hold("F_dot_horizontal", frame_residual(pair.B, E.frame), bound)
+    alphas = [interior(e, omega_dot) for e in E.frame]
+    res.hold("mixed_iii", max((
+        (apply_form(pair.B, [e, v]) - apply_form(alpha, [iv])).max_coeff()
+        for e, alpha in zip(E.frame, alphas)
+        for v, iv in zip(G.frame, IG)), default=0.0), bound)
+    res.hold("eq_iv", _eq_iv_residual(pair, c, I_hat), bound)
     res.passed = all(res.conditions.values())
     return res
 
@@ -340,10 +292,8 @@ def upsilon_image_check(r: DifferentialForm, omega_N: DifferentialForm,
     lie = lie_derivative(X_h, F_N)
 
     res = CheckResult("upsilon_image", EXACT, False)
-    res.conditions["pde_vanishes"] = beta.is_zero(tol.exact_zero)
-    res.residuals["pde_vanishes"] = beta.max_coeff()
-    res.conditions["lie_vanishes"] = lie.is_zero(tol.exact_zero)
-    res.residuals["lie_vanishes"] = lie.max_coeff()
+    res.hold("pde_vanishes", beta.max_coeff(), tol.exact_zero)
+    res.hold("lie_vanishes", lie.max_coeff(), tol.exact_zero)
     res.conditions["routes_agree"] = (
         res.conditions["pde_vanishes"] == res.conditions["lie_vanishes"])
     res.passed = all(res.conditions.values())
@@ -403,12 +353,11 @@ def build_infdef(rho, B_N0: DifferentialForm, c: BraneCandidate,
 
     avg = DifferentialForm.build(
         y, 1, {j: circle_average(f, q) for j, f in gamma_form.coeffs})
-    d_avg = horizontal_d(avg, range(N_model.dim))
-    if not d_avg.is_zero(tol.exact_zero):
+    defect = horizontal_d(avg, range(N_model.dim)).max_coeff()
+    if not defect <= tol.exact_zero:
         raise AverageObstruction(
             "circle average of the slice 1-form is not closed "
-            f"(residual {d_avg.max_coeff():.3e})",
-            residual=d_avg.max_coeff())
+            f"(residual {defect:.3e})", residual=defect)
 
     anti = DifferentialForm.build(
         y, 1, {j: q_antiderivative(f, q) for j, f in gamma_form.coeffs})

@@ -98,23 +98,22 @@ class SamplePlan:
     """Low-discrepancy evaluation points for SAMPLED-mode checks.
 
     Halton sequence, scrambled with a fixed seed, so reports are
-    deterministic for a given (count, seed, box).
+    deterministic for a given (count, seed).  Circle coordinates fill
+    [0, 1), line coordinates [-1, 1).
     """
 
     count: int = 256
     seed: int = 0
-    box: tuple[float, float] = (-1.0, 1.0)
 
     def points(self, model: ManifoldModel) -> np.ndarray:
         sampler = qmc.Halton(d=model.dim, scramble=True, seed=self.seed)
         u = sampler.random(self.count)
         pts = np.empty_like(u)
-        lo, hi = self.box
         for i in range(model.dim):
             if model.is_circle(i):
                 pts[:, i] = u[:, i] * PERIOD
             else:
-                pts[:, i] = lo + (hi - lo) * u[:, i]
+                pts[:, i] = -1.0 + 2.0 * u[:, i]
         return pts
 
 
@@ -123,8 +122,6 @@ class FlowOptions:
     """Fixed-step RK4 controls for the q-parametrized flows."""
 
     step: float = 1.0 / 1024.0
-    # halved-step endpoint comparison on this many points, for the error stat
-    error_probe: int = 8
 
 
 @dataclass(frozen=True)
@@ -134,14 +131,14 @@ class Tolerances:
     exact_zero: max |coefficient| for a term-algebra field to count as zero.
     sampled: pointwise residual threshold for SAMPLED-mode verdicts.
     subspace: principal-angle threshold for kernel / span comparisons.
-    condition_limit: Gram condition number above which a form is treated
-    as degenerate at a point (raises, never a silent pass).
+    svd_rank_rel: relative singular-value threshold of numerical ranks.
+
+    A Gram matrix is degenerate past forms.CONDITION_LIMIT.
     """
 
     exact_zero: float = 1e-10
     sampled: float = 1e-8
     subspace: float = 1e-8
-    condition_limit: float = 1e8
     svd_rank_rel: float = 1e-8
 
 

@@ -1,4 +1,11 @@
-"""Structured verdicts and report emission (json / csv / text)."""
+"""Structured verdicts and report emission (json / csv / text).
+
+The pass rule: a condition that holds a residual to a bound is recorded
+by CheckResult.hold, which stores the residual and passes the condition
+exactly when residual <= bound.  Every bound test of the checkers goes
+through it; the other conditions (agreement of two routes, an expected
+count, a raised obstruction, nondegeneracy) are booleans of their own.
+"""
 
 from __future__ import annotations
 
@@ -44,6 +51,14 @@ class CheckResult:
     witnesses: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
     wall_time: float = 0.0
+
+    def hold(self, condition: str, value, bound, residual: str | None = None
+             ) -> bool:
+        """Record value under residual (default: the condition's name),
+        set the condition to value <= bound and return that verdict."""
+        self.residuals[condition if residual is None else residual] = value
+        self.conditions[condition] = ok = bool(value <= bound)
+        return ok
 
     def add_witness(self, point, residual, label=""):
         self.witnesses.append({

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from branelab.fields import ScalarField, VectorField
 from branelab.forms import (DegenerateFormError, DifferentialForm,
                             apply_form, d_scalar, endo_from_pair,
-                            ext_d, horizontal_d, interior, is_type_11,
+                            ext_d, frame_residual, horizontal_d, interior,
+                            is_type_11,
                             kernel_basis, lie_derivative, sharp, two_form_from,
                             wedge)
 from branelab.model import CIRCLE, LINE, model_from_names
@@ -220,3 +221,15 @@ def test_d_squared_property(seed):
     rng = np.random.default_rng(seed)
     a = random_form(rng, 1, n_terms=2)
     assert ext_d(ext_d(a)).is_zero(1e-9)
+
+
+def test_frame_residual_is_worst_coefficient_over_increasing_tuples(rng):
+    frame = [VectorField.basis(T4, i) for i in range(4)]
+    B = DifferentialForm.build(T4, 2, {(0, 1): 1.0, (2, 3): -3.0})
+    assert frame_residual(B, frame) == 3.0
+    assert frame_residual(B, frame[:2]) == 1.0
+    assert frame_residual(B, frame[:1]) == 0.0
+    C = random_form(rng, 3)
+    assert frame_residual(C, frame) == max(
+        apply_form(C, [frame[a], frame[b], frame[c]]).max_coeff()
+        for a in range(4) for b in range(a + 1, 4) for c in range(b + 1, 4))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branelab import fields
+from branelab import fields, grammar
 from branelab.fields import COS, SIN, ScalarField, partial
 from branelab.forms import DifferentialForm
 from branelab.grammar import (ParseError, field_to_text, form_to_text,
@@ -197,9 +197,9 @@ def _canonicalized(parse, text):
     sizes = []
     real = fields._canonical
 
-    def counted(raw, prune=None):
+    def counted(raw):
         sizes.append(len(raw))
-        return real(raw, prune)
+        return real(raw)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fields, "_canonical", counted)
@@ -227,3 +227,21 @@ def test_numpy_scalar_coefficients_print_as_plain_floats():
     assert parse_field(text, M) == f
     d = partial(f, 0)
     assert parse_field(field_to_text(d), M) == d
+
+
+@pytest.mark.parametrize("text,parse,at", [
+    ("1e999*dx1^dy1 - 1e999*dx1^dy1", parse_form, 0),
+    ("x1 + 1e999*y1", parse_field, 5),
+    ("1e400*d_x1", parse_vector, 0)])
+def test_overflowing_literal_is_a_parse_error(text, parse, at):
+    with pytest.raises(ParseError, match="overflows") as err:
+        parse(text, M)
+    assert err.value.pos == at
+
+
+def test_tokens_keep_kinds_and_offsets():
+    toks = grammar._Tokens(" 2.5e3*x1 ^ (y2-1)@")
+    assert toks.items == [
+        ("num", "2.5e3", 1), ("op", "*", 6), ("name", "x1", 7),
+        ("op", "^", 10), ("op", "(", 12), ("name", "y2", 13),
+        ("op", "-", 15), ("num", "1", 16), ("op", ")", 17), ("op", "@", 18)]

@@ -128,6 +128,40 @@ def test_transport_kernel_and_slice():
     assert t.fd_exterior_check().passed
 
 
+def test_fd_exterior_witness_is_the_first_worst_probe(monkeypatch):
+    """The residual and witness of the check against the loop over probes
+    and increasing index triples, on matrices where probes tie."""
+    t = transport_brane(shear(), F_N)
+    dY, m = 5, 8
+    A = np.random.default_rng(0).standard_normal((dY, 2, 1, dY, dY))
+    A = A - np.swapaxes(A, -1, -2)
+
+    def loop(M, h):
+        M = M.reshape(dY, 2, m, dY, dY)
+        dM = np.transpose((M[:, 0] - M[:, 1]) / (2.0 * h), (1, 0, 2, 3))
+        worst, worst_at = 0.0, 0
+        for i in range(m):
+            for a in range(dY):
+                for b in range(a + 1, dY):
+                    for c in range(b + 1, dY):
+                        v = dM[i, a, b, c] - dM[i, b, a, c] + dM[i, c, a, b]
+                        if abs(v) > worst:
+                            worst, worst_at = abs(v), i
+        return worst, worst_at
+
+    for scale, first_worst in (([1.0] * 8, 0),
+                               ([1.0] * 5 + [3.0, 1.0, 3.0], 5)):
+        M = (A * np.array(scale)[:, None, None]).reshape(-1, dY, dY)
+        asked = []
+        monkeypatch.setattr(t, "matrices_at",
+                            lambda pts: (asked.append(pts), (pts, M))[1])
+        rec = t.fd_exterior_check(tol=0.0)
+        h = rec.details["fd_step"]
+        assert loop(M, h) == (rec.residuals["fd_exterior"], first_worst)
+        probe = asked[0][first_worst] - h * np.eye(dY)[0]
+        assert np.allclose(rec.witnesses[0]["point"], probe)
+
+
 def test_transport_obstruction_raised_for_twisting_f():
     g = graph_deformation(N_MIX, OMEGA_N, F_N, "0.01*cos(2*pi*x1)")
     with pytest.raises(BraneObstruction) as err:

@@ -13,6 +13,7 @@ import branelab.cli
 import branelab.infdef
 from branelab.cli import (bundled_scene_dir, main, resolve_scene)
 from branelab.grammar import parse_field
+from branelab.report import EXACT, CheckResult
 from branelab.scene import SceneError, parse_scene, serialize_scene
 
 MINIMAL = """\
@@ -348,3 +349,37 @@ def test_expected_obstruction_is_no_error_line(tmp_path, capsys):
     assert rec["details"]["error"].startswith(
         "circle average of the slice 1-form is not closed")
     assert "obstruction" not in rec["details"]
+
+
+@pytest.mark.parametrize("flags,option", [
+    (["--steps", "0"], ""), (["--steps", "-3"], ""), ([], "option steps 0\n")])
+def test_steps_below_one_is_a_usage_error(tmp_path, capsys, flags, option):
+    p = tmp_path / "case.scene"
+    p.write_text(MINIMAL.replace("\nmodel M", f"\n{option}model M"))
+    assert main(["run", str(p), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: steps must be at least 1")
+    assert captured.out == ""
+
+
+def test_infdef_subcommand_takes_no_flow_settings(capsys):
+    for flag in ("--steps", "--q-grid"):
+        with pytest.raises(SystemExit) as exc:
+            main(["infdef", "infdef_torus", flag, "8"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    # the scene's own options still go through the run settings
+    scene = resolve_scene("infdef_torus")
+    scene.options["steps"] = "0"
+    with pytest.raises(ValueError):
+        branelab.cli._config_from(
+            scene, branelab.cli.make_parser().parse_args(
+                ["infdef", "infdef_torus"]))
+
+
+def test_hold_records_the_residual_and_passes_at_the_bound():
+    rec = CheckResult("demo", EXACT, False)
+    assert rec.hold("closed", 1e-10, 1e-10)
+    assert not rec.hold("small", 2.0, 1.0, residual="size")
+    assert rec.conditions == {"closed": True, "small": False}
+    assert rec.residuals == {"closed": 1e-10, "size": 2.0}
