@@ -8,9 +8,9 @@ from .model import (CIRCLE, DEFAULT_FLOW, DEFAULT_PLAN, DEFAULT_TOL, LINE,
                     FlowOptions, ManifoldModel, SamplePlan, Tolerances,
                     extend_with_circle, extend_with_line, model_from_names,
                     product_model)
-from .fields import (ScalarField, VectorField, bracket, circle_average,
-                     directional, field_mul, partial, q_antiderivative,
-                     reindex, substitute)
+from .fields import (NonFiniteCoefficientError, ScalarField, VectorField,
+                     bracket, circle_average, directional, field_mul,
+                     partial, q_antiderivative, reindex, substitute)
 from .forms import (DegenerateFormError, DifferentialForm, Distribution,
                     EndoField, apply_form, d_scalar, endo_from_pair, ext_d,
                     horizontal_d, interior, is_type_11, lie_derivative, sharp,

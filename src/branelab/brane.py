@@ -81,9 +81,7 @@ def ambient_for(c: BraneCandidate) -> AmbientModel:
         taken.add(name)
         M = extend_with_line(M, name)
     # dual coframe rows of the E part of the joint frame
-    P = np.column_stack([GC, EC]) if (GC.size or EC.size) else np.eye(n)
-    D = np.linalg.inv(P)
-    eta = D[c.G_frame.rank:]
+    eta = invert_joint_frame(GC, EC)[1][c.G_frame.rank:]
     coupling = DifferentialForm.build(M, 2, {
         (i, n + a): eta[a, i]
         for a in range(k) for i in range(n) if eta[a, i] != 0.0})
@@ -161,6 +159,17 @@ def _independent(E: np.ndarray, G: np.ndarray, rel: float) -> bool:
         return True
     s = np.linalg.svd(M, compute_uv=False)
     return s[-1] > rel * max(s[0], 1.0)
+
+
+def invert_joint_frame(GC: np.ndarray,
+                       EC: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, P^-1) for the constant joint frame P = [G columns | E columns];
+    raises RankDropError when the columns are dependent."""
+    if not _independent(EC, GC, DEFAULT_TOL.subspace):
+        raise RankDropError("E and G frames are dependent: the joint frame "
+                            "[G | E] is singular")
+    P = np.column_stack([GC, EC])
+    return P, np.linalg.inv(P)
 
 
 def validate_candidate(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,

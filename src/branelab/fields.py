@@ -81,10 +81,15 @@ def _norm_term(powers, freqs, phase, coeff):
     return (powers, freqs, phase), coeff
 
 
+class NonFiniteCoefficientError(ValueError):
+    """A coefficient of a field overflowed to inf or became nan."""
+
+
 def _canonical(pairs) -> tuple:
     """Canonical terms of a sum of (key, coeff) pairs: each key is
     sign-normalized, the coefficients of equal keys are added in the
-    order given, and the sums are pruned once at PRUNE_EPS."""
+    order given, and the sums are pruned once at PRUNE_EPS.  Raises
+    NonFiniteCoefficientError if a sum is inf or nan."""
     acc: dict[Key, float] = {}
     for (powers, freqs, phase), coeff in pairs:
         normed = _norm_term(powers, freqs, phase, coeff)
@@ -92,6 +97,14 @@ def _canonical(pairs) -> tuple:
             continue
         key, c = normed
         acc[key] = acc.get(key, 0.0) + c
+    # one sum tests every coefficient: it is finite unless one of them is
+    # not, or the sum itself overflows, which the scan then tells apart
+    if not math.isfinite(sum(acc.values())):
+        bad = [c for c in acc.values() if not math.isfinite(c)]
+        if bad:
+            raise NonFiniteCoefficientError(
+                f"coefficient {bad[0]} is not finite: a sum or product of "
+                f"coefficients overflowed")
     return tuple(sorted((k, c) for k, c in acc.items()
                         if abs(c) > PRUNE_EPS))
 

@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .fields import (ScalarField, TermBank, VectorField, bracket, combine,
                      partial)
@@ -405,13 +404,36 @@ def kernel_basis(G: np.ndarray, rel: float = 1e-8) -> np.ndarray:
     return vt[null].T
 
 
+def _orth(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span of A, from its SVD.  The basis
+    is column-major, as LAPACK returns it to SciPy: the BLAS products
+    taken with it then round as SciPy's do."""
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    tol = np.amax(s, initial=0.0) * np.finfo(float).eps * max(A.shape)
+    return np.asfortranarray(u)[:, :int(np.sum(s > tol))]
+
+
 def max_principal_angle(A: np.ndarray, B: np.ndarray) -> float:
-    """Largest principal angle between the column spans (radians)."""
+    """Largest principal angle between the column spans (radians).
+
+    The angles are those of SciPy's linalg.subspace_angles, by the same
+    arithmetic: cosines are the singular values of QA^T QB, and angles
+    whose cosine squared is at least 1/2 are taken from the sines, the
+    singular values of the part of one basis outside the other's span.
+    """
     if A.shape[1] != B.shape[1]:
         return float(np.pi / 2) if (A.shape[1] or B.shape[1]) else 0.0
     if A.shape[1] == 0:
         return 0.0
-    return float(np.max(scipy.linalg.subspace_angles(A, B)))
+    QA, QB = _orth(A), _orth(B)
+    C = QA.T @ QB
+    cos = np.linalg.svd(C, compute_uv=False)
+    R = QB - QA @ C if QA.shape[1] >= QB.shape[1] else QA - QB @ C.T
+    small = cos ** 2 >= 0.5
+    sin = (np.arcsin(np.clip(np.linalg.svd(R, compute_uv=False), -1.0, 1.0))
+           if small.any() else 0.0)
+    theta = np.where(small, sin, np.arccos(np.clip(cos[::-1], -1.0, 1.0)))
+    return float(np.max(theta))
 
 
 def bracket_span_residual(dist: Distribution, points) -> float:

@@ -22,10 +22,8 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .brane import BraneCandidate, lift_form
+from .brane import BraneCandidate, invert_joint_frame, lift_form
 from .fields import (COS, SIN, ScalarField, VectorField, circle_average,
                      combine, directional, q_antiderivative)
 from .forms import (DifferentialForm, EndoField, _condition_gate, _form_sum,
@@ -74,15 +72,13 @@ class InfDefPair:
 
 
 def joint_inverse(c: BraneCandidate) -> tuple[np.ndarray, np.ndarray]:
-    """(P, P^-1) for the constant joint frame P = [G columns | E columns]."""
+    """(P, P^-1) for the constant joint frame P = [G columns | E columns];
+    raises RankDropError when the frames are dependent."""
     GC = c.G_frame.constant_matrix()
     EC = c.E_frame.constant_matrix()
     if GC is None or EC is None:
         raise ValueError("needs constant frames")
-    n = c.model_Y.dim
-    cols = [m for m in (GC, EC) if m.size]
-    P = np.column_stack(cols) if cols else np.eye(n)
-    return P, np.linalg.inv(P)
+    return invert_joint_frame(GC, EC)
 
 
 def pair_from_values(c: BraneCandidate, values, B: DifferentialForm) -> InfDefPair:
@@ -427,6 +423,35 @@ def constant_type11_basis(c: BraneCandidate) -> list[np.ndarray]:
     return [vt[len(pairs) - 1 - k] for k in range(null_dim)][::-1]
 
 
+def _components(nodes: int, u: np.ndarray,
+                v: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the undirected graph on range(nodes) with
+    edges (u[i], v[i]): their count and each node's component, numbered
+    in the order of the components' smallest nodes.
+
+    Every node starts as its own root.  A pass lowers both ends of each
+    edge to the smaller root of the two, then jumps every node to its
+    root's root until no root moves; once a pass changes nothing, each
+    node points to the smallest node of its component.
+    """
+    root = np.arange(nodes)
+    while True:
+        low = np.minimum(root[u], root[v])
+        new = root.copy()
+        np.minimum.at(new, u, low)
+        np.minimum.at(new, v, low)
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, root):
+            break
+        root = new
+    smallest, labels = np.unique(root, return_inverse=True)
+    return smallest.size, labels
+
+
 def _block_rank(M: np.ndarray,
                 rank_rel: float) -> tuple[int, list[tuple[int, int]]]:
     """Numerical rank of M and the shapes of the blocks it was taken over.
@@ -443,9 +468,7 @@ def _block_rank(M: np.ndarray,
     if rows.size == 0:
         return 0, []
     m, n = M.shape
-    graph = coo_matrix((np.ones(rows.size), (rows, cols + m)),
-                       shape=(m + n, m + n))
-    ncomp, labels = connected_components(graph, directed=False)
+    ncomp, labels = _components(m + n, rows, cols + m)
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order], np.arange(ncomp + 1))
     values, shapes = [], []

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.stats import qmc
 
 LINE = "line"
 CIRCLE = "circle"
@@ -93,21 +94,65 @@ def extend_with_line(a: ManifoldModel, name: str) -> ManifoldModel:
     return ManifoldModel(a.coords + ((name, LINE),))
 
 
+def _primes(n: int) -> list[int]:
+    """The first n primes."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+@functools.lru_cache(maxsize=64)
+def _halton(dim: int, count: int, seed: int) -> np.ndarray:
+    """The first count points of Owen's randomized Halton sequence in
+    [0, 1)^dim (arXiv:1706.02808), read-only.
+
+    Coordinate j is a van der Corput sequence in the j-th prime base b
+    whose digits pass through their own random permutation of range(b).
+    All permutations come from one numpy Generator seeded with seed, base
+    by base and digit by digit; there are ceil(54 / log2 b) - 1 of them
+    per base, one for each digit that can still change a double.  The
+    digits are added from the most significant down, so every number
+    equals that of SciPy's stats.qmc.Halton(d, scramble=True, seed=seed).
+    The draw is column-major, as SciPy's is, so that arrays shaped like it
+    keep the memory order that products with them round in.
+    """
+    rng = np.random.default_rng(seed)
+    u = np.zeros((dim, count))
+    for j, b in enumerate(_primes(dim)):
+        perms = np.repeat(np.arange(b)[None],
+                          math.ceil(54 / math.log2(b)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q, scale = np.arange(count), 1.0 / b
+        for perm in perms:
+            q, r = np.divmod(q, b)
+            u[j] += perm[r] * scale
+            scale /= b
+    u.flags.writeable = False
+    return u.T
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     """Low-discrepancy evaluation points for SAMPLED-mode checks.
 
-    Halton sequence, scrambled with a fixed seed, so reports are
-    deterministic for a given (count, seed).  Circle coordinates fill
-    [0, 1), line coordinates [-1, 1).
+    Owen-scrambled Halton sequence with a fixed seed, so reports are
+    deterministic for a given (count, seed): the numbers are identical to
+    SciPy's stats.qmc.Halton(d, scramble=True, seed=seed).random(count).
+    The unit-cube draws are cached per (dim, count, seed); every call
+    returns a fresh array, which the caller may write into.  Circle
+    coordinates fill [0, 1), line coordinates [-1, 1).
     """
 
     count: int = 256
     seed: int = 0
 
     def points(self, model: ManifoldModel) -> np.ndarray:
-        sampler = qmc.Halton(d=model.dim, scramble=True, seed=self.seed)
-        u = sampler.random(self.count)
+        u = _halton(model.dim, self.count, self.seed)
         pts = np.empty_like(u)
         for i in range(model.dim):
             if model.is_circle(i):

@@ -239,6 +239,26 @@ def test_overflowing_literal_is_a_parse_error(text, parse, at):
     assert err.value.pos == at
 
 
+@pytest.mark.parametrize("text,parse", [
+    ("1e200*1e200*x1", parse_field),
+    ("1e200*1e200*dx1^dy1 - 1e200*1e200*dx1^dy1", parse_form),
+    ("1e308*x1 + 1e308*x1", parse_field)])
+def test_non_finite_coefficient_is_a_named_error(text, parse):
+    with pytest.raises(fields.NonFiniteCoefficientError, match="not finite"):
+        parse(text, M)
+
+
+def test_nan_coefficient_is_not_pruned():
+    z = (0,) * M.dim
+    with pytest.raises(fields.NonFiniteCoefficientError, match="nan"):
+        ScalarField.build(M, {(z, z, COS): float("nan")})
+
+
+def test_finite_coefficients_with_an_overflowing_sum_are_kept():
+    f = parse_field("1e308*x1 + 1e308*y2", M)
+    assert [c for _, c in f.terms] == [1e308, 1e308]
+
+
 def test_tokens_keep_kinds_and_offsets():
     toks = grammar._Tokens(" 2.5e3*x1 ^ (y2-1)@")
     assert toks.items == [

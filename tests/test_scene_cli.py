@@ -383,3 +383,48 @@ def test_hold_records_the_residual_and_passes_at_the_bound():
     assert not rec.hold("small", 2.0, 1.0, residual="size")
     assert rec.conditions == {"closed": True, "small": False}
     assert rec.residuals == {"closed": 1e-10, "size": 2.0}
+
+
+# E = d_x1 repeats a G direction, yet omega is nondegenerate on G, so
+# every check below gets as far as inverting the joint frame [G | E]
+DEPENDENT_FRAMES = """\
+scene dependent_frames
+describe a constant kernel frame that repeats a transverse direction
+
+model Y
+coord Y x1 circle
+coord Y y1 circle
+coord Y x2 circle
+coord Y y2 circle
+coord Y q circle
+
+form omega @ Y = dx1^dy2 + dy1^dx2
+form F @ Y = dx1^dx2 - dy1^dy2
+form r0 @ Y = 0@1
+form B11 @ Y = dx1^dy1
+field fgen @ Y = cos(2*pi*q)
+frame E @ Y = d_x1
+frame G @ Y = d_x1 ; d_y1 ; d_x2 ; d_y2
+candidate c = Y omega F E G
+pair p = c r0 B11
+
+"""
+
+
+@pytest.mark.parametrize("check", [
+    "brane_via_J c", "infdef p c", "infdef_general p c",
+    "hamiltonian_cocycle fgen c"])
+def test_dependent_joint_frame_is_a_rank_drop_error(tmp_path, capsys, check):
+    code, data = run_json(tmp_path, capsys,
+                          DEPENDENT_FRAMES + f"check {check}\n")
+    rec = data["checks"][0]
+    assert code == 1 and rec["mode"] == "ERROR" and not rec["pass"]
+    assert rec["details"]["error"] == (
+        "RankDropError: E and G frames are dependent: the joint frame "
+        "[G | E] is singular")
+
+
+def test_overflowing_coefficient_is_a_scene_error():
+    with pytest.raises(SceneError, match="line 11: coefficient inf is not finite"):
+        parse_scene(MINIMAL.replace("form F @ M = dx1^dx2 - dy1^dy2",
+                                    "form F @ M = 1e200*1e200*dx1^dx2"))
