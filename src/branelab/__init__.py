@@ -26,9 +26,9 @@ from .brane import (AmbientModel, BraneCandidate, RankDropError, ambient_for,
 from .nearby import (BraneObstruction, FlowResult, GraphDeformation,
                      TransportedForm, closed1f_check, closed1f_residual,
                      convergence_order, flow, graph_deformation,
-                     invariance_check, kernel_field, kernel_field_at,
-                     mapping_torus_check, melanie_check, omega_f,
-                     slicewise_hamiltonian, transport_brane)
+                     invariance_check, kernel_field, mapping_torus_check,
+                     melanie_check, omega_f, slicewise_hamiltonian,
+                     transport_brane)
 from .infdef import (AverageObstruction, CircleTermsError, ComplexSlice,
                      InfDefPair, Type11Violation, build_infdef, check_infdef,
                      complex_slice, constant_type11_basis,

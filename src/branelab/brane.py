@@ -18,7 +18,8 @@ import numpy as np
 from .fields import ScalarField, VectorField, reindex
 from .forms import (CONDITION_LIMIT, DifferentialForm, Distribution,
                     _condition_gate, condition_number, endo_from_pair, ext_d,
-                    kernel_basis, max_principal_angle, two_form_from)
+                    kernel_basis, max_principal_angle, transverse_matrix,
+                    two_form_from)
 from .model import (DEFAULT_PLAN, DEFAULT_TOL, LINE, ManifoldModel,
                     SamplePlan, extend_with_line, product_model)
 from .report import EXACT, SAMPLED, CheckResult
@@ -152,40 +153,41 @@ def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
     return res
 
 
-def _independent(E: np.ndarray, G: np.ndarray, rel: float) -> bool:
-    """The columns of E and G together have full rank."""
+def _require_independent(E: np.ndarray, G: np.ndarray, rel: float,
+                         at: str = "") -> None:
+    """Raise RankDropError unless the columns of E and G together have
+    full rank; at is appended to the message."""
     M = np.column_stack([E, G])
     if M.shape[1] == 0:
-        return True
+        return
     s = np.linalg.svd(M, compute_uv=False)
-    return s[-1] > rel * max(s[0], 1.0)
+    if not s[-1] > rel * max(s[0], 1.0):
+        raise RankDropError("E and G frames are dependent: the joint frame "
+                            f"[G | E] is singular{at}")
 
 
 def invert_joint_frame(GC: np.ndarray,
                        EC: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P, P^-1) for the constant joint frame P = [G columns | E columns];
     raises RankDropError when the columns are dependent."""
-    if not _independent(EC, GC, DEFAULT_TOL.subspace):
-        raise RankDropError("E and G frames are dependent: the joint frame "
-                            "[G | E] is singular")
+    _require_independent(EC, GC, DEFAULT_TOL.subspace)
     P = np.column_stack([GC, EC])
     return P, np.linalg.inv(P)
 
 
 def validate_candidate(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
                        tol=DEFAULT_TOL) -> None:
-    """Raise ValueError if the E and G frames are dependent: tested once on
-    constant frames, else at the first 32 plan points."""
+    """Raise RankDropError if the E and G frames are dependent: tested
+    once on constant frames, as invert_joint_frame tests them, else at
+    the first 32 plan points, naming the first dependent sample."""
     EC, GC = c.E_frame.constant_matrix(), c.G_frame.constant_matrix()
     if EC is not None and GC is not None:
-        pts, frames = plan.points(c.model_Y)[:1], [(EC, GC)]
-    else:
-        pts = plan.points(c.model_Y)[:32]
-        frames = zip(c.E_frame.matrices(pts), c.G_frame.matrices(pts))
-    for p, (E, G) in zip(pts, frames):
-        if not _independent(E, G, tol.subspace):
-            raise ValueError(
-                f"E and G frames dependent at sample {p.tolist()}")
+        _require_independent(EC, GC, tol.subspace)
+        return
+    pts = plan.points(c.model_Y)[:32]
+    for p, E, G in zip(pts, c.E_frame.matrices(pts),
+                       c.G_frame.matrices(pts)):
+        _require_independent(E, G, tol.subspace, f" at sample {p.tolist()}")
 
 
 def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
@@ -231,10 +233,8 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
         # transverse complex structure on the G-frame
         Gm = GM[i]
         if Gm.shape[1]:
-            Wg = Gm.T @ WG[i] @ Gm
-            Fg = Gm.T @ FG[i] @ Gm
-            _condition_gate(Wg, f"sample {pts[i].tolist()} on the G-frame")
-            I = np.linalg.solve(Wg, Fg)
+            I = transverse_matrix(WG[i], FG[i], Gm,
+                                  f"sample {pts[i].tolist()} on the G-frame")
             r = np.abs(I @ I + np.eye(Gm.shape[1])).max()
             worst_square = max(worst_square, r)
             if r > tol.sampled:

@@ -23,6 +23,9 @@ The coefficients of equal keys are added left to right in the order the
 terms are given, and the sums are pruned once at the end, never after a
 partial sum.  Products, partials, antiderivatives and parsed sums follow
 the same rule, so no other code adds the coefficients of equal keys.
+A constant matrix applied to a list of fields is linear_map: one combine
+per row, over the row's nonzero entries in column order.  It carries the
+solve forms.hamiltonian; forms.transverse_matrix solves for a matrix.
 
 Powers on circle coordinates are permitted (needed transiently for
 antiderivatives in the deformation builder) but flag the field as not
@@ -232,6 +235,14 @@ def combine(model: ManifoldModel, pairs: list) -> ScalarField:
         return f if scale == 1 else -f
     return ScalarField(model, _canonical(
         [(key, c * scale) for f, scale in pairs for key, c in f.terms]))
+
+
+def linear_map(model: ManifoldModel, M, fs) -> tuple[ScalarField, ...]:
+    """The fields sum_j M[i, j] * fs[j], one per row of the matrix M: row
+    i is one combine of the pairs (fs[j], M[i, j]) over the nonzero
+    entries, in column order."""
+    return tuple(combine(model, [(f, m) for f, m in zip(fs, row) if m != 0.0])
+                 for row in M)
 
 
 def _coerce(model: ManifoldModel, x) -> ScalarField:

@@ -9,6 +9,10 @@ Every form is built by _form_sum from (index tuple, field, scale) triples:
 each index tuple is sorted with its sign, and each component is one
 fields.combine of its triples, so a sum of forms follows the fields
 module's sum rule (added left to right, pruned once).
+
+Every solve against a constant 2-form is hamiltonian (inv(W^T) applied
+to fields through fields.linear_map) or transverse_matrix (the complex
+structure on a frame); both gate the matrix on its condition number.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (ScalarField, TermBank, VectorField, bracket, combine,
-                     partial)
+                     linear_map, partial)
 from .model import ManifoldModel
 
 # Gram condition number above which a form is treated as degenerate at a
@@ -241,33 +245,36 @@ def frame_residual(a: DifferentialForm, vectors) -> float:
                default=0.0)
 
 
-def sharp(omega: DifferentialForm, xi: DifferentialForm, point=None):
-    """Solve interior(X, omega) = xi for X.
-
-    With a constant-coefficient omega the solve is done once on the Gram
-    matrix and X is returned as a VectorField (exact up to the linear
-    solve).  Otherwise a point is required and the numeric solution there
-    is returned.  Degeneracy past the condition limit raises.
-    """
+def sharp(omega: DifferentialForm, xi: DifferentialForm) -> VectorField:
+    """Solve interior(X, omega) = xi for X, for a constant-coefficient
+    omega: one solve on the Gram matrix (see hamiltonian).  Degeneracy
+    past the condition limit raises."""
     if omega.degree != 2 or xi.degree != 1:
         raise ValueError("sharp expects a 2-form and a 1-form")
     W = omega.constant_gram()
-    if W is not None and point is None:
-        _condition_gate(W, "constant form")
-        Winv_T = np.linalg.inv(W.T)
-        d = range(omega.model.dim)
-        return VectorField(omega.model, tuple(
-            combine(omega.model, [(xi.coeff((j,)), Winv_T[i, j])
-                                  for j in d if Winv_T[i, j] != 0.0])
-            for i in d))
-    if point is None:
-        raise ValueError("non-constant omega needs an evaluation point")
-    Wp = omega.gram_at(point)
-    _condition_gate(Wp, f"point {np.asarray(point).tolist()}")
-    d = omega.model.dim
-    rhs = TermBank([xi.coeff((j,)) for j in range(d)], d)(
-        np.asarray(point, float)[None, :])[0]
-    return np.linalg.solve(Wp.T, rhs)
+    if W is None:
+        raise ValueError("sharp needs a constant-coefficient omega")
+    d = range(omega.model.dim)
+    return VectorField(omega.model, hamiltonian(
+        W, [xi.coeff((j,)) for j in d], omega.model, "constant form"))
+
+
+def hamiltonian(W: np.ndarray, grads, model: ManifoldModel,
+                where: str) -> tuple[ScalarField, ...]:
+    """Components of X with interior(X, omega) = sum_j grads[j] dx_j for
+    the constant Gram matrix W of omega: linear_map of inv(W^T), after
+    the condition gate (DegenerateFormError names where)."""
+    _condition_gate(W, where)
+    return linear_map(model, np.linalg.inv(W.T), grads)
+
+
+def transverse_matrix(W: np.ndarray, F: np.ndarray, G: np.ndarray,
+                      where: str) -> np.ndarray:
+    """I with omega(I v, w) = F(v, w) on the columns of the frame G:
+    solve(G^T W G, G^T F G), after the condition gate of G^T W G."""
+    Wg = G.T @ W @ G
+    _condition_gate(Wg, where)
+    return np.linalg.solve(Wg, G.T @ F @ G)
 
 
 def condition_number(W: np.ndarray) -> float:
@@ -343,11 +350,8 @@ def endo_from_pair(omega: DifferentialForm, F: DifferentialForm) -> EndoField:
     Winv = np.linalg.inv(W)
     G = gram_fields(F)
     d = range(omega.model.dim)
-    return EndoField(omega.model, tuple(
-        tuple(combine(omega.model, [(G[k][j], Winv[i, k])
-                                    for k in d if Winv[i, k] != 0.0])
-              for j in d)
-        for i in d))
+    columns = [linear_map(omega.model, Winv, [G[k][j] for k in d]) for j in d]
+    return EndoField(omega.model, tuple(zip(*columns)))
 
 
 def two_form_from(omega: DifferentialForm, I: EndoField) -> DifferentialForm:

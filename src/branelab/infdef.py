@@ -25,11 +25,12 @@ import numpy as np
 
 from .brane import BraneCandidate, invert_joint_frame, lift_form
 from .fields import (COS, SIN, ScalarField, VectorField, circle_average,
-                     combine, directional, q_antiderivative)
-from .forms import (DifferentialForm, EndoField, _condition_gate, _form_sum,
-                    apply_form, bracket_span_residual, d_scalar,
-                    endo_from_pair, ext_d, frame_residual, horizontal_d,
-                    interior, is_type_11, lie_derivative, sharp, wedge)
+                     directional, linear_map, q_antiderivative)
+from .forms import (DifferentialForm, EndoField, apply_form,
+                    bracket_span_residual, d_scalar, endo_from_pair, ext_d,
+                    frame_residual, hamiltonian, horizontal_d, interior,
+                    is_type_11, lie_derivative, sharp, transverse_matrix,
+                    wedge)
 from .model import (DEFAULT_PLAN, DEFAULT_TOL, ManifoldModel, SamplePlan,
                     Tolerances)
 from .nearby import slice_oneform
@@ -90,15 +91,11 @@ def pair_from_values(c: BraneCandidate, values, B: DifferentialForm) -> InfDefPa
     """
     y = c.model_Y
     _, D = joint_inverse(c)
-    triples = []
-    for a in range(c.E_frame.rank):
-        v = values[a]
-        if isinstance(v, (int, float)):
-            v = ScalarField.constant(y, v)
-        eta = D[c.G_frame.rank + a]
-        triples += [((i,), v, float(eta[i]))
-                    for i in range(y.dim) if eta[i] != 0.0]
-    return InfDefPair(_form_sum(y, 1, triples), B)
+    values = [ScalarField.constant(y, v) if isinstance(v, (int, float)) else v
+              for v in values]
+    eta = D[c.G_frame.rank:]
+    return InfDefPair(DifferentialForm.build(y, 1, {
+        (i,): r for i, r in enumerate(linear_map(y, eta.T, values))}), B)
 
 
 def kernel_values(pair: InfDefPair, c: BraneCandidate) -> list[ScalarField]:
@@ -114,13 +111,10 @@ def transverse_endo(c: BraneCandidate) -> EndoField:
     Fg = c.F.constant_gram()
     if W is None or Fg is None:
         raise ValueError("transverse endomorphism needs constant forms")
-    GC = c.G_frame.constant_matrix()
     rg = c.G_frame.rank
-    Wg = GC.T @ W @ GC
-    _condition_gate(Wg, "restriction of the nondegenerate form")
-    Ig = np.linalg.solve(Wg, GC.T @ Fg @ GC)
     A = np.zeros((c.model_Y.dim, c.model_Y.dim))
-    A[:rg, :rg] = Ig
+    A[:rg, :rg] = transverse_matrix(W, Fg, c.G_frame.constant_matrix(),
+                                    "restriction of the nondegenerate form")
     return EndoField.from_matrix(c.model_Y, P @ A @ D)
 
 
@@ -226,24 +220,15 @@ def hamiltonian_generator(f: ScalarField, c: BraneCandidate) -> InfDefPair:
     W = c.omega.constant_gram()
     if W is None:
         raise ValueError("needs a constant-coefficient form")
-    rg = c.G_frame.rank
-    Wg = GC.T @ W @ GC
-    _condition_gate(Wg, "restriction of the nondegenerate form")
-    A = np.linalg.inv(Wg.T)
-    rhs = [directional(c.G_frame.frame[b], f) for b in range(rg)]
     y = c.model_Y
-    # X_f = sum_a coeff[a] * (a-th transverse frame field)
-    coeff = [combine(y, [(rhs[b], float(A[a, b]))
-                         for b in range(rg) if A[a, b] != 0.0])
-             for a in range(rg)]
-    X_f = VectorField(y, tuple(
-        combine(y, [(coeff[a], float(GC[i, a]))
-                    for a in range(rg) if GC[i, a] != 0.0])
-        for i in range(y.dim)))
-    B = lie_derivative(X_f, c.F)
+    # X_f = sum_a coeff[a] * (a-th transverse frame field), with coeff
+    # solving the restriction of omega to the frame against df on it
+    coeff = hamiltonian(GC.T @ W @ GC,
+                        [directional(g, f) for g in c.G_frame.frame], y,
+                        "restriction of the nondegenerate form")
+    X_f = VectorField(y, linear_map(y, GC, coeff))
     values = [directional(e, f) for e in c.E_frame.frame]
-    p = pair_from_values(c, values, B)
-    return p
+    return pair_from_values(c, values, lie_derivative(X_f, c.F))
 
 
 def _project_drop(f: ScalarField, target: ManifoldModel,

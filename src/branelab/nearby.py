@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate
-from .fields import (ScalarField, TermBank, VectorField, combine, partial,
-                     substitute)
-from .forms import (DifferentialForm, Distribution, _form_sum,
-                    bracket_span_residual, endo_from_pair, ext_d,
-                    frame_residual, horizontal_d, interior, lie_derivative)
+from .fields import ScalarField, VectorField, linear_map, partial, substitute
+from .forms import (DifferentialForm, Distribution, bracket_span_residual,
+                    endo_from_pair, ext_d, frame_residual, hamiltonian,
+                    horizontal_d, interior, lie_derivative)
 from .model import (DEFAULT_FLOW, DEFAULT_PLAN, DEFAULT_TOL, FlowOptions,
                     ManifoldModel, SamplePlan, extend_with_circle)
 from .report import EXACT, SAMPLED, CheckResult
@@ -86,19 +85,15 @@ def omega_f(g: GraphDeformation) -> DifferentialForm:
 
 
 def slicewise_hamiltonian(g: GraphDeformation) -> VectorField:
-    """X with interior(X, omega_N) = d_N f on each slice N x {q}."""
+    """X with interior(X, omega_N) = d_N f on each slice N x {q}; omega_N
+    must be constant and pass the condition gate."""
     W = g.omega_N.constant_gram()
     if W is None:
-        raise ValueError("slicewise Hamiltonian field needs constant omega_N; "
-                         "use kernel_field_at for pointwise evaluation")
-    Winv_T = np.linalg.inv(W.T)
+        raise ValueError("slicewise Hamiltonian field needs constant omega_N")
     y = g.y_model
-    comps = [ScalarField.zero(y) for _ in range(y.dim)]
-    grads = [partial(g.f, j) for j in g.n_indices]
-    for i in g.n_indices:
-        comps[i] = combine(y, [(grads[j], Winv_T[i, j]) for j in g.n_indices
-                               if Winv_T[i, j] != 0.0])
-    return VectorField(y, tuple(comps))
+    X = hamiltonian(W, [partial(g.f, j) for j in g.n_indices], y,
+                    "constant form")
+    return VectorField(y, X + (ScalarField.zero(y),))
 
 
 def kernel_field(g: GraphDeformation) -> VectorField:
@@ -107,19 +102,6 @@ def kernel_field(g: GraphDeformation) -> VectorField:
     x = slicewise_hamiltonian(g)
     dq = VectorField.basis(g.y_model, g.q_index)
     return dq - x
-
-
-def kernel_field_at(g: GraphDeformation, point) -> np.ndarray:
-    """Pointwise kernel direction for non-constant omega_N."""
-    point = np.asarray(point, float)
-    W = g.omega_N.gram_at(point[:g.n_dim])
-    rhs = TermBank([partial(g.f, j) for j in g.n_indices],
-                   g.y_model.dim)(point[None, :])[0]
-    x = np.linalg.solve(W.T, rhs)
-    out = np.zeros(g.y_model.dim)
-    out[:g.n_dim] = -x
-    out[g.q_index] = 1.0
-    return out
 
 
 @dataclass
@@ -163,15 +145,9 @@ def flow(g: GraphDeformation, q0: float, q1: float, points,
         fine, _, _ = integrate.rk4_flow(rhs, pts[:probe], q0, q1,
                                         opts.step / 2.0, with_jacobian=False)
         err = float(np.abs(fine - images[:probe]).max())
-    W = g.omega_N.constant_gram()
-    if W is not None:
-        R = np.einsum("kji,jl,klm->kim", jacs, W, jacs) - W
-        sympl = np.abs(R).reshape(pts.shape[0], -1).max(axis=1)
-    else:
-        Wx = g.omega_N.gram_batch(pts[:, :g.n_dim])
-        Wy = g.omega_N.gram_batch(g.N_model.wrap(images[:, :g.n_dim]))
-        R = np.einsum("kji,kjl,klm->kim", jacs, Wy, jacs) - Wx
-        sympl = np.abs(R).reshape(pts.shape[0], -1).max(axis=1)
+    W = g.omega_N.constant_gram()  # constant, or _flow_rhs raised
+    R = np.einsum("kji,jl,klm->kim", jacs, W, jacs) - W
+    sympl = np.abs(R).reshape(pts.shape[0], -1).max(axis=1)
     return FlowResult(pts, images, jacs, q0, q1, nsteps, opts.step, err, sympl)
 
 
@@ -375,10 +351,9 @@ def slice_oneform(f: ScalarField, I: np.ndarray) -> DifferentialForm:
     """The slice 1-form sum_j (sum_i I[i, j] d_i f) dx_j over the first
     n = len(I) coordinates: the slice differential of f pulled back
     through the constant n x n endomorphism I."""
-    n = range(len(I))
-    grads = [partial(f, i) for i in n]
-    return _form_sum(f.model, 1, [((j,), grads[i], I[i, j])
-                                  for j in n for i in n if I[i, j] != 0.0])
+    grads = [partial(f, i) for i in range(len(I))]
+    return DifferentialForm.build(f.model, 1, {
+        (j,): c for j, c in enumerate(linear_map(f.model, I.T, grads))})
 
 
 def closed1f_check(g: GraphDeformation,

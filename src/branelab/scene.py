@@ -231,10 +231,9 @@ def parse_scene(text: str) -> Scene:
                 if tokens[0] not in KNOWN_CHECKS:
                     raise SceneError(line_no, f"unknown check {tokens[0]!r}")
                 args, opts = _split_opts(tokens[1:])
-                pools = ("models", "fields", "forms", "vectors", "frames",
-                         "candidates", "deforms", "pairs")
                 for a in args:
-                    if not any(a in getattr(scene, pool) for pool in pools):
+                    if not any(a in getattr(scene, pool)
+                               for pool in Scene._POOLS):
                         raise SceneError(
                             line_no, f"check references undeclared name {a!r}")
                 scene.checks.append(

@@ -135,14 +135,6 @@ def test_sharp_constant_solves_contraction():
     assert (back - xi).is_zero(1e-12)
 
 
-def test_sharp_pointwise_matches_constant_path(rng):
-    xi = DifferentialForm.build(T4, 1, {(1,): trig((1, 0, 0, 0), 0.5)})
-    p = rng.uniform(0, 1, size=4)
-    X_const = sharp(OMEGA, xi)
-    X_pt = sharp(OMEGA, xi, point=p)
-    assert np.allclose(X_const.eval(p), X_pt, atol=1e-12)
-
-
 def test_sharp_degenerate_raises():
     degenerate = DifferentialForm.build(T4, 2, {(0, 1): 1.0})
     xi = DifferentialForm.build(T4, 1, {(0,): ScalarField.constant(T4, 1.0)})

@@ -13,9 +13,8 @@ from branelab.model import (CIRCLE, LINE, FlowOptions, SamplePlan,
 from branelab.nearby import (BraneObstruction, closed1f_check,
                              closed1f_residual, convergence_order, flow,
                              graph_deformation, invariance_check, kernel_field,
-                             kernel_field_at, mapping_torus_check,
-                             melanie_check, omega_f, slicewise_hamiltonian,
-                             transport_brane)
+                             mapping_torus_check, melanie_check, omega_f,
+                             slicewise_hamiltonian, transport_brane)
 
 LAM = float(math.sqrt(2) - 1)
 
@@ -60,13 +59,6 @@ def test_slicewise_hamiltonian_shear_is_circle_translation():
     X = slicewise_hamiltonian(shear())
     assert np.allclose(X.constant_vector(),
                        [LAM, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
-
-
-def test_kernel_field_at_matches_symbolic(rng):
-    g = wavy()
-    Z = kernel_field(g)
-    for p in rng.uniform(0, 1, size=(5, 5)):
-        assert np.allclose(kernel_field_at(g, p), Z.eval(p), atol=1e-12)
 
 
 def test_flow_of_shear_is_exact_translation():

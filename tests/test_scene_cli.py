@@ -14,7 +14,8 @@ import branelab.infdef
 from branelab.cli import (bundled_scene_dir, main, resolve_scene)
 from branelab.grammar import parse_field
 from branelab.report import EXACT, CheckResult
-from branelab.scene import SceneError, parse_scene, serialize_scene
+from branelab.scene import (KNOWN_CHECKS, SceneError, parse_scene,
+                            serialize_scene)
 
 MINIMAL = """\
 scene tiny
@@ -64,6 +65,10 @@ def test_bundled_catalog_is_complete():
     assert bundled_names() == [
         "cohomology_t4", "cos2_obstruction", "example_r4", "frame_11",
         "infdef_torus", "lambda_shear", "mapping_torus", "pde_failures"]
+
+
+def test_every_known_check_kind_has_a_runner():
+    assert KNOWN_CHECKS == set(branelab.cli._RUNNERS)
 
 
 def test_parse_error_reports_line_number():
@@ -412,7 +417,7 @@ pair p = c r0 B11
 
 
 @pytest.mark.parametrize("check", [
-    "brane_via_J c", "infdef p c", "infdef_general p c",
+    "brane c", "brane_via_J c", "infdef p c", "infdef_general p c",
     "hamiltonian_cocycle fgen c"])
 def test_dependent_joint_frame_is_a_rank_drop_error(tmp_path, capsys, check):
     code, data = run_json(tmp_path, capsys,
@@ -422,6 +427,52 @@ def test_dependent_joint_frame_is_a_rank_drop_error(tmp_path, capsys, check):
     assert rec["details"]["error"] == (
         "RankDropError: E and G frames are dependent: the joint frame "
         "[G | E] is singular")
+
+
+def test_dependent_sampled_frame_names_the_sample(tmp_path, capsys):
+    text = DEPENDENT_FRAMES.replace(
+        "frame G @ Y = d_x1 ;", "frame G @ Y = cos(2*pi*q)*d_x1 ;")
+    code, data = run_json(tmp_path, capsys, text + "check brane c\n")
+    rec = data["checks"][0]
+    assert code == 1 and rec["mode"] == "ERROR"
+    assert rec["details"]["error"].startswith(
+        "RankDropError: E and G frames are dependent: the joint frame "
+        "[G | E] is singular at sample [")
+
+
+# a base form whose condition number (1e9) is past the gate, and a
+# singular one; every check of the deformation must name the degeneracy
+DEGENERATE_BASE = """\
+scene degenerate_base
+describe a graph deformation over a degenerate base form
+
+model N
+coord N x1 circle
+coord N y1 line
+coord N x2 line
+coord N y2 line
+
+form omegaN @ N = {omega}
+form FN @ N = dx1^dx2 - dy1^dy2
+deform g = N omegaN FN q : 0.5*y2
+
+check invariance g FN
+check transport_kernel g FN
+check mapping_torus g FN
+check closed1f g
+"""
+
+
+@pytest.mark.parametrize("omega", ["dx1^dy2 + 1e-9*dy1^dx2", "dx1^dy2"])
+def test_degenerate_base_form_is_a_degenerate_form_error(tmp_path, capsys,
+                                                         omega):
+    code, data = run_json(tmp_path, capsys,
+                          DEGENERATE_BASE.format(omega=omega))
+    assert code == 1 and len(data["checks"]) == 4
+    for rec in data["checks"]:
+        assert rec["mode"] == "ERROR" and not rec["pass"]
+        assert rec["details"]["error"].startswith(
+            "DegenerateFormError: form degenerate at constant form: ")
 
 
 def test_overflowing_coefficient_is_a_scene_error():
