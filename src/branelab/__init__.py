@@ -6,8 +6,7 @@ theory, and a scene-file batch front end.
 
 from .model import (CIRCLE, DEFAULT_FLOW, DEFAULT_PLAN, DEFAULT_TOL, LINE,
                     FlowOptions, ManifoldModel, SamplePlan, Tolerances,
-                    extend_with_circle, extend_with_line, model_from_names,
-                    product_model)
+                    extend_with_circle, extend_with_line, model_from_names)
 from .fields import (NonFiniteCoefficientError, ScalarField, VectorField,
                      bracket, circle_average, directional, field_mul,
                      partial, q_antiderivative, reindex, substitute)
@@ -20,9 +19,9 @@ from .grammar import (ParseError, field_to_text, form_to_text, parse_field,
 from .integrate import FlowError, rk4_flow
 from .report import CheckResult, Report
 from .brane import (AmbientModel, BraneCandidate, RankDropError, ambient_for,
-                    charbrane_roundtrip, check_brane, check_brane_via_J,
-                    check_space_filling, lift_form, local_normal_form,
-                    product_candidate, tau_F_subspace, validate_candidate)
+                    check_brane, check_brane_via_J, check_space_filling,
+                    lift_form, local_normal_form, tau_F_subspace,
+                    validate_candidate)
 from .nearby import (BraneObstruction, FlowResult, GraphDeformation,
                      TransportedForm, closed1f_check, closed1f_residual,
                      convergence_order, flow, graph_deformation,

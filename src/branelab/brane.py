@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, VectorField, reindex
+from .fields import VectorField, reindex
 from .forms import (CONDITION_LIMIT, DifferentialForm, Distribution,
-                    _condition_gate, condition_number, endo_from_pair, ext_d,
-                    kernel_basis, max_principal_angle, transverse_matrix,
-                    two_form_from)
+                    _condition_gate, condition_number, ext_d, kernel_basis,
+                    max_principal_angle, transverse_matrix)
 from .model import (DEFAULT_PLAN, DEFAULT_TOL, LINE, ManifoldModel,
-                    SamplePlan, extend_with_line, product_model)
+                    SamplePlan, extend_with_line)
 from .report import EXACT, SAMPLED, CheckResult
 
 
@@ -368,35 +367,3 @@ def local_normal_form(n: int, k: int) -> BraneCandidate:
     G = Distribution(model, tuple(
         VectorField.basis(model, i) for i in range(4 * n)))
     return BraneCandidate(model, omega, F, E, G)
-
-
-def product_candidate(c1: BraneCandidate, c2: BraneCandidate) -> BraneCandidate:
-    """Product brane: forms add after lifting, frames concatenate."""
-    model = product_model(c1.model_Y, c2.model_Y)
-    n1 = c1.model_Y.dim
-    m1 = list(range(n1))
-    m2 = [n1 + i for i in range(c2.model_Y.dim)]
-    omega = lift_form(c1.omega, model, m1) + lift_form(c2.omega, model, m2)
-    F = lift_form(c1.F, model, m1) + lift_form(c2.F, model, m2)
-
-    def lift_dist(d: Distribution, mapping):
-        vecs = []
-        for v in d.frame:
-            comps = [ScalarField.zero(model)] * model.dim
-            for i, f in enumerate(v.components):
-                comps[mapping[i]] = reindex(f, model, mapping)
-            vecs.append(VectorField(model, tuple(comps)))
-        return vecs
-
-    E = Distribution(model, tuple(
-        lift_dist(c1.E_frame, m1) + lift_dist(c2.E_frame, m2)))
-    G = Distribution(model, tuple(
-        lift_dist(c1.G_frame, m1) + lift_dist(c2.G_frame, m2)))
-    return BraneCandidate(model, omega, F, E, G)
-
-
-def charbrane_roundtrip(omega: DifferentialForm, F: DifferentialForm,
-                        tol: float = 1e-10) -> bool:
-    """F -> I -> omega composed-with I reproduces F (constant omega)."""
-    I = endo_from_pair(omega, F)
-    return (two_form_from(omega, I) - F).is_zero(tol)

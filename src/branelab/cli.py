@@ -14,19 +14,15 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .brane import (RankDropError, check_brane, check_brane_via_J,
-                    check_space_filling)
-from .forms import DegenerateFormError, endo_from_pair
+from .brane import RankDropError
+from .forms import DegenerateFormError
 from .infdef import (AverageObstruction, CircleTermsError, Type11Violation,
-                     build_infdef, check_infdef, complex_slice,
-                     hamiltonian_generator, infdef_general_check,
-                     upsilon_image_check)
+                     check_infdef, complex_slice, infdef_general_check)
 from .integrate import FlowError
 from .model import DEFAULT_TOL, FlowOptions, SamplePlan, Tolerances
-from .nearby import (BraneObstruction, closed1f_check, flow, invariance_check,
-                     mapping_torus_check, melanie_check, transport_brane)
-from .report import ERROR, EXACT, SAMPLED, CheckResult, Report
-from .scene import Scene, SceneError, load_scene, parse_scene
+from .nearby import BraneObstruction
+from .report import ERROR, CheckResult, Report
+from .scene import CHECKS, Scene, SceneError, load_scene, parse_scene
 
 
 @dataclass
@@ -61,174 +57,6 @@ def _config_from(scene: Scene, args) -> RunConfig:
                      flow=FlowOptions(step=1.0 / steps), grid=grid)
 
 
-# -- check runners ------------------------------------------------------
-
-
-def _transported(scene, spec, cfg):
-    g = scene.lookup("deforms", spec.args[0])
-    F = scene.lookup("forms", spec.args[1])
-    gate = SamplePlan(count=64, seed=cfg.plan.seed)
-    return g, transport_brane(g, F, plan=gate, tol=cfg.tol.sampled,
-                              opts=cfg.flow)
-
-
-def _run_space_filling(scene, spec, cfg):
-    return check_space_filling(scene.lookup("forms", spec.args[0]),
-                               scene.lookup("forms", spec.args[1]),
-                               plan=cfg.plan, tol=cfg.tol)
-
-
-def _run_brane(scene, spec, cfg):
-    return check_brane(scene.lookup("candidates", spec.args[0]),
-                       plan=cfg.plan, tol=cfg.tol)
-
-
-def _run_brane_via_J(scene, spec, cfg):
-    return check_brane_via_J(scene.lookup("candidates", spec.args[0]),
-                             plan=cfg.plan, tol=cfg.tol)
-
-
-def _run_type11(scene, spec, cfg):
-    B = scene.lookup("forms", spec.args[0])
-    I = endo_from_pair(scene.lookup("forms", spec.args[1]),
-                       scene.lookup("forms", spec.args[2]))
-    rec = CheckResult("type11", EXACT, False)
-    rec.passed = rec.hold("pullback_fixed",
-                          (I.pullback_twoform(B) - B).max_coeff(),
-                          cfg.tol.exact_zero, "pullback_delta")
-    return rec
-
-
-def _run_closed1f(scene, spec, cfg):
-    return closed1f_check(scene.lookup("deforms", spec.args[0]),
-                          tol=cfg.tol.exact_zero)
-
-
-def _run_invariance(scene, spec, cfg):
-    g = scene.lookup("deforms", spec.args[0])
-    F = scene.lookup("forms", spec.args[1])
-    fr = flow(g, 0.0, 1.0, cfg.plan.points(g.N_model), cfg.flow)
-    return invariance_check(F, fr, cfg.tol.sampled)
-
-
-def _run_transport_kernel(scene, spec, cfg):
-    _, tf = _transported(scene, spec, cfg)
-    return tf.kernel_check(plan=cfg.plan, tol=cfg.tol.sampled)
-
-
-def _run_transport_zero_slice(scene, spec, cfg):
-    _, tf = _transported(scene, spec, cfg)
-    return tf.zero_slice_check(plan=cfg.plan)
-
-
-def _run_transport_fd(scene, spec, cfg):
-    _, tf = _transported(scene, spec, cfg)
-    tol = float(spec.opt("tol", "1e-5"))
-    return tf.fd_exterior_check(tol=tol)
-
-
-def _run_mapping_torus(scene, spec, cfg):
-    g = scene.lookup("deforms", spec.args[0])
-    F = scene.lookup("forms", spec.args[1])
-    tol = float(spec.opt("tol", str(cfg.tol.sampled)))
-    return mapping_torus_check(g, F, plan=cfg.plan, tol=tol, opts=cfg.flow)
-
-
-def _run_melanie(scene, spec, cfg):
-    return melanie_check(scene.lookup("forms", spec.args[0]),
-                         scene.lookup("frames", spec.args[1]),
-                         scene.lookup("frames", spec.args[2]),
-                         plan=cfg.plan, tol=cfg.tol)
-
-
-def _run_infdef(scene, spec, cfg):
-    return check_infdef(scene.lookup("pairs", spec.args[0]),
-                        scene.lookup("candidates", spec.args[1]),
-                        plan=cfg.plan, tol=cfg.tol)
-
-
-def _run_infdef_general(scene, spec, cfg):
-    return infdef_general_check(scene.lookup("pairs", spec.args[0]),
-                                scene.lookup("candidates", spec.args[1]),
-                                plan=cfg.plan, tol=cfg.tol)
-
-
-def _run_hamiltonian_cocycle(scene, spec, cfg):
-    f = scene.lookup("fields", spec.args[0])
-    c = scene.lookup("candidates", spec.args[1])
-    pair = hamiltonian_generator(f, c)
-    rec = check_infdef(pair, c, plan=cfg.plan, tol=cfg.tol)
-    rec.details["generator"] = spec.args[0]
-    return rec
-
-
-def _run_upsilon_image(scene, spec, cfg):
-    return upsilon_image_check(scene.lookup("forms", spec.args[0]),
-                               scene.lookup("forms", spec.args[1]),
-                               scene.lookup("forms", spec.args[2]),
-                               tol=cfg.tol)
-
-
-def _run_build_infdef(scene, spec, cfg):
-    rho = scene.lookup("fields", spec.args[0])
-    B0 = scene.lookup("forms", spec.args[1])
-    c = scene.lookup("candidates", spec.args[2])
-    expect = spec.opt("expect", "pass")
-    try:
-        pair = build_infdef(rho, B0, c, tol=cfg.tol)
-    except (AverageObstruction, Type11Violation) as e:
-        rec = CheckResult("build_infdef", EXACT, expect == "obstruction")
-        rec.conditions["raised_obstruction"] = True
-        # a raised obstruction that was not expected is the failure reason
-        rec.details["obstruction" if rec.passed else "error"] = str(e)
-        if getattr(e, "residual", None) is not None:
-            rec.residuals["average_defect"] = float(e.residual)
-        return rec
-    rec = check_infdef(pair, c, plan=cfg.plan, tol=cfg.tol)
-    if expect == "obstruction":
-        rec.conditions["raised_obstruction"] = False
-        rec.passed = False
-        rec.details["error"] = "expected an obstruction but the build succeeded"
-    return rec
-
-
-def _run_cohomology(scene, spec, cfg):
-    c = scene.lookup("candidates", spec.args[0])
-    truncation = int(spec.opt("truncation", "1"))
-    cs = complex_slice(c, truncation)
-    rec = CheckResult("cohomology", SAMPLED, False)
-    bound = cs.d1_d0_bound()
-    rec.hold("d1_d0_zero", cs.d1_d0_residual(), bound, "d1_d0")
-    expected = spec.opt("h1")
-    rec.details.update(truncation=truncation, dim_ker_d1=cs.dim_ker_d1,
-                       rank_d0=cs.rank_d0, h1=cs.h1, shape=cs.shape,
-                       d1_d0_bound=bound, blocks=cs.block_summary())
-    if expected is not None:
-        rec.conditions["h1_matches"] = cs.h1 == int(expected)
-    rec.passed = all(rec.conditions.values())
-    return rec
-
-
-_RUNNERS = {
-    "space_filling": _run_space_filling,
-    "brane": _run_brane,
-    "brane_via_J": _run_brane_via_J,
-    "type11": _run_type11,
-    "closed1f": _run_closed1f,
-    "invariance": _run_invariance,
-    "transport_kernel": _run_transport_kernel,
-    "transport_zero_slice": _run_transport_zero_slice,
-    "transport_fd": _run_transport_fd,
-    "mapping_torus": _run_mapping_torus,
-    "melanie": _run_melanie,
-    "infdef": _run_infdef,
-    "infdef_general": _run_infdef_general,
-    "hamiltonian_cocycle": _run_hamiltonian_cocycle,
-    "upsilon_image": _run_upsilon_image,
-    "build_infdef": _run_build_infdef,
-    "cohomology": _run_cohomology,
-}
-
 _CHECK_ERRORS = (SceneError, KeyError, ValueError, DegenerateFormError,
                  RankDropError, BraneObstruction, AverageObstruction,
                  Type11Violation, CircleTermsError, FlowError)
@@ -240,7 +68,10 @@ def _execute(scene: Scene, spec, cfg: RunConfig) -> CheckResult:
     label = f"{spec.kind}({', '.join(shown)})"
     t0 = time.perf_counter()
     try:
-        rec = _RUNNERS[spec.kind](scene, spec, cfg)
+        kind = CHECKS[spec.kind]
+        objects = [scene.lookup(pool, name)
+                   for pool, name in zip(kind.pools, spec.args)]
+        rec = kind.run(cfg, spec, *objects)
     except _CHECK_ERRORS as e:
         rec = CheckResult(label, ERROR, False)
         rec.details["error"] = f"{type(e).__name__}: {e}"

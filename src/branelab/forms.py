@@ -278,7 +278,10 @@ def transverse_matrix(W: np.ndarray, F: np.ndarray, G: np.ndarray,
 
 
 def condition_number(W: np.ndarray) -> float:
-    """Largest over smallest singular value of W; inf when W is singular."""
+    """Largest over smallest singular value of W; inf when W is singular,
+    1.0 when W is empty (an empty frame restricts a form to 0x0)."""
+    if W.size == 0:
+        return 1.0
     s = np.linalg.svd(W, compute_uv=False)
     return float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
 

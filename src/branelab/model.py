@@ -73,19 +73,6 @@ def model_from_names(spec: Iterable[tuple[str, str]]) -> ManifoldModel:
     return ManifoldModel(tuple((n, k) for n, k in spec))
 
 
-def product_model(a: ManifoldModel, b: ManifoldModel) -> ManifoldModel:
-    """Concatenate coordinates; colliding names in b get a prime suffix."""
-    taken = set(n for n, _ in a.coords)
-    renamed = []
-    for n, k in b.coords:
-        fresh = n
-        while fresh in taken:
-            fresh += "_p"
-        taken.add(fresh)
-        renamed.append((fresh, k))
-    return ManifoldModel(a.coords + tuple(renamed))
-
-
 def extend_with_circle(a: ManifoldModel, name: str = "q") -> ManifoldModel:
     return ManifoldModel(a.coords + ((name, CIRCLE),))
 

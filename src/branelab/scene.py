@@ -5,26 +5,33 @@ pairs, and an ordered list of checks to run.
 The format round-trips: parsing the canonical serialization of a scene
 yields an equal scene.  Expressions use the same text grammar as the rest
 of the package, so coefficients survive the trip exactly.
+
+`CHECKS` is the one table of check kinds.  Each entry names the pool of
+every positional argument, the options the kind takes with a parser for
+each, and the runner that turns the looked-up objects into a record.
+`parse_scene` holds every `check` line to its entry, so a malformed line
+is a `SceneError` at that line, never a failure of the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .brane import BraneCandidate
-from .forms import Distribution
+from .brane import (BraneCandidate, check_brane, check_brane_via_J,
+                    check_space_filling)
+from .forms import Distribution, endo_from_pair
 from .grammar import (ParseError, field_to_text, form_to_text, parse_field,
                       parse_form, parse_vector, vector_to_text)
-from .infdef import InfDefPair
-from .model import ManifoldModel
-from .nearby import graph_deformation
-
-KNOWN_CHECKS = frozenset({
-    "space_filling", "brane", "brane_via_J", "type11", "closed1f",
-    "invariance", "transport_kernel", "transport_zero_slice", "transport_fd",
-    "mapping_torus", "melanie", "infdef", "infdef_general",
-    "hamiltonian_cocycle", "upsilon_image", "build_infdef", "cohomology",
-})
+from .infdef import (AverageObstruction, InfDefPair, Type11Violation,
+                     build_infdef, check_infdef, complex_slice,
+                     hamiltonian_generator, infdef_general_check,
+                     upsilon_image_check)
+from .model import ManifoldModel, SamplePlan
+from .nearby import (closed1f_check, flow, graph_deformation,
+                     invariance_check, mapping_torus_check, melanie_check,
+                     transport_brane)
+from .report import EXACT, SAMPLED, CheckResult
 
 
 class SceneError(ValueError):
@@ -84,6 +91,179 @@ class Scene:
         return pool[name]
 
 
+# -- check kinds --------------------------------------------------------
+#
+# A runner is run(cfg, spec, *objects): the run settings (cli.RunConfig),
+# the check line, and its arguments looked up in their pools.  Runners
+# call the checkers through this module's globals, never through a
+# function object stored in the table, so that rebinding a checker on this
+# module (as perfbench/spans.py does to time it) reaches every runner.
+
+
+def _transported(cfg, g, F):
+    gate = SamplePlan(count=64, seed=cfg.plan.seed)
+    return transport_brane(g, F, plan=gate, tol=cfg.tol.sampled,
+                           opts=cfg.flow)
+
+
+def _type11(cfg, spec, B, omega, F):
+    I = endo_from_pair(omega, F)
+    rec = CheckResult("type11", EXACT, False)
+    rec.passed = rec.hold("pullback_fixed",
+                          (I.pullback_twoform(B) - B).max_coeff(),
+                          cfg.tol.exact_zero, "pullback_delta")
+    return rec
+
+
+def _hamiltonian_cocycle(cfg, spec, f, c):
+    pair = hamiltonian_generator(f, c)
+    rec = check_infdef(pair, c, plan=cfg.plan, tol=cfg.tol)
+    rec.details["generator"] = spec.args[0]
+    return rec
+
+
+def _build_infdef(cfg, spec, rho, B0, c):
+    expect = spec.opt("expect", "pass")
+    try:
+        pair = build_infdef(rho, B0, c, tol=cfg.tol)
+    except (AverageObstruction, Type11Violation) as e:
+        rec = CheckResult("build_infdef", EXACT, expect == "obstruction")
+        rec.conditions["raised_obstruction"] = True
+        # a raised obstruction that was not expected is the failure reason
+        rec.details["obstruction" if rec.passed else "error"] = str(e)
+        if getattr(e, "residual", None) is not None:
+            rec.residuals["average_defect"] = float(e.residual)
+        return rec
+    rec = check_infdef(pair, c, plan=cfg.plan, tol=cfg.tol)
+    if expect == "obstruction":
+        rec.conditions["raised_obstruction"] = False
+        rec.passed = False
+        rec.details["error"] = "expected an obstruction but the build succeeded"
+    return rec
+
+
+def _cohomology(cfg, spec, c):
+    truncation = int(spec.opt("truncation", "1"))
+    cs = complex_slice(c, truncation)
+    rec = CheckResult("cohomology", SAMPLED, False)
+    bound = cs.d1_d0_bound()
+    rec.hold("d1_d0_zero", cs.d1_d0_residual(), bound, "d1_d0")
+    expected = spec.opt("h1")
+    rec.details.update(truncation=truncation, dim_ker_d1=cs.dim_ker_d1,
+                       rank_d0=cs.rank_d0, h1=cs.h1, shape=cs.shape,
+                       d1_d0_bound=bound, blocks=cs.block_summary())
+    if expected is not None:
+        rec.conditions["h1_matches"] = cs.h1 == int(expected)
+    rec.passed = all(rec.conditions.values())
+    return rec
+
+
+def _one_of(*words):
+    def parse(value: str) -> str:
+        if value not in words:
+            raise ValueError(value)
+        return value
+    parse.__name__ = "|".join(words)
+    return parse
+
+
+@dataclass(frozen=True)
+class CheckKind:
+    """The pool of each positional argument, the options beside `expect`
+    (name -> parser of the text value), and the runner."""
+    pools: tuple[str, ...]
+    run: Callable
+    options: dict = field(default_factory=dict)
+
+
+CHECKS = {
+    "space_filling": CheckKind(
+        ("forms", "forms"), lambda cfg, spec, omega, F:
+        check_space_filling(omega, F, plan=cfg.plan, tol=cfg.tol)),
+    "brane": CheckKind(
+        ("candidates",), lambda cfg, spec, c:
+        check_brane(c, plan=cfg.plan, tol=cfg.tol)),
+    "brane_via_J": CheckKind(
+        ("candidates",), lambda cfg, spec, c:
+        check_brane_via_J(c, plan=cfg.plan, tol=cfg.tol)),
+    "type11": CheckKind(("forms", "forms", "forms"), _type11),
+    "closed1f": CheckKind(
+        ("deforms",), lambda cfg, spec, g:
+        closed1f_check(g, tol=cfg.tol.exact_zero)),
+    "invariance": CheckKind(
+        ("deforms", "forms"), lambda cfg, spec, g, F: invariance_check(
+            F, flow(g, 0.0, 1.0, cfg.plan.points(g.N_model), cfg.flow),
+            cfg.tol.sampled)),
+    "transport_kernel": CheckKind(
+        ("deforms", "forms"), lambda cfg, spec, g, F:
+        _transported(cfg, g, F).kernel_check(plan=cfg.plan,
+                                             tol=cfg.tol.sampled)),
+    "transport_zero_slice": CheckKind(
+        ("deforms", "forms"), lambda cfg, spec, g, F:
+        _transported(cfg, g, F).zero_slice_check(plan=cfg.plan)),
+    "transport_fd": CheckKind(
+        ("deforms", "forms"), lambda cfg, spec, g, F:
+        _transported(cfg, g, F).fd_exterior_check(
+            tol=float(spec.opt("tol", "1e-5"))),
+        {"tol": float}),
+    "mapping_torus": CheckKind(
+        ("deforms", "forms"), lambda cfg, spec, g, F: mapping_torus_check(
+            g, F, plan=cfg.plan, tol=float(spec.opt("tol", cfg.tol.sampled)),
+            opts=cfg.flow),
+        {"tol": float}),
+    "melanie": CheckKind(
+        ("forms", "frames", "frames"), lambda cfg, spec, F, E, G:
+        melanie_check(F, E, G, plan=cfg.plan, tol=cfg.tol)),
+    "infdef": CheckKind(
+        ("pairs", "candidates"), lambda cfg, spec, p, c:
+        check_infdef(p, c, plan=cfg.plan, tol=cfg.tol)),
+    "infdef_general": CheckKind(
+        ("pairs", "candidates"), lambda cfg, spec, p, c:
+        infdef_general_check(p, c, plan=cfg.plan, tol=cfg.tol)),
+    "hamiltonian_cocycle": CheckKind(("fields", "candidates"),
+                                     _hamiltonian_cocycle),
+    "upsilon_image": CheckKind(
+        ("forms", "forms", "forms"), lambda cfg, spec, r, omegaN, FN:
+        upsilon_image_check(r, omegaN, FN, tol=cfg.tol)),
+    "build_infdef": CheckKind(
+        ("fields", "forms", "candidates"), _build_infdef,
+        {"expect": _one_of("pass", "fail", "obstruction")}),
+    "cohomology": CheckKind(("candidates",), _cohomology,
+                            {"truncation": int, "h1": int}),
+}
+_EXPECT = _one_of("pass", "fail")
+
+
+def _check_spec(scene: Scene, rest: str) -> CheckSpec:
+    """The check line `check <rest>`, held to its entry in CHECKS."""
+    tokens = rest.split()
+    if not tokens:
+        raise ValueError("empty check")
+    name = tokens[0]
+    if name not in CHECKS:
+        raise ValueError(f"unknown check {name!r}")
+    kind = CHECKS[name]
+    args, opts = _split_opts(tokens[1:])
+    if len(args) != len(kind.pools):
+        usage = " ".join(f"<{pool[:-1]}>" for pool in kind.pools)
+        raise ValueError(f"expected: check {name} {usage}")
+    for pool, arg in zip(kind.pools, args):
+        scene.lookup(pool, arg)
+    parsers = {"expect": _EXPECT, **kind.options}
+    for key, value in opts:
+        if key not in parsers:
+            raise ValueError(f"{name} takes no option {key!r}")
+        if [k for k, _ in opts].count(key) > 1:
+            raise ValueError(f"option {key!r} given twice")
+        parse = parsers[key]
+        try:
+            parse(value)
+        except ValueError:
+            raise ValueError(f"{name} option {key} takes {parse.__name__}, "
+                             f"not {value!r}") from None
+    return CheckSpec(name, tuple(args), tuple(opts))
+
+
 def _split_opts(tokens: list[str]) -> tuple[list[str], list[tuple[str, str]]]:
     args, opts = [], []
     for t in tokens:
@@ -114,12 +294,6 @@ def parse_scene(text: str) -> Scene:
         scene.models[name] = m
         sealed.add(name)
         return m
-
-    def named(line_no: int, kind: str, name: str):
-        try:
-            return scene.lookup(kind, name)
-        except KeyError as e:
-            raise SceneError(line_no, str(e)) from None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -192,10 +366,10 @@ def parse_scene(text: str) -> Scene:
                         "<E-frame> <G-frame>")
                 m = model_of(line_no, parts[0])
                 c = BraneCandidate(
-                    m, named(line_no, "forms", parts[1]),
-                    named(line_no, "forms", parts[2]),
-                    named(line_no, "frames", parts[3]),
-                    named(line_no, "frames", parts[4]))
+                    m, scene.lookup("forms", parts[1]),
+                    scene.lookup("forms", parts[2]),
+                    scene.lookup("frames", parts[3]),
+                    scene.lookup("frames", parts[4]))
                 scene.register("candidates", name.strip(), c,
                                refs=tuple(parts))
             elif head == "deform":
@@ -208,10 +382,10 @@ def parse_scene(text: str) -> Scene:
                         "expected: deform <name> = <model> <omega> <F|-> "
                         "<circle-name> : <expr>")
                 m = model_of(line_no, parts[0])
-                F_N = None if parts[2] == "-" else named(
-                    line_no, "forms", parts[2])
+                F_N = None if parts[2] == "-" else scene.lookup(
+                    "forms", parts[2])
                 g = graph_deformation(
-                    m, named(line_no, "forms", parts[1]), F_N,
+                    m, scene.lookup("forms", parts[1]), F_N,
                     expr.strip(), q_name=parts[3])
                 scene.register("deforms", name.strip(), g, refs=tuple(parts))
             elif head == "pair":
@@ -220,30 +394,19 @@ def parse_scene(text: str) -> Scene:
                 if len(parts) != 3:
                     raise SceneError(
                         line_no, "expected: pair <name> = <candidate> <r> <B>")
-                named(line_no, "candidates", parts[0])
-                p = InfDefPair(named(line_no, "forms", parts[1]),
-                               named(line_no, "forms", parts[2]))
+                scene.lookup("candidates", parts[0])
+                p = InfDefPair(scene.lookup("forms", parts[1]),
+                               scene.lookup("forms", parts[2]))
                 scene.register("pairs", name.strip(), p, refs=tuple(parts))
             elif head == "check":
-                tokens = rest.split()
-                if not tokens:
-                    raise SceneError(line_no, "empty check")
-                if tokens[0] not in KNOWN_CHECKS:
-                    raise SceneError(line_no, f"unknown check {tokens[0]!r}")
-                args, opts = _split_opts(tokens[1:])
-                for a in args:
-                    if not any(a in getattr(scene, pool)
-                               for pool in Scene._POOLS):
-                        raise SceneError(
-                            line_no, f"check references undeclared name {a!r}")
-                scene.checks.append(
-                    CheckSpec(tokens[0], tuple(args), tuple(opts)))
+                scene.checks.append(_check_spec(scene, rest))
             else:
                 raise SceneError(line_no, f"unknown statement {head!r}")
         except SceneError:
             raise
         except (ParseError, ValueError, KeyError) as e:
-            raise SceneError(line_no, str(e)) from e
+            # args[0], not str(e): str of a KeyError quotes its message
+            raise SceneError(line_no, e.args[0] if e.args else str(e)) from e
 
     if not scene.name:
         raise SceneError(1, "missing scene line")

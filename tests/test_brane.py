@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from branelab.brane import (BraneCandidate, RankDropError, ambient_for,
-                            charbrane_roundtrip, check_brane, check_brane_via_J,
+                            check_brane, check_brane_via_J,
                             check_space_filling, local_normal_form,
-                            product_candidate, split_pairing_gram,
-                            tau_F_subspace)
+                            split_pairing_gram, tau_F_subspace)
 from branelab.fields import VectorField
 from branelab.forms import (DifferentialForm, Distribution, ext_d,
                             kernel_basis, max_principal_angle)
@@ -168,17 +167,6 @@ def test_via_J_detects_broken_candidates():
     ]
     for c in broken:
         assert not check_brane_via_J(c, plan=PLAN).passed
-
-
-def test_product_candidate_of_normal_forms_is_brane():
-    c = product_candidate(local_normal_form(1, 0), local_normal_form(1, 1))
-    assert check_brane(c, PLAN).passed
-
-
-def test_charbrane_roundtrip_split_pair():
-    # F -> I -> omega compose I is the identity for any invertible omega
-    assert charbrane_roundtrip(OMEGA4, F4)
-    assert charbrane_roundtrip(OMEGA4, F4 + OMEGA4 * 0.25)
 
 
 def test_lagrangian_candidate_passes_both_checkers():

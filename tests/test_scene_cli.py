@@ -11,11 +11,11 @@ import pytest
 
 import branelab.cli
 import branelab.infdef
+import branelab.scene
 from branelab.cli import (bundled_scene_dir, main, resolve_scene)
 from branelab.grammar import parse_field
 from branelab.report import EXACT, CheckResult
-from branelab.scene import (KNOWN_CHECKS, SceneError, parse_scene,
-                            serialize_scene)
+from branelab.scene import SceneError, parse_scene, serialize_scene
 
 MINIMAL = """\
 scene tiny
@@ -65,10 +65,6 @@ def test_bundled_catalog_is_complete():
     assert bundled_names() == [
         "cohomology_t4", "cos2_obstruction", "example_r4", "frame_11",
         "infdef_torus", "lambda_shear", "mapping_torus", "pde_failures"]
-
-
-def test_every_known_check_kind_has_a_runner():
-    assert KNOWN_CHECKS == set(branelab.cli._RUNNERS)
 
 
 def test_parse_error_reports_line_number():
@@ -253,7 +249,7 @@ def test_cohomology_check_fails_a_sign_flipped_d1(tmp_path, capsys,
         cs.d1[i, k] = -cs.d1[i, k]
         return cs
 
-    monkeypatch.setattr(branelab.cli, "complex_slice", flipped)
+    monkeypatch.setattr(branelab.scene, "complex_slice", flipped)
     code, data = run_json(tmp_path, capsys,
                           GL_PAIR + "check cohomology c truncation=1\n")
     rec = data["checks"][0]
@@ -479,3 +475,76 @@ def test_overflowing_coefficient_is_a_scene_error():
     with pytest.raises(SceneError, match="line 11: coefficient inf is not finite"):
         parse_scene(MINIMAL.replace("form F @ M = dx1^dx2 - dy1^dy2",
                                     "form F @ M = 1e200*1e200*dx1^dx2"))
+
+
+# the infdef_torus declarations, with a graph deformation added; each check
+# line below is line 34 of its scene
+DECLARATIONS = (bundled_scene_dir() / "infdef_torus.scene").read_text(
+    encoding="utf-8").split("\ncheck ")[0].replace(
+    "\nfield fgen", "\nform omegaN @ N = dx1^dy2 + dy1^dx2\n"
+    "form FN @ N = dx1^dx2 - dy1^dy2\n"
+    "deform shear = N omegaN FN q : 0.5*y2\nfield fgen")
+
+
+@pytest.mark.parametrize("check,message", [
+    ("brane", "expected: check brane <candidate>"),
+    ("brane c c", "expected: check brane <candidate>"),
+    ("brane pgood", "unresolved candidate reference 'pgood'"),
+    ("cohomology c trunc=2 h1=5", "cohomology takes no option 'trunc'"),
+    ("brane c tol=1e-30", "brane takes no option 'tol'"),
+    ("infdef pgood c expect=maybe",
+     "infdef option expect takes pass|fail, not 'maybe'"),
+    ("build_infdef rho_ok B0N c expect=maybe",
+     "build_infdef option expect takes pass|fail|obstruction, not 'maybe'"),
+    ("transport_fd shear FN tol=small",
+     "transport_fd option tol takes float, not 'small'"),
+    ("cohomology c truncation=1 truncation=2",
+     "option 'truncation' given twice"),
+    ("", "empty check"),
+])
+def test_malformed_check_line_is_a_usage_error(tmp_path, capsys, check,
+                                               message):
+    p = tmp_path / "case.scene"
+    p.write_text(DECLARATIONS + f"\ncheck {check}\n")
+    assert main(["run", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 34: {message}\n"
+    assert captured.out == ""
+
+
+# E spans the whole of Y and G is empty: the transverse rank is 0, a
+# multiple of 4, and every restriction to G is a 0x0 matrix
+EMPTY_G_FRAME = """\
+scene empty_g
+describe a kernel frame that spans Y and an empty transverse frame
+
+model Y
+coord Y x1 circle
+coord Y y1 circle
+coord Y x2 circle
+coord Y y2 circle
+
+form omega @ Y = 0@2
+form F @ Y = 0@2
+form r0 @ Y = 0@1
+form B0 @ Y = 0@2
+frame E @ Y = d_x1 ; d_y1 ; d_x2 ; d_y2
+frame G @ Y =
+candidate c = Y omega F E G
+pair p = c r0 B0
+
+check brane c
+check brane_via_J c
+check infdef p c
+check infdef_general p c
+check cohomology c truncation=0
+"""
+
+
+def test_empty_transverse_frame_gives_records(tmp_path, capsys):
+    code, data = run_json(tmp_path, capsys, EMPTY_G_FRAME)
+    assert code == 0
+    assert [(c["name"], c["pass"]) for c in data["checks"]] == [
+        ("brane(c)", True), ("brane_via_J(c)", True),
+        ("infdef(p, c)", True), ("infdef_general(p, c)", True),
+        ("cohomology(c, truncation=0)", True)]

@@ -17,6 +17,14 @@ CHECKS = (
     "hamiltonian_cocycle f c", "upsilon_image r wN FN",
     "build_infdef f B0 c", "build_infdef f B0 c expect=obstruction")
 
+# check lines that parse_scene must refuse: wrong arity, an argument from
+# the wrong pool, an unknown option, an ill-typed option value
+MALFORMED = (
+    "brane", "brane c c", "brane p", "infdef c p", "type11 B omega",
+    "space_filling omega E", "brane c tol=1e-30", "infdef p c expect=maybe",
+    "cohomology c trunc=1", "cohomology c truncation=one",
+    "closed1f g expect=obstruction", "transport_fd g FN tol=small")
+
 
 @st.composite
 def coefficients(draw, coords):
@@ -63,10 +71,11 @@ def scenes(draw):
             for n in names)
 
     # kernel directions: the circle q when there is one, sometimes another
-    # split, so some candidates are refused at parse time
+    # split, so some candidates are refused at parse time, and sometimes
+    # every direction, which leaves G empty
     natural = ["q"] if on_y else []
     kernel = draw(st.sampled_from(
-        [natural] * 5 + [[], ["x1"], ["x1", "y1"]]))
+        [natural] * 5 + [[], ["x1"], ["x1", "y1"], list(coords)]))
     lines = [
         "scene random",
         "model N", *(f"coord N {n} circle" for n in BASE),
@@ -87,7 +96,8 @@ def scenes(draw):
         "pair p = c r B",
         f"deform g = N wN FN q : {draw(sums(BASE + ('q',), ['1'], 2))}",
     ]
-    checks = draw(st.lists(st.sampled_from(CHECKS), min_size=1, max_size=3))
+    checks = draw(st.lists(st.sampled_from(CHECKS * 3 + MALFORMED),
+                           min_size=1, max_size=3))
     return "\n".join(lines + [f"check {c}" for c in checks]) + "\n"
 
 
