@@ -271,15 +271,6 @@ def tau_F_subspace(c: BraneCandidate, ambient: AmbientModel,
                         ambient.model_M.dim, n)
 
 
-def split_pairing_gram(basis: np.ndarray) -> np.ndarray:
-    """Gram matrix of <(X,xi),(Z,eta)> = (xi(Z) + eta(X))/2 on the columns."""
-    m2 = basis.shape[0]
-    m = m2 // 2
-    X = basis[:m]
-    Xi = basis[m:]
-    return 0.5 * (Xi.T @ X + X.T @ Xi)
-
-
 def check_brane_via_J(c: BraneCandidate, ambient: AmbientModel | None = None,
                       plan: SamplePlan = DEFAULT_PLAN,
                       tol=DEFAULT_TOL) -> CheckResult:

@@ -19,7 +19,8 @@ from .forms import DegenerateFormError
 from .infdef import (AverageObstruction, CircleTermsError, Type11Violation,
                      check_infdef, complex_slice, infdef_general_check)
 from .integrate import FlowError
-from .model import DEFAULT_TOL, FlowOptions, SamplePlan, Tolerances
+from .model import (DEFAULT_TOL, FlowOptions, SamplePlan, Tolerances,
+                    tolerance)
 from .nearby import BraneObstruction
 from .report import ERROR, CheckResult, Report
 from .scene import CHECKS, Scene, SceneError, load_scene, parse_scene
@@ -46,11 +47,12 @@ def _config_from(scene: Scene, args) -> RunConfig:
 
     seed = pick(args.seed, "seed", int, 0)
     steps = pick(args.steps, "steps", int, 1024)
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, not {steps}")
+    for key, value, low in (("seed", seed, 0), ("steps", steps, 1)):
+        if value < low:
+            raise ValueError(f"{key} must be at least {low}, not {value}")
     grid = pick(args.q_grid, "q_grid", int, 64)
     tol = DEFAULT_TOL
-    t = pick(args.tol, "tol", float, None)
+    t = pick(args.tol, "tol", tolerance, None)
     if t is not None:
         tol = replace(tol, sampled=t)
     return RunConfig(plan=SamplePlan(seed=seed), tol=tol,
@@ -165,32 +167,38 @@ def cmd_infdef(args) -> int:
     if loaded is None:
         return 2
     scene, cfg = loaded
-    names = args.pair or sorted(scene.pairs)
+    cand_name = None
+    if args.truncation is not None:
+        cand_name = args.candidate or min(scene.candidates, default=None)
+        if cand_name is None:
+            print("error: no candidate available for complex_slice",
+                  file=sys.stderr)
+            return 2
+    try:
+        pairs = {name: scene.lookup("pairs", name)
+                 for name in args.pair or sorted(scene.pairs)}
+        cand = (None if cand_name is None
+                else scene.lookup("candidates", cand_name))
+    except KeyError as e:
+        print(f"error: {e.args[0]}", file=sys.stderr)
+        return 2
     verdict = {"scene": scene.name, "pairs": {}}
     ok = True
-    for name in names:
-        pair = scene.lookup("pairs", name)
-        cand_name = scene.refs[("pairs", name)][0]
-        c = scene.lookup("candidates", cand_name)
+    for name, pair in pairs.items():
+        pair_cand = scene.refs[("pairs", name)][0]
+        c = scene.lookup("candidates", pair_cand)
         direct = check_infdef(pair, c, plan=cfg.plan, tol=cfg.tol)
         general = infdef_general_check(pair, c, plan=cfg.plan, tol=cfg.tol)
         agree = direct.passed == general.passed
         verdict["pairs"][name] = {
-            "candidate": cand_name,
+            "candidate": pair_cand,
             "check_infdef": direct.to_record(),
             "general": general.to_record(),
             "agree": agree,
         }
         ok = ok and direct.passed and agree
-    if args.truncation is not None:
-        cand_name = args.candidate or (sorted(scene.candidates)[0]
-                                       if scene.candidates else None)
-        if cand_name is None:
-            print("error: no candidate available for complex_slice",
-                  file=sys.stderr)
-            return 2
-        cs = complex_slice(scene.lookup("candidates", cand_name),
-                           args.truncation)
+    if cand_name is not None:
+        cs = complex_slice(cand, args.truncation)
         resid = cs.d1_d0_residual()
         bound = cs.d1_d0_bound()
         verdict["complex_slice"] = {

@@ -448,10 +448,6 @@ class VectorField:
         return VectorField.from_components(
             model, [1.0 if j == i else 0.0 for j in range(model.dim)])
 
-    @staticmethod
-    def from_constant(model: ManifoldModel, vec) -> "VectorField":
-        return VectorField.from_components(model, [float(v) for v in vec])
-
     def is_constant(self, tol: float = 1e-10) -> bool:
         return all(c.is_constant(tol) for c in self.components)
 

@@ -98,11 +98,6 @@ def pair_from_values(c: BraneCandidate, values, B: DifferentialForm) -> InfDefPa
         (i,): r for i, r in enumerate(linear_map(y, eta.T, values))}), B)
 
 
-def kernel_values(pair: InfDefPair, c: BraneCandidate) -> list[ScalarField]:
-    """The speeds r(e_a) along the kernel frame."""
-    return [apply_form(pair.r, [e]) for e in c.E_frame.frame]
-
-
 def transverse_endo(c: BraneCandidate) -> EndoField:
     """The complex structure transverse to the kernel, extended by zero on
     the kernel frame (constant-coefficient candidates only)."""

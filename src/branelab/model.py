@@ -174,6 +174,17 @@ class Tolerances:
     svd_rank_rel: float = 1e-8
 
 
+def tolerance(value) -> float:
+    """A tolerance setting from text or a number: a finite float >= 0."""
+    t = float(value)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"tol must be a finite float >= 0, not {value}")
+    return t
+
+
+# a refused check option reads "takes <parser name>" (scene._check_spec)
+tolerance.__name__ = "finite float >= 0"
+
 DEFAULT_TOL = Tolerances()
 DEFAULT_PLAN = SamplePlan()
 DEFAULT_FLOW = FlowOptions()

@@ -109,11 +109,7 @@ class FlowResult:
     points: np.ndarray
     images: np.ndarray
     jacobians: np.ndarray
-    q0: float
-    q1: float
     steps: int
-    step: float
-    error_estimate: float
     symplectic_residuals: np.ndarray
 
     def images_wrapped(self, model: ManifoldModel) -> np.ndarray:
@@ -132,23 +128,16 @@ def _flow_rhs(g: GraphDeformation) -> integrate._RHS:
 
 def flow(g: GraphDeformation, q0: float, q1: float, points,
          opts: FlowOptions = DEFAULT_FLOW) -> FlowResult:
-    """RK4 flow of dx/dq = -X_{f_q} from q0 to q1, with tangent maps.
-
-    error_estimate compares the endpoints of the first 8 points with a
-    flow at half the step."""
+    """RK4 flow of dx/dq = -X_{f_q} from q0 to q1: one sweep of the points
+    with their tangent maps.  symplectic_residuals[i] is the largest entry
+    of J^T omega_N J - omega_N at point i, the flow's built-in probe."""
     pts = np.atleast_2d(np.asarray(points, float))
-    rhs = _flow_rhs(g)
-    images, jacs, nsteps = integrate.rk4_flow(rhs, pts, q0, q1, opts.step)
-    probe = min(8, pts.shape[0])
-    err = 0.0
-    if probe and nsteps:
-        fine, _, _ = integrate.rk4_flow(rhs, pts[:probe], q0, q1,
-                                        opts.step / 2.0, with_jacobian=False)
-        err = float(np.abs(fine - images[:probe]).max())
+    images, jacs, nsteps = integrate.rk4_flow(_flow_rhs(g), pts, q0, q1,
+                                              opts.step)
     W = g.omega_N.constant_gram()  # constant, or _flow_rhs raised
     R = np.einsum("kji,jl,klm->kim", jacs, W, jacs) - W
     sympl = np.abs(R).reshape(pts.shape[0], -1).max(axis=1)
-    return FlowResult(pts, images, jacs, q0, q1, nsteps, opts.step, err, sympl)
+    return FlowResult(pts, images, jacs, nsteps, sympl)
 
 
 def invariance_check(F_N: DifferentialForm, fr: FlowResult,
@@ -398,8 +387,7 @@ def melanie_check(F: DifferentialForm, E: Distribution, G: Distribution,
 def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
                         plan: SamplePlan = DEFAULT_PLAN,
                         tol: float = DEFAULT_TOL.sampled,
-                        opts: FlowOptions = DEFAULT_FLOW,
-                        transported: TransportedForm | None = None) -> CheckResult:
+                        opts: FlowOptions = DEFAULT_FLOW) -> CheckResult:
     """Consistency of the suspension map psi(x, q) = (flow_q(x), q):
     it pushes d/dq to the kernel field, and pulls the deformed form and the
     transported form back to the trivial extensions of the base forms."""
@@ -457,8 +445,7 @@ def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
              "omega_pullback")
 
     # (c) psi^* (transported form) = trivial extension of F_N_tilde
-    tf = transported or TransportedForm(g, F_N_tilde, opts=opts)
-    _, Mpsi = tf.matrices_at(psi_pts)
+    _, Mpsi = TransportedForm(g, F_N_tilde, opts=opts).matrices_at(psi_pts)
     baseF = np.zeros((m, dN + 1, dN + 1))
     baseF[:, :dN, :dN] = F_N_tilde.gram_batch(pts[:, :dN])
     r_F = np.abs(np.einsum("kia,kij,kjb->kab", dpsi, Mpsi, dpsi) - baseF)
@@ -479,17 +466,12 @@ def convergence_order(g: GraphDeformation, points, q1: float = 1.0,
                       levels: int = 4) -> float:
     """Log2 slope of endpoint error under step halving (reference: two
     further halvings)."""
-    pts = np.atleast_2d(np.asarray(points, float))
-    rhs = _flow_rhs(g)
-    ref, _, _ = integrate.rk4_flow(rhs, pts, 0.0, q1,
-                                   base_step / 2 ** (levels + 2),
-                                   with_jacobian=False)
-    errs = []
-    for lev in range(levels):
-        im, _, _ = integrate.rk4_flow(rhs, pts, 0.0, q1, base_step / 2 ** lev,
-                                      with_jacobian=False)
-        errs.append(np.abs(im - ref).max())
-    errs = np.array(errs)
+    def endpoints(step):
+        return flow(g, 0.0, q1, points, FlowOptions(step)).images
+
+    ref = endpoints(base_step / 2 ** (levels + 2))
+    errs = np.array([np.abs(endpoints(base_step / 2 ** lev) - ref).max()
+                     for lev in range(levels)])
     # a genuine 4th-order sequence drops ~2^(4(levels-1)); a flat one is
     # integrator rounding noise (constant fields are integrated exactly)
     if np.any(errs <= 0) or errs[0] / errs[-1] < 4.0:

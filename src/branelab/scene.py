@@ -27,7 +27,7 @@ from .infdef import (AverageObstruction, InfDefPair, Type11Violation,
                      build_infdef, check_infdef, complex_slice,
                      hamiltonian_generator, infdef_general_check,
                      upsilon_image_check)
-from .model import ManifoldModel, SamplePlan
+from .model import ManifoldModel, SamplePlan, tolerance
 from .nearby import (closed1f_check, flow, graph_deformation,
                      invariance_check, mapping_torus_check, melanie_check,
                      transport_brane)
@@ -204,13 +204,13 @@ CHECKS = {
     "transport_fd": CheckKind(
         ("deforms", "forms"), lambda cfg, spec, g, F:
         _transported(cfg, g, F).fd_exterior_check(
-            tol=float(spec.opt("tol", "1e-5"))),
-        {"tol": float}),
+            tol=tolerance(spec.opt("tol", "1e-5"))),
+        {"tol": tolerance}),
     "mapping_torus": CheckKind(
         ("deforms", "forms"), lambda cfg, spec, g, F: mapping_torus_check(
-            g, F, plan=cfg.plan, tol=float(spec.opt("tol", cfg.tol.sampled)),
-            opts=cfg.flow),
-        {"tol": float}),
+            g, F, plan=cfg.plan,
+            tol=tolerance(spec.opt("tol", cfg.tol.sampled)), opts=cfg.flow),
+        {"tol": tolerance}),
     "melanie": CheckKind(
         ("forms", "frames", "frames"), lambda cfg, spec, F, E, G:
         melanie_check(F, E, G, plan=cfg.plan, tol=cfg.tol)),

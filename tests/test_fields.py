@@ -256,7 +256,7 @@ def test_reindex_precomposes_with_inclusion(rng):
 
 
 def test_directional_derivative():
-    x = VectorField.from_constant(T3, [1.0, 2.0, 0.0])
+    x = VectorField.from_components(T3, [1.0, 2.0, 0.0])
     f = ScalarField.sine(T3, (1, 0, 0))
     expect = ScalarField.cosine(T3, (1, 0, 0), 2 * math.pi)
     assert (directional(x, f) - expect).is_zero(1e-12)
@@ -299,7 +299,7 @@ def test_bracket_matches_flow_commutator_formula(rng):
 
 
 def test_vector_constant_roundtrip():
-    v = VectorField.from_constant(T3, [1.0, -2.0, 0.5])
+    v = VectorField.from_components(T3, [1.0, -2.0, 0.5])
     assert v.is_constant()
     assert np.allclose(v.constant_vector(), [1.0, -2.0, 0.5])
 

@@ -100,7 +100,7 @@ def test_cartan_formula(rng):
 
 def test_interior_matches_gram_contraction(rng):
     a = random_form(rng, 2)
-    x = VectorField.from_constant(T4, [0.3, -1.0, 0.0, 2.0])
+    x = VectorField.from_components(T4, [0.3, -1.0, 0.0, 2.0])
     ia = interior(x, a)
     pts = rng.uniform(0, 1, size=(6, 4))
     G = a.gram_batch(pts)

@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from branelab.brane import BraneCandidate
 from branelab.fields import ScalarField, partial
-from branelab.forms import DifferentialForm, Distribution, is_type_11
+from branelab.forms import (DifferentialForm, Distribution, apply_form,
+                            is_type_11)
 from branelab.grammar import parse_field, parse_form, parse_vector
 from branelab.infdef import (AverageObstruction, InfDefPair, Type11Violation,
                              _block_rank, build_infdef, check_infdef, complex_slice,
                              constant_type11_basis, hamiltonian_generator,
-                             infdef_general_check, kernel_values,
-                             pair_from_values, transverse_endo,
-                             upsilon_image_check)
+                             infdef_general_check, pair_from_values,
+                             transverse_endo, upsilon_image_check)
 from branelab.model import (CIRCLE, LINE, SamplePlan, extend_with_circle,
                             model_from_names)
 
@@ -64,7 +64,7 @@ def test_pair_validation_rejects_wrong_degrees():
 def test_pair_from_values_roundtrip():
     v = parse_field("cos(2*pi*q)", T5)
     pair = pair_from_values(C5, [v], DifferentialForm.zero(T5, 2))
-    back = kernel_values(pair, C5)
+    back = [apply_form(pair.r, [e]) for e in C5.E_frame.frame]
     assert len(back) == 1
     assert (back[0] - v).is_zero(1e-12)
     # the kernel frame of C5 is d_q, so its dual coframe row is dq
@@ -86,7 +86,7 @@ def test_hamiltonian_generator_of_pure_circle_function():
     expect_r = parse_form("-2*pi*sin(2*pi*q)*dq", T5) \
         if False else None
     # the q-speed is df/dq and the 2-form part vanishes with X_f = 0
-    vals = kernel_values(pair, C5)
+    vals = [apply_form(pair.r, [e]) for e in C5.E_frame.frame]
     assert (vals[0] - partial(f, 4)).is_zero(1e-12)
     assert pair.B.is_zero(1e-12)
     assert check_infdef(pair, C5, plan=PLAN).passed

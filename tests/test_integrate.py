@@ -64,13 +64,11 @@ def test_term_bank_matches_per_field_evaluation(comps, seed):
     q = float(rng.uniform(0.0, 1.0))
     pts = np.column_stack([x, np.full(7, q)])
     rhs = _RHS(comps, N_IDX, Q)
-    v, A = rhs(x, q, True)
-    v_only, none = rhs(x, q, False)
-    assert none is None
+    v, A = rhs(x, q)
     v_ref = np.stack([naive_eval(c, pts) for c in comps], axis=1)
     A_ref = np.stack([np.stack([naive_eval(partial(c, j), pts) for j in N_IDX],
                                axis=1) for c in comps], axis=1)
-    for got, ref in ((v, v_ref), (v_only, v_ref), (A, A_ref)):
+    for got, ref in ((v, v_ref), (A, A_ref)):
         scale = max(1.0, float(np.abs(ref).max(initial=0.0)))
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
 
@@ -112,10 +110,6 @@ def test_flow_matches_a_per_field_reference_step():
     assert n == steps
     assert np.abs(images - x).max() < 1e-12
     assert np.abs(tangents - J).max() < 1e-12
-    plain, none, _ = rk4_flow(rhs, x0, 0.0, 1.0, 1.0 / steps,
-                              with_jacobian=False)
-    assert none is None
-    assert np.abs(plain - x).max() < 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -149,7 +143,7 @@ def test_backward_and_mapping_torus_sweeps_check_every_step():
         "seed point (0.25, 0, 0, 1, 0.95)")
     with pytest.raises(FlowError) as err:
         mapping_torus_check(g, F_N, plan=SamplePlan(count=32, seed=1),
-                            opts=opts, transported=tf)
+                            opts=opts)
     assert str(err.value) == (
         "non-finite state at step 57 (q = 0.890625) on the trajectory of "
         "seed point (0.278991, 0.569581, -0.0873428, -0.946625, 0.640625)")

@@ -11,6 +11,7 @@ import pytest
 
 import branelab.cli
 import branelab.infdef
+import branelab.integrate
 import branelab.scene
 from branelab.cli import (bundled_scene_dir, main, resolve_scene)
 from branelab.grammar import parse_field
@@ -299,6 +300,25 @@ def test_transport_checks_share_one_gate_flow(tmp_path, capsys, monkeypatch):
     assert len(flows) == 1
 
 
+def test_a_flow_is_one_sweep(tmp_path, capsys, monkeypatch):
+    steps = []
+
+    def counted(*args):
+        steps.append(args[5])
+        return real_step(*args)
+
+    real_step = branelab.integrate._rk4_step
+    monkeypatch.setattr(branelab.integrate, "_rk4_step", counted)
+    text = (bundled_scene_dir() / "lambda_shear.scene").read_text(
+        encoding="utf-8").split("\ncheck ")[0]
+    code, data = run_json(tmp_path, capsys,
+                          text + "\ncheck invariance shear FN\n",
+                          "--steps", "64")
+    assert code == 0
+    assert [c["name"] for c in data["checks"]] == ["invariance(shear, FN)"]
+    assert steps == list(range(1, 65))
+
+
 def test_uncancelled_circle_terms_are_a_named_error(capsys, monkeypatch):
     monkeypatch.setattr(branelab.infdef, "q_antiderivative",
                         lambda a, i: a * parse_field("q", a.model))
@@ -360,6 +380,30 @@ def test_steps_below_one_is_a_usage_error(tmp_path, capsys, flags, option):
     assert main(["run", str(p), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: steps must be at least 1")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--tol", "nan"], "tol must be a finite float >= 0, not nan"),
+    (["--tol", "-1"], "tol must be a finite float >= 0, not -1.0"),
+    (["--seed", "-1"], "seed must be at least 0, not -1")])
+def test_bad_run_setting_is_a_usage_error(tmp_path, capsys, flags, message):
+    p = tmp_path / "case.scene"
+    p.write_text(MINIMAL)
+    assert main(["run", str(p), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--pair", "nosuch"], "unresolved pair reference 'nosuch'"),
+    (["--candidate", "nosuch", "--truncation", "0"],
+     "unresolved candidate reference 'nosuch'")])
+def test_infdef_subcommand_rejects_an_undeclared_name(capsys, flags, message):
+    assert main(["infdef", "infdef_torus", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 
@@ -497,7 +541,11 @@ DECLARATIONS = (bundled_scene_dir() / "infdef_torus.scene").read_text(
     ("build_infdef rho_ok B0N c expect=maybe",
      "build_infdef option expect takes pass|fail|obstruction, not 'maybe'"),
     ("transport_fd shear FN tol=small",
-     "transport_fd option tol takes float, not 'small'"),
+     "transport_fd option tol takes finite float >= 0, not 'small'"),
+    ("transport_fd shear FN tol=nan",
+     "transport_fd option tol takes finite float >= 0, not 'nan'"),
+    ("mapping_torus shear FN tol=-1",
+     "mapping_torus option tol takes finite float >= 0, not '-1'"),
     ("cohomology c truncation=1 truncation=2",
      "option 'truncation' given twice"),
     ("", "empty check"),
