@@ -167,9 +167,9 @@ def cmd_infdef(args) -> int:
     if loaded is None:
         return 2
     scene, cfg = loaded
-    cand_name = None
-    if args.truncation is not None:
-        cand_name = args.candidate or min(scene.candidates, default=None)
+    cand_name = args.candidate
+    if cand_name is None and args.truncation is not None:
+        cand_name = min(scene.candidates, default=None)
         if cand_name is None:
             print("error: no candidate available for complex_slice",
                   file=sys.stderr)
@@ -181,6 +181,9 @@ def cmd_infdef(args) -> int:
                 else scene.lookup("candidates", cand_name))
     except KeyError as e:
         print(f"error: {e.args[0]}", file=sys.stderr)
+        return 2
+    if cand is not None and args.truncation is None:
+        print("error: --candidate needs --truncation", file=sys.stderr)
         return 2
     verdict = {"scene": scene.name, "pairs": {}}
     ok = True

@@ -5,10 +5,10 @@ A field is a finite sum of terms
     coeff * prod_i x_i^p_i * {cos|sin}(2*pi * sum_j k_j x_j)
 
 with integer powers p and integer frequencies k (k nonzero only on circle
-coordinates).  Sums, products, partial derivatives, circle averages and
-definite antiderivatives stay inside the class, so closedness and kernel
-identities can be certified by exact coefficient arithmetic instead of
-sampling.
+coordinates).  Sums, products, partial derivatives, circle averages,
+definite antiderivatives and translations stay inside the class, so
+closedness, kernel identities and invariance under a translation can be
+certified by exact coefficient arithmetic instead of sampling.
 
 Canonical form: terms are keyed by (powers, freqs, phase), frequencies are
 sign-normalized (first nonzero entry positive, a sin flip absorbs the sign),
@@ -52,6 +52,7 @@ the same size, or from constant data, whose values are exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -403,6 +404,33 @@ def substitute(a: ScalarField, i: int, value: float) -> ScalarField:
         else:
             out += [((p2, k2, SIN), c * factor * cphi),
                     ((p2, k2, COS), c * factor * sphi)]
+    return ScalarField(a.model, _canonical(out))
+
+
+def translate(a: ScalarField, shifts) -> ScalarField:
+    """The field x -> a(x + shifts), exactly: the shifts of the circle
+    coordinates rotate the phase of each oscillating term, and each power
+    x_i^p expands binomially into powers of x_i.  A zero shift returns a."""
+    s = [float(v) for v in shifts]
+    if not any(s):
+        return a
+    out = []
+    for (p, k, phase), c in a.terms:
+        # (x_i + s_i)^p_i = sum_r C(p_i, r) s_i^(p_i - r) x_i^r, per power
+        expand = [[(r, math.comb(e, r) * s[i] ** (e - r))
+                   for r in range(e + 1)] if e and s[i] else [(e, 1.0)]
+                  for i, e in enumerate(p)]
+        phi = TWO_PI * (sum(kj * sj for kj, sj in zip(k, s)) % 1.0)
+        cphi, sphi = math.cos(phi), math.sin(phi)
+        for picks in itertools.product(*expand):
+            p2 = tuple(r for r, _ in picks)
+            cc = c * math.prod(f for _, f in picks)
+            if not any(k):
+                out.append(((p2, k, phase), cc))
+            elif phase == COS:
+                out += [((p2, k, COS), cc * cphi), ((p2, k, SIN), -cc * sphi)]
+            else:
+                out += [((p2, k, SIN), cc * cphi), ((p2, k, COS), cc * sphi)]
     return ScalarField(a.model, _canonical(out))
 
 

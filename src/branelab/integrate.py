@@ -3,14 +3,16 @@ equation integrated alongside for tangent maps.
 
 States are batches: many seed points advance in lockstep, which is what
 makes 1/1024 steps affordable in pure Python.  One sweep, rk4_sweep, owns
-the step loop: step s starts at q0 + s*h, and every flow of the package
-is one call to it, carrying tangent maps.  rk4_flow is a sweep of all
-rows from q0 to q1.  A sweep can also let rows enter late (the backward
-transport solves of nearby, each from its own q to the zero slice, ride
-one sweep as a growing prefix of the batch) and read given rows out after
-given step counts (the mapping-torus check reads each sample at its own q
-and at the stencil stations around it, from one forward and one backward
-sweep).
+the step loop: step s starts at q0 + s*h, and every RK4 flow of the
+package is one call to it, carrying tangent maps.  Only flows whose
+velocity depends on the point (or on a power of q) come here: nearby takes
+a velocity that depends on q alone as a translation in closed form.
+rk4_flow is a sweep of all rows from q0 to q1.  A sweep can also let rows
+enter late (the backward transport solves of nearby, each from its own q
+to the zero slice, ride one sweep as a growing prefix of the batch) and
+read given rows out after given step counts (the mapping-torus check
+reads each sample at its own q and at the stencil stations around it,
+from one forward and one backward sweep).
 
 The right-hand side is compiled once into a term bank (fields.TermBank)
 whose fields are the n velocity components, then the n*n Jacobian

@@ -7,6 +7,15 @@ Conventions: Y = N x S^1 with the circle coordinate q appended after the N
 coordinates; the musical isomorphism solves interior(X, omega) = xi; the
 flow integrates dx/dq = -X_{f_q} so its time-1 map is the holonomy of the
 kernel line of the deformed form.
+
+Two kinds of flow.  When every term of the velocity -X_{f_q} depends on q
+alone, with no power of q (f affine in the N coordinates with coefficients
+that are trig polynomials in q), the flow is a translation: a state at q
+is x + D(q) - D(q0), with D the exact antiderivative of the velocity in q,
+and every tangent map is the identity.  flow, the backward transport solves
+and the mapping-torus stations take that closed form, and invariance is
+then decided exactly, by translating the transverse form's coefficients.
+Every other flow is one RK4 sweep with tangent maps (integrate).
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate
-from .fields import ScalarField, VectorField, linear_map, partial, substitute
+from .fields import (ScalarField, TermBank, VectorField, linear_map, partial,
+                     q_antiderivative, substitute, translate)
 from .forms import (DifferentialForm, Distribution, bracket_span_residual,
                     endo_from_pair, ext_d, frame_residual, hamiltonian,
                     horizontal_d, interior, lie_derivative)
@@ -106,11 +116,15 @@ def kernel_field(g: GraphDeformation) -> VectorField:
 
 @dataclass
 class FlowResult:
+    """A flow's images and tangent maps.  steps counts RK4 steps.  shift
+    is the displacement D(q1) - D(q0) of a translation flow, which takes
+    no RK4 step, and None for an RK4 flow."""
     points: np.ndarray
     images: np.ndarray
     jacobians: np.ndarray
     steps: int
     symplectic_residuals: np.ndarray
+    shift: np.ndarray | None = None
 
     def images_wrapped(self, model: ManifoldModel) -> np.ndarray:
         return model.wrap(self.images)
@@ -126,23 +140,77 @@ def _flow_rhs(g: GraphDeformation) -> integrate._RHS:
     return integrate._RHS(_velocity(g), g.n_indices, g.q_index)
 
 
+def _displacement(g: GraphDeformation) -> TermBank | None:
+    """The bank of D(q) = integral from 0 to q of the velocity, one field
+    per N coordinate, when every velocity term depends on q alone with no
+    power of q (the flow is then a translation); None otherwise."""
+    v = _velocity(g)
+    if any(any(p) or any(k[:g.q_index])
+           for c in v for (p, k, _), _ in c.terms):
+        return None
+    return TermBank([q_antiderivative(c, g.q_index) for c in v],
+                    g.y_model.dim)
+
+
+def _moved(D: TermBank, g: GraphDeformation, q_from, q_to) -> np.ndarray:
+    """D(q_to) - D(q_from) for q arrays of one shape, through one bank
+    call: the translation that carries a state from q_from to q_to."""
+    q_from, q_to = np.broadcast_arrays(np.asarray(q_from, float),
+                                       np.asarray(q_to, float))
+    pts = np.zeros((2 * q_to.size, g.y_model.dim))
+    pts[:, g.q_index] = np.concatenate([q_to.ravel(), q_from.ravel()])
+    vals = D(pts)
+    return (vals[:q_to.size] - vals[q_to.size:]).reshape(q_to.shape
+                                                         + (g.n_dim,))
+
+
+def _identities(m: int, n: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(n), (m, n, n))
+
+
 def flow(g: GraphDeformation, q0: float, q1: float, points,
          opts: FlowOptions = DEFAULT_FLOW) -> FlowResult:
-    """RK4 flow of dx/dq = -X_{f_q} from q0 to q1: one sweep of the points
-    with their tangent maps.  symplectic_residuals[i] is the largest entry
-    of J^T omega_N J - omega_N at point i, the flow's built-in probe."""
+    """The flow of dx/dq = -X_{f_q} from q0 to q1, with tangent maps.
+
+    A translation flow (see _displacement) moves every point by
+    D(q1) - D(q0) with identity tangent maps, in closed form; any other
+    flow is one RK4 sweep of the points with their tangent maps.
+    symplectic_residuals[i] is the largest entry of
+    J^T omega_N J - omega_N at point i, the built-in probe of an RK4 flow
+    (exactly 0 for a translation)."""
     pts = np.atleast_2d(np.asarray(points, float))
+    m, n = pts.shape
+    D = _displacement(g)
+    if D is not None:
+        shift = _moved(D, g, q0, q1)
+        return FlowResult(pts, pts + shift, _identities(m, n).copy(), 0,
+                          np.zeros(m), shift)
     images, jacs, nsteps = integrate.rk4_flow(_flow_rhs(g), pts, q0, q1,
                                               opts.step)
     W = g.omega_N.constant_gram()  # constant, or _flow_rhs raised
     R = np.einsum("kji,jl,klm->kim", jacs, W, jacs) - W
-    sympl = np.abs(R).reshape(pts.shape[0], -1).max(axis=1)
+    sympl = np.abs(R).reshape(m, -1).max(axis=1)
     return FlowResult(pts, images, jacs, nsteps, sympl)
 
 
 def invariance_check(F_N: DifferentialForm, fr: FlowResult,
-                     tol: float = DEFAULT_TOL.sampled) -> CheckResult:
-    """Does the flow's tangent map pull F_N at the image back to F_N?"""
+                     tol: float = DEFAULT_TOL.sampled,
+                     exact_tol: float = DEFAULT_TOL.exact_zero
+                     ) -> CheckResult:
+    """Does the flow's tangent map pull F_N at the image back to F_N?
+
+    After a translation flow (fr.shift set) this is decided exactly: the
+    coefficients of F_N translated by the shift against those of F_N, at
+    exact_tol.  After an RK4 flow it is sampled at the flow's points, at
+    tol."""
+    if fr.shift is not None:
+        res = CheckResult("invariance", EXACT, False)
+        moved = DifferentialForm.build(F_N.model, F_N.degree, {
+            idx: translate(f, fr.shift) for idx, f in F_N.coeffs})
+        res.residuals["symplectic"] = 0.0
+        res.passed = res.hold("F_N_preserved", (moved - F_N).max_coeff(),
+                              exact_tol, "invariance")
+        return res
     res = CheckResult("invariance", SAMPLED, False)
     n = F_N.model.dim
     Gx = F_N.gram_batch(fr.points[:, :n])
@@ -163,12 +231,19 @@ def _snap(q: np.ndarray, step: float) -> np.ndarray:
 
 
 def _batch_backward(g: GraphDeformation, points, opts: FlowOptions):
-    """Backward solves Phi([q -> 0]) for a batch of Y-points, sharing RK4
-    steps across samples in one lockstep sweep (activation exact because
-    evaluation q's are snapped to integer multiples of the step)."""
+    """Backward solves Phi([q -> 0]) for a batch of Y-points, with each q
+    snapped to an integer multiple of the step: in closed form for a
+    translation flow, else sharing RK4 steps across samples in one
+    lockstep sweep (activation exact because of the snapping)."""
     pts = np.atleast_2d(np.asarray(points, float))
     m, dN = pts.shape[0], g.n_dim
     ks = _snap(pts[:, g.q_index] % 1.0, opts.step)
+    snapped = pts.copy()
+    snapped[:, g.q_index] = ks * opts.step
+    D = _displacement(g)
+    if D is not None:
+        X = pts[:, :dN] + _moved(D, g, snapped[:, g.q_index], 0.0)
+        return snapped, X, _identities(m, dN)
     # rows sorted by descending start step, so the samples in flight at
     # step k are a prefix of the batch, started[k] rows long
     order = np.argsort(-ks, kind="stable")
@@ -176,15 +251,12 @@ def _batch_backward(g: GraphDeformation, points, opts: FlowOptions):
     seeds = pts[order]
     kmax = int(ks.max(initial=0))
     X, J = integrate.rk4_sweep(
-        _flow_rhs(g), seeds[:, :dN], np.broadcast_to(np.eye(dN), (m, dN, dN)),
+        _flow_rhs(g), seeds[:, :dN], _identities(m, dN),
         kmax * opts.step, -opts.step, kmax, seeds,
         entered=started[kmax:0:-1])
     back = np.empty_like(order)
     back[order] = np.arange(m)
-    X, J = X[back], J[back]
-    snapped = pts.copy()
-    snapped[:, g.q_index] = ks * opts.step
-    return snapped, X, J
+    return snapped, X[back], J[back]
 
 
 class TransportedForm:
@@ -192,10 +264,13 @@ class TransportedForm:
     backward flow transport.
 
     matrices_at solves the flow from each requested q (snapped to the RK4
-    grid) back to the zero slice, all points in one backward sweep, and
-    pulls the transverse form there back along it.  Coefficients leave the
-    trig-polynomial class, so closedness is only checkable by finite
-    differences.
+    grid) back to the zero slice, and pulls the transverse form there back
+    along it.  A translation flow is solved in closed form, x + D(0) - D(q)
+    with identity tangent maps; any other flow takes all points in one
+    backward RK4 sweep.  Either way the coefficients leave the
+    trig-polynomial class (a translation by lambda*q with irrational lambda
+    turns cos(2*pi*x1) into cos(2*pi*(x1 - lambda*q))), so these checks stay
+    SAMPLED and closedness is only checkable by finite differences.
     """
 
     def __init__(self, g: GraphDeformation, F_N_tilde: DifferentialForm,
@@ -303,7 +378,9 @@ def transport_brane(g: GraphDeformation, F_N_tilde: DifferentialForm,
     obstruction = _gate(g, F_N_tilde, plan, tol, opts)
     if obstruction is not None:
         msg, point, residual = obstruction
-        raise BraneObstruction(msg, point=list(point), residual=residual)
+        if point is not None:
+            point = list(point)
+        raise BraneObstruction(msg, point=point, residual=residual)
     return TransportedForm(g, F_N_tilde, opts=opts)
 
 
@@ -320,9 +397,11 @@ def _gate(g: GraphDeformation, F_N_tilde: DifferentialForm,
     if verdict.passed:
         return None
     residual = verdict.residuals["invariance"]
+    # an exact verdict has no witness point
+    point = (tuple(verdict.witnesses[0]["point"]) if verdict.witnesses
+             else None)
     return ("time-1 flow does not preserve the transverse form "
-            f"(residual {residual:.3e})",
-            tuple(verdict.witnesses[0]["point"]), residual)
+            f"(residual {residual:.3e})", point, residual)
 
 
 def closed1f_residual(g: GraphDeformation) -> DifferentialForm:
@@ -399,23 +478,28 @@ def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
     m = pts.shape[0]
 
     # flow states at each sample's q (offset 0) and at the four stencil
-    # stations around it, read from one backward sweep (stations before
-    # q = 0) and one forward sweep
+    # stations around it: in closed form for a translation flow, else read
+    # from one backward sweep (stations before q = 0) and one forward sweep
     delta_steps = max(4, round(1e-2 / opts.step))
     delta = delta_steps * opts.step
     at = (_snap(pts[:, g.q_index], opts.step)[None, :]
           + delta_steps * np.arange(-2, 3)[:, None])
-    rows = np.broadcast_to(np.arange(m), at.shape)
-    rhs = _flow_rhs(g)
-    X = np.empty(at.shape + (dN,))
-    Jx = np.empty(at.shape + (dN, dN))
-    for sign, sel in ((-1, at < 0), (1, at >= 0)):
-        if sel.any():
-            after = sign * at[sel]
-            X[sel], Jx[sel] = integrate.rk4_sweep(
-                rhs, pts[:, :dN], np.broadcast_to(np.eye(dN), (m, dN, dN)),
-                0.0, sign * opts.step, int(after.max()), pts,
-                reads=(rows[sel], after))
+    D = _displacement(g)
+    if D is not None:
+        X = pts[:, :dN] + _moved(D, g, 0.0, at * opts.step)
+        Jx = np.broadcast_to(np.eye(dN), at.shape + (dN, dN))
+    else:
+        rows = np.broadcast_to(np.arange(m), at.shape)
+        rhs = _flow_rhs(g)
+        X = np.empty(at.shape + (dN,))
+        Jx = np.empty(at.shape + (dN, dN))
+        for sign, sel in ((-1, at < 0), (1, at >= 0)):
+            if sel.any():
+                after = sign * at[sel]
+                X[sel], Jx[sel] = integrate.rk4_sweep(
+                    rhs, pts[:, :dN], _identities(m, dN), 0.0,
+                    sign * opts.step, int(after.max()), pts,
+                    reads=(rows[sel], after))
     xm2, xm1, y0, xp1, xp2 = X
     J0 = Jx[2]
     psi_pts = pts.copy()

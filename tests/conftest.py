@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from branelab import integrate
 from branelab.fields import COS
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
@@ -54,3 +55,17 @@ def naive_eval(f, pts):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture
+def rk4_steps(monkeypatch):
+    """The step numbers of every RK4 step taken during the test."""
+    steps = []
+
+    def counted(*args):
+        steps.append(args[5])
+        return real_step(*args)
+
+    real_step = integrate._rk4_step
+    monkeypatch.setattr(integrate, "_rk4_step", counted)
+    return steps

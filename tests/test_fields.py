@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from branelab.fields import (COS, PRUNE_EPS, SIN, ScalarField, VectorField,
                              bracket, circle_average, combine, directional,
                              field_mul, partial, q_antiderivative, reindex,
-                             substitute)
+                             substitute, translate)
 from branelab.forms import DifferentialForm, Distribution
 from branelab.model import CIRCLE, LINE, model_from_names
 from conftest import naive_eval
@@ -243,6 +243,46 @@ def test_substitute_matches_eval(rng):
     fixed = pts.copy()
     fixed[:, 0] = 0.3
     assert np.allclose(g.eval_batch(pts), f.eval_batch(fixed), atol=1e-12)
+
+
+# circles x, y and lines u, v
+XYUV = model_from_names([("x", CIRCLE), ("y", CIRCLE), ("u", LINE),
+                         ("v", LINE)])
+
+
+def test_translate_matches_eval_at_shifted_points(rng):
+    """Circle phases (shifts beyond one period too), line powers up to 3
+    and terms mixing both."""
+    f = ScalarField.build(XYUV, {
+        ((0, 0, 3, 0), (0, 0, 0, 0), COS): 0.7,
+        ((0, 0, 0, 2), (1, -2, 0, 0), COS): -1.3,
+        ((0, 0, 1, 1), (3, 0, 0, 0), SIN): 0.4,
+        ((0, 0, 2, 3), (0, 1, 0, 0), SIN): 0.25,
+        ((0, 0, 0, 0), (2, 1, 0, 0), COS): 2.0,
+        ((0, 0, 0, 0), (0, 0, 0, 0), COS): -0.5})
+    pts = rng.uniform(-1, 1, size=(16, 4))
+    pts[:, :2] %= 1.0
+    for shift in ([0.3, 0.0, 0.0, 0.0], [2.75, -3.4, 0.0, 0.0],
+                  [0.0, 0.0, -1.2, 0.6], rng.uniform(-3, 3, size=4)):
+        moved = translate(f, shift)
+        want = naive_eval(f, pts + np.asarray(shift))
+        assert np.allclose(moved.eval_batch(pts), want, rtol=1e-12,
+                           atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_fields(MIX), st.lists(st.floats(-3, 3), min_size=3,
+                                   max_size=3))
+def test_translate_is_precomposition_with_the_shift(f, shift):
+    pts = np.random.default_rng(1).uniform(-1, 1, size=(6, 3))
+    assert np.allclose(translate(f, shift).eval_batch(pts),
+                       naive_eval(f, pts + np.asarray(shift)),
+                       rtol=1e-12, atol=1e-11)
+
+
+def test_translate_by_zero_returns_the_field():
+    f = ScalarField.cosine(MIX, (2, 0, 0)) * ScalarField.coordinate(MIX, 1)
+    assert translate(f, (0.0, 0.0, 0.0)) is f
 
 
 def test_reindex_precomposes_with_inclusion(rng):

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from branelab import nearby
+from branelab import integrate, nearby
+from branelab.fields import COS, SIN, ScalarField
 from branelab.forms import DifferentialForm, Distribution, ext_d, interior
 from branelab.grammar import parse_form, parse_vector
 from branelab.model import (CIRCLE, LINE, FlowOptions, SamplePlan,
@@ -241,3 +243,92 @@ def test_flow_options_step_controls_node_count():
     pts = np.array([[0.1, 0.0, 0.0, 0.0]])
     fr = flow(g, 0.0, 1.0, pts, FlowOptions(step=1 / 128))
     assert fr.steps == 128
+
+
+# -- translation flows: closed form, and RK4 as its cross-check -----------
+
+
+@pytest.mark.parametrize("speed", [
+    # family (b)'s shape: trig in (x1, q), at most linear in the lines
+    "0.07*cos(2*pi*(x1 + q)) + 0.05*y1*sin(2*pi*(2*x1 - q)) "
+    "- 0.03*y2*cos(2*pi*x1)",
+    # the velocity depends on q alone, but through a power of q
+    "q*y2"])
+def test_other_flows_take_the_rk4_sweep(rk4_steps, speed):
+    g = graph_deformation(N_MIX, OMEGA_N, F_N, speed)
+    assert nearby._displacement(g) is None
+    pts = SamplePlan(count=8, seed=2).points(N_MIX)
+    fr = flow(g, 0.0, 1.0, pts, FlowOptions(step=1 / 64))
+    assert rk4_steps == list(range(1, 65))
+    assert fr.shift is None and fr.steps == 64
+    images, jacs, _ = integrate.rk4_flow(nearby._flow_rhs(g), pts, 0.0, 1.0,
+                                         1 / 64)
+    assert np.array_equal(fr.images, images)
+    assert np.array_equal(fr.jacobians, jacs)
+    assert invariance_check(F_N, fr).mode == "SAMPLED"
+
+
+def test_translation_flow_is_closed_form(rk4_steps):
+    pts = SamplePlan(count=8, seed=2).points(N_MIX)
+    fr = flow(shear(), 0.0, 1.0, pts)
+    assert rk4_steps == [] and fr.steps == 0
+    assert np.array_equal(fr.shift, [-LAM, 0.0, 0.0, 0.0])
+    assert np.array_equal(fr.jacobians, np.broadcast_to(np.eye(4), (8, 4, 4)))
+    assert np.array_equal(fr.symplectic_residuals, np.zeros(8))
+    rec = invariance_check(F_N, fr)
+    assert rec.passed and rec.mode == "EXACT"
+    assert rec.residuals == {"symplectic": 0.0, "invariance": 0.0}
+
+
+def test_exact_invariance_fails_a_form_the_translation_moves():
+    """The shear moves x1 by -LAM, so a form with an x1 wave is not kept;
+    the time-1 gate then raises without a witness point."""
+    F = parse_form("dx1^dx2 - dy1^dy2 + 0.1*cos(2*pi*x1)*dx1^dy1", N_MIX)
+    fr = flow(shear(), 0.0, 1.0, SamplePlan(count=8, seed=2).points(N_MIX))
+    rec = invariance_check(F, fr)
+    assert rec.mode == "EXACT" and not rec.passed and not rec.witnesses
+    # |cos(2 pi (x1 - LAM)) - cos(2 pi x1)| in coefficients
+    moved = 0.1 * max(abs(math.cos(2 * math.pi * LAM) - 1),
+                      abs(math.sin(2 * math.pi * LAM)))
+    assert rec.residuals["invariance"] == pytest.approx(moved, rel=1e-12)
+    with pytest.raises(BraneObstruction) as err:
+        transport_brane(shear(), F)
+    assert err.value.point is None
+    assert err.value.residual == rec.residuals["invariance"]
+
+
+HARMONICS = st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)
+Y_MIX = extend_with_circle(N_MIX, "q")
+
+
+def affine_speed(coeffs) -> ScalarField:
+    """sum_j a_j(q) ell_j + b(q) over the lines y1, x2, y2, each of a_j and
+    b given by its coefficients of 1, cos, sin (2 pi q), cos, sin (4 pi q)."""
+    raw = {}
+    for c, ell in zip(coeffs, (1, 2, 3, None)):
+        p = tuple(int(i == ell) for i in range(5))
+        for (k, phase), a in zip(((0, COS), (1, COS), (1, SIN), (2, COS),
+                                  (2, SIN)), c):
+            raw[(p, (0, 0, 0, 0, k), phase)] = a
+    return ScalarField.build(Y_MIX, raw)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(HARMONICS, min_size=4, max_size=4),
+       st.integers(0, 15), st.integers(1, 16))
+def test_exact_translation_agrees_with_rk4(coeffs, start, length):
+    """For random speeds affine in the lines, the closed-form images lie
+    within RK4's step-doubling distance of RK4 at the half step, and RK4's
+    tangent maps are the identity."""
+    g = graph_deformation(N_MIX, OMEGA_N, F_N, affine_speed(coeffs))
+    q0, q1 = start / 16, min(start + length, 16) / 16
+    pts = SamplePlan(count=8, seed=5).points(N_MIX)
+    exact = flow(g, q0, q1, pts)
+    assert exact.shift is not None
+    rhs = nearby._flow_rhs(g)
+    (coarse, J1, _), (fine, J2, _) = (
+        integrate.rk4_flow(rhs, pts, q0, q1, h) for h in (1 / 16, 1 / 32))
+    assert (np.abs(exact.images - fine).max()
+            <= np.abs(coarse - fine).max() + 1e-12)
+    assert np.array_equal(J1, exact.jacobians)
+    assert np.array_equal(J2, exact.jacobians)

@@ -300,23 +300,28 @@ def test_transport_checks_share_one_gate_flow(tmp_path, capsys, monkeypatch):
     assert len(flows) == 1
 
 
-def test_a_flow_is_one_sweep(tmp_path, capsys, monkeypatch):
-    steps = []
-
-    def counted(*args):
-        steps.append(args[5])
-        return real_step(*args)
-
-    real_step = branelab.integrate._rk4_step
-    monkeypatch.setattr(branelab.integrate, "_rk4_step", counted)
+def test_a_flow_is_one_sweep(tmp_path, capsys, rk4_steps):
+    """A velocity that depends on the point is one RK4 sweep."""
     text = (bundled_scene_dir() / "lambda_shear.scene").read_text(
-        encoding="utf-8").split("\ncheck ")[0]
+        encoding="utf-8").split("\ncheck ")[0].replace(
+        ": 0.41421356237309515*y2",
+        ": 0.2*sin(2*pi*x1)*sin(2*pi*q) + 0.41421356237309515*y2")
     code, data = run_json(tmp_path, capsys,
                           text + "\ncheck invariance shear FN\n",
                           "--steps", "64")
-    assert code == 0
-    assert [c["name"] for c in data["checks"]] == ["invariance(shear, FN)"]
-    assert steps == list(range(1, 65))
+    assert code == 1    # this speed twists FN: the record fails
+    assert [(c["name"], c["mode"]) for c in data["checks"]] == [
+        ("invariance(shear, FN)", "SAMPLED")]
+    assert data["checks"][0]["residuals"]["symplectic"] < 1e-10
+    assert rk4_steps == list(range(1, 65))
+
+
+@pytest.mark.parametrize("name", ["lambda_shear", "mapping_torus"])
+def test_translation_flows_take_no_rk4_step(capsys, rk4_steps, name):
+    """Every flow of these scenes is a translation, taken in closed form."""
+    assert main(["run", name, "--steps", "64", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]
+    assert rk4_steps == []
 
 
 def test_uncancelled_circle_terms_are_a_named_error(capsys, monkeypatch):
@@ -399,7 +404,9 @@ def test_bad_run_setting_is_a_usage_error(tmp_path, capsys, flags, message):
 @pytest.mark.parametrize("flags,message", [
     (["--pair", "nosuch"], "unresolved pair reference 'nosuch'"),
     (["--candidate", "nosuch", "--truncation", "0"],
-     "unresolved candidate reference 'nosuch'")])
+     "unresolved candidate reference 'nosuch'"),
+    (["--candidate", "nosuch"], "unresolved candidate reference 'nosuch'"),
+    (["--candidate", "c"], "--candidate needs --truncation")])
 def test_infdef_subcommand_rejects_an_undeclared_name(capsys, flags, message):
     assert main(["infdef", "infdef_torus", *flags]) == 2
     captured = capsys.readouterr()
