@@ -226,7 +226,8 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("scene", help="scene path or bundled scene name")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--tol", type=float, default=None,
-                     help="override the pointwise check tolerance")
+                     help="override the pointwise check tolerance (the "
+                          "exact gate of a translation flow keeps 1e-10)")
     run.add_argument("--steps", type=int, default=None,
                      help="flow steps per unit time")
     run.add_argument("--q-grid", dest="q_grid", type=int, default=None,

@@ -130,8 +130,10 @@ class FlowResult:
         return model.wrap(self.images)
 
 
-def _velocity(g: GraphDeformation):
-    x = slicewise_hamiltonian(g)
+def _velocity(g: GraphDeformation, x: VectorField | None = None):
+    """-X_{f_q} on the N coordinates; x is g's slicewise Hamiltonian field
+    when the caller already holds it."""
+    x = slicewise_hamiltonian(g) if x is None else x
     return tuple(-x.components[i] for i in g.n_indices)
 
 
@@ -140,14 +142,17 @@ def _flow_rhs(g: GraphDeformation) -> integrate._RHS:
     return integrate._RHS(_velocity(g), g.n_indices, g.q_index)
 
 
-def _displacement(g: GraphDeformation) -> TermBank | None:
-    """The bank of D(q) = integral from 0 to q of the velocity, one field
-    per N coordinate, when every velocity term depends on q alone with no
-    power of q (the flow is then a translation); None otherwise."""
-    v = _velocity(g)
+def _solver(g: GraphDeformation, x: VectorField | None = None
+            ) -> TermBank | integrate._RHS:
+    """How g's flow is solved, built from one velocity.  When every
+    velocity term depends on q alone with no power of q, the flow is a
+    translation and this is the bank of D(q) = integral from 0 to q of the
+    velocity, one field per N coordinate; otherwise it is the compiled RK4
+    right-hand side.  x as in _velocity."""
+    v = _velocity(g, x)
     if any(any(p) or any(k[:g.q_index])
            for c in v for (p, k, _), _ in c.terms):
-        return None
+        return integrate._RHS(v, g.n_indices, g.q_index)
     return TermBank([q_antiderivative(c, g.q_index) for c in v],
                     g.y_model.dim)
 
@@ -172,7 +177,7 @@ def flow(g: GraphDeformation, q0: float, q1: float, points,
          opts: FlowOptions = DEFAULT_FLOW) -> FlowResult:
     """The flow of dx/dq = -X_{f_q} from q0 to q1, with tangent maps.
 
-    A translation flow (see _displacement) moves every point by
+    A translation flow (see _solver) moves every point by
     D(q1) - D(q0) with identity tangent maps, in closed form; any other
     flow is one RK4 sweep of the points with their tangent maps.
     symplectic_residuals[i] is the largest entry of
@@ -180,36 +185,33 @@ def flow(g: GraphDeformation, q0: float, q1: float, points,
     (exactly 0 for a translation)."""
     pts = np.atleast_2d(np.asarray(points, float))
     m, n = pts.shape
-    D = _displacement(g)
-    if D is not None:
-        shift = _moved(D, g, q0, q1)
+    s = _solver(g)
+    if isinstance(s, TermBank):
+        shift = _moved(s, g, q0, q1)
         return FlowResult(pts, pts + shift, _identities(m, n).copy(), 0,
                           np.zeros(m), shift)
-    images, jacs, nsteps = integrate.rk4_flow(_flow_rhs(g), pts, q0, q1,
-                                              opts.step)
-    W = g.omega_N.constant_gram()  # constant, or _flow_rhs raised
+    images, jacs, nsteps = integrate.rk4_flow(s, pts, q0, q1, opts.step)
+    W = g.omega_N.constant_gram()  # constant, or _solver raised
     R = np.einsum("kji,jl,klm->kim", jacs, W, jacs) - W
     sympl = np.abs(R).reshape(m, -1).max(axis=1)
     return FlowResult(pts, images, jacs, nsteps, sympl)
 
 
 def invariance_check(F_N: DifferentialForm, fr: FlowResult,
-                     tol: float = DEFAULT_TOL.sampled,
-                     exact_tol: float = DEFAULT_TOL.exact_zero
-                     ) -> CheckResult:
+                     tol: float = DEFAULT_TOL.sampled) -> CheckResult:
     """Does the flow's tangent map pull F_N at the image back to F_N?
 
     After a translation flow (fr.shift set) this is decided exactly: the
     coefficients of F_N translated by the shift against those of F_N, at
-    exact_tol.  After an RK4 flow it is sampled at the flow's points, at
-    tol."""
+    DEFAULT_TOL.exact_zero, whatever tol is.  After an RK4 flow it is
+    sampled at the flow's points, at tol."""
     if fr.shift is not None:
         res = CheckResult("invariance", EXACT, False)
         moved = DifferentialForm.build(F_N.model, F_N.degree, {
             idx: translate(f, fr.shift) for idx, f in F_N.coeffs})
         res.residuals["symplectic"] = 0.0
         res.passed = res.hold("F_N_preserved", (moved - F_N).max_coeff(),
-                              exact_tol, "invariance")
+                              DEFAULT_TOL.exact_zero, "invariance")
         return res
     res = CheckResult("invariance", SAMPLED, False)
     n = F_N.model.dim
@@ -230,19 +232,20 @@ def _snap(q: np.ndarray, step: float) -> np.ndarray:
     return np.rint(np.asarray(q, float) / step).astype(int)
 
 
-def _batch_backward(g: GraphDeformation, points, opts: FlowOptions):
+def _batch_backward(g: GraphDeformation, points, opts: FlowOptions,
+                    solver: TermBank | integrate._RHS):
     """Backward solves Phi([q -> 0]) for a batch of Y-points, with each q
     snapped to an integer multiple of the step: in closed form for a
     translation flow, else sharing RK4 steps across samples in one
-    lockstep sweep (activation exact because of the snapping)."""
+    lockstep sweep (activation exact because of the snapping).  solver is
+    _solver(g)."""
     pts = np.atleast_2d(np.asarray(points, float))
     m, dN = pts.shape[0], g.n_dim
     ks = _snap(pts[:, g.q_index] % 1.0, opts.step)
     snapped = pts.copy()
     snapped[:, g.q_index] = ks * opts.step
-    D = _displacement(g)
-    if D is not None:
-        X = pts[:, :dN] + _moved(D, g, snapped[:, g.q_index], 0.0)
+    if isinstance(solver, TermBank):
+        X = pts[:, :dN] + _moved(solver, g, snapped[:, g.q_index], 0.0)
         return snapped, X, _identities(m, dN)
     # rows sorted by descending start step, so the samples in flight at
     # step k are a prefix of the batch, started[k] rows long
@@ -251,7 +254,7 @@ def _batch_backward(g: GraphDeformation, points, opts: FlowOptions):
     seeds = pts[order]
     kmax = int(ks.max(initial=0))
     X, J = integrate.rk4_sweep(
-        _flow_rhs(g), seeds[:, :dN], _identities(m, dN),
+        solver, seeds[:, :dN], _identities(m, dN),
         kmax * opts.step, -opts.step, kmax, seeds,
         entered=started[kmax:0:-1])
     back = np.empty_like(order)
@@ -281,6 +284,7 @@ class TransportedForm:
         self.F_N = F_N_tilde
         self.opts = opts
         self._hamiltonian = slicewise_hamiltonian(g)
+        self._solver = _solver(g, self._hamiltonian)
 
     def matrices_at(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Gram matrices at a batch of Y-points (q snapped to the RK4 grid).
@@ -288,7 +292,7 @@ class TransportedForm:
         Returns (snapped points, (m, dimY, dimY) array).
         """
         g = self.g
-        snapped, y, A = _batch_backward(g, points, self.opts)
+        snapped, y, A = _batch_backward(g, points, self.opts, self._solver)
         dN = g.n_dim
         Xf = self._hamiltonian.eval_batch(snapped)[:, :dN]
         b = np.einsum("kij,kj->ki", A, Xf)
@@ -370,9 +374,12 @@ def transport_brane(g: GraphDeformation, F_N_tilde: DifferentialForm,
                     tol: float = DEFAULT_TOL.sampled,
                     opts: FlowOptions = DEFAULT_FLOW) -> TransportedForm:
     """Invariant extension of F_N_tilde over Y, gated on the time-1 flow
-    of plan's points (64 seeded points by default) preserving it within
-    tol (otherwise BraneObstruction).  The extension is evaluated by
-    backward transport with opts' step; see TransportedForm."""
+    preserving it (otherwise BraneObstruction).  After an RK4 flow the gate
+    samples plan's points (64 seeded points by default) within tol.  After
+    a translation flow it is exact: F_N_tilde's coefficients, translated,
+    must match at DEFAULT_TOL.exact_zero, and tol does not reach it.  The
+    extension is evaluated by backward transport with opts' step; see
+    TransportedForm."""
     if plan is None:
         plan = SamplePlan(count=64, seed=3)
     obstruction = _gate(g, F_N_tilde, plan, tol, opts)
@@ -484,20 +491,20 @@ def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
     delta = delta_steps * opts.step
     at = (_snap(pts[:, g.q_index], opts.step)[None, :]
           + delta_steps * np.arange(-2, 3)[:, None])
-    D = _displacement(g)
-    if D is not None:
-        X = pts[:, :dN] + _moved(D, g, 0.0, at * opts.step)
+    ham = slicewise_hamiltonian(g)
+    s = _solver(g, ham)
+    if isinstance(s, TermBank):
+        X = pts[:, :dN] + _moved(s, g, 0.0, at * opts.step)
         Jx = np.broadcast_to(np.eye(dN), at.shape + (dN, dN))
     else:
         rows = np.broadcast_to(np.arange(m), at.shape)
-        rhs = _flow_rhs(g)
         X = np.empty(at.shape + (dN,))
         Jx = np.empty(at.shape + (dN, dN))
         for sign, sel in ((-1, at < 0), (1, at >= 0)):
             if sel.any():
                 after = sign * at[sel]
                 X[sel], Jx[sel] = integrate.rk4_sweep(
-                    rhs, pts[:, :dN], _identities(m, dN), 0.0,
+                    s, pts[:, :dN], _identities(m, dN), 0.0,
                     sign * opts.step, int(after.max()), pts,
                     reads=(rows[sel], after))
     xm2, xm1, y0, xp1, xp2 = X
@@ -508,7 +515,7 @@ def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
     # (a) pushforward of d/dq equals the kernel field along psi
     # grouped as differences so coincident stations cancel exactly
     dq_push = ((xm2 - xp2) + 8.0 * (xp1 - xm1)) / (12.0 * delta)
-    Xf = slicewise_hamiltonian(g).eval_batch(psi_pts)[:, :dN]
+    Xf = ham.eval_batch(psi_pts)[:, :dN]
     r_push = np.abs(dq_push + Xf).max(axis=1)
     res.hold("pushes_dq_to_kernel", float(r_push.max(initial=0.0)), tol,
              "pushforward")

@@ -193,7 +193,7 @@ CHECKS = {
     "invariance": CheckKind(
         ("deforms", "forms"), lambda cfg, spec, g, F: invariance_check(
             F, flow(g, 0.0, 1.0, cfg.plan.points(g.N_model), cfg.flow),
-            cfg.tol.sampled, cfg.tol.exact_zero)),
+            cfg.tol.sampled)),
     "transport_kernel": CheckKind(
         ("deforms", "forms"), lambda cfg, spec, g, F:
         _transported(cfg, g, F).kernel_check(plan=cfg.plan,

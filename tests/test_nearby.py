@@ -256,7 +256,7 @@ def test_flow_options_step_controls_node_count():
     "q*y2"])
 def test_other_flows_take_the_rk4_sweep(rk4_steps, speed):
     g = graph_deformation(N_MIX, OMEGA_N, F_N, speed)
-    assert nearby._displacement(g) is None
+    assert isinstance(nearby._solver(g), integrate._RHS)
     pts = SamplePlan(count=8, seed=2).points(N_MIX)
     fr = flow(g, 0.0, 1.0, pts, FlowOptions(step=1 / 64))
     assert rk4_steps == list(range(1, 65))

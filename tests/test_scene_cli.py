@@ -316,6 +316,26 @@ def test_a_flow_is_one_sweep(tmp_path, capsys, rk4_steps):
     assert rk4_steps == list(range(1, 65))
 
 
+def test_translation_gate_is_exact_at_any_tol(tmp_path, capsys):
+    """After a translation flow, invariance and the transport gate are
+    decided at exact_zero: a 1e-6 x1 wave that the shear moves fails them
+    at --tol 1e-3, where a sampled verdict would pass."""
+    text = (bundled_scene_dir() / "lambda_shear.scene").read_text(
+        encoding="utf-8").split("\ncheck ")[0].replace(
+        "form FN @ N = dx1^dx2 - dy1^dy2",
+        "form FN @ N = dx1^dx2 - dy1^dy2 + 1e-6*cos(2*pi*x1)*dx1^dx2")
+    code, data = run_json(tmp_path, capsys, text
+                          + "\ncheck invariance shear FN\n"
+                          "check transport_kernel shear FN\n",
+                          "--steps", "64", "--tol", "1e-3")
+    assert code == 1
+    inv, kernel = data["checks"]
+    assert inv["mode"] == "EXACT" and not inv["pass"]
+    assert 1e-6 < inv["residuals"]["invariance"] < 1e-3
+    assert kernel["mode"] == "ERROR"
+    assert kernel["details"]["error"].startswith("BraneObstruction: ")
+
+
 @pytest.mark.parametrize("name", ["lambda_shear", "mapping_torus"])
 def test_translation_flows_take_no_rk4_step(capsys, rk4_steps, name):
     """Every flow of these scenes is a translation, taken in closed form."""
