@@ -16,14 +16,14 @@ from pathlib import Path
 
 from .brane import RankDropError
 from .forms import DegenerateFormError
-from .infdef import (AverageObstruction, CircleTermsError, Type11Violation,
-                     check_infdef, complex_slice, infdef_general_check)
+from .infdef import AverageObstruction, CircleTermsError, Type11Violation
 from .integrate import FlowError
 from .model import (DEFAULT_TOL, FlowOptions, SamplePlan, Tolerances,
-                    tolerance)
+                    tolerance, truncation)
 from .nearby import BraneObstruction
 from .report import ERROR, CheckResult, Report
-from .scene import CHECKS, Scene, SceneError, load_scene, parse_scene
+from .scene import (CHECKS, CheckSpec, Scene, SceneError, load_scene,
+                    parse_scene)
 
 
 @dataclass
@@ -78,9 +78,9 @@ def _execute(scene: Scene, spec, cfg: RunConfig) -> CheckResult:
         rec = CheckResult(label, ERROR, False)
         rec.details["error"] = f"{type(e).__name__}: {e}"
     rec.name = label
-    expect = spec.opt("expect", "pass")
-    if expect == "fail":
-        rec.passed = not rec.passed
+    if spec.opt("expect", "pass") == "fail":
+        # a check that raised stays a failure whatever was expected
+        rec.passed = rec.mode != ERROR and not rec.passed
         rec.details["expected"] = "fail"
     rec.wall_time = time.perf_counter() - t0
     return rec
@@ -175,41 +175,44 @@ def cmd_infdef(args) -> int:
                   file=sys.stderr)
             return 2
     try:
-        pairs = {name: scene.lookup("pairs", name)
-                 for name in args.pair or sorted(scene.pairs)}
-        cand = (None if cand_name is None
-                else scene.lookup("candidates", cand_name))
-    except KeyError as e:
+        names = args.pair or sorted(scene.pairs)
+        for name in names:
+            scene.lookup("pairs", name)
+        if cand_name is not None:
+            scene.lookup("candidates", cand_name)
+        T = None if args.truncation is None else truncation(args.truncation)
+    except (KeyError, ValueError) as e:
         print(f"error: {e.args[0]}", file=sys.stderr)
         return 2
-    if cand is not None and args.truncation is None:
+    if cand_name is not None and T is None:
         print("error: --candidate needs --truncation", file=sys.stderr)
         return 2
     verdict = {"scene": scene.name, "pairs": {}}
     ok = True
-    for name, pair in pairs.items():
-        pair_cand = scene.refs[("pairs", name)][0]
-        c = scene.lookup("candidates", pair_cand)
-        direct = check_infdef(pair, c, plan=cfg.plan, tol=cfg.tol)
-        general = infdef_general_check(pair, c, plan=cfg.plan, tol=cfg.tol)
+    for name in names:
+        refs = (name, scene.refs[("pairs", name)][0])
+        direct = _execute(scene, CheckSpec("infdef", refs), cfg)
+        general = _execute(scene, CheckSpec("infdef_general", refs), cfg)
         agree = direct.passed == general.passed
         verdict["pairs"][name] = {
-            "candidate": pair_cand,
+            "candidate": refs[1],
             "check_infdef": direct.to_record(),
             "general": general.to_record(),
             "agree": agree,
         }
         ok = ok and direct.passed and agree
     if cand_name is not None:
-        cs = complex_slice(cand, args.truncation)
-        resid = cs.d1_d0_residual()
-        bound = cs.d1_d0_bound()
-        verdict["complex_slice"] = {
-            "candidate": cand_name, "truncation": args.truncation,
-            "dim_ker_d1": cs.dim_ker_d1, "rank_d0": cs.rank_d0,
-            "h1": cs.h1, "d1_d0_residual": resid, "d1_d0_bound": bound,
-        }
-        ok = ok and resid <= bound
+        rec = _execute(scene, CheckSpec("cohomology", (cand_name,),
+                                        (("truncation", str(T)),)), cfg)
+        entry = {"candidate": cand_name, "truncation": T}
+        if rec.mode == ERROR:
+            entry["error"] = rec.details["error"]
+        else:
+            entry.update({k: rec.details[k] for k in (
+                "dim_ker_d1", "rank_d0", "h1", "d1_d0_bound")},
+                d1_d0_residual=rec.residuals["d1_d0"])
+        verdict["complex_slice"] = entry
+        ok = ok and rec.passed
     verdict["all_passed"] = ok
     print(json.dumps(verdict, indent=2, sort_keys=True))
     return 0 if ok else 1

@@ -7,10 +7,13 @@ independent condition checkers that must agree, the explicit builder for
 the product model N x S^1, Hamiltonian (coboundary) generators, the
 forgetful projection onto the kernel component with its image criterion,
 and truncated Fourier cochain complexes with numerically ranked first
-cohomology.  Each rank is taken block by block over the connected
-components of the matrix's nonzero pattern (for constant-coefficient
-candidates, the Fourier blocks span{cos, sin}(2 pi k.x)) with the
-threshold of one SVD of the whole matrix.
+cohomology.  One assembly builds the complex of both shapes (space
+filling and N x S^1); the shape picks only the constant 2-form frame, the
+speed block and the generator map.  Each rank is taken block by block
+over the connected components of the matrix's nonzero pattern (for
+constant-coefficient candidates, the Fourier blocks
+span{cos, sin}(2 pi k.x)) with the threshold of one SVD of the whole
+matrix.
 
 Sign convention: the generator map is f -> (df on the kernel frame,
 Lie_{X_f} F); the opposite overall sign spans the same coboundaries.
@@ -377,12 +380,12 @@ def _basis_field(model: ManifoldModel, key) -> ScalarField:
     return ScalarField.sine(model, vec)
 
 
-def _field_into(f: ScalarField, key_index: dict, out: np.ndarray,
-                col: int, row_base: int, stride: int) -> None:
+def _field_into(f: ScalarField, key_index: dict, out: np.ndarray) -> None:
+    """Add the coefficients of f into out, one entry per basis key."""
     for (p, k, ph), coeff in f.terms:
         if any(p):
             raise ValueError("polynomial term outside the torus basis")
-        out[row_base + stride * key_index[(k, ph)], col] += coeff
+        out[key_index[(k, ph)]] += coeff
 
 
 def constant_type11_basis(c: BraneCandidate) -> list[np.ndarray]:
@@ -470,11 +473,14 @@ class ComplexSlice:
     """Matrices of the two-step deformation complex on truncated Fourier
     bases, with lazily computed numerical ranks.
 
-    d0 and d1 are dense.  Each rank is taken block by block over the
-    connected components of the matrix's nonzero pattern (see _block_rank),
-    which for constant-coefficient candidates are the Fourier blocks; the
-    threshold is rank_rel times the largest singular value of the whole
-    matrix, so the rank is that of one dense SVD.
+    d0 and d1 are dense.  The middle space lists the speed block first
+    (empty when the brane is space filling), then one block of nfun rows
+    per column of the constant 2-form frame.  Each rank is taken block by
+    block over the connected components of the matrix's nonzero pattern
+    (see _block_rank), which for constant-coefficient candidates are the
+    Fourier blocks; the threshold is DEFAULT_TOL.svd_rank_rel times the
+    largest singular value of the whole matrix, so the rank is that of one
+    dense SVD.
     """
 
     model: ManifoldModel
@@ -483,7 +489,6 @@ class ComplexSlice:
     function_keys: list
     d0: np.ndarray
     d1: np.ndarray
-    rank_rel: float = DEFAULT_TOL.svd_rank_rel
     _ranked: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -508,7 +513,7 @@ class ComplexSlice:
         """(numerical rank, block shapes) of d0 or d1, computed once."""
         if which not in self._ranked:
             self._ranked[which] = _block_rank(getattr(self, which),
-                                              self.rank_rel)
+                                              DEFAULT_TOL.svd_rank_rel)
         return self._ranked[which]
 
     @property
@@ -535,12 +540,15 @@ class ComplexSlice:
 
 
 def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
-    """Assemble the deformation complex at a Fourier truncation.
+    """Assemble the deformation complex at a Fourier truncation:
+    functions -> (kernel speeds + 2-forms in a constant frame) -> 3-forms.
 
-    Space filling: functions -> invariant-type 2-forms -> 3-forms, with the
-    generator map into the middle and the exterior derivative out of it.
-    Product model: functions -> (kernel speeds + 2-forms) -> 3-forms, the
-    second map acting by the exterior derivative on the 2-form part.
+    d0 is the generator map, d1 the exterior derivative of the 2-form
+    part.  The shape picks the frame, the speed block and the generator.
+    Space filling: the invariant-type (1,1) frame, no speeds, and
+    f -> Lie_{X_f} F with X_f the omega-dual of df.  Product model N x S^1:
+    every elementary 2-form, one speed function along the circle, and
+    hamiltonian_generator.
     """
     y = c.model_Y
     if len(y.circle_indices) != y.dim:
@@ -556,74 +564,53 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
     keys = _function_keys(y.dim, truncation)
     key_index = {k: i for i, k in enumerate(keys)}
     nfun = len(keys)
+    pairs = [(a, b) for a in range(y.dim) for b in range(a + 1, y.dim)]
+    pair_index = {p: i for i, p in enumerate(pairs)}
     triples = [(a, b, cc) for a in range(y.dim)
                for b in range(a + 1, y.dim) for cc in range(b + 1, y.dim)]
     triple_index = {t: i for i, t in enumerate(triples)}
 
     if c.E_frame.rank == 0:
-        frame_vecs = constant_type11_basis(c)
-        pairs = [(a, b) for a in range(y.dim) for b in range(a + 1, y.dim)]
-        pair_index = {p: i for i, p in enumerate(pairs)}
-        frame_mat = np.column_stack(frame_vecs)
-        frame_pinv = np.linalg.pinv(frame_mat)
-        nmid = len(frame_vecs) * nfun
+        shape, speeds = "space_filling", 0
+        frame = np.column_stack(constant_type11_basis(c))
 
-        def decompose_2form(B: DifferentialForm, out: np.ndarray, col: int):
-            comp = np.zeros((len(pairs), nfun))
-            for idx, f in B.coeffs:
-                for (p, k, ph), coeff in f.terms:
-                    if any(p):
-                        raise ValueError("polynomial term outside the basis")
-                    comp[pair_index[idx], key_index[(k, ph)]] += coeff
-            coords = frame_pinv @ comp
-            resid = np.abs(frame_mat @ coords - comp).max(initial=0.0)
-            if resid > 1e-10 * max(1.0, np.abs(comp).max(initial=0.0)):
-                raise ValueError("2-form leaves the invariant-type span")
-            for kk in range(len(frame_vecs)):
-                out[kk * nfun:(kk + 1) * nfun, col] = coords[kk]
+        def generator(f):
+            return (ScalarField.zero(y),
+                    lie_derivative(sharp(c.omega, d_scalar(f)), c.F))
+    else:
+        _, q = _drop_last_circle(y)
+        shape, speeds = "codim1", nfun
+        frame = np.eye(len(pairs))
 
-        d0 = np.zeros((nmid, nfun))
-        for col, key in enumerate(keys):
-            f = _basis_field(y, key)
-            X_f = sharp(c.omega, d_scalar(f))
-            B = lie_derivative(X_f, c.F)
-            decompose_2form(B, d0, col)
-
-        d1 = np.zeros((len(triples) * nfun, nmid))
-        for kk, vec in enumerate(frame_vecs):
-            frame_form = DifferentialForm.build(
-                y, 2, {pairs[i]: ScalarField.constant(y, vec[i])
-                       for i in range(len(pairs)) if vec[i] != 0.0})
-            for col_f, key in enumerate(keys):
-                col = kk * nfun + col_f
-                dB = ext_d(frame_form * _basis_field(y, key))
-                for idx, f in dB.coeffs:
-                    _field_into(f, key_index, d1, col,
-                                triple_index[idx] * nfun, 1)
-        return ComplexSlice(y, truncation, "space_filling", keys, d0, d1)
-
-    # product model: middle space is kernel speeds (one function) plus all
-    # 2-form components
-    N_model, q = _drop_last_circle(y)
-    pairs = [(a, b) for a in range(y.dim) for b in range(a + 1, y.dim)]
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    nmid = nfun + len(pairs) * nfun
+        def generator(f):
+            p = hamiltonian_generator(f, c)
+            return p.r.coeff((q,)), p.B
+    frame_pinv = np.linalg.pinv(frame)
+    nmid = speeds + frame.shape[1] * nfun
 
     d0 = np.zeros((nmid, nfun))
     for col, key in enumerate(keys):
-        f = _basis_field(y, key)
-        p = hamiltonian_generator(f, c)
-        _field_into(p.r.coeff((q,)), key_index, d0, col, 0, 1)
-        for idx, g in p.B.coeffs:
-            _field_into(g, key_index, d0, col,
-                        nfun + pair_index[idx] * nfun, 1)
+        speed, B = generator(_basis_field(y, key))
+        _field_into(speed, key_index, d0[:speeds, col])
+        comp = np.zeros((len(pairs), nfun))
+        for idx, g in B.coeffs:
+            _field_into(g, key_index, comp[pair_index[idx]])
+        coords = frame_pinv @ comp
+        resid = np.abs(frame @ coords - comp).max(initial=0.0)
+        if resid > 1e-10 * max(1.0, np.abs(comp).max(initial=0.0)):
+            raise ValueError("2-form leaves the invariant-type span")
+        d0[speeds:, col] = coords.ravel()
 
     d1 = np.zeros((len(triples) * nfun, nmid))
-    for pi, pp in enumerate(pairs):
-        base_form = DifferentialForm.basis(y, pp)
+    # rows grouped by 3-form component, then by basis key
+    blocks = d1.reshape(len(triples), nfun, nmid)
+    for kk, vec in enumerate(frame.T):
+        frame_form = DifferentialForm.build(
+            y, 2, {pairs[i]: ScalarField.constant(y, vec[i])
+                   for i in range(len(pairs)) if vec[i] != 0.0})
         for col_f, key in enumerate(keys):
-            col = nfun + pi * nfun + col_f
-            dB = ext_d(base_form * _basis_field(y, key))
+            dB = ext_d(frame_form * _basis_field(y, key))
             for idx, f in dB.coeffs:
-                _field_into(f, key_index, d1, col, triple_index[idx] * nfun, 1)
-    return ComplexSlice(y, truncation, "codim1", keys, d0, d1)
+                _field_into(f, key_index, blocks[triple_index[idx], :,
+                                                 speeds + kk * nfun + col_f])
+    return ComplexSlice(y, truncation, shape, keys, d0, d1)

@@ -182,8 +182,17 @@ def tolerance(value) -> float:
     return t
 
 
+def truncation(value) -> int:
+    """A Fourier truncation from text or a number: an int >= 0."""
+    t = int(value)
+    if t < 0:
+        raise ValueError(f"truncation must be an int >= 0, not {value}")
+    return t
+
+
 # a refused check option reads "takes <parser name>" (scene._check_spec)
 tolerance.__name__ = "finite float >= 0"
+truncation.__name__ = "int >= 0"
 
 DEFAULT_TOL = Tolerances()
 DEFAULT_PLAN = SamplePlan()

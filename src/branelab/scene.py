@@ -27,7 +27,7 @@ from .infdef import (AverageObstruction, InfDefPair, Type11Violation,
                      build_infdef, check_infdef, complex_slice,
                      hamiltonian_generator, infdef_general_check,
                      upsilon_image_check)
-from .model import ManifoldModel, SamplePlan, tolerance
+from .model import ManifoldModel, SamplePlan, tolerance, truncation
 from .nearby import (closed1f_check, flow, graph_deformation,
                      invariance_check, mapping_torus_check, melanie_check,
                      transport_brane)
@@ -143,13 +143,13 @@ def _build_infdef(cfg, spec, rho, B0, c):
 
 
 def _cohomology(cfg, spec, c):
-    truncation = int(spec.opt("truncation", "1"))
-    cs = complex_slice(c, truncation)
+    T = truncation(spec.opt("truncation", "1"))
+    cs = complex_slice(c, T)
     rec = CheckResult("cohomology", SAMPLED, False)
     bound = cs.d1_d0_bound()
     rec.hold("d1_d0_zero", cs.d1_d0_residual(), bound, "d1_d0")
     expected = spec.opt("h1")
-    rec.details.update(truncation=truncation, dim_ker_d1=cs.dim_ker_d1,
+    rec.details.update(truncation=T, dim_ker_d1=cs.dim_ker_d1,
                        rank_d0=cs.rank_d0, h1=cs.h1, shape=cs.shape,
                        d1_d0_bound=bound, blocks=cs.block_summary())
     if expected is not None:
@@ -229,7 +229,7 @@ CHECKS = {
         ("fields", "forms", "candidates"), _build_infdef,
         {"expect": _one_of("pass", "fail", "obstruction")}),
     "cohomology": CheckKind(("candidates",), _cohomology,
-                            {"truncation": int, "h1": int}),
+                            {"truncation": truncation, "h1": int}),
 }
 _EXPECT = _one_of("pass", "fail")
 

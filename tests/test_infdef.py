@@ -17,8 +17,8 @@ from branelab.infdef import (AverageObstruction, InfDefPair, Type11Violation,
                              constant_type11_basis, hamiltonian_generator,
                              infdef_general_check, pair_from_values,
                              transverse_endo, upsilon_image_check)
-from branelab.model import (CIRCLE, LINE, SamplePlan, extend_with_circle,
-                            model_from_names)
+from branelab.model import (CIRCLE, DEFAULT_TOL, LINE, SamplePlan,
+                            extend_with_circle, model_from_names)
 
 LAM = float(math.sqrt(2) - 1)
 PLAN = SamplePlan(count=64, seed=0)
@@ -270,8 +270,9 @@ def dense_rank(M, rank_rel):
     (gl_pair_t4, 1, 4), (lambda: C5, 0, 11)])
 def test_block_ranks_match_dense_svd(make, truncation, h1):
     cs = complex_slice(make(), truncation)
-    assert cs.rank_d0 == dense_rank(cs.d0, cs.rank_rel)
-    assert cs.dim_ker_d1 == cs.d1.shape[1] - dense_rank(cs.d1, cs.rank_rel)
+    rank_rel = DEFAULT_TOL.svd_rank_rel
+    assert cs.rank_d0 == dense_rank(cs.d0, rank_rel)
+    assert cs.dim_ker_d1 == cs.d1.shape[1] - dense_rank(cs.d1, rank_rel)
     assert cs.h1 == h1
 
 

@@ -426,12 +426,52 @@ def test_bad_run_setting_is_a_usage_error(tmp_path, capsys, flags, message):
     (["--candidate", "nosuch", "--truncation", "0"],
      "unresolved candidate reference 'nosuch'"),
     (["--candidate", "nosuch"], "unresolved candidate reference 'nosuch'"),
-    (["--candidate", "c"], "--candidate needs --truncation")])
+    (["--candidate", "c"], "--candidate needs --truncation"),
+    (["--truncation", "-1"], "truncation must be an int >= 0, not -1")])
 def test_infdef_subcommand_rejects_an_undeclared_name(capsys, flags, message):
     assert main(["infdef", "infdef_torus", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+# infdef_torus with an omega whose coefficients vary: every infdef check
+# on it raises
+VARYING_OMEGA = (bundled_scene_dir() / "infdef_torus.scene").read_text(
+    encoding="utf-8").replace("form omega @ Y = dx1^dy2",
+                              "form omega @ Y = cos(2*pi*x1)*dx1^dy2")
+
+
+def test_infdef_subcommand_reports_raised_checks_as_records(tmp_path, capsys):
+    p = tmp_path / "case.scene"
+    p.write_text(VARYING_OMEGA)
+    assert main(["infdef", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    data = json.loads(captured.out)
+    assert data["all_passed"] is False
+    for entry in data["pairs"].values():
+        for rec in (entry["check_infdef"], entry["general"]):
+            assert rec["mode"] == "ERROR" and rec["pass"] is False
+            assert rec["details"]["error"] == (
+                "ValueError: transverse endomorphism needs constant forms")
+
+
+def test_infdef_subcommand_reports_a_raised_complex(capsys):
+    assert main(["infdef", "example_r4", "--truncation", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["complex_slice"] == {
+        "candidate": "c", "truncation": 1,
+        "error": "ValueError: truncated Fourier bases need a torus model"}
+
+
+def test_expected_failure_does_not_pass_a_raised_check(tmp_path, capsys):
+    code, data = run_json(tmp_path, capsys, VARYING_OMEGA)
+    assert code == 1
+    rec = next(c for c in data["checks"] if c["name"] == "infdef(pbad, c)")
+    assert rec["mode"] == "ERROR" and rec["details"]["expected"] == "fail"
+    assert rec["pass"] is False
 
 
 def test_infdef_subcommand_takes_no_flow_settings(capsys):
@@ -575,6 +615,8 @@ DECLARATIONS = (bundled_scene_dir() / "infdef_torus.scene").read_text(
      "mapping_torus option tol takes finite float >= 0, not '-1'"),
     ("cohomology c truncation=1 truncation=2",
      "option 'truncation' given twice"),
+    ("cohomology c truncation=-1",
+     "cohomology option truncation takes int >= 0, not '-1'"),
     ("", "empty check"),
 ])
 def test_malformed_check_line_is_a_usage_error(tmp_path, capsys, check,
