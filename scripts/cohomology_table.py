@@ -4,12 +4,11 @@ The candidate is the one of the bundled `cohomology_t4` scene.  For each
 frequency truncation the script assembles the complex whose middle space
 is spanned by invariant-type 2-forms with trig-polynomial coefficients,
 then reports the matrix sizes, the chain residual |d1 d0|, the two ranks,
-and the resulting defect count h1 = dim ker d1 - rank d0.  The headline fact is that h1 stays at 4 (the
-constant-coefficient frame directions) as the truncation grows.  Each rank
-is taken block by block over the connected components of the matrix's
-nonzero pattern, here the Fourier blocks span{cos, sin}(2 pi k.x), with
-the threshold of one dense SVD; the time column covers assembly, the
-chain residual and both ranks.
+and the resulting defect count h1 = dim ker d1 - rank d0.  The headline
+fact is that h1 stays at 4 (the constant-coefficient frame directions) as
+the truncation grows.  Each rank is taken one Fourier block
+span{cos, sin}(2 pi k.x) at a time, with the threshold of one dense SVD;
+the time column covers assembly, the chain residual and both ranks.
 
 Run:  python3 scripts/cohomology_table.py [--max-truncation 2]
 """

@@ -13,7 +13,7 @@ from .fields import (NonFiniteCoefficientError, ScalarField, VectorField,
 from .forms import (DegenerateFormError, DifferentialForm, Distribution,
                     EndoField, apply_form, d_scalar, endo_from_pair, ext_d,
                     horizontal_d, interior, is_type_11, lie_derivative, sharp,
-                    two_form_from, wedge)
+                    wedge)
 from .grammar import (ParseError, field_to_text, form_to_text, parse_field,
                       parse_form, parse_vector, vector_to_text)
 from .integrate import FlowError, rk4_flow

@@ -357,15 +357,6 @@ def endo_from_pair(omega: DifferentialForm, F: DifferentialForm) -> EndoField:
     return EndoField(omega.model, tuple(zip(*columns)))
 
 
-def two_form_from(omega: DifferentialForm, I: EndoField) -> DifferentialForm:
-    """Recover F with F(v, w) = omega(I v, w); inverse of endo_from_pair."""
-    G = gram_fields(omega)
-    d = range(omega.model.dim)
-    return _form_sum(omega.model, 2, [
-        ((a, b), I.entries[i][a] * G[i][b], 1.0)
-        for a in d for b in d if a < b for i in d])
-
-
 def is_type_11(B: DifferentialForm, I: EndoField,
                tol: float = 1e-10) -> bool:
     """Whether B(I v, I w) = B(v, w) identically, decided by coefficient

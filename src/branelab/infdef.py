@@ -9,11 +9,10 @@ forgetful projection onto the kernel component with its image criterion,
 and truncated Fourier cochain complexes with numerically ranked first
 cohomology.  One assembly builds the complex of both shapes (space
 filling and N x S^1); the shape picks only the constant 2-form frame, the
-speed block and the generator map.  Each rank is taken block by block
-over the connected components of the matrix's nonzero pattern (for
-constant-coefficient candidates, the Fourier blocks
-span{cos, sin}(2 pi k.x)) with the threshold of one SVD of the whole
-matrix.
+speed block and the generator map.  The complex needs constant omega and
+F, so every map keeps each frequency pair span{cos, sin}(2 pi k.x) to
+itself; each rank is taken one frequency block at a time with the
+threshold of one SVD of the whole matrix.
 
 Sign convention: the generator map is f -> (df on the kernel frame,
 Lie_{X_f} F); the opposite overall sign spans the same coboundaries.
@@ -246,6 +245,18 @@ def _drop_last_circle(model: ManifoldModel) -> tuple[ManifoldModel, int]:
     return ManifoldModel(model.coords[:-1]), q
 
 
+def _kernel_circle(c: BraneCandidate) -> tuple[ManifoldModel, int]:
+    """(N, q) for a candidate on N x S^1 whose kernel frame is d/dq."""
+    y = c.model_Y
+    N_model, q = _drop_last_circle(y)
+    EC = c.E_frame.constant_matrix()
+    if c.E_frame.rank != 1 or EC is None or not np.allclose(
+            EC[:, 0] / EC[q, 0] if EC[q, 0] else EC[:, 0],
+            np.eye(y.dim)[q]):
+        raise ValueError("expected the kernel frame d/dq on the product model")
+    return N_model, q
+
+
 def upsilon_image_check(r: DifferentialForm, omega_N: DifferentialForm,
                         F_N: DifferentialForm,
                         tol: Tolerances = DEFAULT_TOL) -> CheckResult:
@@ -302,12 +313,7 @@ def build_infdef(rho, B_N0: DifferentialForm, c: BraneCandidate,
     checked (CircleTermsError otherwise), never tolerated.
     """
     y = c.model_Y
-    N_model, q = _drop_last_circle(y)
-    EC = c.E_frame.constant_matrix()
-    if c.E_frame.rank != 1 or EC is None or not np.allclose(
-            EC[:, 0] / EC[q, 0] if EC[q, 0] else EC[:, 0],
-            np.eye(y.dim)[q]):
-        raise ValueError("expected the kernel frame d/dq on the product model")
+    N_model, q = _kernel_circle(c)
     if isinstance(rho, (int, float)):
         rho = ScalarField.constant(y, rho)
     if rho.model != y:
@@ -406,64 +412,25 @@ def constant_type11_basis(c: BraneCandidate) -> list[np.ndarray]:
     return [vt[len(pairs) - 1 - k] for k in range(null_dim)][::-1]
 
 
-def _components(nodes: int, u: np.ndarray,
-                v: np.ndarray) -> tuple[int, np.ndarray]:
-    """Connected components of the undirected graph on range(nodes) with
-    edges (u[i], v[i]): their count and each node's component, numbered
-    in the order of the components' smallest nodes.
-
-    Every node starts as its own root.  A pass lowers both ends of each
-    edge to the smaller root of the two, then jumps every node to its
-    root's root until no root moves; once a pass changes nothing, each
-    node points to the smallest node of its component.
-    """
-    root = np.arange(nodes)
-    while True:
-        low = np.minimum(root[u], root[v])
-        new = root.copy()
-        np.minimum.at(new, u, low)
-        np.minimum.at(new, v, low)
-        while True:
-            jumped = new[new]
-            if np.array_equal(jumped, new):
-                break
-            new = jumped
-        if np.array_equal(new, root):
-            break
-        root = new
-    smallest, labels = np.unique(root, return_inverse=True)
-    return smallest.size, labels
-
-
-def _block_rank(M: np.ndarray,
+def _block_rank(M: np.ndarray, row_labels: np.ndarray, col_labels: np.ndarray,
                 rank_rel: float) -> tuple[int, list[tuple[int, int]]]:
-    """Numerical rank of M and the shapes of the blocks it was taken over.
+    """Numerical rank of a matrix that vanishes outside its label blocks,
+    and the shapes of its nonzero blocks.
 
-    Rows and columns are the nodes of a graph whose edges are the nonzero
-    entries of M; each connected component spans one diagonal block of M
-    after a row and a column permutation.  Permutations keep singular
-    values, so the singular values of M are the union of the blocks'
-    values, and counting those above rank_rel times the largest of all of
-    them is the rank a dense SVD of M gives.  A matrix that does not
-    decouple is one block.
+    The block of a label takes the rows and the columns that carry it.
+    The singular values of M are then the union of the blocks' values, so
+    counting those above rank_rel times the largest of all of them is the
+    rank one dense SVD of M gives.
     """
-    rows, cols = np.nonzero(M)
-    if rows.size == 0:
-        return 0, []
-    m, n = M.shape
-    ncomp, labels = _components(m + n, rows, cols + m)
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(ncomp + 1))
     values, shapes = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        # ascending node ids (the sort is stable): rows first, then columns
-        nodes = order[lo:hi]
-        split = int(np.searchsorted(nodes, m))
-        if split == 0 or split == nodes.size:
-            continue  # a zero row or a zero column on its own
-        r, c = nodes[:split], nodes[split:] - m
-        values.append(np.linalg.svd(M[np.ix_(r, c)], compute_uv=False))
-        shapes.append((r.size, c.size))
+    # not np.unique, whose first call imports numpy.ma
+    for label in sorted(set(row_labels.tolist())):
+        block = M[np.ix_(row_labels == label, col_labels == label)]
+        if block.any():
+            values.append(np.linalg.svd(block, compute_uv=False))
+            shapes.append(block.shape)
+    if not values:
+        return 0, []
     s = np.concatenate(values)
     return int(np.sum(s > rank_rel * s.max())), shapes
 
@@ -475,12 +442,13 @@ class ComplexSlice:
 
     d0 and d1 are dense.  The middle space lists the speed block first
     (empty when the brane is space filling), then one block of nfun rows
-    per column of the constant 2-form frame.  Each rank is taken block by
-    block over the connected components of the matrix's nonzero pattern
-    (see _block_rank), which for constant-coefficient candidates are the
-    Fourier blocks; the threshold is DEFAULT_TOL.svd_rank_rel times the
-    largest singular value of the whole matrix, so the rank is that of one
-    dense SVD.
+    per column of the constant 2-form frame; every axis of d0 and d1 is a
+    whole number of runs of function_keys, so each row and column carries
+    the frequency vector of its key.  Each rank is taken over the blocks
+    of one frequency (see _block_rank) with the threshold
+    DEFAULT_TOL.svd_rank_rel times the largest singular value of the whole
+    matrix, so the rank is that of one dense SVD.  block_summary counts
+    the nonzero frequency blocks.
     """
 
     model: ManifoldModel
@@ -512,7 +480,11 @@ class ComplexSlice:
     def _rank(self, which: str) -> tuple[int, list[tuple[int, int]]]:
         """(numerical rank, block shapes) of d0 or d1, computed once."""
         if which not in self._ranked:
-            self._ranked[which] = _block_rank(getattr(self, which),
+            M = getattr(self, which)
+            # a frequency's keys are consecutive and start with its cosine
+            label = np.cumsum([ph == COS for _, ph in self.function_keys]) - 1
+            rows, cols = (np.tile(label, n // label.size) for n in M.shape)
+            self._ranked[which] = _block_rank(M, rows, cols,
                                               DEFAULT_TOL.svd_rank_rel)
         return self._ranked[which]
 
@@ -546,21 +518,17 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
     d0 is the generator map, d1 the exterior derivative of the 2-form
     part.  The shape picks the frame, the speed block and the generator.
     Space filling: the invariant-type (1,1) frame, no speeds, and
-    f -> Lie_{X_f} F with X_f the omega-dual of df.  Product model N x S^1:
-    every elementary 2-form, one speed function along the circle, and
-    hamiltonian_generator.
+    f -> Lie_{X_f} F with X_f the omega-dual of df.  Product model N x S^1
+    (the kernel frame must be d/dq): every elementary 2-form, one speed
+    function along the circle, and hamiltonian_generator.  omega and F
+    must be constant, so that no map moves a frequency (ValueError
+    otherwise).
     """
     y = c.model_Y
     if len(y.circle_indices) != y.dim:
         raise ValueError("truncated Fourier bases need a torus model")
-    maxfreq = 0
-    for form in (c.omega, c.F):
-        for _, f in form.coeffs:
-            for (_, k, _), _ in f.terms:
-                maxfreq = max(maxfreq, max(map(abs, k), default=0))
-    if truncation < maxfreq:
-        raise ValueError("truncation too small for the candidate's "
-                         "coefficients")
+    if not (c.omega.is_constant(0.0) and c.F.is_constant(0.0)):
+        raise ValueError("the deformation complex needs constant omega and F")
     keys = _function_keys(y.dim, truncation)
     key_index = {k: i for i, k in enumerate(keys)}
     nfun = len(keys)
@@ -578,7 +546,7 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
             return (ScalarField.zero(y),
                     lie_derivative(sharp(c.omega, d_scalar(f)), c.F))
     else:
-        _, q = _drop_last_circle(y)
+        _, q = _kernel_circle(c)
         shape, speeds = "codim1", nfun
         frame = np.eye(len(pairs))
 

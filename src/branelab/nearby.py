@@ -126,9 +126,6 @@ class FlowResult:
     symplectic_residuals: np.ndarray
     shift: np.ndarray | None = None
 
-    def images_wrapped(self, model: ManifoldModel) -> np.ndarray:
-        return model.wrap(self.images)
-
 
 def _velocity(g: GraphDeformation, x: VectorField | None = None):
     """-X_{f_q} on the N coordinates; x is g's slicewise Hamiltonian field

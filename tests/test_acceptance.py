@@ -103,7 +103,7 @@ def test_criterion_03_shear_flow_is_translation():
     # directly on the same right-hand side
     rk4_images, _, _ = rk4_flow(_flow_rhs(g), pts, 0.0, 1.0,
                                 DEFAULT_FLOW.step)
-    for images in (flow(g, 0.0, 1.0, pts).images_wrapped(N_MIX),
+    for images in (N_MIX.wrap(flow(g, 0.0, 1.0, pts).images),
                    N_MIX.wrap(rk4_images)):
         diff = images - expect
         diff[:, 0] = (diff[:, 0] + 0.5) % 1.0 - 0.5

@@ -9,8 +9,7 @@ from branelab.forms import (DegenerateFormError, DifferentialForm,
                             apply_form, d_scalar, endo_from_pair,
                             ext_d, frame_residual, horizontal_d, interior,
                             is_type_11,
-                            kernel_basis, lie_derivative, sharp, two_form_from,
-                            wedge)
+                            kernel_basis, lie_derivative, sharp, wedge)
 from branelab.model import CIRCLE, LINE, model_from_names
 
 T4 = model_from_names([("x1", CIRCLE), ("y1", CIRCLE),
@@ -151,12 +150,6 @@ def test_endo_from_pair_is_standard_complex_structure():
                        [0.0, 0.0, 1.0, 0.0]])
     assert np.allclose(M, expect, atol=1e-12)
     assert np.allclose(M @ M, -np.eye(4), atol=1e-12)
-
-
-def test_two_form_from_recovers_F():
-    I = endo_from_pair(OMEGA, F_SPLIT)
-    F_back = two_form_from(OMEGA, I)
-    assert (F_back - F_SPLIT).is_zero(1e-12)
 
 
 def test_endo_pullback_matches_gram_conjugation(rng):

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from branelab.brane import BraneCandidate
+from branelab.cli import bundled_scene_dir
 from branelab.fields import ScalarField, partial
 from branelab.forms import (DifferentialForm, Distribution, apply_form,
                             is_type_11)
@@ -19,6 +20,7 @@ from branelab.infdef import (AverageObstruction, InfDefPair, Type11Violation,
                              transverse_endo, upsilon_image_check)
 from branelab.model import (CIRCLE, DEFAULT_TOL, LINE, SamplePlan,
                             extend_with_circle, model_from_names)
+from branelab.scene import parse_scene
 
 LAM = float(math.sqrt(2) - 1)
 PLAN = SamplePlan(count=64, seed=0)
@@ -226,6 +228,9 @@ def test_complex_slice_truncation_gate():
     assert cs.h1 == 11  # constants: 1 speed block + 10 two-form components
 
 
+NOT_CONSTANT = "the deformation complex needs constant omega and F"
+
+
 def test_complex_slice_rejects_too_small_truncation():
     omega = parse_form("dx1^dy2 + dy1^dx2", T4)
     F = parse_form("dx1^dx2 - dy1^dy2", T4)
@@ -234,8 +239,21 @@ def test_complex_slice_rejects_too_small_truncation():
     G = Distribution(T4, tuple(VectorField.basis(T4, i) for i in range(4)))
     c = BraneCandidate(T4, omega, F + parse_form("cos(2*pi*2*x1)*dx1^dy1", T4),
                        E, G)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=NOT_CONSTANT):
         complex_slice(c, 1)
+
+
+# infdef_torus with a closed, non-constant term added to F
+VARYING_F = parse_scene((bundled_scene_dir() / "infdef_torus.scene").read_text(
+    encoding="utf-8").replace(
+        "form F @ Y = dx1^dx2 - dy1^dy2",
+        "form F @ Y = dx1^dx2 - dy1^dy2 + 0.3*cos(2*pi*x1)*dx1^dy1"))
+
+
+@pytest.mark.parametrize("truncation", [0, 1, 2])
+def test_complex_slice_needs_constant_omega_and_F(truncation):
+    with pytest.raises(ValueError, match=NOT_CONSTANT):
+        complex_slice(VARYING_F.lookup("candidates", "c"), truncation)
 
 
 def test_complex_slice_needs_torus_model():
@@ -270,6 +288,12 @@ def dense_rank(M, rank_rel):
     (gl_pair_t4, 1, 4), (lambda: C5, 0, 11)])
 def test_block_ranks_match_dense_svd(make, truncation, h1):
     cs = complex_slice(make(), truncation)
+    # both matrices vanish outside the blocks of one frequency vector
+    _, label = np.unique([vec for vec, _ in cs.function_keys], axis=0,
+                         return_inverse=True)
+    for M in (cs.d0, cs.d1):
+        rows, cols = (np.tile(label.ravel(), n // label.size) for n in M.shape)
+        assert not M[rows[:, None] != cols[None, :]].any()
     rank_rel = DEFAULT_TOL.svd_rank_rel
     assert cs.rank_d0 == dense_rank(cs.d0, rank_rel)
     assert cs.dim_ker_d1 == cs.d1.shape[1] - dense_rank(cs.d1, rank_rel)
@@ -280,18 +304,21 @@ def test_codim1_complex_decouples_into_small_blocks():
     cs = complex_slice(C5, 1)
     assert cs.d1.shape == (2430, 2673)
     assert cs.h1 == 979
-    assert cs.block_summary() == {"d0": {"blocks": 242, "largest": [10, 1]},
-                                  "d1": {"blocks": 812, "largest": [10, 10]}}
+    assert cs.block_summary() == {"d0": {"blocks": 121, "largest": [22, 2]},
+                                  "d1": {"blocks": 121, "largest": [20, 22]}}
 
 
 @st.composite
-def hidden_block_diagonal(draw):
-    """A block-diagonal matrix of integer products A B (exactly rank
-    deficient when the inner size is below the block's sides), blocks
-    scaled apart, zero rows and columns added, rows and columns shuffled."""
+def labelled_blocks(draw):
+    """A matrix that vanishes outside its label blocks, with each row's and
+    column's label.  Each block is an integer product A B (exactly rank
+    deficient when the inner size is below the block's sides) scaled by 1,
+    1e-3 or 1e-12; zero rows and columns carry a block's label or one of
+    their own; rows and columns are shuffled with their labels."""
     ints = st.integers(-3, 3)
     blocks, bound = [], 0
-    for _ in range(draw(st.integers(1, 5))):
+    nblocks = draw(st.integers(1, 5))
+    for _ in range(nblocks):
         r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
         k = draw(st.integers(0, min(r, c)))
         A = np.array(draw(st.lists(ints, min_size=r * k, max_size=r * k)),
@@ -300,17 +327,23 @@ def hidden_block_diagonal(draw):
                      dtype=float).reshape(k, c)
         blocks.append(draw(st.sampled_from((1.0, 1e-3, 1e-12))) * (A @ B))
         bound += k
-    M = scipy.linalg.block_diag(*blocks)
-    M = np.pad(M, ((0, draw(st.integers(0, 3))), (0, draw(st.integers(0, 3)))))
+    zero_labels = st.lists(st.integers(0, nblocks), max_size=3)
+    rows = [i for i, b in enumerate(blocks) for _ in range(b.shape[0])]
+    cols = [i for i, b in enumerate(blocks) for _ in range(b.shape[1])]
+    rows += draw(zero_labels)
+    cols += draw(zero_labels)
+    D = scipy.linalg.block_diag(*blocks)
+    M = np.pad(D, ((0, len(rows) - D.shape[0]), (0, len(cols) - D.shape[1])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return M[rng.permutation(M.shape[0])][:, rng.permutation(M.shape[1])], bound
+    pr, pc = rng.permutation(len(rows)), rng.permutation(len(cols))
+    return M[pr][:, pc], np.array(rows)[pr], np.array(cols)[pc], bound
 
 
 @settings(max_examples=80, deadline=None)
-@given(hidden_block_diagonal())
+@given(labelled_blocks())
 def test_block_rank_is_the_dense_rank(case):
-    M, bound = case
-    rank, shapes = _block_rank(M, 1e-8)
+    M, rows, cols, bound = case
+    rank, shapes = _block_rank(M, rows, cols, 1e-8)
     assert rank == dense_rank(M, 1e-8)
     assert rank <= bound
     assert sum(r for r, _ in shapes) <= M.shape[0]

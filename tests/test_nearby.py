@@ -69,7 +69,7 @@ def test_flow_of_shear_is_exact_translation():
     fr = flow(g, 0.0, 1.0, pts)
     expect = pts.copy()
     expect[:, 0] = (expect[:, 0] - LAM) % 1.0
-    got = fr.images_wrapped(N_MIX)
+    got = N_MIX.wrap(fr.images)
     assert np.abs(got - expect).max() < 1e-12
     assert np.abs(fr.jacobians - np.eye(4)).max() < 1e-12
 

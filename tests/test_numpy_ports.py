@@ -1,6 +1,6 @@
-"""The numpy ports of the Halton plan, principal angles and connected
-components, each against the SciPy routine it reproduces, and a runtime
-import that loads no SciPy module."""
+"""The numpy ports of the Halton plan and principal angles, each against
+the SciPy routine it reproduces, and a runtime import that loads no SciPy
+module."""
 
 import os
 import subprocess
@@ -9,9 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from branelab.cli import resolve_scene
 from branelab.forms import max_principal_angle
-from branelab.infdef import _components, complex_slice
 from branelab.model import CIRCLE, LINE, SamplePlan, model_from_names
 
 
@@ -63,28 +61,6 @@ def test_max_principal_angle_is_scipys(rng):
     for A, B in angle_pairs(rng):
         want = float(np.max(linalg.subspace_angles(A, B)))
         assert max_principal_angle(A, B) == want, (A, B)
-
-
-def csgraph_labels(M):
-    sparse = pytest.importorskip("scipy.sparse")
-    csgraph = pytest.importorskip("scipy.sparse.csgraph")
-    rows, cols = np.nonzero(M)
-    m, n = M.shape
-    graph = sparse.coo_matrix((np.ones(rows.size), (rows, cols + m)),
-                              shape=(m + n, m + n))
-    return csgraph.connected_components(graph, directed=False)
-
-
-def test_components_are_csgraphs_on_the_complex(rng):
-    cs = complex_slice(resolve_scene("cohomology_t4").lookup("candidates", "c"),
-                       1)
-    sparse = (rng.random((60, 45)) < 0.03) * rng.standard_normal((60, 45))
-    for M in (cs.d0, cs.d1, sparse):
-        ncomp, labels = csgraph_labels(M)
-        rows, cols = np.nonzero(M)
-        got = _components(sum(M.shape), rows, cols + M.shape[0])
-        assert got[0] == ncomp
-        assert np.array_equal(got[1], labels)
 
 
 def test_runtime_import_loads_no_scipy():

@@ -237,8 +237,8 @@ def test_cohomology_check_holds_rounding_not_an_absolute_tolerance(
     assert rec["residuals"]["d1_d0"] <= rec["details"]["d1_d0_bound"]
     assert rec["details"]["h1"] == 4
     assert rec["details"]["blocks"] == {
-        "d0": {"blocks": 624, "largest": [4, 1]},
-        "d1": {"blocks": 648, "largest": [4, 4]}}
+        "d0": {"blocks": 312, "largest": [8, 2]},
+        "d1": {"blocks": 312, "largest": [8, 8]}}
 
 
 def test_cohomology_check_fails_a_sign_flipped_d1(tmp_path, capsys,
@@ -659,9 +659,14 @@ check cohomology c truncation=0
 
 
 def test_empty_transverse_frame_gives_records(tmp_path, capsys):
-    code, data = run_json(tmp_path, capsys, EMPTY_G_FRAME)
-    assert code == 0
-    assert [(c["name"], c["pass"]) for c in data["checks"]] == [
-        ("brane(c)", True), ("brane_via_J(c)", True),
-        ("infdef(p, c)", True), ("infdef_general(p, c)", True),
-        ("cohomology(c, truncation=0)", True)]
+    for truncation in (0, 1):
+        code, data = run_json(tmp_path, capsys, EMPTY_G_FRAME.replace(
+            "truncation=0", f"truncation={truncation}"))
+        assert code == 1
+        assert [(c["name"], c["pass"]) for c in data["checks"]] == [
+            ("brane(c)", True), ("brane_via_J(c)", True),
+            ("infdef(p, c)", True), ("infdef_general(p, c)", True),
+            (f"cohomology(c, truncation={truncation})", False)]
+        rec = data["checks"][-1]
+        assert rec["mode"] == "ERROR" and rec["details"]["error"] == (
+            "ValueError: expected the kernel frame d/dq on the product model")
