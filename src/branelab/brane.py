@@ -91,10 +91,14 @@ def ambient_for(c: BraneCandidate) -> AmbientModel:
 
 def lift_form(form: DifferentialForm, target: ManifoldModel,
               mapping) -> DifferentialForm:
-    """Transport a form to target; mapping[i] = target index of coordinate i."""
+    """Transport a form to target; mapping[i] = target index of coordinate
+    i, or None to drop it (see fields.reindex), which no component may lie
+    along."""
     raw = {}
     for idx, f in form.coeffs:
         key = tuple(mapping[i] for i in idx)
+        if None in key:
+            raise ValueError("form has a component along a dropped coordinate")
         raw[key] = reindex(f, target, mapping)
     return DifferentialForm.build(target, form.degree, raw)
 
@@ -271,21 +275,19 @@ def tau_F_subspace(c: BraneCandidate, ambient: AmbientModel,
                         ambient.model_M.dim, n)
 
 
-def check_brane_via_J(c: BraneCandidate, ambient: AmbientModel | None = None,
-                      plan: SamplePlan = DEFAULT_PLAN,
+def check_brane_via_J(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
                       tol=DEFAULT_TOL) -> CheckResult:
     """Brane test via J-invariance of tau_F in TM + T*M.
 
-    J(X, xi) = (-omega_M^-1 xi, omega_M X); the candidate passes iff
-    J tau_F = tau_F at every sample (and the ambient form is closed, which
-    the AmbientModel construction guarantees).  When the ambient form and F
-    are constant (as for constant omega and F with ambient_for), J and
-    tau_F are too: the check is EXACT, evaluated once, and witnesses and
-    errors name the first plan point.  Otherwise it is SAMPLED at every
-    plan point.
+    J(X, xi) = (-omega_M^-1 xi, omega_M X) on the product ambient_for(c);
+    the candidate passes iff J tau_F = tau_F at every sample (and the
+    ambient form is closed, which the AmbientModel construction
+    guarantees).  When the ambient form and F are constant (as they are
+    for constant omega and F), J and tau_F are too: the check is EXACT,
+    evaluated once, and witnesses and errors name the first plan point.
+    Otherwise it is SAMPLED at every plan point.
     """
-    if ambient is None:
-        ambient = ambient_for(c)
+    ambient = ambient_for(c)
     WC, FC = ambient.omega_M.constant_gram(), c.F.constant_gram()
     exact = WC is not None and FC is not None
     res = CheckResult("brane_via_J", EXACT if exact else SAMPLED, False)

@@ -436,12 +436,21 @@ def translate(a: ScalarField, shifts) -> ScalarField:
 
 def reindex(a: ScalarField, target: ManifoldModel, mapping) -> ScalarField:
     """Transport a field to another model; mapping[i] = target index of
-    source coordinate i.  Kinds must match."""
+    source coordinate i, or None to drop it, which the field must not
+    depend on.  Every source coordinate is named; kinds must match."""
+    if len(mapping) != a.model.dim:
+        raise ValueError(f"reindex maps {len(mapping)} of the "
+                         f"{a.model.dim} source coordinates")
     out = []
     for (p, k, phase), c in a.terms:
         p2 = [0] * target.dim
         k2 = [0] * target.dim
         for i, j in enumerate(mapping):
+            if j is None:
+                if p[i] or k[i]:
+                    raise ValueError(
+                        "field still depends on the dropped coordinate")
+                continue
             if a.model.kind(i) != target.kind(j):
                 raise ValueError("coordinate kinds differ under reindex")
             p2[j] = p[i]

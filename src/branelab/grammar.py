@@ -103,24 +103,13 @@ def _parse_trig(toks: _Tokens, model: ManifoldModel, which: str) -> ScalarField:
 
     def add_part(sign):
         mult = 1
-        k, v, pos = toks.peek()
-        if k == "num":
+        if toks.peek()[0] == "num":
             mult = _parse_int(toks)
             toks.expect("op", "*")
-        name = toks.expect("name")
-        freqs[model.index(name)] += sign * mult
+        freqs[model.index(toks.expect("name"))] += mult if sign > 0 else -mult
 
     if toks.accept("op", "("):
-        sign = -1 if toks.accept("op", "-") else 1
-        toks.accept("op", "+")
-        add_part(sign)
-        while True:
-            if toks.accept("op", "+"):
-                add_part(1)
-            elif toks.accept("op", "-"):
-                add_part(-1)
-            else:
-                break
+        _signed_terms(toks, add_part)
         toks.expect("op", ")")
     else:
         add_part(1)
@@ -199,13 +188,60 @@ def _parse_sum(toks: _Tokens, model: ManifoldModel, env) -> ScalarField:
     return combine(model, pairs)
 
 
-def parse_field(text: str, model: ManifoldModel, env=None) -> ScalarField:
-    toks = _Tokens(text)
-    f = _parse_sum(toks, model, env)
+def _at_end(toks: _Tokens) -> None:
     k, v, pos = toks.peek()
     if k != "eof":
         raise ParseError(f"trailing input {v!r}", pos)
+
+
+def parse_field(text: str, model: ManifoldModel, env=None) -> ScalarField:
+    toks = _Tokens(text)
+    f = _parse_sum(toks, model, env)
+    _at_end(toks)
     return f
+
+
+def _parse_terms(toks: _Tokens, model: ManifoldModel, env, symbol,
+                 symbols: str, lacks: str) -> list:
+    """The (symbol, coefficient, sign) terms of a whole text that sums
+    factors times exactly one basis symbol each.  symbol(toks, model)
+    reads a symbol, a tuple, at the current token, or returns None there.
+    All symbols of the sum have one length: a form's degree (a vector's
+    symbols all have length 1)."""
+    terms: list = []
+
+    def term(sign):
+        coeff = ScalarField.constant(model, 1.0)
+        sym = None
+        while True:
+            pos = toks.peek()[2]
+            got = symbol(toks, model)
+            if got is None:
+                coeff = coeff * _parse_factor(toks, model, env)
+            elif sym is not None:
+                raise ParseError(f"two {symbols} in one term", pos)
+            else:
+                sym = got
+            if not toks.accept("op", "*"):
+                break
+        if sym is None:
+            raise ParseError(lacks, toks.peek()[2])
+        if terms and len(sym) != len(terms[0][0]):
+            raise ParseError("mixed degrees in form", toks.peek()[2])
+        terms.append((sym, coeff, sign))
+
+    _signed_terms(toks, term)
+    _at_end(toks)
+    return terms
+
+
+def _basis_vector(toks: _Tokens, model: ManifoldModel):
+    """(name,) for a d_<name> symbol; the name is looked up by the caller."""
+    k, v, _ = toks.peek()
+    if k == "name" and v.startswith("d_"):
+        toks.next()
+        return (v[2:],)
+    return None
 
 
 def parse_vector(text: str, model: ManifoldModel, env=None) -> VectorField:
@@ -214,30 +250,10 @@ def parse_vector(text: str, model: ManifoldModel, env=None) -> VectorField:
     pairs: list[list] = [[] for _ in range(model.dim)]
     if toks.peek()[:2] == ("num", "0") and len(toks.items) == 1:
         return VectorField(model, tuple(ScalarField.zero(model) for _ in pairs))
-
-    def term(sign):
-        coeff = ScalarField.constant(model, 1.0)
-        direction = None
-        while True:
-            k, v, pos = toks.peek()
-            if k == "name" and v.startswith("d_"):
-                toks.next()
-                if direction is not None:
-                    raise ParseError("two basis symbols in one term", pos)
-                direction = model.index(v[2:])
-            else:
-                coeff = coeff * _parse_factor(toks, model, env)
-            if not toks.accept("op", "*"):
-                break
-        if direction is None:
-            raise ParseError("vector term lacks a d_<coord> symbol",
-                             toks.peek()[2])
-        pairs[direction].append((coeff, sign))
-
-    _signed_terms(toks, term)
-    k, v, pos = toks.peek()
-    if k != "eof":
-        raise ParseError(f"trailing input {v!r}", pos)
+    for (name,), coeff, sign in _parse_terms(
+            toks, model, env, _basis_vector, "basis symbols",
+            "vector term lacks a d_<coord> symbol"):
+        pairs[model.index(name)].append((coeff, sign))
     return VectorField(model, tuple(combine(model, p) for p in pairs))
 
 
@@ -248,6 +264,23 @@ def _covector_index(name: str, model: ManifoldModel):
         except KeyError:
             return None
     return None
+
+
+def _wedge_chain(toks: _Tokens, model: ManifoldModel):
+    """The coordinate indices of a chain like dx1^dy2, or None."""
+    k, v, _ = toks.peek()
+    ci = _covector_index(v, model) if k == "name" else None
+    if ci is None:
+        return None
+    toks.next()
+    idx = [ci]
+    while toks.accept("op", "^"):
+        nm = toks.expect("name")
+        cj = _covector_index(nm, model)
+        if cj is None:
+            raise ParseError(f"{nm!r} is not a basis covector", toks.peek()[2])
+        idx.append(cj)
+    return tuple(idx)
 
 
 def parse_form(text: str, model: ManifoldModel, env=None) -> DifferentialForm:
@@ -265,47 +298,9 @@ def parse_form(text: str, model: ManifoldModel, env=None) -> DifferentialForm:
                 raise ParseError("trailing input after zero form", toks.peek()[2])
             return DifferentialForm.zero(model, deg)
         toks.i = save
-
-    triples: list = []
-    degree = None
-
-    def term(sign):
-        nonlocal degree
-        coeff = ScalarField.constant(model, 1.0)
-        chain: tuple[int, ...] | None = None
-        while True:
-            k, v, pos = toks.peek()
-            ci = _covector_index(v, model) if k == "name" else None
-            if ci is not None:
-                toks.next()
-                idx = [ci]
-                while toks.accept("op", "^"):
-                    nm = toks.expect("name")
-                    cj = _covector_index(nm, model)
-                    if cj is None:
-                        raise ParseError(f"{nm!r} is not a basis covector",
-                                         toks.peek()[2])
-                    idx.append(cj)
-                if chain is not None:
-                    raise ParseError("two wedge chains in one term", pos)
-                chain = tuple(idx)
-            else:
-                coeff = coeff * _parse_factor(toks, model, env)
-            if not toks.accept("op", "*"):
-                break
-        if chain is None:
-            raise ParseError("form term lacks a wedge chain", toks.peek()[2])
-        if degree is None:
-            degree = len(chain)
-        elif degree != len(chain):
-            raise ParseError("mixed degrees in form", toks.peek()[2])
-        triples.append((chain, coeff, sign))
-
-    _signed_terms(toks, term)
-    k, v, pos = toks.peek()
-    if k != "eof":
-        raise ParseError(f"trailing input {v!r}", pos)
-    return _form_sum(model, degree, triples)
+    terms = _parse_terms(toks, model, env, _wedge_chain, "wedge chains",
+                         "form term lacks a wedge chain")
+    return _form_sum(model, len(terms[0][0]), terms)
 
 
 # -- serialization -------------------------------------------------------
@@ -316,25 +311,12 @@ def _num_text(c: float) -> str:
 
 
 def _freq_text(model: ManifoldModel, freqs) -> str:
-    parts = []
-    for i, k in enumerate(freqs):
-        if k == 0:
-            continue
-        parts.append((i, k))
-    if len(parts) == 1 and parts[0][1] > 0:
-        i, k = parts[0]
-        name = model.names[i]
-        return name if k == 1 else f"{k}*{name}"
-    bits = []
-    for n, (i, k) in enumerate(parts):
-        name = model.names[i]
-        mag = abs(k)
-        body = name if mag == 1 else f"{mag}*{name}"
-        if n == 0:
-            bits.append(body if k > 0 else f"-{body}")
-        else:
-            bits.append((" + " if k > 0 else " - ") + body)
-    return "(" + "".join(bits) + ")"
+    names = model.names
+    parts = [(k, names[i] if abs(k) == 1 else f"{abs(k)}*{names[i]}")
+             for i, k in enumerate(freqs) if k != 0]
+    if len(parts) == 1 and parts[0][0] > 0:
+        return parts[0][1]
+    return "(" + _join_signed(parts) + ")"
 
 
 def _term_body(model: ManifoldModel, key, coeff: float) -> str:
@@ -372,33 +354,24 @@ def field_to_text(f: ScalarField) -> str:
         [(c, _term_body(f.model, key, c)) for key, c in f.terms])
 
 
+def _times_symbol(f: ScalarField, symbol: str) -> tuple[float, str]:
+    """The signed part `coefficient*symbol` of a vector or form."""
+    if len(f.terms) == 1:
+        key, c = f.terms[0]
+        body = _term_body(f.model, key, c)
+        return c, symbol if body == "1.0" else f"{body}*{symbol}"
+    return 1.0, f"({field_to_text(f)})*{symbol}"
+
+
 def vector_to_text(v: VectorField) -> str:
-    parts = []
-    for i, comp in enumerate(v.components):
-        if not comp.terms:
-            continue
-        sym = f"d_{v.model.names[i]}"
-        if len(comp.terms) == 1:
-            key, c = comp.terms[0]
-            body = _term_body(v.model, key, c)
-            parts.append((c, sym if body == "1.0" else f"{body}*{sym}"))
-        else:
-            parts.append((1.0, f"({field_to_text(comp)})*{sym}"))
-    if not parts:
-        return "0"
-    return _join_signed(parts)
+    parts = [_times_symbol(comp, f"d_{v.model.names[i]}")
+             for i, comp in enumerate(v.components) if comp.terms]
+    return _join_signed(parts) if parts else "0"
 
 
 def form_to_text(a: DifferentialForm) -> str:
     if not a.coeffs:
         return f"0@{a.degree}"
-    parts = []
-    for idx, f in a.coeffs:
-        chain = "^".join(f"d{a.model.names[i]}" for i in idx)
-        if len(f.terms) == 1:
-            key, c = f.terms[0]
-            body = _term_body(a.model, key, c)
-            parts.append((c, chain if body == "1.0" else f"{body}*{chain}"))
-        else:
-            parts.append((1.0, f"({field_to_text(f)})*{chain}"))
-    return _join_signed(parts)
+    return _join_signed([
+        _times_symbol(f, "^".join(f"d{a.model.names[i]}" for i in idx))
+        for idx, f in a.coeffs])

@@ -27,7 +27,7 @@ import numpy as np
 
 from .brane import BraneCandidate, invert_joint_frame, lift_form
 from .fields import (COS, SIN, ScalarField, VectorField, circle_average,
-                     directional, linear_map, q_antiderivative)
+                     directional, linear_map, q_antiderivative, reindex)
 from .forms import (DifferentialForm, EndoField, apply_form,
                     bracket_span_residual, d_scalar, endo_from_pair, ext_d,
                     frame_residual, hamiltonian, horizontal_d, interior,
@@ -228,16 +228,6 @@ def hamiltonian_generator(f: ScalarField, c: BraneCandidate) -> InfDefPair:
     return pair_from_values(c, values, lie_derivative(X_f, c.F))
 
 
-def _project_drop(f: ScalarField, target: ManifoldModel,
-                  drop: int) -> ScalarField:
-    if any(p[drop] or k[drop] for (p, k, _), _ in f.terms):
-        raise ValueError("field still depends on the dropped coordinate")
-    # dropping an entry that is zero in every key keeps the keys distinct
-    return ScalarField.build(target, {
-        (p[:drop] + p[drop + 1:], k[:drop] + k[drop + 1:], ph): coeff
-        for (p, k, ph), coeff in f.terms})
-
-
 def _drop_last_circle(model: ManifoldModel) -> tuple[ManifoldModel, int]:
     q = model.dim - 1
     if not model.is_circle(q):
@@ -274,7 +264,7 @@ def upsilon_image_check(r: DifferentialForm, omega_N: DifferentialForm,
         if idx != (q,):
             raise ValueError("r must be supported on the circle direction")
     rho = r.coeff((q,))
-    h = _project_drop(circle_average(rho, q), N_model, q)
+    h = reindex(circle_average(rho, q), N_model, [*range(q), None])
 
     I_N = endo_from_pair(omega_N, F_N)
     beta = ext_d(I_N.pullback_oneform(d_scalar(h)))
@@ -289,16 +279,6 @@ def upsilon_image_check(r: DifferentialForm, omega_N: DifferentialForm,
     res.passed = all(res.conditions.values())
     res.details["average"] = str(h)
     return res
-
-
-def _restrict_product_form(form: DifferentialForm, N_model: ManifoldModel,
-                           q: int) -> DifferentialForm:
-    raw = {}
-    for idx, f in form.coeffs:
-        if q in idx:
-            raise ValueError("form has components along the parameter circle")
-        raw[idx] = _project_drop(f, N_model, q)
-    return DifferentialForm.build(N_model, form.degree, raw)
 
 
 def build_infdef(rho, B_N0: DifferentialForm, c: BraneCandidate,
@@ -320,8 +300,9 @@ def build_infdef(rho, B_N0: DifferentialForm, c: BraneCandidate,
         raise ValueError("rho must live on the product model")
     if B_N0.model != N_model or B_N0.degree != 2:
         raise ValueError("seed must be a 2-form on the base factor")
-    omega_N = _restrict_product_form(c.omega, N_model, q)
-    F_N = _restrict_product_form(c.F, N_model, q)
+    restrict = [*range(q), None]  # N x S^1 -> N
+    omega_N = lift_form(c.omega, N_model, restrict)
+    F_N = lift_form(c.F, N_model, restrict)
     I_N = endo_from_pair(omega_N, F_N)
     IN = I_N.constant_matrix()
     if IN is None:
@@ -511,6 +492,11 @@ class ComplexSlice:
         return out
 
 
+# The most memory the dense d0 and d1 of one complex may take; T^4 at
+# truncation 3 takes 0.86 GiB.
+_MAX_COMPLEX_BYTES = 2 << 30
+
+
 def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
     """Assemble the deformation complex at a Fourier truncation:
     functions -> (kernel speeds + 2-forms in a constant frame) -> 3-forms.
@@ -521,17 +507,15 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
     f -> Lie_{X_f} F with X_f the omega-dual of df.  Product model N x S^1
     (the kernel frame must be d/dq): every elementary 2-form, one speed
     function along the circle, and hamiltonian_generator.  omega and F
-    must be constant, so that no map moves a frequency (ValueError
-    otherwise).
+    must be constant, so that no map moves a frequency, and d0 and d1
+    must fit in _MAX_COMPLEX_BYTES (ValueError otherwise).
     """
     y = c.model_Y
     if len(y.circle_indices) != y.dim:
         raise ValueError("truncated Fourier bases need a torus model")
     if not (c.omega.is_constant(0.0) and c.F.is_constant(0.0)):
         raise ValueError("the deformation complex needs constant omega and F")
-    keys = _function_keys(y.dim, truncation)
-    key_index = {k: i for i, k in enumerate(keys)}
-    nfun = len(keys)
+    nfun = (2 * truncation + 1) ** y.dim  # len(_function_keys(...))
     pairs = [(a, b) for a in range(y.dim) for b in range(a + 1, y.dim)]
     pair_index = {p: i for i, p in enumerate(pairs)}
     triples = [(a, b, cc) for a in range(y.dim)
@@ -553,8 +537,17 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
         def generator(f):
             p = hamiltonian_generator(f, c)
             return p.r.coeff((q,)), p.B
-    frame_pinv = np.linalg.pinv(frame)
     nmid = speeds + frame.shape[1] * nfun
+    nbytes = 8 * nmid * nfun * (1 + len(triples))
+    if nbytes > _MAX_COMPLEX_BYTES:
+        # whole GiB, rounded up: an int of any size, where a float overflows
+        raise ValueError(
+            f"the truncation-{truncation} complex needs "
+            f"{(nbytes + (1 << 30) - 1) >> 30} GiB for d0 and d1, "
+            f"over the {_MAX_COMPLEX_BYTES >> 30} GiB limit")
+    keys = _function_keys(y.dim, truncation)
+    key_index = {k: i for i, k in enumerate(keys)}
+    frame_pinv = np.linalg.pinv(frame)
 
     d0 = np.zeros((nmid, nfun))
     for col, key in enumerate(keys):

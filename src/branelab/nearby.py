@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate
+from .brane import lift_form
 from .fields import (ScalarField, TermBank, VectorField, linear_map, partial,
                      q_antiderivative, substitute, translate)
 from .forms import (DifferentialForm, Distribution, bracket_span_residual,
@@ -67,10 +68,6 @@ class GraphDeformation:
     def n_indices(self) -> tuple[int, ...]:
         return tuple(range(self.N_model.dim))
 
-    def lift(self, form_on_N: DifferentialForm) -> DifferentialForm:
-        from .brane import lift_form
-        return lift_form(form_on_N, self.y_model, list(self.n_indices))
-
 
 def graph_deformation(N_model: ManifoldModel, omega_N: DifferentialForm,
                       F_N: DifferentialForm | None, f,
@@ -91,7 +88,7 @@ def omega_f(g: GraphDeformation) -> DifferentialForm:
     """The deformed presymplectic form: pullback of omega_N minus d(f dq)."""
     y = g.y_model
     f_dq = DifferentialForm.build(y, 1, {(g.q_index,): g.f})
-    return g.lift(g.omega_N) - ext_d(f_dq)
+    return lift_form(g.omega_N, y, g.n_indices) - ext_d(f_dq)
 
 
 def slicewise_hamiltonian(g: GraphDeformation) -> VectorField:

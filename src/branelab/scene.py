@@ -277,6 +277,29 @@ def _split_opts(tokens: list[str]) -> tuple[list[str], list[tuple[str, str]]]:
     return args, opts
 
 
+def _parse_frame(text: str, m: ManifoldModel, env) -> Distribution:
+    """A frame's vectors, joined by ';' (none for an empty text)."""
+    pieces = text.split(";") if text else ()
+    return Distribution(m, tuple(parse_vector(piece.strip(), m, env)
+                                 for piece in pieces))
+
+
+# The declarations `<head> <name> @ <model> = <text>`: pool -> (parser of
+# the text on the model, given the scene's fields on it by name; writer of
+# the text).  Like the runners above, they call through this module's
+# globals.
+_TEXT = {
+    "fields": (lambda text, m, env: parse_field(text, m, env),
+               lambda f: field_to_text(f)),
+    "forms": (lambda text, m, env: parse_form(text, m, env),
+              lambda a: form_to_text(a)),
+    "vectors": (lambda text, m, env: parse_vector(text, m, env),
+                lambda v: vector_to_text(v)),
+    "frames": (_parse_frame,
+               lambda d: " ; ".join(vector_to_text(v) for v in d.frame)),
+}
+
+
 def parse_scene(text: str) -> Scene:
     scene = Scene(name="")
     pending: dict[str, list[tuple[str, str]]] = {}
@@ -328,34 +351,14 @@ def parse_scene(text: str) -> Scene:
                     raise SceneError(
                         line_no, f"model {mname!r} is already in use")
                 pending[mname].append((cname, kind))
-            elif head in ("field", "form", "vector"):
+            elif head + "s" in _TEXT:
                 name, _, spec = rest.partition("@")
-                name = name.strip()
-                mname, _, expr = spec.partition("=")
-                mname, expr = mname.strip(), expr.strip()
+                mname, _, text = spec.partition("=")
+                mname = mname.strip()
                 m = model_of(line_no, mname)
                 env = {k: v for k, v in scene.fields.items() if v.model == m}
-                if head == "field":
-                    obj = parse_field(expr, m, env)
-                elif head == "form":
-                    obj = parse_form(expr, m, env)
-                else:
-                    obj = parse_vector(expr, m, env)
-                scene.register(head + "s", name, obj, refs=(mname,))
-            elif head == "frame":
-                name, _, spec = rest.partition("@")
-                name = name.strip()
-                mname, _, body = spec.partition("=")
-                mname, body = mname.strip(), body.strip()
-                m = model_of(line_no, mname)
-                vecs = []
-                if body:
-                    env = {k: v for k, v in scene.fields.items()
-                           if v.model == m}
-                    for piece in body.split(";"):
-                        vecs.append(parse_vector(piece.strip(), m, env))
-                scene.register("frames", name,
-                               Distribution(m, tuple(vecs)), refs=(mname,))
+                obj = _TEXT[head + "s"][0](text.strip(), m, env)
+                scene.register(head + "s", name.strip(), obj, refs=(mname,))
             elif head == "candidate":
                 name, _, body = rest.partition("=")
                 parts = body.split()
@@ -433,31 +436,18 @@ def serialize_scene(scene: Scene) -> str:
         out.append(f"option {k} {v}")
     if scene.options:
         out.append("")
-    writers = {
-        "fields": lambda o: field_to_text(o),
-        "forms": lambda o: form_to_text(o),
-        "vectors": lambda o: vector_to_text(o),
-    }
     for kind, name in scene.decl_order:
         if kind == "models":
             continue
+        obj = getattr(scene, kind)[name]
         refs = scene.refs.get((kind, name), ())
-        if kind in writers:
+        if kind in _TEXT:
+            # rstrip: an empty frame is `frame <name> @ <model> =`
             out.append(f"{kind[:-1]} {name} @ {refs[0]} = "
-                       f"{writers[kind](getattr(scene, kind)[name])}")
-        elif kind == "frames":
-            dist = scene.frames[name]
-            body = " ; ".join(vector_to_text(v) for v in dist.frame)
-            sep = f" = {body}" if body else " ="
-            out.append(f"frame {name} @ {refs[0]}{sep}")
-        elif kind == "candidates":
-            out.append(f"candidate {name} = {' '.join(refs)}")
-        elif kind == "deforms":
-            g = scene.deforms[name]
-            out.append(f"deform {name} = {' '.join(refs)} : "
-                       f"{field_to_text(g.f)}")
-        elif kind == "pairs":
-            out.append(f"pair {name} = {' '.join(refs)}")
+                       f"{_TEXT[kind][1](obj)}".rstrip())
+        else:
+            tail = f" : {field_to_text(obj.f)}" if kind == "deforms" else ""
+            out.append(f"{kind[:-1]} {name} = {' '.join(refs)}{tail}")
     if any(k != "models" for k, _ in scene.decl_order):
         out.append("")
     for spec in scene.checks:

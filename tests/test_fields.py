@@ -11,6 +11,7 @@ from branelab.fields import (COS, PRUNE_EPS, SIN, ScalarField, VectorField,
                              field_mul, partial, q_antiderivative, reindex,
                              substitute, translate)
 from branelab.forms import DifferentialForm, Distribution
+from branelab.grammar import parse_field
 from branelab.model import CIRCLE, LINE, model_from_names
 from conftest import naive_eval
 
@@ -293,6 +294,26 @@ def test_reindex_precomposes_with_inclusion(rng):
     pts[:, 0] %= 1.0
     assert np.allclose(g.eval_batch(pts),
                        f.eval_batch(pts[:, [0, 2]]), atol=1e-12)
+
+
+T4Q = model_from_names([(n, CIRCLE) for n in ("x1", "y1", "x2", "y2", "q")])
+T4 = model_from_names([(n, CIRCLE) for n in ("x1", "y1", "x2", "y2")])
+
+
+def test_reindex_refuses_a_mapping_that_skips_a_coordinate():
+    # a short mapping used to drop q silently: 1.0 + 0.5*sin(2*pi*x1)
+    f = parse_field("cos(2*pi*q) + 0.5*sin(2*pi*(x1 + q))", T4Q)
+    with pytest.raises(ValueError, match="maps 4 of the 5"):
+        reindex(f, T4, [0, 1, 2, 3])
+
+
+def test_reindex_drops_a_coordinate_mapped_to_none():
+    f = parse_field("cos(2*pi*(x1 - y2)) + 0.5", T4Q)
+    assert reindex(f, T4, [0, 1, 2, 3, None]) == parse_field(
+        "cos(2*pi*(x1 - y2)) + 0.5", T4)
+    for text in ("sin(2*pi*q)", "2.0 + cos(2*pi*(x1 + q))"):
+        with pytest.raises(ValueError, match="depends on the dropped"):
+            reindex(parse_field(text, T4Q), T4, [0, 1, 2, 3, None])
 
 
 def test_directional_derivative():

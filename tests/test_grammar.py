@@ -259,6 +259,39 @@ def test_finite_coefficients_with_an_overflowing_sum_are_kept():
     assert [c for _, c in f.terms] == [1e308, 1e308]
 
 
+# One case per way a vector or form text can be malformed, with the exact
+# message and offset: two symbols in one term, a term with no symbol,
+# mixed degrees (the offset is the end of the offending term), a
+# non-covector after ^, trailing input, a malformed trig frequency sum.
+@pytest.mark.parametrize("text,parse,message,at", [
+    ("d_x1*d_y1", parse_vector, "two basis symbols in one term", 5),
+    ("y2*d_x1 + x1*d_x2*d_y1", parse_vector, "two basis symbols in one term", 18),
+    ("dx1*dx2", parse_form, "two wedge chains in one term", 4),
+    ("x1*dy1*dx2^dy2", parse_form, "two wedge chains in one term", 7),
+    ("2*x1 + d_y1*3", parse_vector, "vector term lacks a d_<coord> symbol", 5),
+    ("d_x1 - y2", parse_vector, "vector term lacks a d_<coord> symbol", 9),
+    ("dx1^dy1 + x1", parse_form, "form term lacks a wedge chain", 12),
+    ("dx1^dy1 + dx2*2.0", parse_form, "mixed degrees in form", 17),
+    ("dx1 + dx1^dy1*y2", parse_form, "mixed degrees in form", 16),
+    ("dx1^x2", parse_form, "'x2' is not a basis covector", 6),
+    ("dx1^dy1^dfoo", parse_form, "'dfoo' is not a basis covector", 12),
+    ("d_x1 )", parse_vector, "trailing input ')'", 5),
+    ("dx1 dx2", parse_form, "trailing input 'dx2'", 4),
+    ("0@2 x", parse_form, "trailing input after zero form", 4),
+    ("x1 y1", parse_field, "trailing input 'y1'", 3),
+    ("cos(2*pi*(x1 +))*d_y1", parse_vector, "expected 'name', found ')'", 14),
+    ("sin(2*pi*(x1 y1))*dx1", parse_form, "expected ')', found 'y1'", 13),
+    ("cos(2*pi*(-x1 + 2*))*dy1", parse_form, "expected 'name', found ')'", 18),
+    ("cos(2*pi*(x1 - 2.5*x1))", parse_field, "expected integer, found '2.5'", 15),
+])
+def test_malformed_text_is_a_parse_error_at_its_offset(text, parse, message,
+                                                       at):
+    with pytest.raises(ParseError) as err:
+        parse(text, M)
+    assert str(err.value) == f"{message} (at offset {at})"
+    assert err.value.pos == at
+
+
 def test_tokens_keep_kinds_and_offsets():
     toks = grammar._Tokens(" 2.5e3*x1 ^ (y2-1)@")
     assert toks.items == [

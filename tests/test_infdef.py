@@ -156,6 +156,14 @@ def test_build_validates_seed_model():
         build_infdef(parse_field("0", T5), parse_form("dx1^dx2", T5), C5)
 
 
+def test_build_refuses_omega_along_the_circle():
+    c = codim1(T5)
+    c = BraneCandidate(T5, c.omega + parse_form("dx1^dq", T5), c.F,
+                       c.E_frame, c.G_frame)
+    with pytest.raises(ValueError, match="component along a dropped"):
+        build_infdef(parse_field("0", T5), DifferentialForm.zero(T4, 2), c)
+
+
 def test_build_shear_analogue_on_mixed_model():
     rho = parse_field(f"{LAM!r}*y2", MIX_Q)
     pair = build_infdef(rho, DifferentialForm.zero(MIX, 2), CMIX)

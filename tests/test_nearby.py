@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branelab import integrate, nearby
+from branelab.brane import lift_form
 from branelab.fields import COS, SIN, ScalarField
 from branelab.forms import DifferentialForm, Distribution, ext_d, interior
 from branelab.grammar import parse_form, parse_vector
@@ -46,7 +47,7 @@ def test_factory_parses_f_on_extended_model():
 def test_omega_f_is_base_form_minus_d_f_dq():
     g = shear()
     w = omega_f(g)
-    manual = g.lift(OMEGA_N) - ext_d(
+    manual = lift_form(OMEGA_N, g.y_model, [0, 1, 2, 3]) - ext_d(
         DifferentialForm.build(g.y_model, 1, {(4,): g.f}))
     assert (w - manual).is_zero(1e-12)
 

@@ -241,6 +241,20 @@ def test_cohomology_check_holds_rounding_not_an_absolute_tolerance(
         "d1": {"blocks": 312, "largest": [8, 8]}}
 
 
+def test_too_large_complex_is_an_error_record(tmp_path, capsys):
+    # d0 and d1 of this complex would take 9.5 GB (d1 is 31250 x 34375)
+    text = (bundled_scene_dir() / "infdef_torus.scene").read_text(
+        encoding="utf-8") + "check cohomology c truncation=2\n"
+    code, data = run_json(tmp_path, capsys, text)
+    assert code == 1
+    rec = data["checks"][-1]
+    assert rec["name"] == "cohomology(c, truncation=2)"
+    assert rec["mode"] == "ERROR" and rec["details"]["error"] == (
+        "ValueError: the truncation-2 complex needs 9 GiB for d0 and d1, "
+        "over the 2 GiB limit")
+    assert all(c["pass"] for c in data["checks"][:-1])
+
+
 def test_cohomology_check_fails_a_sign_flipped_d1(tmp_path, capsys,
                                                   monkeypatch):
     def flipped(c, truncation):
