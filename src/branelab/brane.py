@@ -12,6 +12,7 @@ product ambient model, and the two must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +29,17 @@ class RankDropError(Exception):
     """A form lost rank at a sample point where constant rank was required."""
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @dataclass(frozen=True)
 class BraneCandidate:
+    """The constant data the checks read is derived once, on first use,
+    into read-only arrays shared by every check."""
+
     model_Y: ManifoldModel
     omega: DifferentialForm
     F: DifferentialForm
@@ -44,6 +54,40 @@ class BraneCandidate:
         for form in (self.omega, self.F):
             if form.model != self.model_Y or form.degree != 2:
                 raise ValueError("omega and F must be 2-forms on model_Y")
+
+    @cached_property
+    def constant_frames(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Matrices (G, E) of the frames if both are constant, else None."""
+        G, E = self.G_frame.constant_matrix(), self.E_frame.constant_matrix()
+        return None if G is None or E is None else _read_only(G, E)
+
+    @cached_property
+    def constant_grams(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Grams (omega, F) of the forms if both are constant, else None."""
+        W, F = self.omega.constant_gram(), self.F.constant_gram()
+        return None if W is None or F is None else _read_only(W, F)
+
+    @property
+    def frames(self) -> tuple[np.ndarray, np.ndarray]:
+        """constant_frames, or ValueError when a frame varies."""
+        if self.constant_frames is None:
+            raise ValueError("needs constant frames")
+        return self.constant_frames
+
+    @property
+    def grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """constant_grams, or ValueError when omega or F varies."""
+        if self.constant_grams is None:
+            raise ValueError("needs constant omega and F")
+        return self.constant_grams
+
+    @cached_property
+    def joint_inverse(self) -> np.ndarray:
+        """Inverse of the joint frame [G | E], whose rows past rank(G) are
+        the coframe dual to E; RankDropError on dependent columns."""
+        G, E = self.frames
+        _require_independent(E, G, DEFAULT_TOL.subspace)
+        return _read_only(np.linalg.inv(np.column_stack([G, E])))[0]
 
 
 @dataclass(frozen=True)
@@ -62,15 +106,12 @@ class AmbientModel:
 def ambient_for(c: BraneCandidate) -> AmbientModel:
     """Ambient model Y x R^k with omega_M = omega + sum d(eta_a) ^ dt_a.
 
-    Built for candidates whose E-frame is constant: each E direction gets a
+    Built for candidates whose frames are constant: each E direction gets a
     conjugate line fiber t_a, and omega_M couples them through the dual
     coframe eta_a of the E-frame, reducing to omega_N + dq^dt in the
     codimension-one product case.
     """
-    EC = c.E_frame.constant_matrix()
-    GC = c.G_frame.constant_matrix()
-    if EC is None or GC is None:
-        raise ValueError("ambient assembly needs constant frames")
+    eta = c.joint_inverse[c.G_frame.rank:]
     n, k = c.model_Y.dim, c.E_frame.rank
     M = c.model_Y
     taken = {name for name, _ in M.coords}
@@ -80,8 +121,6 @@ def ambient_for(c: BraneCandidate) -> AmbientModel:
             name = "_" + name
         taken.add(name)
         M = extend_with_line(M, name)
-    # dual coframe rows of the E part of the joint frame
-    eta = invert_joint_frame(GC, EC)[1][c.G_frame.rank:]
     coupling = DifferentialForm.build(M, 2, {
         (i, n + a): eta[a, i]
         for a in range(k) for i in range(n) if eta[a, i] != 0.0})
@@ -169,23 +208,13 @@ def _require_independent(E: np.ndarray, G: np.ndarray, rel: float,
                             f"[G | E] is singular{at}")
 
 
-def invert_joint_frame(GC: np.ndarray,
-                       EC: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P, P^-1) for the constant joint frame P = [G columns | E columns];
-    raises RankDropError when the columns are dependent."""
-    _require_independent(EC, GC, DEFAULT_TOL.subspace)
-    P = np.column_stack([GC, EC])
-    return P, np.linalg.inv(P)
-
-
 def validate_candidate(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
                        tol=DEFAULT_TOL) -> None:
     """Raise RankDropError if the E and G frames are dependent: tested
-    once on constant frames, as invert_joint_frame tests them, else at
-    the first 32 plan points, naming the first dependent sample."""
-    EC, GC = c.E_frame.constant_matrix(), c.G_frame.constant_matrix()
-    if EC is not None and GC is not None:
-        _require_independent(EC, GC, tol.subspace)
+    once on constant frames, by BraneCandidate.joint_inverse, else at the
+    first 32 plan points, naming the first dependent sample."""
+    if c.constant_frames is not None:
+        c.joint_inverse  # raises on dependent frames
         return
     pts = plan.points(c.model_Y)[:32]
     for p, E, G in zip(pts, c.E_frame.matrices(pts),
@@ -204,9 +233,7 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
     plan point.
     """
     validate_candidate(c, plan, tol)
-    EC, GC = c.E_frame.constant_matrix(), c.G_frame.constant_matrix()
-    W, FC = c.omega.constant_gram(), c.F.constant_gram()
-    exact = not any(x is None for x in (EC, GC, W, FC))
+    exact = c.constant_frames is not None and c.constant_grams is not None
     res = CheckResult("brane", EXACT if exact else SAMPLED, False)
     res.hold("omega_closed", ext_d(c.omega).max_coeff(), tol.exact_zero,
              "d_omega")
@@ -214,6 +241,7 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
 
     pts = plan.points(c.model_Y)
     if exact:
+        (GC, EC), (W, FC) = c.frames, c.grams
         pts, WG, FG, EM, GM = pts[:1], W[None], FC[None], EC[None], GC[None]
     else:
         WG, FG = c.omega.gram_batch(pts), c.F.gram_batch(pts)
@@ -282,14 +310,13 @@ def check_brane_via_J(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
     J(X, xi) = (-omega_M^-1 xi, omega_M X) on the product ambient_for(c);
     the candidate passes iff J tau_F = tau_F at every sample (and the
     ambient form is closed, which the AmbientModel construction
-    guarantees).  When the ambient form and F are constant (as they are
-    for constant omega and F), J and tau_F are too: the check is EXACT,
-    evaluated once, and witnesses and errors name the first plan point.
+    guarantees).  When omega and F are constant, so are the ambient form,
+    J and tau_F: the check is EXACT, evaluated once, and witnesses and
+    errors name the first plan point.
     Otherwise it is SAMPLED at every plan point.
     """
     ambient = ambient_for(c)
-    WC, FC = ambient.omega_M.constant_gram(), c.F.constant_gram()
-    exact = WC is not None and FC is not None
+    exact = c.constant_grams is not None
     res = CheckResult("brane_via_J", EXACT if exact else SAMPLED, False)
     # J-invariance is pointwise linear algebra; closedness is checked
     # separately so the verdict matches check_brane on non-closed inputs
@@ -301,7 +328,7 @@ def check_brane_via_J(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
     P = np.zeros((pts.shape[0], m))
     P[:, :n] = pts
     if exact:
-        WG, FG = WC[None], FC[None]
+        WG, FG = ambient.omega_M.constant_gram()[None], c.grams[1][None]
     else:
         WG, FG = ambient.omega_M.gram_batch(P), c.F.gram_batch(pts)
     worst = 0.0

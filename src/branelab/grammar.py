@@ -45,9 +45,11 @@ class _Tokens:
         pos = 0
         while pos < len(text):
             m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
-                if text[pos:].strip() == "":
+            if m is None:
+                rest = text[pos:].lstrip()
+                if not rest:
                     break
+                pos = len(text) - len(rest)
                 raise ParseError(f"bad character {text[pos]!r}", pos)
             kind = m.lastgroup
             self.items.append((kind, m.group(kind), m.start(kind)))
@@ -91,6 +93,14 @@ def _parse_int(toks: _Tokens) -> int:
     return int(v)
 
 
+def _coordinate(model: ManifoldModel, name: str, pos: int, skip=0) -> int:
+    """Index of the coordinate name[skip:], else ParseError at pos."""
+    try:
+        return model.index(name[skip:])
+    except KeyError:
+        raise ParseError(f"unknown name {name!r}", pos) from None
+
+
 def _parse_trig(toks: _Tokens, model: ManifoldModel, which: str) -> ScalarField:
     toks.expect("op", "(")
     k, v, pos = toks.next()
@@ -106,7 +116,8 @@ def _parse_trig(toks: _Tokens, model: ManifoldModel, which: str) -> ScalarField:
         if toks.peek()[0] == "num":
             mult = _parse_int(toks)
             toks.expect("op", "*")
-        freqs[model.index(toks.expect("name"))] += mult if sign > 0 else -mult
+        pos = toks.peek()[2]
+        freqs[_coordinate(model, toks.expect("name"), pos)] += int(sign) * mult
 
     if toks.accept("op", "("):
         _signed_terms(toks, add_part)
@@ -142,10 +153,7 @@ def _parse_atom(toks: _Tokens, model: ManifoldModel, env) -> ScalarField:
             if f.model != model:
                 raise ParseError(f"{v!r} lives on a different model", pos)
             return f
-        try:
-            return ScalarField.coordinate(model, model.index(v))
-        except KeyError:
-            raise ParseError(f"unknown name {v!r}", pos) from None
+        return ScalarField.coordinate(model, _coordinate(model, v, pos))
     raise ParseError(f"unexpected token {v!r}", pos)
 
 
@@ -236,11 +244,11 @@ def _parse_terms(toks: _Tokens, model: ManifoldModel, env, symbol,
 
 
 def _basis_vector(toks: _Tokens, model: ManifoldModel):
-    """(name,) for a d_<name> symbol; the name is looked up by the caller."""
-    k, v, _ = toks.peek()
+    """(coordinate index,) for a d_<coord> symbol."""
+    k, v, pos = toks.peek()
     if k == "name" and v.startswith("d_"):
         toks.next()
-        return (v[2:],)
+        return (_coordinate(model, v, pos, skip=2),)
     return None
 
 
@@ -250,10 +258,10 @@ def parse_vector(text: str, model: ManifoldModel, env=None) -> VectorField:
     pairs: list[list] = [[] for _ in range(model.dim)]
     if toks.peek()[:2] == ("num", "0") and len(toks.items) == 1:
         return VectorField(model, tuple(ScalarField.zero(model) for _ in pairs))
-    for (name,), coeff, sign in _parse_terms(
+    for (i,), coeff, sign in _parse_terms(
             toks, model, env, _basis_vector, "basis symbols",
             "vector term lacks a d_<coord> symbol"):
-        pairs[model.index(name)].append((coeff, sign))
+        pairs[i].append((coeff, sign))
     return VectorField(model, tuple(combine(model, p) for p in pairs))
 
 

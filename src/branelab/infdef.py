@@ -7,12 +7,13 @@ independent condition checkers that must agree, the explicit builder for
 the product model N x S^1, Hamiltonian (coboundary) generators, the
 forgetful projection onto the kernel component with its image criterion,
 and truncated Fourier cochain complexes with numerically ranked first
-cohomology.  One assembly builds the complex of both shapes (space
-filling and N x S^1); the shape picks only the constant 2-form frame, the
-speed block and the generator map.  The complex needs constant omega and
-F, so every map keeps each frequency pair span{cos, sin}(2 pi k.x) to
-itself; each rank is taken one frequency block at a time with the
-threshold of one SVD of the whole matrix.
+cohomology.  One assembly and one generator map (hamiltonian_generator)
+build the complex of both shapes (space filling and N x S^1); the shape
+picks only the constant 2-form frame and the size of the speed block,
+and every constant comes from the candidate.  The complex needs constant
+omega and F, so every map keeps each frequency pair span{cos, sin}(2 pi
+k.x) to itself; each rank is taken one frequency block at a time with
+the threshold of one SVD of the whole matrix.
 
 Sign convention: the generator map is f -> (df on the kernel frame,
 Lie_{X_f} F); the opposite overall sign spans the same coboundaries.
@@ -25,14 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brane import BraneCandidate, invert_joint_frame, lift_form
+from .brane import BraneCandidate, lift_form
 from .fields import (COS, SIN, ScalarField, VectorField, circle_average,
-                     directional, linear_map, q_antiderivative, reindex)
-from .forms import (DifferentialForm, EndoField, apply_form,
-                    bracket_span_residual, d_scalar, endo_from_pair, ext_d,
-                    frame_residual, hamiltonian, horizontal_d, interior,
-                    is_type_11, lie_derivative, sharp, transverse_matrix,
-                    wedge)
+                     linear_map, partial, q_antiderivative, reindex)
+from .forms import (DifferentialForm, EndoField, _condition_gate, apply_form,
+                    d_scalar, endo_from_pair, ext_d, frame_residual,
+                    hamiltonian, horizontal_d, interior, is_type_11,
+                    lie_derivative, sharp, transverse_matrix, wedge)
 from .model import (DEFAULT_PLAN, DEFAULT_TOL, ManifoldModel, SamplePlan,
                     Tolerances)
 from .nearby import slice_oneform
@@ -74,16 +74,6 @@ class InfDefPair:
             raise ValueError("pair components live on different models")
 
 
-def joint_inverse(c: BraneCandidate) -> tuple[np.ndarray, np.ndarray]:
-    """(P, P^-1) for the constant joint frame P = [G columns | E columns];
-    raises RankDropError when the frames are dependent."""
-    GC = c.G_frame.constant_matrix()
-    EC = c.E_frame.constant_matrix()
-    if GC is None or EC is None:
-        raise ValueError("needs constant frames")
-    return invert_joint_frame(GC, EC)
-
-
 def pair_from_values(c: BraneCandidate, values, B: DifferentialForm) -> InfDefPair:
     """Assemble a pair from per-kernel-direction speed fields.
 
@@ -92,10 +82,9 @@ def pair_from_values(c: BraneCandidate, values, B: DifferentialForm) -> InfDefPa
     annihilate the transverse frame.
     """
     y = c.model_Y
-    _, D = joint_inverse(c)
+    eta = c.joint_inverse[c.G_frame.rank:]
     values = [ScalarField.constant(y, v) if isinstance(v, (int, float)) else v
               for v in values]
-    eta = D[c.G_frame.rank:]
     return InfDefPair(DifferentialForm.build(y, 1, {
         (i,): r for i, r in enumerate(linear_map(y, eta.T, values))}), B)
 
@@ -103,21 +92,12 @@ def pair_from_values(c: BraneCandidate, values, B: DifferentialForm) -> InfDefPa
 def transverse_endo(c: BraneCandidate) -> EndoField:
     """The complex structure transverse to the kernel, extended by zero on
     the kernel frame (constant-coefficient candidates only)."""
-    P, D = joint_inverse(c)
-    W = c.omega.constant_gram()
-    Fg = c.F.constant_gram()
-    if W is None or Fg is None:
-        raise ValueError("transverse endomorphism needs constant forms")
+    P, D = np.column_stack(c.frames), c.joint_inverse
     rg = c.G_frame.rank
     A = np.zeros((c.model_Y.dim, c.model_Y.dim))
-    A[:rg, :rg] = transverse_matrix(W, Fg, c.G_frame.constant_matrix(),
+    A[:rg, :rg] = transverse_matrix(*c.grams, c.frames[0],
                                     "restriction of the nondegenerate form")
     return EndoField.from_matrix(c.model_Y, P @ A @ D)
-
-
-def _involutive(dist, plan: SamplePlan, tol: float) -> bool:
-    return (dist.constant_matrix() is not None
-            or bracket_span_residual(dist, plan.points(dist.model)) <= tol)
 
 
 def check_infdef(pair: InfDefPair, c: BraneCandidate,
@@ -128,8 +108,7 @@ def check_infdef(pair: InfDefPair, c: BraneCandidate,
     Conditions: the kernel-direction exterior derivative of r vanishes,
     B is closed and horizontal, the mixed equation B(e, v) = -(d r)(e)
     pulled through the transverse complex structure, and the transverse
-    quadratic compatibility (type-(1,1) on an involutive transverse frame,
-    the full form otherwise).
+    quadratic compatibility, type (1,1) on the constant transverse frame.
     """
     if pair.r.model != c.model_Y:
         raise ValueError("pair and candidate live on different models")
@@ -147,15 +126,10 @@ def check_infdef(pair: InfDefPair, c: BraneCandidate,
         (apply_form(pair.B, [e, v]) + apply_form(alpha, [iv])).max_coeff()
         for e, alpha in zip(E.frame, alphas)
         for v, iv in zip(G.frame, IG)), default=0.0), bound)
-    if _involutive(G, plan, tol.subspace):
-        quad = max((
-            (apply_form(pair.B, [ia, ib])
-             - apply_form(pair.B, [a, b])).max_coeff()
-            for (a, ia), (b, ib) in itertools.combinations(
-                zip(G.frame, IG), 2)), default=0.0)
-    else:
-        quad = _eq_iv_residual(pair, c, I_hat)
-    res.hold("quad_iv", quad, bound)
+    res.hold("quad_iv", max((
+        (apply_form(pair.B, [ia, ib]) - apply_form(pair.B, [a, b])).max_coeff()
+        for (a, ia), (b, ib) in itertools.combinations(zip(G.frame, IG), 2)),
+        default=0.0), bound)
     res.passed = all(res.conditions.values())
     return res
 
@@ -211,21 +185,17 @@ def hamiltonian_generator(f: ScalarField, c: BraneCandidate) -> InfDefPair:
     frame."""
     if f.model != c.model_Y:
         raise ValueError("f must live on the candidate's model")
-    GC = c.G_frame.constant_matrix()
-    if GC is None:
-        raise ValueError("needs a constant transverse frame")
-    W = c.omega.constant_gram()
-    if W is None:
-        raise ValueError("needs a constant-coefficient form")
+    G, E = c.frames
+    W, _ = c.grams
     y = c.model_Y
+    grads = [partial(f, j) for j in range(y.dim)]
     # X_f = sum_a coeff[a] * (a-th transverse frame field), with coeff
     # solving the restriction of omega to the frame against df on it
-    coeff = hamiltonian(GC.T @ W @ GC,
-                        [directional(g, f) for g in c.G_frame.frame], y,
+    coeff = hamiltonian(G.T @ W @ G, linear_map(y, G.T, grads), y,
                         "restriction of the nondegenerate form")
-    X_f = VectorField(y, linear_map(y, GC, coeff))
-    values = [directional(e, f) for e in c.E_frame.frame]
-    return pair_from_values(c, values, lie_derivative(X_f, c.F))
+    X_f = VectorField(y, linear_map(y, G, coeff))
+    return pair_from_values(c, linear_map(y, E.T, grads),
+                            lie_derivative(X_f, c.F))
 
 
 def _drop_last_circle(model: ManifoldModel) -> tuple[ManifoldModel, int]:
@@ -239,8 +209,8 @@ def _kernel_circle(c: BraneCandidate) -> tuple[ManifoldModel, int]:
     """(N, q) for a candidate on N x S^1 whose kernel frame is d/dq."""
     y = c.model_Y
     N_model, q = _drop_last_circle(y)
-    EC = c.E_frame.constant_matrix()
-    if c.E_frame.rank != 1 or EC is None or not np.allclose(
+    EC = c.frames[1]
+    if c.E_frame.rank != 1 or not np.allclose(
             EC[:, 0] / EC[q, 0] if EC[q, 0] else EC[:, 0],
             np.eye(y.dim)[q]):
         raise ValueError("expected the kernel frame d/dq on the product model")
@@ -378,9 +348,9 @@ def _field_into(f: ScalarField, key_index: dict, out: np.ndarray) -> None:
 def constant_type11_basis(c: BraneCandidate) -> list[np.ndarray]:
     """Orthonormal coefficient vectors (over index pairs a < b) spanning the
     constant 2-forms fixed by the complex-structure pullback."""
-    I = endo_from_pair(c.omega, c.F).constant_matrix()
-    if I is None:
-        raise ValueError("needs a constant complex structure")
+    W, F = c.grams
+    _condition_gate(W, "constant form")
+    I = np.linalg.inv(W) @ F
     n = c.model_Y.dim
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     L = np.zeros((len(pairs), len(pairs)))
@@ -501,14 +471,14 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
     """Assemble the deformation complex at a Fourier truncation:
     functions -> (kernel speeds + 2-forms in a constant frame) -> 3-forms.
 
-    d0 is the generator map, d1 the exterior derivative of the 2-form
-    part.  The shape picks the frame, the speed block and the generator.
-    Space filling: the invariant-type (1,1) frame, no speeds, and
-    f -> Lie_{X_f} F with X_f the omega-dual of df.  Product model N x S^1
-    (the kernel frame must be d/dq): every elementary 2-form, one speed
-    function along the circle, and hamiltonian_generator.  omega and F
-    must be constant, so that no map moves a frequency, and d0 and d1
-    must fit in _MAX_COMPLEX_BYTES (ValueError otherwise).
+    d0 is hamiltonian_generator (its speed along the circle d/dq fills
+    the speed block), d1 the exterior derivative of the 2-form part.  The
+    shape picks the frame and the speed block.  Space filling: the
+    invariant-type (1,1) frame and no speeds.  Product model N x S^1 (the
+    kernel frame must be d/dq): every elementary 2-form and one speed
+    function along the circle.  omega and F must be constant, so that no
+    map moves a frequency, and d0 and d1 must fit in _MAX_COMPLEX_BYTES
+    (ValueError otherwise).
     """
     y = c.model_Y
     if len(y.circle_indices) != y.dim:
@@ -525,18 +495,10 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
     if c.E_frame.rank == 0:
         shape, speeds = "space_filling", 0
         frame = np.column_stack(constant_type11_basis(c))
-
-        def generator(f):
-            return (ScalarField.zero(y),
-                    lie_derivative(sharp(c.omega, d_scalar(f)), c.F))
     else:
-        _, q = _kernel_circle(c)
+        _kernel_circle(c)
         shape, speeds = "codim1", nfun
         frame = np.eye(len(pairs))
-
-        def generator(f):
-            p = hamiltonian_generator(f, c)
-            return p.r.coeff((q,)), p.B
     nmid = speeds + frame.shape[1] * nfun
     nbytes = 8 * nmid * nfun * (1 + len(triples))
     if nbytes > _MAX_COMPLEX_BYTES:
@@ -551,10 +513,11 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
 
     d0 = np.zeros((nmid, nfun))
     for col, key in enumerate(keys):
-        speed, B = generator(_basis_field(y, key))
-        _field_into(speed, key_index, d0[:speeds, col])
+        p = hamiltonian_generator(_basis_field(y, key), c)
+        # the speed along the circle d/dq; r is zero when space filling
+        _field_into(p.r.coeff((y.dim - 1,)), key_index, d0[:speeds, col])
         comp = np.zeros((len(pairs), nfun))
-        for idx, g in B.coeffs:
+        for idx, g in p.B.coeffs:
             _field_into(g, key_index, comp[pair_index[idx]])
         coords = frame_pinv @ comp
         resid = np.abs(frame @ coords - comp).max(initial=0.0)

@@ -520,21 +520,21 @@ def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
     dpsi[:, :dN, dN] = -Xf
     dpsi[:, dN, dN] = 1.0
 
+    def pullback_gap(grams, base_form):
+        """Per-sample max |psi^* grams - trivial extension of base_form|."""
+        base = np.zeros((m, dN + 1, dN + 1))
+        base[:, :dN, :dN] = base_form.gram_batch(pts[:, :dN])
+        r = np.abs(np.einsum("kia,kij,kjb->kab", dpsi, grams, dpsi) - base)
+        return r.reshape(m, -1).max(axis=1)
+
     # (b) psi^* (deformed form) = trivial extension of omega_N
-    W = omega_f(g).gram_batch(y.wrap(psi_pts))
-    base = np.zeros((m, dN + 1, dN + 1))
-    base[:, :dN, :dN] = g.omega_N.gram_batch(pts[:, :dN])
-    r_omega = np.abs(np.einsum("kia,kij,kjb->kab", dpsi, W, dpsi) - base)
-    r_omega = r_omega.reshape(m, -1).max(axis=1)
+    r_omega = pullback_gap(omega_f(g).gram_batch(y.wrap(psi_pts)), g.omega_N)
     res.hold("omega_f_pulls_back", float(r_omega.max(initial=0.0)), tol,
              "omega_pullback")
 
     # (c) psi^* (transported form) = trivial extension of F_N_tilde
     _, Mpsi = TransportedForm(g, F_N_tilde, opts=opts).matrices_at(psi_pts)
-    baseF = np.zeros((m, dN + 1, dN + 1))
-    baseF[:, :dN, :dN] = F_N_tilde.gram_batch(pts[:, :dN])
-    r_F = np.abs(np.einsum("kia,kij,kjb->kab", dpsi, Mpsi, dpsi) - baseF)
-    r_F = r_F.reshape(m, -1).max(axis=1)
+    r_F = pullback_gap(Mpsi, F_N_tilde)
     res.hold("transported_pulls_back", float(r_F.max(initial=0.0)), tol,
              "F_pullback")
 

@@ -262,7 +262,8 @@ def test_finite_coefficients_with_an_overflowing_sum_are_kept():
 # One case per way a vector or form text can be malformed, with the exact
 # message and offset: two symbols in one term, a term with no symbol,
 # mixed degrees (the offset is the end of the offending term), a
-# non-covector after ^, trailing input, a malformed trig frequency sum.
+# non-covector after ^, trailing input, a malformed trig frequency sum,
+# a bad character after whitespace, an unknown coordinate.
 @pytest.mark.parametrize("text,parse,message,at", [
     ("d_x1*d_y1", parse_vector, "two basis symbols in one term", 5),
     ("y2*d_x1 + x1*d_x2*d_y1", parse_vector, "two basis symbols in one term", 18),
@@ -283,6 +284,11 @@ def test_finite_coefficients_with_an_overflowing_sum_are_kept():
     ("sin(2*pi*(x1 y1))*dx1", parse_form, "expected ')', found 'y1'", 13),
     ("cos(2*pi*(-x1 + 2*))*dy1", parse_form, "expected 'name', found ')'", 18),
     ("cos(2*pi*(x1 - 2.5*x1))", parse_field, "expected integer, found '2.5'", 15),
+    ("x1 $", parse_field, "bad character '$'", 3),
+    ("d_zz", parse_vector, "unknown name 'd_zz'", 0),
+    ("d_x1*d_zz", parse_vector, "unknown name 'd_zz'", 5),
+    ("cos(2*pi*zz)", parse_field, "unknown name 'zz'", 9),
+    ("cos(2*pi*(x1 - zz))", parse_field, "unknown name 'zz'", 15),
 ])
 def test_malformed_text_is_a_parse_error_at_its_offset(text, parse, message,
                                                        at):

@@ -11,10 +11,11 @@ from branelab.brane import BraneCandidate
 from branelab.cli import bundled_scene_dir
 from branelab.fields import ScalarField, partial
 from branelab.forms import (DifferentialForm, Distribution, apply_form,
-                            is_type_11)
+                            d_scalar, is_type_11, lie_derivative, sharp)
 from branelab.grammar import parse_field, parse_form, parse_vector
 from branelab.infdef import (AverageObstruction, InfDefPair, Type11Violation,
-                             _block_rank, build_infdef, check_infdef, complex_slice,
+                             _basis_field, _block_rank, _function_keys,
+                             build_infdef, check_infdef, complex_slice,
                              constant_type11_basis, hamiltonian_generator,
                              infdef_general_check, pair_from_values,
                              transverse_endo, upsilon_image_check)
@@ -281,6 +282,14 @@ def gl_pair_t4():
         Distribution(T4, tuple(VectorField.basis(T4, i) for i in range(4))))
 
 
+# the T^4 pair with a constant transverse frame that is not the
+# coordinate basis
+SKEWED_G = BraneCandidate(T4, OMEGA_T4, F_T4, Distribution(T4, ()),
+                          Distribution(T4, tuple(parse_vector(v, T4) for v in (
+                              "d_x1 + d_y1", "d_y1 - 2*d_x2", "d_x2 + d_y2",
+                              "3*d_y2"))))
+
+
 def dense_rank(M, rank_rel):
     """The rank one dense SVD of the whole matrix gives."""
     if M.size == 0:
@@ -293,7 +302,7 @@ def dense_rank(M, rank_rel):
 
 @pytest.mark.parametrize("make, truncation, h1", [
     (space_filling_t4, 0, 4), (space_filling_t4, 1, 4),
-    (gl_pair_t4, 1, 4), (lambda: C5, 0, 11)])
+    (gl_pair_t4, 1, 4), (lambda: SKEWED_G, 1, 4), (lambda: C5, 0, 11)])
 def test_block_ranks_match_dense_svd(make, truncation, h1):
     cs = complex_slice(make(), truncation)
     # both matrices vanish outside the blocks of one frequency vector
@@ -306,6 +315,44 @@ def test_block_ranks_match_dense_svd(make, truncation, h1):
     assert cs.rank_d0 == dense_rank(cs.d0, rank_rel)
     assert cs.dim_ker_d1 == cs.d1.shape[1] - dense_rank(cs.d1, rank_rel)
     assert cs.h1 == h1
+
+
+def bundled_candidate(name):
+    return parse_scene((bundled_scene_dir() / f"{name}.scene").read_text(
+        encoding="utf-8")).lookup("candidates", "c")
+
+
+def test_complex_slice_derives_the_constant_data_once(monkeypatch):
+    c = bundled_candidate("infdef_torus")
+    calls = {"constant_matrix": 0, "constant_gram": 0}
+    for cls, name in ((Distribution, "constant_matrix"),
+                      (DifferentialForm, "constant_gram")):
+        def counted(self, _method=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _method(self)
+        monkeypatch.setattr(cls, name, counted)
+    complex_slice(c, 1)
+    assert calls["constant_matrix"] <= 3
+    assert calls["constant_gram"] <= 2
+
+
+@pytest.mark.parametrize("make, bound", [
+    (lambda: bundled_candidate("cohomology_t4"), None), (gl_pair_t4, None),
+    (lambda: SKEWED_G, 1e-12)])
+def test_space_filling_generator_is_the_lie_derivative(make, bound):
+    """hamiltonian_generator, which both shapes of the complex use, is
+    Lie_{X_f} F with X_f the omega-dual of df when the brane fills space:
+    equal on the coordinate frame, equal up to rounding on another."""
+    c = make()
+    for key in _function_keys(4, 1):
+        f = _basis_field(c.model_Y, key)
+        pair = hamiltonian_generator(f, c)
+        lie = lie_derivative(sharp(c.omega, d_scalar(f)), c.F)
+        assert pair.r.coeffs == ()
+        if bound is None:
+            assert pair.B == lie
+        else:
+            assert (pair.B - lie).max_coeff() <= bound
 
 
 def test_codim1_complex_decouples_into_small_blocks():

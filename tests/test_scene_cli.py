@@ -468,7 +468,7 @@ def test_infdef_subcommand_reports_raised_checks_as_records(tmp_path, capsys):
         for rec in (entry["check_infdef"], entry["general"]):
             assert rec["mode"] == "ERROR" and rec["pass"] is False
             assert rec["details"]["error"] == (
-                "ValueError: transverse endomorphism needs constant forms")
+                "ValueError: needs constant omega and F")
 
 
 def test_infdef_subcommand_reports_a_raised_complex(capsys):
