@@ -59,9 +59,10 @@ def _config_from(scene: Scene, args) -> RunConfig:
                      flow=FlowOptions(step=1.0 / steps), grid=grid)
 
 
-_CHECK_ERRORS = (SceneError, KeyError, ValueError, DegenerateFormError,
-                 RankDropError, BraneObstruction, AverageObstruction,
-                 Type11Violation, CircleTermsError, FlowError)
+_CHECK_ERRORS = (SceneError, KeyError, ValueError, MemoryError,
+                 DegenerateFormError, RankDropError, BraneObstruction,
+                 AverageObstruction, Type11Violation, CircleTermsError,
+                 FlowError)
 
 
 def _execute(scene: Scene, spec, cfg: RunConfig) -> CheckResult:

@@ -12,8 +12,12 @@ build the complex of both shapes (space filling and N x S^1); the shape
 picks only the constant 2-form frame and the size of the speed block,
 and every constant comes from the candidate.  The complex needs constant
 omega and F, so every map keeps each frequency pair span{cos, sin}(2 pi
-k.x) to itself; each rank is taken one frequency block at a time with
-the threshold of one SVD of the whole matrix.
+k.x) to itself through a symbol polynomial in k: linear for the speeds
+and d1, quadratic for the 2-form part of d0.  The symbols are read off
+the generator and the exterior derivative at a fixed set of probe
+frequencies, so the term algebra runs as often at every truncation, and
+numpy fills the matrices; each rank is taken one frequency block at a
+time with the threshold of one SVD of the whole matrix.
 
 Sign convention: the generator map is f -> (df on the kernel frame,
 Lie_{X_f} F); the opposite overall sign spans the same coboundaries.
@@ -33,8 +37,7 @@ from .forms import (DifferentialForm, EndoField, _condition_gate, apply_form,
                     d_scalar, endo_from_pair, ext_d, frame_residual,
                     hamiltonian, horizontal_d, interior, is_type_11,
                     lie_derivative, sharp, transverse_matrix, wedge)
-from .model import (DEFAULT_PLAN, DEFAULT_TOL, ManifoldModel, SamplePlan,
-                    Tolerances)
+from .model import DEFAULT_TOL, ManifoldModel, Tolerances
 from .nearby import slice_oneform
 from .report import EXACT, CheckResult
 
@@ -101,7 +104,6 @@ def transverse_endo(c: BraneCandidate) -> EndoField:
 
 
 def check_infdef(pair: InfDefPair, c: BraneCandidate,
-                 plan: SamplePlan = DEFAULT_PLAN,
                  tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """Direct first-order conditions on (r, B).
 
@@ -152,7 +154,6 @@ def _eq_iv_residual(pair: InfDefPair, c: BraneCandidate,
 
 
 def infdef_general_check(pair: InfDefPair, c: BraneCandidate,
-                         plan: SamplePlan = DEFAULT_PLAN,
                          tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """Second implementation path phrased through the form speeds
     (omega_dot = -d r, F_dot = B); must agree with check_infdef."""
@@ -330,19 +331,14 @@ def _function_keys(dim: int, truncation: int) -> list[tuple[tuple[int, ...], int
     return keys
 
 
-def _basis_field(model: ManifoldModel, key) -> ScalarField:
-    vec, phase = key
-    if phase == COS:
-        return ScalarField.cosine(model, vec)
-    return ScalarField.sine(model, vec)
-
-
-def _field_into(f: ScalarField, key_index: dict, out: np.ndarray) -> None:
-    """Add the coefficients of f into out, one entry per basis key."""
-    for (p, k, ph), coeff in f.terms:
-        if any(p):
-            raise ValueError("polynomial term outside the torus basis")
-        out[key_index[(k, ph)]] += coeff
+def _mode_coeffs(a: DifferentialForm, idxs, k, phase) -> list[float]:
+    """Coefficients of the components idxs of a at cos or sin(2 pi k.x);
+    ValueError if one has a polynomial term or any other mode."""
+    mode = ((0,) * len(k), tuple(int(x) for x in k), phase)
+    fields = [a.coeff(idx) for idx in idxs]
+    if any(key != mode for f in fields for key, _ in f.terms):
+        raise ValueError("a probe's image leaves its Fourier mode")
+    return [dict(f.terms).get(mode, 0.0) for f in fields]
 
 
 def constant_type11_basis(c: BraneCandidate) -> list[np.ndarray]:
@@ -391,9 +387,10 @@ class ComplexSlice:
     """Matrices of the two-step deformation complex on truncated Fourier
     bases, with lazily computed numerical ranks.
 
-    d0 and d1 are dense.  The middle space lists the speed block first
-    (empty when the brane is space filling), then one block of nfun rows
-    per column of the constant 2-form frame; every axis of d0 and d1 is a
+    d0 and d1 are dense, filled from per-frequency symbols (see
+    complex_slice).  The middle space lists the speed block first (empty
+    when the brane is space filling), then one block of nfun rows per
+    column of the constant 2-form frame; every axis of d0 and d1 is a
     whole number of runs of function_keys, so each row and column carries
     the frequency vector of its key.  Each rank is taken over the blocks
     of one frequency (see _block_rank) with the threshold
@@ -479,18 +476,22 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
     function along the circle.  omega and F must be constant, so that no
     map moves a frequency, and d0 and d1 must fit in _MAX_COMPLEX_BYTES
     (ValueError otherwise).
+
+    The generator runs on cos(2 pi k.x) for k = e_i, e_i + e_j and one
+    check vector, n(n+1)/2 + 1 times on T^n, and ext_d on each frame
+    2-form times cos(2 pi e_j.x); every column is then filled from the
+    symbols they give.  A probe image off its mode, or a check probe off
+    the symbol, is a ValueError.
     """
     y = c.model_Y
     if len(y.circle_indices) != y.dim:
         raise ValueError("truncated Fourier bases need a torus model")
     if not (c.omega.is_constant(0.0) and c.F.is_constant(0.0)):
         raise ValueError("the deformation complex needs constant omega and F")
-    nfun = (2 * truncation + 1) ** y.dim  # len(_function_keys(...))
-    pairs = [(a, b) for a in range(y.dim) for b in range(a + 1, y.dim)]
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    triples = [(a, b, cc) for a in range(y.dim)
-               for b in range(a + 1, y.dim) for cc in range(b + 1, y.dim)]
-    triple_index = {t: i for i, t in enumerate(triples)}
+    n = y.dim
+    nfun = (2 * truncation + 1) ** n  # len(_function_keys(...))
+    pairs = list(itertools.combinations(range(n), 2))
+    triples = list(itertools.combinations(range(n), 3))
 
     if c.E_frame.rank == 0:
         shape, speeds = "space_filling", 0
@@ -507,34 +508,63 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
             f"the truncation-{truncation} complex needs "
             f"{(nbytes + (1 << 30) - 1) >> 30} GiB for d0 and d1, "
             f"over the {_MAX_COMPLEX_BYTES >> 30} GiB limit")
-    keys = _function_keys(y.dim, truncation)
-    key_index = {k: i for i, k in enumerate(keys)}
-    frame_pinv = np.linalg.pinv(frame)
+
+    def probe(k) -> np.ndarray:
+        # the generator of cos(2 pi k.x): its speed along d/dq at the sine
+        # (zero when space filling), then its 2-form at the cosine
+        p = hamiltonian_generator(ScalarField.cosine(y, k), c)
+        return np.array(_mode_coeffs(p.r, [(n - 1,)], k, SIN)
+                        + _mode_coeffs(p.B, pairs, k, COS))
+
+    # the speed is linear in k and the 2-form quadratic: the probes at e_i
+    # and e_i + e_j give both, the 2-form's cross terms by polarisation
+    unit, quad = np.eye(n, dtype=int), np.zeros((n, n, 1 + len(pairs)))
+    quad[range(n), range(n)] = [probe(e) for e in unit]
+    for i, j in itertools.combinations(range(n), 2):
+        quad[i, j] = quad[j, i] = (
+            probe(unit[i] + unit[j]) - quad[i, i] - quad[j, j]) / 2
+
+    def symbol(K):  # speeds, then 2-forms with one column per row of K
+        return (K @ quad[range(n), range(n), 0],
+                np.einsum("ijp,fi,fj->pf", quad[..., 1:], K, K))
+
+    # one probe off the polarisation set tests the symbol
+    k = np.arange(2, n + 2)
+    want = np.append(*symbol(k[None]))
+    if np.abs(probe(k) - want).max() > 1e-9 * max(1.0, np.abs(want).max()):
+        raise ValueError("the generator has no constant-coefficient symbol")
+
+    keys = _function_keys(n, truncation)
+    freqs = np.array([vec for vec, ph in keys if ph == COS])
+    speed, Q = symbol(freqs)
+    coords = np.linalg.pinv(frame) @ Q
+    if (np.abs(frame @ coords - Q).max(axis=0, initial=0.0) > 1e-10
+            * np.maximum(1.0, np.abs(Q).max(axis=0, initial=0.0))).any():
+        raise ValueError("2-form leaves the invariant-type span")
+    # each key's frequency; a sine key follows its frequency's cosine key
+    freq = np.cumsum([ph == COS for _, ph in keys]) - 1
+    sin_at = np.flatnonzero([ph == SIN for _, ph in keys])
+    cos_at, moving = sin_at - 1, freq[sin_at]
+
+    def first_order(block, values):
+        # cos(2 pi k.x) -> value sin(2 pi k.x), sin -> -value cos
+        block[..., sin_at, cos_at] = values
+        block[..., cos_at, sin_at] = -values
 
     d0 = np.zeros((nmid, nfun))
-    for col, key in enumerate(keys):
-        p = hamiltonian_generator(_basis_field(y, key), c)
-        # the speed along the circle d/dq; r is zero when space filling
-        _field_into(p.r.coeff((y.dim - 1,)), key_index, d0[:speeds, col])
-        comp = np.zeros((len(pairs), nfun))
-        for idx, g in p.B.coeffs:
-            _field_into(g, key_index, comp[pair_index[idx]])
-        coords = frame_pinv @ comp
-        resid = np.abs(frame @ coords - comp).max(initial=0.0)
-        if resid > 1e-10 * max(1.0, np.abs(comp).max(initial=0.0)):
-            raise ValueError("2-form leaves the invariant-type span")
-        d0[speeds:, col] = coords.ravel()
+    first_order(d0[:speeds].reshape(-1, nfun, nfun), speed[moving])
+    # the 2-form keeps the mode
+    d0[speeds:].reshape(-1, nfun, nfun)[:, range(nfun), range(nfun)] = \
+        coords[:, freq]
 
     d1 = np.zeros((len(triples) * nfun, nmid))
-    # rows grouped by 3-form component, then by basis key
-    blocks = d1.reshape(len(triples), nfun, nmid)
+    # rows by 3-form component, then key; columns by middle block, then key
+    blocks = d1.reshape(len(triples), nfun, nmid // nfun, nfun)
     for kk, vec in enumerate(frame.T):
-        frame_form = DifferentialForm.build(
-            y, 2, {pairs[i]: ScalarField.constant(y, vec[i])
-                   for i in range(len(pairs)) if vec[i] != 0.0})
-        for col_f, key in enumerate(keys):
-            dB = ext_d(frame_form * _basis_field(y, key))
-            for idx, f in dB.coeffs:
-                _field_into(f, key_index, blocks[triple_index[idx], :,
-                                                 speeds + kk * nfun + col_f])
+        # d(f beta) = df ^ beta is linear in k: read it at each e_j
+        beta = DifferentialForm.build(y, 2, dict(zip(pairs, vec)))
+        t = np.array([_mode_coeffs(ext_d(beta * ScalarField.cosine(y, e)),
+                                   triples, e, SIN) for e in unit])
+        first_order(blocks[:, :, speeds // nfun + kk],
+                    (freqs[moving] @ t).T)
     return ComplexSlice(y, truncation, shape, keys, d0, d1)

@@ -117,7 +117,7 @@ def _type11(cfg, spec, B, omega, F):
 
 def _hamiltonian_cocycle(cfg, spec, f, c):
     pair = hamiltonian_generator(f, c)
-    rec = check_infdef(pair, c, plan=cfg.plan, tol=cfg.tol)
+    rec = check_infdef(pair, c, tol=cfg.tol)
     rec.details["generator"] = spec.args[0]
     return rec
 
@@ -134,7 +134,7 @@ def _build_infdef(cfg, spec, rho, B0, c):
         if getattr(e, "residual", None) is not None:
             rec.residuals["average_defect"] = float(e.residual)
         return rec
-    rec = check_infdef(pair, c, plan=cfg.plan, tol=cfg.tol)
+    rec = check_infdef(pair, c, tol=cfg.tol)
     if expect == "obstruction":
         rec.conditions["raised_obstruction"] = False
         rec.passed = False
@@ -216,10 +216,10 @@ CHECKS = {
         melanie_check(F, E, G, plan=cfg.plan, tol=cfg.tol)),
     "infdef": CheckKind(
         ("pairs", "candidates"), lambda cfg, spec, p, c:
-        check_infdef(p, c, plan=cfg.plan, tol=cfg.tol)),
+        check_infdef(p, c, tol=cfg.tol)),
     "infdef_general": CheckKind(
         ("pairs", "candidates"), lambda cfg, spec, p, c:
-        infdef_general_check(p, c, plan=cfg.plan, tol=cfg.tol)),
+        infdef_general_check(p, c, tol=cfg.tol)),
     "hamiltonian_cocycle": CheckKind(("fields", "candidates"),
                                      _hamiltonian_cocycle),
     "upsilon_image": CheckKind(

@@ -243,7 +243,6 @@ def test_criterion_07_checkers_agree_on_corpus():
 def test_criterion_08_generators_checkers_and_build():
     """Hamiltonian generators pass; checkers agree; build obstructs correctly."""
     C5 = codim1_candidate(T5)
-    plan = SamplePlan(count=64, seed=0)
     rng = np.random.default_rng(20260823)
 
     corpus = []
@@ -255,7 +254,7 @@ def test_criterion_08_generators_checkers_and_build():
             mk = ScalarField.sine if rng.integers(2) else ScalarField.cosine
             f = f + mk(T5, k, amp)
         pair = hamiltonian_generator(f, C5)
-        rec = check_infdef(pair, C5, plan=plan)
+        rec = check_infdef(pair, C5)
         assert rec.passed
         corpus.append(pair)
 
@@ -278,8 +277,8 @@ def test_criterion_08_generators_checkers_and_build():
             DifferentialForm.basis(T5, idx) * B_field))
     verdicts = []
     for pair in corpus:
-        a = check_infdef(pair, C5, plan=plan)
-        b = infdef_general_check(pair, C5, plan=plan)
+        a = check_infdef(pair, C5)
+        b = infdef_general_check(pair, C5)
         assert a.passed == b.passed
         verdicts.append(a.passed)
     assert verdicts[20] is True        # constant invariant-type 2-form
@@ -297,8 +296,8 @@ def test_criterion_08_generators_checkers_and_build():
                          DifferentialForm.zero(N_MIX, 2), CMIX)
     expect_B = parse_form(f"-{LAM!r}*dx2^dq", MIX_Q)
     assert (built.B - expect_B).is_zero(1e-12)
-    assert check_infdef(built, CMIX, plan=plan).passed
-    assert infdef_general_check(built, CMIX, plan=plan).passed
+    assert check_infdef(built, CMIX).passed
+    assert infdef_general_check(built, CMIX).passed
 
 
 def test_criterion_09_averaged_speed_membership():

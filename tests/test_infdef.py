@@ -1,5 +1,6 @@
 """First-order deformation pairs, their checkers, and the truncated complex."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,24 +8,25 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import branelab.infdef
 from branelab.brane import BraneCandidate
 from branelab.cli import bundled_scene_dir
-from branelab.fields import ScalarField, partial
+from branelab.fields import COS, ScalarField, partial
 from branelab.forms import (DifferentialForm, Distribution, apply_form,
-                            d_scalar, is_type_11, lie_derivative, sharp)
+                            d_scalar, ext_d, is_type_11, lie_derivative,
+                            sharp)
 from branelab.grammar import parse_field, parse_form, parse_vector
-from branelab.infdef import (AverageObstruction, InfDefPair, Type11Violation,
-                             _basis_field, _block_rank, _function_keys,
+from branelab.infdef import (AverageObstruction, ComplexSlice, InfDefPair,
+                             Type11Violation, _block_rank, _function_keys,
                              build_infdef, check_infdef, complex_slice,
                              constant_type11_basis, hamiltonian_generator,
                              infdef_general_check, pair_from_values,
                              transverse_endo, upsilon_image_check)
-from branelab.model import (CIRCLE, DEFAULT_TOL, LINE, SamplePlan,
-                            extend_with_circle, model_from_names)
+from branelab.model import (CIRCLE, DEFAULT_TOL, LINE, extend_with_circle,
+                            model_from_names)
 from branelab.scene import parse_scene
 
 LAM = float(math.sqrt(2) - 1)
-PLAN = SamplePlan(count=64, seed=0)
 
 T4 = model_from_names([(n, CIRCLE) for n in ("x1", "y1", "x2", "y2")])
 T5 = extend_with_circle(T4, "q")
@@ -92,7 +94,7 @@ def test_hamiltonian_generator_of_pure_circle_function():
     vals = [apply_form(pair.r, [e]) for e in C5.E_frame.frame]
     assert (vals[0] - partial(f, 4)).is_zero(1e-12)
     assert pair.B.is_zero(1e-12)
-    assert check_infdef(pair, C5, plan=PLAN).passed
+    assert check_infdef(pair, C5).passed
 
 
 def test_generator_pairs_satisfy_both_checkers():
@@ -100,26 +102,25 @@ def test_generator_pairs_satisfy_both_checkers():
                  "sin(2*pi*y1)*cos(2*pi*x2)", "cos(2*pi*2*y2)"):
         f = parse_field(text, T5)
         pair = hamiltonian_generator(f, C5)
-        a = check_infdef(pair, C5, plan=PLAN)
-        b = infdef_general_check(pair, C5, plan=PLAN)
+        a = check_infdef(pair, C5)
+        b = infdef_general_check(pair, C5)
         assert a.passed and b.passed, text
 
 
 def test_zero_speed_pairs_characterize_invariant_11_forms():
     lift11 = parse_form("dx1^dy1", T5)
     ok = InfDefPair(DifferentialForm.zero(T5, 1), lift11)
-    assert check_infdef(ok, C5, plan=PLAN).passed
+    assert check_infdef(ok, C5).passed
     not11 = parse_form("dx1^dx2", T5)
-    rec = check_infdef(InfDefPair(DifferentialForm.zero(T5, 1), not11), C5,
-                       plan=PLAN)
+    rec = check_infdef(InfDefPair(DifferentialForm.zero(T5, 1), not11), C5)
     assert not rec.passed
     assert not rec.conditions["quad_iv"]
 
 
 def test_nonhorizontal_B_fails_both_checkers_identically():
     bad = InfDefPair(DifferentialForm.zero(T5, 1), parse_form("dx1^dq", T5))
-    a = check_infdef(bad, C5, plan=PLAN)
-    b = infdef_general_check(bad, C5, plan=PLAN)
+    a = check_infdef(bad, C5)
+    b = infdef_general_check(bad, C5)
     assert not a.passed and not b.passed
     # a kernel-direction component with zero speed violates the mixed
     # condition; horizontality on kernel pairs alone is vacuous at rank one
@@ -131,12 +132,11 @@ def test_mixed_condition_detects_missing_coupling():
     """A q-speed with x-dependence needs the matching 2-form block."""
     rho = parse_field("cos(2*pi*q)*cos(2*pi*x1)", T5)
     r = DifferentialForm.build(T5, 1, {(4,): rho})
-    rec = check_infdef(InfDefPair(r, DifferentialForm.zero(T5, 2)), C5,
-                       plan=PLAN)
+    rec = check_infdef(InfDefPair(r, DifferentialForm.zero(T5, 2)), C5)
     assert not rec.passed
     assert not rec.conditions["mixed_iii"]
     built = build_infdef(rho, DifferentialForm.zero(T4, 2), C5)
-    assert check_infdef(built, C5, plan=PLAN).passed
+    assert check_infdef(built, C5).passed
     assert (built.r - r).is_zero(1e-12)
 
 
@@ -170,8 +170,8 @@ def test_build_shear_analogue_on_mixed_model():
     pair = build_infdef(rho, DifferentialForm.zero(MIX, 2), CMIX)
     expect_B = parse_form(f"-{LAM!r}*dx2^dq", MIX_Q)
     assert (pair.B - expect_B).is_zero(1e-12)
-    assert check_infdef(pair, CMIX, plan=PLAN).passed
-    assert infdef_general_check(pair, CMIX, plan=PLAN).passed
+    assert check_infdef(pair, CMIX).passed
+    assert infdef_general_check(pair, CMIX).passed
 
 
 def test_checkers_agree_on_random_pairs(rng):
@@ -184,8 +184,8 @@ def test_checkers_agree_on_random_pairs(rng):
         pair = InfDefPair(
             DifferentialForm.build(T5, 1, {(4,): r_field}),
             DifferentialForm.basis(T5, idx) * B_field)
-        a = check_infdef(pair, C5, plan=PLAN)
-        b = infdef_general_check(pair, C5, plan=PLAN)
+        a = check_infdef(pair, C5)
+        b = infdef_general_check(pair, C5)
         assert a.passed == b.passed
 
 
@@ -317,6 +317,11 @@ def test_block_ranks_match_dense_svd(make, truncation, h1):
     assert cs.h1 == h1
 
 
+def basis_field(model, key):
+    vec, phase = key
+    return (ScalarField.cosine if phase == COS else ScalarField.sine)(model, vec)
+
+
 def bundled_candidate(name):
     return parse_scene((bundled_scene_dir() / f"{name}.scene").read_text(
         encoding="utf-8")).lookup("candidates", "c")
@@ -345,7 +350,7 @@ def test_space_filling_generator_is_the_lie_derivative(make, bound):
     equal on the coordinate frame, equal up to rounding on another."""
     c = make()
     for key in _function_keys(4, 1):
-        f = _basis_field(c.model_Y, key)
+        f = basis_field(c.model_Y, key)
         pair = hamiltonian_generator(f, c)
         lie = lie_derivative(sharp(c.omega, d_scalar(f)), c.F)
         assert pair.r.coeffs == ()
@@ -353,6 +358,103 @@ def test_space_filling_generator_is_the_lie_derivative(make, bound):
             assert pair.B == lie
         else:
             assert (pair.B - lie).max_coeff() <= bound
+
+
+def per_key_complex(c, truncation):
+    """d0 and d1 in complex_slice's layout, derived one basis function at a
+    time through hamiltonian_generator and ext_d: the reference for the
+    assembly from symbols."""
+    y, n = c.model_Y, c.model_Y.dim
+    keys = _function_keys(n, truncation)
+    index = {k: i for i, k in enumerate(keys)}
+    pairs = list(itertools.combinations(range(n), 2))
+    triples = list(itertools.combinations(range(n), 3))
+    if c.E_frame.rank == 0:
+        speeds, frame = 0, np.column_stack(constant_type11_basis(c))
+    else:
+        speeds, frame = len(keys), np.eye(len(pairs))
+
+    def coeffs(f):
+        out = np.zeros(len(keys))
+        for (p, k, ph), v in f.terms:
+            assert not any(p)
+            out[index[(k, ph)]] += v
+        return out
+
+    d0 = np.zeros((speeds + frame.shape[1] * len(keys), len(keys)))
+    d1 = np.zeros((len(triples) * len(keys), d0.shape[0]))
+    for col, key in enumerate(keys):
+        f = basis_field(y, key)
+        pair = hamiltonian_generator(f, c)
+        d0[:speeds, col] = coeffs(pair.r.coeff((n - 1,)))[:speeds]
+        comp = np.array([coeffs(pair.B.coeff(ab)) for ab in pairs])
+        d0[speeds:, col] = (np.linalg.pinv(frame) @ comp).ravel()
+        for kk, vec in enumerate(frame.T):
+            dB = ext_d(DifferentialForm.build(y, 2, dict(zip(pairs, vec))) * f)
+            d1[:, speeds + kk * len(keys) + col] = np.concatenate(
+                [coeffs(dB.coeff(abc)) for abc in triples])
+    return d0, d1
+
+
+@pytest.mark.parametrize("make, truncation", [
+    *((lambda: bundled_candidate("cohomology_t4"), t) for t in (0, 1, 2)),
+    *((gl_pair_t4, t) for t in (0, 1, 2)), (lambda: SKEWED_G, 1),
+    *((lambda: bundled_candidate("infdef_torus"), t) for t in (0, 1))])
+def test_symbol_assembly_matches_the_per_key_derivation(make, truncation):
+    c = make()
+    cs = complex_slice(c, truncation)
+    ref = ComplexSlice(cs.model, truncation, cs.shape, cs.function_keys,
+                       *per_key_complex(c, truncation))
+    for M, R in ((cs.d0, ref.d0), (cs.d1, ref.d1)):
+        assert M.shape == R.shape
+        assert np.abs(M - R).max(initial=0.0) <= 1e-12 * np.abs(R).max(
+            initial=0.0)
+    assert (cs.h1, cs.rank_d0, cs.dim_ker_d1, cs.block_summary()) == (
+        ref.h1, ref.rank_d0, ref.dim_ker_d1, ref.block_summary())
+
+
+@pytest.mark.parametrize("make, truncations", [
+    (gl_pair_t4, (1, 2)), (lambda: C5, (0, 1))])
+def test_generator_calls_do_not_grow_with_truncation(monkeypatch, make,
+                                                     truncations):
+    c = make()
+    n = c.model_Y.dim
+    calls = []
+
+    def counted(f, cand):
+        calls.append(f)
+        return hamiltonian_generator(f, cand)
+
+    monkeypatch.setattr(branelab.infdef, "hamiltonian_generator", counted)
+    counts = []
+    for truncation in truncations:
+        calls.clear()
+        complex_slice(c, truncation)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= n * (n + 1) // 2 + 1
+
+
+def off_mode(pair, f, c):
+    """The pair with a 2-form term at a frequency f does not have."""
+    return InfDefPair(pair.r, pair.B + DifferentialForm.basis(
+        c.model_Y, (0, 1)) * ScalarField.cosine(c.model_Y, (0, 0, 0, 3)))
+
+
+def cubic(pair, f, c):
+    """The pair with its 2-form scaled by k_1 + ... + k_n, the sum of the
+    frequency of the cosine f."""
+    return InfDefPair(pair.r, pair.B * float(sum(f.terms[0][0][1])))
+
+
+@pytest.mark.parametrize("bend, message", [
+    (off_mode, "leaves its Fourier mode"),
+    (cubic, "no constant-coefficient symbol")])
+def test_a_generator_without_a_symbol_is_an_error(monkeypatch, bend,
+                                                  message):
+    monkeypatch.setattr(branelab.infdef, "hamiltonian_generator",
+                        lambda f, c: bend(hamiltonian_generator(f, c), f, c))
+    with pytest.raises(ValueError, match=message):
+        complex_slice(gl_pair_t4(), 1)
 
 
 def test_codim1_complex_decouples_into_small_blocks():

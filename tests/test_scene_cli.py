@@ -255,6 +255,22 @@ def test_too_large_complex_is_an_error_record(tmp_path, capsys):
     assert all(c["pass"] for c in data["checks"][:-1])
 
 
+def test_allocation_failure_is_an_error_record(tmp_path, capsys,
+                                               monkeypatch):
+    def out_of_memory(c, truncation):
+        raise MemoryError("cannot allocate d1")
+
+    monkeypatch.setattr(branelab.scene, "complex_slice", out_of_memory)
+    code, data = run_json(tmp_path, capsys, GL_PAIR
+                          + "check cohomology c truncation=1\n"
+                          "check cohomology c truncation=0\n")
+    assert code == 1
+    first, second = data["checks"]
+    assert first["mode"] == second["mode"] == "ERROR"
+    assert first["details"]["error"] == "MemoryError: cannot allocate d1"
+    assert second["name"] == "cohomology(c, truncation=0)"
+
+
 def test_cohomology_check_fails_a_sign_flipped_d1(tmp_path, capsys,
                                                   monkeypatch):
     def flipped(c, truncation):
