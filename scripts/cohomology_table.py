@@ -6,9 +6,11 @@ is spanned by invariant-type 2-forms with trig-polynomial coefficients,
 then reports the matrix sizes, the chain residual |d1 d0|, the two ranks,
 and the resulting defect count h1 = dim ker d1 - rank d0.  The headline
 fact is that h1 stays at 4 (the constant-coefficient frame directions) as
-the truncation grows.  Each rank is taken one Fourier block
-span{cos, sin}(2 pi k.x) at a time, with the threshold of one dense SVD;
-the time column covers assembly, the chain residual and both ranks.
+the truncation grows.  The complex is held as its Fourier blocks
+span{cos, sin}(2 pi k.x), one per frequency; the chain residual and both
+ranks are taken on the blocks, each rank with the threshold of one dense
+SVD, and no dense matrix is built.  The time column covers assembly, the
+chain residual and both ranks.
 
 Run:  python3 scripts/cohomology_table.py [--max-truncation 2]
 """
@@ -35,7 +37,7 @@ def main():
         chain = sl.d1_d0_residual()
         h1 = sl.h1
         dt = time.perf_counter() - t0
-        print(f"{T:>3} {len(sl.function_keys):>10} {sl.d0.shape[0]:>7} "
+        print(f"{T:>3} {len(sl.function_keys):>10} {sl.middle_dim:>7} "
               f"{chain:>10.2e} {sl.rank_d0:>8} {sl.dim_ker_d1:>7} "
               f"{h1:>4} {dt:>7.2f}s")
 

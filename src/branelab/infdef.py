@@ -16,8 +16,9 @@ k.x) to itself through a symbol polynomial in k: linear for the speeds
 and d1, quadratic for the 2-form part of d0.  The symbols are read off
 the generator and the exterior derivative at a fixed set of probe
 frequencies, so the term algebra runs as often at every truncation, and
-numpy fills the matrices; each rank is taken one frequency block at a
-time with the threshold of one SVD of the whole matrix.
+numpy fills one small block of each map per nonzero frequency.  The
+ranks, the block counts and the chain residual d1 d0 are taken on these
+blocks; the dense matrices are built only when read.
 
 Sign convention: the generator map is f -> (df on the kernel frame,
 Lie_{X_f} F); the opposite overall sign spans the same coboundaries.
@@ -25,8 +26,9 @@ Lie_{X_f} F); the opposite overall sign spans the same coboundaries.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -359,103 +361,92 @@ def constant_type11_basis(c: BraneCandidate) -> list[np.ndarray]:
     return [vt[len(pairs) - 1 - k] for k in range(null_dim)][::-1]
 
 
-def _block_rank(M: np.ndarray, row_labels: np.ndarray, col_labels: np.ndarray,
-                rank_rel: float) -> tuple[int, list[tuple[int, int]]]:
-    """Numerical rank of a matrix that vanishes outside its label blocks,
-    and the shapes of its nonzero blocks.
-
-    The block of a label takes the rows and the columns that carry it.
-    The singular values of M are then the union of the blocks' values, so
-    counting those above rank_rel times the largest of all of them is the
-    rank one dense SVD of M gives.
-    """
-    values, shapes = [], []
-    # not np.unique, whose first call imports numpy.ma
-    for label in sorted(set(row_labels.tolist())):
-        block = M[np.ix_(row_labels == label, col_labels == label)]
-        if block.any():
-            values.append(np.linalg.svd(block, compute_uv=False))
-            shapes.append(block.shape)
-    if not values:
-        return 0, []
-    s = np.concatenate(values)
-    return int(np.sum(s > rank_rel * s.max())), shapes
+def _rank(blocks: np.ndarray) -> int:
+    """Numerical rank of a block-diagonal matrix given as a stack of its
+    blocks: its singular values are the union of the blocks' values, so
+    counting those above DEFAULT_TOL.svd_rank_rel times the largest of
+    them all is the rank one dense SVD of the whole matrix gives."""
+    s = np.linalg.svd(blocks, compute_uv=False)
+    return int(np.sum(s > DEFAULT_TOL.svd_rank_rel * s.max())) if s.size else 0
 
 
 @dataclass
 class ComplexSlice:
-    """Matrices of the two-step deformation complex on truncated Fourier
-    bases, with lazily computed numerical ranks.
+    """The two-step deformation complex on truncated Fourier bases, held
+    as its frequency blocks, with numerical ranks.
 
-    d0 and d1 are dense, filled from per-frequency symbols (see
-    complex_slice).  The middle space lists the speed block first (empty
-    when the brane is space filling), then one block of nfun rows per
-    column of the constant 2-form frame; every axis of d0 and d1 is a
-    whole number of runs of function_keys, so each row and column carries
-    the frequency vector of its key.  Each rank is taken over the blocks
-    of one frequency (see _block_rank) with the threshold
-    DEFAULT_TOL.svd_rank_rel times the largest singular value of the whole
-    matrix, so the rank is that of one dense SVD.  block_summary counts
-    the nonzero frequency blocks.
+    Every map keeps each frequency pair span{cos, sin}(2 pi k.x), and the
+    zero frequency maps to zero.  b0 (nf, 2 nblk, 2) and b1 (nf, 2 ntri,
+    2 nblk) hold the blocks of d0 and d1 at the nf nonzero frequencies, in
+    the order of their sine keys in function_keys.  The nblk middle blocks
+    are the speed block (absent when the brane is space filling), then
+    one per column of the constant 2-form frame; the ntri 3-form blocks
+    are the index triples.  Rows and columns run by block, cosine before
+    sine.  Each rank is one batched SVD of the blocks (see _rank);
+    block_summary counts the nonzero blocks, and the chain residual is
+    max |b1 b0|.  d0 and d1 are the dense matrices, rows and columns by
+    block and then key, scattered from the blocks on first read.
     """
 
     model: ManifoldModel
     truncation: int
     shape: str  # "space_filling" or "codim1"
     function_keys: list
-    d0: np.ndarray
-    d1: np.ndarray
-    _ranked: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    b0: np.ndarray
+    b1: np.ndarray
+
+    @property
+    def middle_dim(self) -> int:
+        """Dimension of the middle space, the inner one of d1 d0."""
+        return self.b0.shape[1] // 2 * len(self.function_keys)
+
+    def _scatter(self, blocks: np.ndarray) -> np.ndarray:
+        nfun, (nf, rows, cols) = len(self.function_keys), blocks.shape
+        sin_at = np.flatnonzero([ph == SIN for _, ph in self.function_keys])
+        at = np.stack([sin_at - 1, sin_at], axis=1)  # a cosine key, its sine
+        dense = np.zeros((rows // 2, nfun, cols // 2, nfun))
+        dense[:, at[:, :, None], :, at[:, None, :]] = blocks.reshape(
+            nf, rows // 2, 2, cols // 2, 2).transpose(0, 2, 4, 1, 3)
+        return dense.reshape(rows // 2 * nfun, cols // 2 * nfun)
+
+    @functools.cached_property
+    def d0(self) -> np.ndarray:
+        return self._scatter(self.b0)
+
+    @functools.cached_property
+    def d1(self) -> np.ndarray:
+        return self._scatter(self.b1)
 
     def d1_d0_residual(self) -> float:
-        if self.d0.size == 0 or self.d1.size == 0:
-            return 0.0
-        return float(np.abs(self.d1 @ self.d0).max())
+        return float(np.abs(self.b1 @ self.b0).max(initial=0.0))
 
     def d1_d0_bound(self) -> float:
         """Rounding bound of |d1 d0| when the exact product vanishes:
-        n eps max_i sum_k |d1_ik| max |d0| with n the inner dimension, at
-        least 1e-10.  Row sums are taken 256 rows at a time, so no
-        full-size copy of d1 is made."""
-        if self.d0.size == 0 or self.d1.size == 0:
-            return 1e-10
-        row_sum = max(float(np.abs(self.d1[r:r + 256]).sum(axis=1).max())
-                      for r in range(0, self.d1.shape[0], 256))
-        return max(1e-10, self.d1.shape[1] * np.finfo(float).eps * row_sum
-                   * float(np.abs(self.d0).max()))
-
-    def _rank(self, which: str) -> tuple[int, list[tuple[int, int]]]:
-        """(numerical rank, block shapes) of d0 or d1, computed once."""
-        if which not in self._ranked:
-            M = getattr(self, which)
-            # a frequency's keys are consecutive and start with its cosine
-            label = np.cumsum([ph == COS for _, ph in self.function_keys]) - 1
-            rows, cols = (np.tile(label, n // label.size) for n in M.shape)
-            self._ranked[which] = _block_rank(M, rows, cols,
-                                              DEFAULT_TOL.svd_rank_rel)
-        return self._ranked[which]
+        n eps max_i sum_k |d1_ik| max |d0| with n the inner dimension of
+        the dense product, at least 1e-10."""
+        row_sum = float(np.abs(self.b1).sum(axis=2).max(initial=0.0))
+        return max(1e-10, self.middle_dim * np.finfo(float).eps * row_sum
+                   * float(np.abs(self.b0).max(initial=0.0)))
 
     @property
     def rank_d0(self) -> int:
-        return self._rank("d0")[0]
+        return _rank(self.b0)
 
     @property
     def dim_ker_d1(self) -> int:
-        return self.d1.shape[1] - self._rank("d1")[0]
+        return self.middle_dim - _rank(self.b1)
 
     @property
     def h1(self) -> int:
         return self.dim_ker_d1 - self.rank_d0
 
     def block_summary(self) -> dict:
-        """Block count and largest block shape (most entries) of d0 and d1."""
+        """Nonzero block count and block shape of d0 and d1."""
         out = {}
-        for which in ("d0", "d1"):
-            shapes = self._rank(which)[1]
-            largest = max(shapes, key=lambda rc: rc[0] * rc[1],
-                          default=(0, 0))
-            out[which] = {"blocks": len(shapes), "largest": list(largest)}
+        for which, blocks in (("d0", self.b0), ("d1", self.b1)):
+            count = int(blocks.any(axis=(1, 2)).sum())
+            shape = blocks.shape[1:] if count else (0, 0)
+            out[which] = {"blocks": count, "largest": list(shape)}
         return out
 
 
@@ -474,14 +465,15 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
     invariant-type (1,1) frame and no speeds.  Product model N x S^1 (the
     kernel frame must be d/dq): every elementary 2-form and one speed
     function along the circle.  omega and F must be constant, so that no
-    map moves a frequency, and d0 and d1 must fit in _MAX_COMPLEX_BYTES
-    (ValueError otherwise).
+    map moves a frequency, and the dense d0 and d1 must fit in
+    _MAX_COMPLEX_BYTES (ValueError otherwise).
 
     The generator runs on cos(2 pi k.x) for k = e_i, e_i + e_j and one
     check vector, n(n+1)/2 + 1 times on T^n, and ext_d on each frame
-    2-form times cos(2 pi e_j.x); every column is then filled from the
-    symbols they give.  A probe image off its mode, or a check probe off
-    the symbol, is a ValueError.
+    2-form times cos(2 pi e_j.x); the block of every frequency is then
+    filled from the symbols they give (see ComplexSlice for the layout).
+    A probe image off its mode, or a check probe off the symbol, is a
+    ValueError.
     """
     y = c.model_Y
     if len(y.circle_indices) != y.dim:
@@ -498,10 +490,10 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
         frame = np.column_stack(constant_type11_basis(c))
     else:
         _kernel_circle(c)
-        shape, speeds = "codim1", nfun
+        shape, speeds = "codim1", 1
         frame = np.eye(len(pairs))
-    nmid = speeds + frame.shape[1] * nfun
-    nbytes = 8 * nmid * nfun * (1 + len(triples))
+    nblk = speeds + frame.shape[1]  # middle blocks: speeds, then the frame
+    nbytes = 8 * nblk * nfun * nfun * (1 + len(triples))
     if nbytes > _MAX_COMPLEX_BYTES:
         # whole GiB, rounded up: an int of any size, where a float overflows
         raise ValueError(
@@ -535,36 +527,34 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
         raise ValueError("the generator has no constant-coefficient symbol")
 
     keys = _function_keys(n, truncation)
-    freqs = np.array([vec for vec, ph in keys if ph == COS])
+    # the nonzero frequencies, in the order of their sine keys
+    freqs = np.array([vec for vec, ph in keys if ph == SIN]).reshape(-1, n)
     speed, Q = symbol(freqs)
     coords = np.linalg.pinv(frame) @ Q
     if (np.abs(frame @ coords - Q).max(axis=0, initial=0.0) > 1e-10
             * np.maximum(1.0, np.abs(Q).max(axis=0, initial=0.0))).any():
         raise ValueError("2-form leaves the invariant-type span")
-    # each key's frequency; a sine key follows its frequency's cosine key
-    freq = np.cumsum([ph == COS for _, ph in keys]) - 1
-    sin_at = np.flatnonzero([ph == SIN for _, ph in keys])
-    cos_at, moving = sin_at - 1, freq[sin_at]
 
     def first_order(block, values):
-        # cos(2 pi k.x) -> value sin(2 pi k.x), sin -> -value cos
-        block[..., sin_at, cos_at] = values
-        block[..., cos_at, sin_at] = -values
+        # on (cos, sin) x (cos, sin): cos(2 pi k.x) -> value sin(2 pi k.x),
+        # sin -> -value cos
+        block[..., 1, 0] = values
+        block[..., 0, 1] = -values
 
-    d0 = np.zeros((nmid, nfun))
-    first_order(d0[:speeds].reshape(-1, nfun, nfun), speed[moving])
+    nf = len(freqs)
+    b0 = np.zeros((nf, nblk, 2, 2))
+    if speeds:
+        first_order(b0[:, 0], speed)
     # the 2-form keeps the mode
-    d0[speeds:].reshape(-1, nfun, nfun)[:, range(nfun), range(nfun)] = \
-        coords[:, freq]
+    b0[:, speeds:, [0, 1], [0, 1]] = coords.T[..., None]
 
-    d1 = np.zeros((len(triples) * nfun, nmid))
-    # rows by 3-form component, then key; columns by middle block, then key
-    blocks = d1.reshape(len(triples), nfun, nmid // nfun, nfun)
+    b1 = np.zeros((nf, len(triples), nblk, 2, 2))
     for kk, vec in enumerate(frame.T):
         # d(f beta) = df ^ beta is linear in k: read it at each e_j
         beta = DifferentialForm.build(y, 2, dict(zip(pairs, vec)))
         t = np.array([_mode_coeffs(ext_d(beta * ScalarField.cosine(y, e)),
                                    triples, e, SIN) for e in unit])
-        first_order(blocks[:, :, speeds // nfun + kk],
-                    (freqs[moving] @ t).T)
-    return ComplexSlice(y, truncation, shape, keys, d0, d1)
+        first_order(b1[:, :, speeds + kk], freqs @ t)
+    return ComplexSlice(
+        y, truncation, shape, keys, b0.reshape(nf, 2 * nblk, 2),
+        b1.transpose(0, 1, 3, 2, 4).reshape(nf, 2 * len(triples), 2 * nblk))

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import branelab.infdef
@@ -17,7 +16,7 @@ from branelab.forms import (DifferentialForm, Distribution, apply_form,
                             sharp)
 from branelab.grammar import parse_field, parse_form, parse_vector
 from branelab.infdef import (AverageObstruction, ComplexSlice, InfDefPair,
-                             Type11Violation, _block_rank, _function_keys,
+                             Type11Violation, _function_keys,
                              build_infdef, check_infdef, complex_slice,
                              constant_type11_basis, hamiltonian_generator,
                              infdef_general_check, pair_from_values,
@@ -88,9 +87,10 @@ def test_transverse_endo_lifts_standard_structure():
 def test_hamiltonian_generator_of_pure_circle_function():
     f = parse_field("cos(2*pi*q)", T5)
     pair = hamiltonian_generator(f, C5)
-    expect_r = parse_form("-2*pi*sin(2*pi*q)*dq", T5) \
-        if False else None
     # the q-speed is df/dq and the 2-form part vanishes with X_f = 0
+    expect_r = DifferentialForm.build(
+        T5, 1, {(4,): ScalarField.sine(T5, (0, 0, 0, 0, 1), -2 * math.pi)})
+    assert (pair.r - expect_r).is_zero(1e-12)
     vals = [apply_form(pair.r, [e]) for e in C5.E_frame.frame]
     assert (vals[0] - partial(f, 4)).is_zero(1e-12)
     assert pair.B.is_zero(1e-12)
@@ -275,11 +275,19 @@ GL_OMEGA = "-1.0*dx1^dx2 + 1.0*dx1^dy2 + 1.0*dy1^dy2 - 2.0*dx2^dy2"
 GL_F = "1.0*dx1^dy1 - 1.0*dx1^dy2 + 2.0*dy1^dy2 + 1.0*dx2^dy2"
 
 
-def gl_pair_t4():
+def gl_pair_t4(omega=GL_OMEGA, F=GL_F):
     from branelab.fields import VectorField
     return BraneCandidate(
-        T4, parse_form(GL_OMEGA, T4), parse_form(GL_F, T4), Distribution(T4, ()),
+        T4, parse_form(omega, T4), parse_form(F, T4), Distribution(T4, ()),
         Distribution(T4, tuple(VectorField.basis(T4, i) for i in range(4))))
+
+
+# the pair pulled back by A = [[-2,0,0,-1],[-1,0,0,-1],[0,0,1,0],[-1,1,0,-1]]
+# (the cohomology benchmark's pair for seed 84)
+def seed84_pair():
+    return gl_pair_t4(
+        "-2.0*dx1^dy1 - 1.0*dx1^dx2 + 1.0*dx1^dy2 + 1.0*dy1^dy2 + 1.0*dx2^dy2",
+        "1.0*dx1^dy1 - 2.0*dx1^dx2 - 1.0*dy1^dy2 + 1.0*dx2^dy2")
 
 
 # the T^4 pair with a constant transverse frame that is not the
@@ -302,7 +310,8 @@ def dense_rank(M, rank_rel):
 
 @pytest.mark.parametrize("make, truncation, h1", [
     (space_filling_t4, 0, 4), (space_filling_t4, 1, 4),
-    (gl_pair_t4, 1, 4), (lambda: SKEWED_G, 1, 4), (lambda: C5, 0, 11)])
+    (gl_pair_t4, 1, 4), (seed84_pair, 1, 4), (lambda: SKEWED_G, 1, 4),
+    (lambda: C5, 0, 11)])
 def test_block_ranks_match_dense_svd(make, truncation, h1):
     cs = complex_slice(make(), truncation)
     # both matrices vanish outside the blocks of one frequency vector
@@ -315,6 +324,15 @@ def test_block_ranks_match_dense_svd(make, truncation, h1):
     assert cs.rank_d0 == dense_rank(cs.d0, rank_rel)
     assert cs.dim_ker_d1 == cs.d1.shape[1] - dense_rank(cs.d1, rank_rel)
     assert cs.h1 == h1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "|d1 d0| is 1.83e-9 against a bound of 9.89e-10: the bound covers "
+    "rounding in the product, not error in the entries projected onto the "
+    "SVD-made (1,1) frame; an exact per-block chain check resolves it"))
+def test_chain_residual_of_a_pulled_back_pair_is_within_its_bound():
+    cs = complex_slice(seed84_pair(), 1)
+    assert cs.d1_d0_residual() <= cs.d1_d0_bound()
 
 
 def basis_field(model, key):
@@ -403,14 +421,23 @@ def per_key_complex(c, truncation):
 def test_symbol_assembly_matches_the_per_key_derivation(make, truncation):
     c = make()
     cs = complex_slice(c, truncation)
-    ref = ComplexSlice(cs.model, truncation, cs.shape, cs.function_keys,
-                       *per_key_complex(c, truncation))
-    for M, R in ((cs.d0, ref.d0), (cs.d1, ref.d1)):
+    R0, R1 = per_key_complex(c, truncation)
+    for M, R in ((cs.d0, R0), (cs.d1, R1)):
         assert M.shape == R.shape
         assert np.abs(M - R).max(initial=0.0) <= 1e-12 * np.abs(R).max(
             initial=0.0)
-    assert (cs.h1, cs.rank_d0, cs.dim_ker_d1, cs.block_summary()) == (
-        ref.h1, ref.rank_d0, ref.dim_ker_d1, ref.block_summary())
+    rank_rel = DEFAULT_TOL.svd_rank_rel
+    assert cs.rank_d0 == dense_rank(R0, rank_rel)
+    assert cs.dim_ker_d1 == R1.shape[1] - dense_rank(R1, rank_rel)
+    assert cs.h1 == cs.dim_ker_d1 - cs.rank_d0
+    # the bound's dense formula, and the dense product, on the reference
+    bound, want, product = cs.d1_d0_bound(), 1e-10, 0.0
+    if R0.size and R1.size:
+        want = max(want, R1.shape[1] * np.finfo(float).eps
+                   * np.abs(R1).sum(axis=1).max() * np.abs(R0).max())
+        product = np.abs(R1 @ R0).max()
+    assert abs(bound - want) <= 1e-12 * want
+    assert abs(cs.d1_d0_residual() - product) <= bound
 
 
 @pytest.mark.parametrize("make, truncations", [
@@ -466,42 +493,40 @@ def test_codim1_complex_decouples_into_small_blocks():
 
 
 @st.composite
-def labelled_blocks(draw):
-    """A matrix that vanishes outside its label blocks, with each row's and
-    column's label.  Each block is an integer product A B (exactly rank
-    deficient when the inner size is below the block's sides) scaled by 1,
-    1e-3 or 1e-12; zero rows and columns carry a block's label or one of
-    their own; rows and columns are shuffled with their labels."""
+def block_stacks(draw):
+    """A complex whose b0 and b1 are stacks of same-shape blocks, one per
+    nonzero frequency of a circle, with the sum of the inner sizes of each
+    stack.  Each block is an integer product A B (exactly rank deficient
+    when the inner size is below the block's sides, zero when it is 0)
+    scaled by 1, 1e-3 or 1e-12."""
     ints = st.integers(-3, 3)
-    blocks, bound = [], 0
-    nblocks = draw(st.integers(1, 5))
-    for _ in range(nblocks):
-        r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-        k = draw(st.integers(0, min(r, c)))
-        A = np.array(draw(st.lists(ints, min_size=r * k, max_size=r * k)),
-                     dtype=float).reshape(r, k)
-        B = np.array(draw(st.lists(ints, min_size=k * c, max_size=k * c)),
-                     dtype=float).reshape(k, c)
-        blocks.append(draw(st.sampled_from((1.0, 1e-3, 1e-12))) * (A @ B))
-        bound += k
-    zero_labels = st.lists(st.integers(0, nblocks), max_size=3)
-    rows = [i for i, b in enumerate(blocks) for _ in range(b.shape[0])]
-    cols = [i for i, b in enumerate(blocks) for _ in range(b.shape[1])]
-    rows += draw(zero_labels)
-    cols += draw(zero_labels)
-    D = scipy.linalg.block_diag(*blocks)
-    M = np.pad(D, ((0, len(rows) - D.shape[0]), (0, len(cols) - D.shape[1])))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pr, pc = rng.permutation(len(rows)), rng.permutation(len(cols))
-    return M[pr][:, pc], np.array(rows)[pr], np.array(cols)[pc], bound
+    nf = draw(st.integers(1, 5))
+    nblk, ntri = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def stack(r, c):
+        blocks, bound = [], 0
+        for _ in range(nf):
+            k = draw(st.integers(0, min(r, c)))
+            bound += k
+            A = np.array(draw(st.lists(ints, min_size=r * k,
+                                       max_size=r * k)), dtype=float)
+            B = np.array(draw(st.lists(ints, min_size=k * c,
+                                       max_size=k * c)), dtype=float)
+            scale = draw(st.sampled_from((1.0, 1e-3, 1e-12)))
+            blocks.append(scale * (A.reshape(r, k) @ B.reshape(k, c)))
+        return np.array(blocks), bound
+
+    (b0, bound0), (b1, bound1) = stack(2 * nblk, 2), stack(2 * ntri, 2 * nblk)
+    circle = model_from_names([("x", CIRCLE)])
+    return ComplexSlice(circle, nf, "space_filling", _function_keys(1, nf),
+                        b0, b1), bound0, bound1
 
 
 @settings(max_examples=80, deadline=None)
-@given(labelled_blocks())
+@given(block_stacks())
 def test_block_rank_is_the_dense_rank(case):
-    M, rows, cols, bound = case
-    rank, shapes = _block_rank(M, rows, cols, 1e-8)
-    assert rank == dense_rank(M, 1e-8)
-    assert rank <= bound
-    assert sum(r for r, _ in shapes) <= M.shape[0]
-    assert sum(c for _, c in shapes) <= M.shape[1]
+    cs, bound0, bound1 = case
+    rank_rel = DEFAULT_TOL.svd_rank_rel
+    assert cs.rank_d0 == dense_rank(cs.d0, rank_rel) <= bound0
+    assert cs.middle_dim - cs.dim_ker_d1 == dense_rank(cs.d1, rank_rel) \
+        <= bound1

@@ -275,9 +275,12 @@ def test_cohomology_check_fails_a_sign_flipped_d1(tmp_path, capsys,
                                                   monkeypatch):
     def flipped(c, truncation):
         cs = branelab.infdef.complex_slice(c, truncation)
-        k = np.abs(cs.d0).sum(axis=1).argmax()
-        i = np.abs(cs.d1[:, k]).argmax()
-        cs.d1[i, k] = -cs.d1[i, k]
+        # the block row of d0 with the largest sum, and the largest d1
+        # entry of the block column it meets
+        f, k = np.unravel_index(np.abs(cs.b0).sum(axis=2).argmax(),
+                                cs.b0.shape[:2])
+        i = np.abs(cs.b1[f, :, k]).argmax()
+        cs.b1[f, i, k] = -cs.b1[f, i, k]
         return cs
 
     monkeypatch.setattr(branelab.scene, "complex_slice", flipped)
