@@ -21,8 +21,12 @@ is one _canonical pass over the (key, coeff) pairs of its terms, through
 combine (or forms._form_sum, which calls combine once per component).
 The coefficients of equal keys are added left to right in the order the
 terms are given, and the sums are pruned once at the end, never after a
-partial sum.  Products, partials, antiderivatives and parsed sums follow
-the same rule, so no other code adds the coefficients of equal keys.
+partial sum.  Products, partials, antiderivatives, parsed sums and
+parsed products follow the same rule, so no other code adds the
+coefficients of equal keys.  A parsed product (one term of the text
+grammar) folds its numbers, coordinate powers and first cos/sin factor
+into one key and one coefficient, and is pruned once after the whole
+product, never after a partial product.
 A constant matrix applied to a list of fields is linear_map: one combine
 per row, over the row's nonzero entries in column order.  It carries the
 solve forms.hamiltonian; forms.transverse_matrix solves for a matrix.
@@ -141,13 +145,9 @@ class ScalarField:
 
     @staticmethod
     def _trig(model, freqs, phase, coeff):
-        freqs = tuple(int(k) for k in freqs)
-        for j, k in enumerate(freqs):
-            if k != 0 and not model.is_circle(j):
-                raise ValueError(
-                    f"frequency on line coordinate {model.names[j]!r}")
         z = (0,) * model.dim
-        return ScalarField.build(model, {(z, freqs, phase): float(coeff)})
+        return ScalarField.build(
+            model, {(z, circle_freqs(model, freqs), phase): float(coeff)})
 
     @staticmethod
     def cosine(model: ManifoldModel, freqs, coeff: float = 1.0) -> "ScalarField":
@@ -220,6 +220,17 @@ class ScalarField:
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         return TermBank((self,), self.model.dim)(points)[:, 0]
+
+
+def circle_freqs(model: ManifoldModel, freqs) -> tuple[int, ...]:
+    """The frequency vector of a cos/sin term as ints; ValueError if one
+    is nonzero on a line coordinate."""
+    freqs = tuple(int(k) for k in freqs)
+    for j, k in enumerate(freqs):
+        if k != 0 and not model.is_circle(j):
+            raise ValueError(
+                f"frequency on line coordinate {model.names[j]!r}")
+    return freqs
 
 
 def combine(model: ManifoldModel, pairs: list) -> ScalarField:

@@ -6,9 +6,16 @@ coefficients in front.  The ``2*pi`` token is explicit so integer
 frequencies round-trip without floating-point noise.  Serialization is
 canonical: parse(serialize(x)) reproduces x exactly.
 
-A sum is parsed term by term: each term (a product of factors, or a
-parenthesized sum) becomes a canonical, pruned ScalarField with its sign,
-and the signed terms of each result (a field, a vector component, a form
+A sum is parsed term by term, and one product reader reads every term,
+of a field and of a vector or form alike.  It folds the term's numbers
+(multiplied left to right), coordinate powers (x^n adds n to an integer
+power) and first cos/sin factor into one key and one coefficient.  Only a
+factor that does not fold (a second cos/sin, a parenthesized sum, an env
+name, or one of these raised to a power) is read as a ScalarField and
+multiplied in with ``fields.field_mul``, in reading order.  So each term
+is sign-normalized and pruned once, after its whole product, and a term
+of numbers, coordinate powers and one cos/sin makes no field product.
+The signed terms of each result (a field, a vector component, a form
 component) are summed by the sum rule of the ``fields`` module docstring:
 one ``fields.combine`` per result, added left to right and pruned once.
 An n-term sum therefore costs O(n log n) rather than a
@@ -17,10 +24,12 @@ re-canonicalization of the partial sum after every ``+``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
-from .fields import COS, SIN, ScalarField, VectorField, combine
+from .fields import (COS, SIN, ScalarField, VectorField, _norm_term,
+                     circle_freqs, combine)
 from .forms import DifferentialForm, _form_sum
 from .model import ManifoldModel
 
@@ -101,7 +110,8 @@ def _coordinate(model: ManifoldModel, name: str, pos: int, skip=0) -> int:
         raise ParseError(f"unknown name {name!r}", pos) from None
 
 
-def _parse_trig(toks: _Tokens, model: ManifoldModel, which: str) -> ScalarField:
+def _parse_trig(toks: _Tokens, model: ManifoldModel, which: str) -> tuple:
+    """(freqs, phase) of the cos/sin factor whose name was just read."""
     toks.expect("op", "(")
     k, v, pos = toks.next()
     if not (k == "num" and v == "2"):
@@ -125,54 +135,97 @@ def _parse_trig(toks: _Tokens, model: ManifoldModel, which: str) -> ScalarField:
     else:
         add_part(1)
     toks.expect("op", ")")
-    phase = COS if which == "cos" else SIN
-    if phase == SIN:
-        return ScalarField.sine(model, freqs)
-    return ScalarField.cosine(model, freqs)
+    return circle_freqs(model, freqs), COS if which == "cos" else SIN
 
 
-def _parse_atom(toks: _Tokens, model: ManifoldModel, env) -> ScalarField:
-    k, v, pos = toks.peek()
-    if k == "num":
-        toks.next()
-        c = float(v)
-        if not math.isfinite(c):
-            raise ParseError(f"number {v!r} overflows", pos)
-        return ScalarField.constant(model, c)
-    if k == "op" and v == "(":
-        toks.next()
-        f = _parse_sum(toks, model, env)
-        toks.expect("op", ")")
+def _exponent(toks: _Tokens):
+    """n if ^n follows, else None."""
+    return _parse_int(toks) if toks.accept("op", "^") else None
+
+
+def _power(model: ManifoldModel, f: ScalarField, n) -> ScalarField:
+    """f, or f^n as n products from the constant 1."""
+    if n is None:
         return f
-    if k == "name":
-        toks.next()
-        if v in ("cos", "sin"):
-            return _parse_trig(toks, model, v)
-        if env and v in env:
-            f = env[v]
-            if f.model != model:
+    out = ScalarField.constant(model, 1.0)
+    for _ in range(n):
+        out = out * f
+    return out
+
+
+def _parse_product(toks: _Tokens, model: ManifoldModel, env, symbol=None,
+                   symbols: str = "") -> tuple:
+    """(field, symbol) of one term: factors joined by ``*``.
+
+    The factors fold into one key and one coefficient: each number (c^n
+    as n products) multiplies the coefficient left to right, x^n adds n
+    to the power of x, and the first cos/sin factor gives the frequencies
+    and phase.  A factor that does not fold (a second cos/sin, a
+    parenthesized sum, an env name, or one of these raised to a power) is
+    read as a field and multiplied in after the folded monomial, in
+    reading order.  The folded monomial is sign-normalized and pruned
+    once: alone, or with its product by those fields.
+    symbol(toks, model), if given, reads a basis symbol (a tuple) at the
+    current token or returns None there; a term holds at most one, and
+    the symbol returned is None if it holds none.
+    """
+    coeff = 1.0
+    powers = [0] * model.dim
+    trig = None
+    rest: list[ScalarField] = []
+    sym = None
+    while True:
+        k, v, pos = toks.peek()
+        got = symbol(toks, model) if symbol else None
+        if got is not None:
+            if sym is not None:
+                raise ParseError(f"two {symbols} in one term", pos)
+            sym = got
+        elif k == "num":
+            toks.next()
+            c = float(v)
+            if not math.isfinite(c):
+                raise ParseError(f"number {v!r} overflows", pos)
+            n = _exponent(toks)
+            coeff *= c if n is None else math.prod(itertools.repeat(c, n))
+        elif k == "name" and v in ("cos", "sin"):
+            toks.next()
+            wave = _parse_trig(toks, model, v)
+            n = _exponent(toks)
+            if n is None and trig is None:
+                trig = wave
+            else:
+                rest.append(_power(model, ScalarField._trig(model, *wave, 1.0),
+                                   n))
+        elif k == "name" and env and v in env:
+            toks.next()
+            if env[v].model != model:
                 raise ParseError(f"{v!r} lives on a different model", pos)
-            return f
-        return ScalarField.coordinate(model, _coordinate(model, v, pos))
-    raise ParseError(f"unexpected token {v!r}", pos)
-
-
-def _parse_factor(toks: _Tokens, model: ManifoldModel, env) -> ScalarField:
-    f = _parse_atom(toks, model, env)
-    if toks.accept("op", "^"):
-        n = _parse_int(toks)
-        out = ScalarField.constant(model, 1.0)
-        for _ in range(n):
-            out = out * f
-        return out
-    return f
-
-
-def _parse_term(toks: _Tokens, model: ManifoldModel, env) -> ScalarField:
-    f = _parse_factor(toks, model, env)
-    while toks.accept("op", "*"):
-        f = f * _parse_factor(toks, model, env)
-    return f
+            rest.append(_power(model, env[v], _exponent(toks)))
+        elif k == "name":
+            toks.next()
+            i = _coordinate(model, v, pos)
+            n = _exponent(toks)
+            powers[i] += 1 if n is None else n
+        elif (k, v) == ("op", "("):
+            toks.next()
+            f = _parse_sum(toks, model, env)
+            toks.expect("op", ")")
+            rest.append(_power(model, f, _exponent(toks)))
+        else:
+            raise ParseError(f"unexpected token {v!r}", pos)
+        if not toks.accept("op", "*"):
+            break
+    freqs, phase = trig or ((0,) * model.dim, COS)
+    key = (tuple(powers), freqs, phase)
+    if not rest:
+        return ScalarField.build(model, {key: coeff}), sym
+    # unpruned: the products with the other factors prune it with them
+    monomial = _norm_term(*key, coeff)
+    f = ScalarField(model, (monomial,) if monomial else ())
+    for g in rest:
+        f = f * g
+    return f, sym
 
 
 def _signed_terms(toks: _Tokens, term) -> None:
@@ -192,7 +245,7 @@ def _signed_terms(toks: _Tokens, term) -> None:
 def _parse_sum(toks: _Tokens, model: ManifoldModel, env) -> ScalarField:
     pairs: list = []
     _signed_terms(toks, lambda sign: pairs.append(
-        (_parse_term(toks, model, env), sign)))
+        (_parse_product(toks, model, env)[0], sign)))
     return combine(model, pairs)
 
 
@@ -219,19 +272,7 @@ def _parse_terms(toks: _Tokens, model: ManifoldModel, env, symbol,
     terms: list = []
 
     def term(sign):
-        coeff = ScalarField.constant(model, 1.0)
-        sym = None
-        while True:
-            pos = toks.peek()[2]
-            got = symbol(toks, model)
-            if got is None:
-                coeff = coeff * _parse_factor(toks, model, env)
-            elif sym is not None:
-                raise ParseError(f"two {symbols} in one term", pos)
-            else:
-                sym = got
-            if not toks.accept("op", "*"):
-                break
+        coeff, sym = _parse_product(toks, model, env, symbol, symbols)
         if sym is None:
             raise ParseError(lacks, toks.peek()[2])
         if terms and len(sym) != len(terms[0][0]):

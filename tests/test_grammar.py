@@ -304,3 +304,117 @@ def test_tokens_keep_kinds_and_offsets():
         ("num", "2.5e3", 1), ("op", "*", 6), ("name", "x1", 7),
         ("op", "^", 10), ("op", "(", 12), ("name", "y2", 13),
         ("op", "-", 15), ("num", "1", 16), ("op", ")", 17), ("op", "@", 18)]
+
+
+@pytest.mark.parametrize("parse,suffix", [
+    (parse_field, "*x1"), (parse_vector, "*d_x1"), (parse_form, "*dx1^dy1")])
+def test_a_product_is_pruned_once_not_after_each_factor(parse, suffix):
+    # 1e-7*1e-7 is below the pruning threshold; only the whole product,
+    # 9.999999999999998e-08, is pruned, and it stays
+    assert parse("1e-7*1e-7*1e7" + suffix, M) == \
+        parse("9.999999999999998e-08" + suffix, M)
+
+
+def _field_products(text):
+    """(field, calls) of parsing text on P, calls counting fields.field_mul."""
+    calls = []
+    real = fields.field_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "field_mul", counted)
+        f = parse_field(text, P)
+    return f, len(calls)
+
+
+def test_numbers_powers_and_one_trig_factor_make_no_field_product():
+    f, calls = _field_products("2.5*x1^1000000*y1^2*cos(2*pi*(q - 3*x1))")
+    assert calls == 0
+    assert f.terms == ((((1000000, 2, 0), (3, 0, -1), COS), 2.5),)
+    # a number raised to a power keeps its left-to-right product
+    f, calls = _field_products("0.1^3*q")
+    assert calls == 0
+    assert f.terms == ((((0, 0, 1), (0, 0, 0), COS), 0.1 * 0.1 * 0.1),)
+    # a second trig factor is a field, multiplied in once
+    f, calls = _field_products("cos(2*pi*x1)*2*sin(2*pi*q)")
+    assert calls == 1
+    assert f == parse_field("sin(2*pi*(x1 + q)) - sin(2*pi*(x1 - q))", P)
+
+
+def test_a_zero_trig_factor_zeroes_the_term_and_a_line_frequency_raises():
+    assert parse_field("sin(2*pi*(q - q))*x1", P).terms == ()
+    assert parse_field("3*x1^2*sin(2*pi*(x1 - x1))*(y1 + q)", P).terms == ()
+    for text in ("cos(2*pi*y1)", "2*x1*sin(2*pi*(q + y1))",
+                 "cos(2*pi*q)*cos(2*pi*y1)"):
+        with pytest.raises(ValueError, match="frequency on line coordinate"):
+            parse_field(text, P)
+
+
+FOLD_SUM = "(y1 - 0.3*x1^2)"
+FOLD_ENV = {"g": parse_field("0.7*q - y1^2", P)}
+
+
+@st.composite
+def term_pieces(draw):
+    """The factor texts of one term on P, in reading order, and whether
+    every number is read before the first factor that does not fold."""
+    freq = st.integers(min_value=-3, max_value=3)
+
+    def trig():
+        ks = [(k, n) for k, n in ((draw(freq), "x1"), (draw(freq), "q")) if k]
+        if not ks:
+            arg = "(q - q)"
+        elif ks[0][0] > 0 and len(ks) == 1:
+            arg = f"{ks[0][0]}*{ks[0][1]}"
+        else:
+            arg = "(" + "".join(
+                ("-" if k < 0 else "") + f"{abs(k)}*{n}" if i == 0
+                else (" - " if k < 0 else " + ") + f"{abs(k)}*{n}"
+                for i, (k, n) in enumerate(ks)) + ")"
+        return f"{draw(st.sampled_from(['cos', 'sin']))}(2*pi*{arg})"
+
+    numbers = [repr(draw(st.floats(min_value=0.1, max_value=10)))
+               for _ in range(draw(st.integers(0, 3)))]
+    coords = [(name if p == 1 else f"{name}^{p}")
+              for name, p in draw(st.lists(st.tuples(
+                  st.sampled_from(["x1", "y1", "q"]), st.integers(0, 4)),
+                  min_size=1, max_size=3))]
+    trigs = [trig() for _ in range(draw(st.integers(0, 2)))]
+    others = [FOLD_SUM] * draw(st.integers(0, 1)) + \
+        ["g"] * draw(st.integers(0, 1))
+    pieces = draw(st.permutations(numbers + coords + trigs + others))
+    # the factors that do not fold: the second cos/sin, the sum and g
+    unfolded = [i for i, p in enumerate(pieces) if p in trigs][1:] + \
+        [i for i, p in enumerate(pieces) if p in others]
+    first = min(unfolded, default=len(pieces))
+    return pieces, not any(p in numbers for p in pieces[first:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_pieces())
+def test_a_folded_term_is_the_product_of_its_factors(drawn):
+    pieces, numbers_first = drawn
+    want = parse_field(pieces[0], P, FOLD_ENV)
+    for p in pieces[1:]:
+        want = fields.field_mul(want, parse_field(p, P, FOLD_ENV))
+    got = parse_field("*".join(pieces), P, FOLD_ENV)
+    assert [k for k, _ in got.terms] == [k for k, _ in want.terms]
+    if numbers_first:
+        # every number is read before the first factor that does not fold,
+        # so both sides multiply the same numbers in the same order, and
+        # the other factors by exact 1, -1 and 0.5, or by the same
+        # coefficients of the sum and of g in the same order
+        assert got.terms == want.terms
+        return
+    # the fold multiplies a number read after a factor that does not fold
+    # into the coefficient before that factor's coefficient (0.3 of the
+    # sum, 0.7 of g), so the two sides round one product in two orders.
+    # Each rounds at most once per factor, so they agree to two units of
+    # roundoff per factor; one ulp is not enough: 1.977 * 0.3 * 2.66 and
+    # 1.977 * 2.66 * 0.3 differ by two units in the last place
+    bound = 2 * len(pieces) * 2.0 ** -53
+    for (_, c), (_, w) in zip(got.terms, want.terms):
+        assert abs(c - w) <= bound * abs(w)
