@@ -145,9 +145,14 @@ class ScalarField:
 
     @staticmethod
     def _trig(model, freqs, phase, coeff):
+        """ValueError if a frequency is nonzero on a line coordinate."""
+        freqs = tuple(int(k) for k in freqs)
+        for j, k in enumerate(freqs):
+            if k != 0 and not model.is_circle(j):
+                raise ValueError(
+                    f"frequency on line coordinate {model.names[j]!r}")
         z = (0,) * model.dim
-        return ScalarField.build(
-            model, {(z, circle_freqs(model, freqs), phase): float(coeff)})
+        return ScalarField.build(model, {(z, freqs, phase): float(coeff)})
 
     @staticmethod
     def cosine(model: ManifoldModel, freqs, coeff: float = 1.0) -> "ScalarField":
@@ -220,17 +225,6 @@ class ScalarField:
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         return TermBank((self,), self.model.dim)(points)[:, 0]
-
-
-def circle_freqs(model: ManifoldModel, freqs) -> tuple[int, ...]:
-    """The frequency vector of a cos/sin term as ints; ValueError if one
-    is nonzero on a line coordinate."""
-    freqs = tuple(int(k) for k in freqs)
-    for j, k in enumerate(freqs):
-        if k != 0 and not model.is_circle(j):
-            raise ValueError(
-                f"frequency on line coordinate {model.names[j]!r}")
-    return freqs
 
 
 def combine(model: ManifoldModel, pairs: list) -> ScalarField:

@@ -6,6 +6,16 @@ coefficients in front.  The ``2*pi`` token is explicit so integer
 frequencies round-trip without floating-point noise.  Serialization is
 canonical: parse(serialize(x)) reproduces x exactly.
 
+A text is scanned once, by one ``findall`` of the token pattern, into a
+list of token strings that ends in the sentinel ``""``.  The readers take
+that list and an index and return the index after what they read.  A
+token's kind is read from its text: one of ``-+*^()@`` is an operator, a
+token that starts with an ASCII letter or ``_`` is a name, and any other
+is a number, except a character that starts no token, which the scan
+matches on its own.  Such a bad character is the error of the whole
+text, wherever it stands.  A reader's error carries a token index; the
+text is scanned for offsets again only when a ParseError is raised.
+
 A sum is parsed term by term, and one product reader reads every term,
 of a field and of a vector or form alike.  It folds the term's numbers
 (multiplied left to right), coordinate powers (x^n adds n to an integer
@@ -24,21 +34,23 @@ re-canonicalization of the partial sum after every ``+``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import re
+import string
 
-from .fields import (COS, SIN, ScalarField, VectorField, _norm_term,
-                     circle_freqs, combine)
+from .fields import COS, SIN, ScalarField, VectorField, _norm_term, combine
 from .forms import DifferentialForm, _form_sum
 from .model import ManifoldModel
 
 _TOKEN = re.compile(
-    r"\s*(?:"
-    r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^()@])"
-    r")")
+    r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
+    r"|[A-Za-z_][A-Za-z_0-9]*"
+    r"|[-+*^()@]"
+    r"|\S")
+_OPS = frozenset("-+*^()@")
+_NAME_START = frozenset(string.ascii_letters + "_")
 
 
 class ParseError(ValueError):
@@ -47,100 +59,127 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                rest = text[pos:].lstrip()
-                if not rest:
-                    break
-                pos = len(text) - len(rest)
-                raise ParseError(f"bad character {text[pos]!r}", pos)
-            kind = m.lastgroup
-            self.items.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        self.i = 0
+class _At(ValueError):
+    """A parse error at token index i, before its offset is known."""
 
-    def peek(self):
-        if self.i < len(self.items):
-            return self.items[self.i]
-        return ("eof", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def accept(self, kind, value=None):
-        k, v, _ = self.peek()
-        if k == kind and (value is None or v == value):
-            self.i += 1
-            return v
-        return None
-
-    def expect(self, kind, value=None):
-        k, v, pos = self.peek()
-        if k != kind or (value is not None and v != value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {v!r}", pos)
-        self.i += 1
-        return v
+    def __init__(self, msg, i):
+        super().__init__(msg)
+        self.i = i
 
 
-def _is_int(text: str) -> bool:
-    return re.fullmatch(r"\d+", text) is not None
+def _kind(v: str) -> str:
+    """'op', 'name', 'num', 'bad' (a character that starts no token) or
+    'eof' (the sentinel) of a token of the scan."""
+    if not v:
+        return "eof"
+    if v in _OPS:
+        return "op"
+    if v[0] in _NAME_START:
+        return "name"
+    return "num" if v[0].isdecimal() or len(v) > 1 else "bad"
 
 
-def _parse_int(toks: _Tokens) -> int:
-    k, v, pos = toks.next()
-    if k != "num" or not _is_int(v):
-        raise ParseError(f"expected integer, found {v!r}", pos)
-    return int(v)
+def _offsets(text: str) -> list[int]:
+    """The offset of each token of text, then len(text) for the sentinel."""
+    return [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
 
 
-def _coordinate(model: ManifoldModel, name: str, pos: int, skip=0) -> int:
-    """Index of the coordinate name[skip:], else ParseError at pos."""
+@contextlib.contextmanager
+def _scanned(text: str):
+    """The tokens of text, then the sentinel "", to be read in the with
+    block.  An error raised there at a token is a ParseError at its
+    offset.  If the reading raises any ValueError (every parse error is
+    one), a bad character anywhere in the text is the error instead, as
+    if the text had been checked before it was read."""
+    vals = _TOKEN.findall(text)
+    vals.append("")
+    try:
+        yield vals
+    except ValueError as err:
+        at = _offsets(text)
+        for j, v in enumerate(vals):
+            if _kind(v) == "bad":
+                raise ParseError(f"bad character {v!r}", at[j]) from None
+        if isinstance(err, _At):
+            raise ParseError(err.args[0], at[err.i]) from None
+        raise
+
+
+def _expect(vals: list, i: int, want: str) -> int:
+    """The index after the token want at i."""
+    if vals[i] != want:
+        raise _At(f"expected {want!r}, found {vals[i]!r}", i)
+    return i + 1
+
+
+def _name(vals: list, i: int) -> str:
+    """The name at i."""
+    if _kind(vals[i]) != "name":
+        raise _At(f"expected 'name', found {vals[i]!r}", i)
+    return vals[i]
+
+
+def _parse_int(vals: list, i: int) -> tuple:
+    """(n, index after) of the integer at i."""
+    v = vals[i]
+    if not v.isdecimal():
+        raise _At(f"expected integer, found {v!r}", i)
+    return int(v), i + 1
+
+
+def _exponent(vals: list, i: int) -> tuple:
+    """(n, index after) if ^n is at i, else (None, i)."""
+    return _parse_int(vals, i + 1) if vals[i] == "^" else (None, i)
+
+
+def _coordinate(model: ManifoldModel, name: str, i: int, skip=0) -> int:
+    """Index of the coordinate name[skip:], else an error at token i."""
     try:
         return model.index(name[skip:])
     except KeyError:
-        raise ParseError(f"unknown name {name!r}", pos) from None
+        raise _At(f"unknown name {name!r}", i) from None
 
 
-def _parse_trig(toks: _Tokens, model: ManifoldModel, which: str) -> tuple:
-    """(freqs, phase) of the cos/sin factor whose name was just read."""
-    toks.expect("op", "(")
-    k, v, pos = toks.next()
-    if not (k == "num" and v == "2"):
-        raise ParseError("trig argument must start with 2*pi*", pos)
-    toks.expect("op", "*")
-    toks.expect("name", "pi")
-    toks.expect("op", "*")
+def _parse_trig(vals: list, i: int, model: ManifoldModel, which: str) -> tuple:
+    """((freqs, phase), index after) of the cos/sin factor whose name is
+    at i - 1.  Its argument is 2*pi* times a coordinate, optionally
+    times an integer, or a parenthesized signed sum of these.  A nonzero
+    summed frequency on a line coordinate is an error at that
+    coordinate's first token in the argument."""
+    i = _expect(vals, i, "(")
+    if vals[i] != "2":
+        raise _At("trig argument must start with 2*pi*", i)
+    i = _expect(vals, _expect(vals, _expect(vals, i + 1, "*"), "pi"), "*")
+    start = i
     freqs = [0] * model.dim
-
-    def add_part(sign):
+    sign = 1
+    group = vals[i] == "("
+    if group:
+        i += 1
+        if vals[i] == "-":
+            sign, i = -1, i + 1
+        if vals[i] == "+":
+            i += 1
+    while True:
         mult = 1
-        if toks.peek()[0] == "num":
-            mult = _parse_int(toks)
-            toks.expect("op", "*")
-        pos = toks.peek()[2]
-        freqs[_coordinate(model, toks.expect("name"), pos)] += int(sign) * mult
-
-    if toks.accept("op", "("):
-        _signed_terms(toks, add_part)
-        toks.expect("op", ")")
-    else:
-        add_part(1)
-    toks.expect("op", ")")
-    return circle_freqs(model, freqs), COS if which == "cos" else SIN
-
-
-def _exponent(toks: _Tokens):
-    """n if ^n follows, else None."""
-    return _parse_int(toks) if toks.accept("op", "^") else None
+        if _kind(vals[i]) == "num":
+            mult, i = _parse_int(vals, i)
+            i = _expect(vals, i, "*")
+        freqs[_coordinate(model, _name(vals, i), i)] += sign * mult
+        i += 1
+        if not group or vals[i] not in ("+", "-"):
+            break
+        sign = 1 if vals[i] == "+" else -1
+        i += 1
+    if group:
+        i = _expect(vals, i, ")")
+    i = _expect(vals, i, ")")
+    for j, k in enumerate(freqs):
+        if k and not model.is_circle(j):
+            name = model.names[j]
+            raise _At(f"frequency on line coordinate {name!r}",
+                      vals.index(name, start, i))
+    return (tuple(freqs), COS if which == "cos" else SIN), i
 
 
 def _power(model: ManifoldModel, f: ScalarField, n) -> ScalarField:
@@ -153,9 +192,10 @@ def _power(model: ManifoldModel, f: ScalarField, n) -> ScalarField:
     return out
 
 
-def _parse_product(toks: _Tokens, model: ManifoldModel, env, symbol=None,
-                   symbols: str = "") -> tuple:
-    """(field, symbol) of one term: factors joined by ``*``.
+def _parse_product(vals: list, i: int, model: ManifoldModel, env,
+                   symbol=None, symbols: str = "") -> tuple:
+    """(field, symbol, index after) of the term at i: factors joined by
+    ``*``.
 
     The factors fold into one key and one coefficient: each number (c^n
     as n products) multiplies the coefficient left to right, x^n adds n
@@ -165,9 +205,10 @@ def _parse_product(toks: _Tokens, model: ManifoldModel, env, symbol=None,
     read as a field and multiplied in after the folded monomial, in
     reading order.  The folded monomial is sign-normalized and pruned
     once: alone, or with its product by those fields.
-    symbol(toks, model), if given, reads a basis symbol (a tuple) at the
-    current token or returns None there; a term holds at most one, and
-    the symbol returned is None if it holds none.
+    symbol(vals, i, model), if given, reads a basis symbol (a tuple) at
+    token i and returns (symbol, index after), or returns None there; a
+    term holds at most one, and the symbol returned is None if it holds
+    none.
     """
     coeff = 1.0
     powers = [0] * model.dim
@@ -175,134 +216,140 @@ def _parse_product(toks: _Tokens, model: ManifoldModel, env, symbol=None,
     rest: list[ScalarField] = []
     sym = None
     while True:
-        k, v, pos = toks.peek()
-        got = symbol(toks, model) if symbol else None
+        v = vals[i]
+        got = symbol(vals, i, model) if symbol else None
         if got is not None:
             if sym is not None:
-                raise ParseError(f"two {symbols} in one term", pos)
-            sym = got
-        elif k == "num":
-            toks.next()
-            c = float(v)
-            if not math.isfinite(c):
-                raise ParseError(f"number {v!r} overflows", pos)
-            n = _exponent(toks)
-            coeff *= c if n is None else math.prod(itertools.repeat(c, n))
-        elif k == "name" and v in ("cos", "sin"):
-            toks.next()
-            wave = _parse_trig(toks, model, v)
-            n = _exponent(toks)
-            if n is None and trig is None:
-                trig = wave
+                raise _At(f"two {symbols} in one term", i)
+            sym, i = got
+        elif v[:1] in _NAME_START:
+            if v == "cos" or v == "sin":
+                wave, i = _parse_trig(vals, i + 1, model, v)
+                n, i = _exponent(vals, i)
+                if n is None and trig is None:
+                    trig = wave
+                else:
+                    rest.append(_power(
+                        model, ScalarField._trig(model, *wave, 1.0), n))
+            elif env and v in env:
+                if env[v].model != model:
+                    raise _At(f"{v!r} lives on a different model", i)
+                n, i = _exponent(vals, i + 1)
+                rest.append(_power(model, env[v], n))
             else:
-                rest.append(_power(model, ScalarField._trig(model, *wave, 1.0),
-                                   n))
-        elif k == "name" and env and v in env:
-            toks.next()
-            if env[v].model != model:
-                raise ParseError(f"{v!r} lives on a different model", pos)
-            rest.append(_power(model, env[v], _exponent(toks)))
-        elif k == "name":
-            toks.next()
-            i = _coordinate(model, v, pos)
-            n = _exponent(toks)
-            powers[i] += 1 if n is None else n
-        elif (k, v) == ("op", "("):
-            toks.next()
-            f = _parse_sum(toks, model, env)
-            toks.expect("op", ")")
-            rest.append(_power(model, f, _exponent(toks)))
+                j = _coordinate(model, v, i)
+                n, i = _exponent(vals, i + 1)
+                powers[j] += 1 if n is None else n
+        elif v == "(":
+            f, i = _parse_sum(vals, i + 1, model, env)
+            n, i = _exponent(vals, _expect(vals, i, ")"))
+            rest.append(_power(model, f, n))
         else:
-            raise ParseError(f"unexpected token {v!r}", pos)
-        if not toks.accept("op", "*"):
+            try:
+                c = float(v)
+            except ValueError:  # an operator, the end or a bad character
+                raise _At(f"unexpected token {v!r}", i) from None
+            if not math.isfinite(c):
+                raise _At(f"number {v!r} overflows", i)
+            n, i = _exponent(vals, i + 1)
+            coeff *= c if n is None else math.prod(itertools.repeat(c, n))
+        if vals[i] != "*":
             break
+        i += 1
     freqs, phase = trig or ((0,) * model.dim, COS)
     key = (tuple(powers), freqs, phase)
     if not rest:
-        return ScalarField.build(model, {key: coeff}), sym
+        return ScalarField.build(model, {key: coeff}), sym, i
     # unpruned: the products with the other factors prune it with them
     monomial = _norm_term(*key, coeff)
     f = ScalarField(model, (monomial,) if monomial else ())
     for g in rest:
         f = f * g
-    return f, sym
+    return f, sym, i
 
 
-def _signed_terms(toks: _Tokens, term) -> None:
-    """Call term(sign) on each term of a sum with an optional leading sign."""
-    sign = -1.0 if toks.accept("op", "-") else 1.0
-    toks.accept("op", "+")
-    term(sign)
+def _signed_terms(vals: list, i: int, term) -> int:
+    """Read the sum at i, with an optional leading sign: term(sign, i)
+    reads each term and returns the index after it.  Returns the index
+    after the sum."""
+    sign = 1.0
+    if vals[i] == "-":
+        sign, i = -1.0, i + 1
+    if vals[i] == "+":
+        i += 1
     while True:
-        if toks.accept("op", "+"):
-            term(1.0)
-        elif toks.accept("op", "-"):
-            term(-1.0)
-        else:
-            return
+        i = term(sign, i)
+        if vals[i] not in ("+", "-"):
+            return i
+        sign = 1.0 if vals[i] == "+" else -1.0
+        i += 1
 
 
-def _parse_sum(toks: _Tokens, model: ManifoldModel, env) -> ScalarField:
+def _parse_sum(vals: list, i: int, model: ManifoldModel, env) -> tuple:
+    """(field, index after) of the sum at i."""
     pairs: list = []
-    _signed_terms(toks, lambda sign: pairs.append(
-        (_parse_product(toks, model, env)[0], sign)))
-    return combine(model, pairs)
+
+    def term(sign, i):
+        f, _, i = _parse_product(vals, i, model, env)
+        pairs.append((f, sign))
+        return i
+
+    i = _signed_terms(vals, i, term)
+    return combine(model, pairs), i
 
 
-def _at_end(toks: _Tokens) -> None:
-    k, v, pos = toks.peek()
-    if k != "eof":
-        raise ParseError(f"trailing input {v!r}", pos)
+def _at_end(vals: list, i: int) -> None:
+    if vals[i]:
+        raise _At(f"trailing input {vals[i]!r}", i)
 
 
 def parse_field(text: str, model: ManifoldModel, env=None) -> ScalarField:
-    toks = _Tokens(text)
-    f = _parse_sum(toks, model, env)
-    _at_end(toks)
-    return f
+    with _scanned(text) as vals:
+        f, i = _parse_sum(vals, 0, model, env)
+        _at_end(vals, i)
+        return f
 
 
-def _parse_terms(toks: _Tokens, model: ManifoldModel, env, symbol,
+def _parse_terms(vals: list, model: ManifoldModel, env, symbol,
                  symbols: str, lacks: str) -> list:
     """The (symbol, coefficient, sign) terms of a whole text that sums
-    factors times exactly one basis symbol each.  symbol(toks, model)
-    reads a symbol, a tuple, at the current token, or returns None there.
-    All symbols of the sum have one length: a form's degree (a vector's
-    symbols all have length 1)."""
+    factors times exactly one basis symbol each.  symbol(vals, i, model)
+    reads a symbol, a tuple, at token i and returns (symbol, index
+    after), or returns None there.  All symbols of the sum have one
+    length: a form's degree (a vector's symbols all have length 1)."""
     terms: list = []
 
-    def term(sign):
-        coeff, sym = _parse_product(toks, model, env, symbol, symbols)
+    def term(sign, i):
+        coeff, sym, i = _parse_product(vals, i, model, env, symbol, symbols)
         if sym is None:
-            raise ParseError(lacks, toks.peek()[2])
+            raise _At(lacks, i)
         if terms and len(sym) != len(terms[0][0]):
-            raise ParseError("mixed degrees in form", toks.peek()[2])
+            raise _At("mixed degrees in form", i)
         terms.append((sym, coeff, sign))
+        return i
 
-    _signed_terms(toks, term)
-    _at_end(toks)
+    _at_end(vals, _signed_terms(vals, 0, term))
     return terms
 
 
-def _basis_vector(toks: _Tokens, model: ManifoldModel):
-    """(coordinate index,) for a d_<coord> symbol."""
-    k, v, pos = toks.peek()
-    if k == "name" and v.startswith("d_"):
-        toks.next()
-        return (_coordinate(model, v, pos, skip=2),)
+def _basis_vector(vals: list, i: int, model: ManifoldModel):
+    """((coordinate index,), index after) for a d_<coord> symbol at i."""
+    if vals[i].startswith("d_"):
+        return (_coordinate(model, vals[i], i, skip=2),), i + 1
     return None
 
 
 def parse_vector(text: str, model: ManifoldModel, env=None) -> VectorField:
     """Sums of scalar-coefficient multiples of d_<coord> basis symbols."""
-    toks = _Tokens(text)
     pairs: list[list] = [[] for _ in range(model.dim)]
-    if toks.peek()[:2] == ("num", "0") and len(toks.items) == 1:
-        return VectorField(model, tuple(ScalarField.zero(model) for _ in pairs))
-    for (i,), coeff, sign in _parse_terms(
-            toks, model, env, _basis_vector, "basis symbols",
-            "vector term lacks a d_<coord> symbol"):
-        pairs[i].append((coeff, sign))
+    with _scanned(text) as vals:
+        if vals[0] == "0" and len(vals) == 2:
+            return VectorField(
+                model, tuple(ScalarField.zero(model) for _ in pairs))
+        for (i,), coeff, sign in _parse_terms(
+                vals, model, env, _basis_vector, "basis symbols",
+                "vector term lacks a d_<coord> symbol"):
+            pairs[i].append((coeff, sign))
     return VectorField(model, tuple(combine(model, p) for p in pairs))
 
 
@@ -315,21 +362,22 @@ def _covector_index(name: str, model: ManifoldModel):
     return None
 
 
-def _wedge_chain(toks: _Tokens, model: ManifoldModel):
-    """The coordinate indices of a chain like dx1^dy2, or None."""
-    k, v, _ = toks.peek()
-    ci = _covector_index(v, model) if k == "name" else None
+def _wedge_chain(vals: list, i: int, model: ManifoldModel):
+    """(coordinate indices, index after) of a chain like dx1^dy2 at i,
+    or None."""
+    ci = _covector_index(vals[i], model)
     if ci is None:
         return None
-    toks.next()
     idx = [ci]
-    while toks.accept("op", "^"):
-        nm = toks.expect("name")
+    i += 1
+    while vals[i] == "^":
+        nm = _name(vals, i + 1)
+        i += 2
         cj = _covector_index(nm, model)
         if cj is None:
-            raise ParseError(f"{nm!r} is not a basis covector", toks.peek()[2])
+            raise _At(f"{nm!r} is not a basis covector", i)
         idx.append(cj)
-    return tuple(idx)
+    return tuple(idx), i
 
 
 def parse_form(text: str, model: ManifoldModel, env=None) -> DifferentialForm:
@@ -337,19 +385,15 @@ def parse_form(text: str, model: ManifoldModel, env=None) -> DifferentialForm:
 
     The zero form needs an explicit degree: ``0@2``.
     """
-    toks = _Tokens(text)
-    if toks.peek()[:2] == ("num", "0"):
-        save = toks.i
-        toks.next()
-        if toks.accept("op", "@"):
-            deg = _parse_int(toks)
-            if toks.peek()[0] != "eof":
-                raise ParseError("trailing input after zero form", toks.peek()[2])
+    with _scanned(text) as vals:
+        if vals[0] == "0" and vals[1] == "@":
+            deg, i = _parse_int(vals, 2)
+            if vals[i]:
+                raise _At("trailing input after zero form", i)
             return DifferentialForm.zero(model, deg)
-        toks.i = save
-    terms = _parse_terms(toks, model, env, _wedge_chain, "wedge chains",
-                         "form term lacks a wedge chain")
-    return _form_sum(model, len(terms[0][0]), terms)
+        terms = _parse_terms(vals, model, env, _wedge_chain, "wedge chains",
+                             "form term lacks a wedge chain")
+        return _form_sum(model, len(terms[0][0]), terms)
 
 
 # -- serialization -------------------------------------------------------
@@ -370,6 +414,7 @@ def _freq_text(model: ManifoldModel, freqs) -> str:
 
 def _term_body(model: ManifoldModel, key, coeff: float) -> str:
     powers, freqs, phase = key
+    names = model.names
     factors = []
     a = abs(coeff)
     if a != 1.0:
@@ -377,7 +422,7 @@ def _term_body(model: ManifoldModel, key, coeff: float) -> str:
     for i, p in enumerate(powers):
         if p == 0:
             continue
-        factors.append(model.names[i] if p == 1 else f"{model.names[i]}^{p}")
+        factors.append(names[i] if p == 1 else f"{names[i]}^{p}")
     if any(freqs):
         trig = "cos" if phase == COS else "sin"
         factors.append(f"{trig}(2*pi*{_freq_text(model, freqs)})")

@@ -41,9 +41,13 @@ class ManifoldModel:
     def dim(self) -> int:
         return len(self.coords)
 
-    @property
+    @functools.cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.coords)
+
+    @functools.cached_property
+    def _positions(self) -> dict[str, int]:
+        return {n: i for i, n in enumerate(self.names)}
 
     def kind(self, i: int) -> str:
         return self.coords[i][1]
@@ -56,10 +60,10 @@ class ManifoldModel:
         return tuple(i for i, (_, k) in enumerate(self.coords) if k == CIRCLE)
 
     def index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.coords):
-            if n == name:
-                return i
-        raise KeyError(f"no coordinate {name!r} in {self.names}")
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise KeyError(f"no coordinate {name!r} in {self.names}") from None
 
     def wrap(self, point: np.ndarray) -> np.ndarray:
         """Reduce circle coordinates mod 1; line coordinates untouched."""

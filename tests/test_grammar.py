@@ -1,8 +1,11 @@
 """Round-trip and canonical-text behavior of the expression grammar."""
 
+import re
+import string
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from branelab import fields, grammar
 from branelab.fields import COS, SIN, ScalarField, partial
@@ -263,7 +266,9 @@ def test_finite_coefficients_with_an_overflowing_sum_are_kept():
 # message and offset: two symbols in one term, a term with no symbol,
 # mixed degrees (the offset is the end of the offending term), a
 # non-covector after ^, trailing input, a malformed trig frequency sum,
-# a bad character after whitespace, an unknown coordinate.
+# a bad character after whitespace, an unknown coordinate, a frequency on
+# a line coordinate (the offset is the coordinate's first token in the
+# argument).
 @pytest.mark.parametrize("text,parse,message,at", [
     ("d_x1*d_y1", parse_vector, "two basis symbols in one term", 5),
     ("y2*d_x1 + x1*d_x2*d_y1", parse_vector, "two basis symbols in one term", 18),
@@ -289,6 +294,11 @@ def test_finite_coefficients_with_an_overflowing_sum_are_kept():
     ("d_x1*d_zz", parse_vector, "unknown name 'd_zz'", 5),
     ("cos(2*pi*zz)", parse_field, "unknown name 'zz'", 9),
     ("cos(2*pi*(x1 - zz))", parse_field, "unknown name 'zz'", 15),
+    ("cos(2*pi*y1)", parse_field, "frequency on line coordinate 'y1'", 9),
+    ("x1*sin(2*pi*(x1 - 2*y2 + y2))*d_x1", parse_vector,
+     "frequency on line coordinate 'y2'", 20),
+    ("cos(2*pi*(y1 + x1))*dx1^dy1", parse_form,
+     "frequency on line coordinate 'y1'", 10),
 ])
 def test_malformed_text_is_a_parse_error_at_its_offset(text, parse, message,
                                                        at):
@@ -299,11 +309,80 @@ def test_malformed_text_is_a_parse_error_at_its_offset(text, parse, message,
 
 
 def test_tokens_keep_kinds_and_offsets():
-    toks = grammar._Tokens(" 2.5e3*x1 ^ (y2-1)@")
-    assert toks.items == [
+    text = " 2.5e3*x1 ^ (y2-1)@"
+    with grammar._scanned(text) as vals:
+        tokens = list(zip(map(grammar._kind, vals), vals,
+                          grammar._offsets(text)))
+    assert tokens.pop() == ("eof", "", len(text))
+    assert tokens == [
         ("num", "2.5e3", 1), ("op", "*", 6), ("name", "x1", 7),
         ("op", "^", 10), ("op", "(", 12), ("name", "y2", 13),
         ("op", "-", 15), ("num", "1", 16), ("op", ")", 17), ("op", "@", 18)]
+
+
+# The scan as it was before it became one findall, one match per token:
+# the reference that the scan must agree with.
+_REFERENCE_TOKEN = re.compile(
+    r"\s*(?:"
+    r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*^()@])"
+    r")")
+
+
+def _reference_tokens(text):
+    items = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            pos = len(text) - len(rest)
+            raise ParseError(f"bad character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        items.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    return items
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text("0123456789.eE+-*^()@ \t" + string.ascii_letters + "_$٣",
+               max_size=24))
+@example(".")
+@example("1e")
+@example("1e+")
+@example("x1 \t")
+@example("٣.5e3*x1 + .5")
+@example("x1 + 1e200*1e200 $")
+def test_the_scan_agrees_with_the_per_match_reference(text):
+    try:
+        want = _reference_tokens(text)
+    except ParseError as err:
+        for parse in (parse_field, parse_vector, parse_form):
+            with pytest.raises(ParseError) as got:
+                parse(text, M)
+            assert (str(got.value), got.value.pos) == (str(err), err.pos)
+        return
+    with grammar._scanned(text) as vals:
+        got = list(zip(map(grammar._kind, vals), vals, grammar._offsets(text)))
+    assert got.pop() == ("eof", "", len(text))
+    assert got == want
+
+
+def test_a_line_frequency_is_checked_on_its_sum():
+    assert parse_field("cos(2*pi*(y1 - y1))", M) == ScalarField.constant(M, 1.0)
+    assert parse_field("x1*sin(2*pi*(x1 + y2 - y2))", M) == \
+        parse_field("x1*sin(2*pi*x1)", M)
+
+
+def test_model_names_and_positions_are_read_once():
+    assert M.names is M.names
+    assert [M.index(n) for n in M.names] == list(range(M.dim))
+    with pytest.raises(KeyError) as err:
+        M.index("zz")
+    assert err.value.args[0] == "no coordinate 'zz' in ('x1', 'y1', 'x2', 'y2')"
 
 
 @pytest.mark.parametrize("parse,suffix", [
