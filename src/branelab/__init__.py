@@ -8,8 +8,8 @@ from .model import (CIRCLE, DEFAULT_FLOW, DEFAULT_PLAN, DEFAULT_TOL, LINE,
                     FlowOptions, ManifoldModel, SamplePlan, Tolerances,
                     extend_with_circle, extend_with_line, model_from_names)
 from .fields import (NonFiniteCoefficientError, ScalarField, VectorField,
-                     bracket, circle_average, directional, field_mul,
-                     partial, q_antiderivative, reindex, substitute)
+                     bracket, circle_average, field_mul, partial,
+                     q_antiderivative, reindex, substitute)
 from .forms import (DegenerateFormError, DifferentialForm, Distribution,
                     EndoField, apply_form, d_scalar, endo_from_pair, ext_d,
                     horizontal_d, interior, is_type_11, lie_derivative, sharp,
@@ -26,8 +26,7 @@ from .nearby import (BraneObstruction, FlowResult, GraphDeformation,
                      TransportedForm, closed1f_check, closed1f_residual,
                      convergence_order, flow, graph_deformation,
                      invariance_check, kernel_field, mapping_torus_check,
-                     melanie_check, omega_f, slicewise_hamiltonian,
-                     transport_brane)
+                     melanie_check, omega_f, transport_brane)
 from .infdef import (AverageObstruction, CircleTermsError, ComplexSlice,
                      InfDefPair, Type11Violation, build_infdef, check_infdef,
                      complex_slice, constant_type11_basis,

@@ -16,6 +16,10 @@ sin with zero frequency is dropped, and coefficients below PRUNE_EPS are
 pruned.  Two fields are equal as functions iff their canonical term dicts
 agree up to the pruning threshold.
 
+The constancy rule: a field is constant exactly when its only term is the
+constant term.  Pruning already drops noise, so no tolerance enters.
+Every constant accessor returns the value, or None when not constant.
+
 The sum rule: every sum of fields, and every component of a sum of forms,
 is one _canonical pass over the (key, coeff) pairs of its terms, through
 combine (or forms._form_sum, which calls combine once per component).
@@ -175,17 +179,13 @@ class ScalarField:
     def is_zero(self, tol: float = 1e-10) -> bool:
         return self.max_coeff() <= tol
 
-    def is_constant(self, tol: float = 1e-10) -> bool:
-        """Every term but the constant one is at most tol."""
+    def constant_value(self) -> float | None:
+        """The value of the field if its only term is the constant term
+        (0.0 for the zero field), else None."""
         z = (0,) * self.model.dim
-        return all(abs(c) <= tol for k, c in self.terms if k != (z, z, COS))
-
-    def constant_value(self, tol: float = 1e-10) -> float:
-        """The value of a constant field; raises if not constant."""
-        if not self.is_constant(tol):
-            raise ValueError("field is not constant")
-        z = (0,) * self.model.dim
-        return dict(self.terms).get((z, z, COS), 0.0)
+        if any(k != (z, z, COS) for k, _ in self.terms):
+            return None
+        return self.terms[0][1] if self.terms else 0.0
 
     # -- algebra ---------------------------------------------------------
 
@@ -490,11 +490,10 @@ class VectorField:
         return VectorField.from_components(
             model, [1.0 if j == i else 0.0 for j in range(model.dim)])
 
-    def is_constant(self, tol: float = 1e-10) -> bool:
-        return all(c.is_constant(tol) for c in self.components)
-
-    def constant_vector(self) -> np.ndarray:
-        return np.array([c.constant_value() for c in self.components])
+    def constant_vector(self) -> np.ndarray | None:
+        """The components' values if every one is constant, else None."""
+        vals = [c.constant_value() for c in self.components]
+        return None if None in vals else np.array(vals)
 
     def eval(self, point) -> np.ndarray:
         return self.eval_batch(np.asarray(point, dtype=float)[None, :])[0]
@@ -534,8 +533,3 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
         comps.append(combine(x.model, pairs))
     return VectorField(x.model, tuple(comps))
 
-
-def directional(x: VectorField, f: ScalarField) -> ScalarField:
-    """Derivative of f along x."""
-    return combine(x.model, [(x.components[j] * partial(f, j), 1.0)
-                             for j in range(x.model.dim)])

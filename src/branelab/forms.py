@@ -5,6 +5,9 @@ tuples, with trig-polynomial coefficient fields, so the exterior calculus
 (wedge, d, contraction, Lie derivative) is exact coefficient arithmetic.
 Numeric Gram evaluation at sample points backs the SAMPLED-mode checks.
 
+Constancy is the fields module's rule for each coefficient; constant_gram
+and constant_matrix return the constant matrix, or None.
+
 Every form is built by _form_sum from (index tuple, field, scale) triples:
 each index tuple is sorted with its sign, and each component is one
 fields.combine of its triples, so a sum of forms follows the fields
@@ -111,9 +114,6 @@ class DifferentialForm:
     def max_coeff(self) -> float:
         return max((f.max_coeff() for _, f in self.coeffs), default=0.0)
 
-    def is_constant(self, tol: float = 1e-10) -> bool:
-        return all(f.is_constant(tol) for _, f in self.coeffs)
-
     def __add__(self, other):
         if self.degree != other.degree or self.model != other.model:
             raise ValueError("degree or model mismatch")
@@ -156,12 +156,14 @@ class DifferentialForm:
 
     def constant_gram(self) -> np.ndarray | None:
         """The Gram matrix if every coefficient is constant, else None."""
-        if self.degree != 2 or not self.is_constant():
+        if self.degree != 2:
             return None
         d = self.model.dim
         G = np.zeros((d, d))
         for (i, j), f in self.coeffs:
             v = f.constant_value()
+            if v is None:
+                return None
             G[i, j] += v
             G[j, i] -= v
         return G
@@ -186,18 +188,14 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
 
 
 def ext_d(a: DifferentialForm) -> DifferentialForm:
-    return _d_along(a, range(a.model.dim))
+    return horizontal_d(a, range(a.model.dim))
 
 
 def horizontal_d(a: DifferentialForm, active) -> DifferentialForm:
     """Exterior derivative using only the listed coordinate directions."""
-    return _d_along(a, active)
-
-
-def _d_along(a: DifferentialForm, directions) -> DifferentialForm:
     return _form_sum(a.model, a.degree + 1, [
         ((j,) + I, partial(f, j), 1.0) for I, f in a.coeffs
-        for j in directions if j not in I])
+        for j in active if j not in I])
 
 
 def d_scalar(f: ScalarField) -> DifferentialForm:
@@ -311,11 +309,8 @@ class EndoField:
         return EndoField(model, rows)
 
     def constant_matrix(self) -> np.ndarray | None:
-        if not all(f.is_constant() for row in self.entries for f in row):
-            return None
-        d = self.model.dim
-        return np.array([[self.entries[i][j].constant_value()
-                          for j in range(d)] for i in range(d)])
+        vals = [[f.constant_value() for f in row] for row in self.entries]
+        return None if any(None in row for row in vals) else np.array(vals)
 
     def apply(self, x: VectorField) -> VectorField:
         d = range(self.model.dim)
@@ -386,11 +381,11 @@ class Distribution:
         return self.matrices(np.asarray(point, float)[None, :])[0]
 
     def constant_matrix(self) -> np.ndarray | None:
-        if not all(v.is_constant() for v in self.frame):
+        cols = [v.constant_vector() for v in self.frame]
+        if any(c is None for c in cols):
             return None
-        if not self.frame:
-            return np.zeros((self.model.dim, 0))
-        return np.column_stack([v.constant_vector() for v in self.frame])
+        return (np.column_stack(cols) if cols
+                else np.zeros((self.model.dim, 0)))
 
 
 def kernel_basis(G: np.ndarray, rel: float = 1e-8) -> np.ndarray:

@@ -478,7 +478,7 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
     y = c.model_Y
     if len(y.circle_indices) != y.dim:
         raise ValueError("truncated Fourier bases need a torus model")
-    if not (c.omega.is_constant(0.0) and c.F.is_constant(0.0)):
+    if c.constant_grams is None:
         raise ValueError("the deformation complex needs constant omega and F")
     n = y.dim
     nfun = (2 * truncation + 1) ** n  # len(_function_keys(...))

@@ -16,6 +16,10 @@ and every tangent map is the identity.  flow, the backward transport solves
 and the mapping-torus stations take that closed form, and invariance is
 then decided exactly, by translating the transverse form's coefficients.
 Every other flow is one RK4 sweep with tangent maps (integrate).
+
+omega_N must be constant: each coefficient has only the constant term
+(the fields module's rule).  A deformation derives its Hamiltonian field
+and its solver once, on first use; every flow and check reads those.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ class BraneObstruction(Exception):
 @dataclass(frozen=True)
 class GraphDeformation:
     """Deformation data on Y = N x S^1: base forms on N and the deforming
-    function f on Y (f_q denotes its restriction to the slice N x {q})."""
+    function f on Y (f_q denotes its restriction to the slice N x {q}).
+    hamiltonian and solver are derived once, on first use."""
 
     N_model: ManifoldModel
     omega_N: DifferentialForm
@@ -67,6 +72,34 @@ class GraphDeformation:
     @property
     def n_indices(self) -> tuple[int, ...]:
         return tuple(range(self.N_model.dim))
+
+    @functools.cached_property
+    def hamiltonian(self) -> VectorField:
+        """The slicewise Hamiltonian field: X with interior(X, omega_N) =
+        d_N f on each slice N x {q}.  omega_N must be constant and pass
+        the condition gate."""
+        W = self.omega_N.constant_gram()
+        if W is None:
+            raise ValueError(
+                "slicewise Hamiltonian field needs constant omega_N")
+        y = self.y_model
+        X = hamiltonian(W, [partial(self.f, j) for j in self.n_indices], y,
+                        "constant form")
+        return VectorField(y, X + (ScalarField.zero(y),))
+
+    @functools.cached_property
+    def solver(self) -> TermBank | integrate._RHS:
+        """How the flow is solved.  When every velocity term depends on q
+        alone with no power of q, the flow is a translation and this is
+        the bank of D(q) = integral from 0 to q of the velocity, one field
+        per N coordinate; otherwise it is the compiled RK4 right-hand
+        side."""
+        v = _velocity(self)
+        if any(any(p) or any(k[:self.q_index])
+               for c in v for (p, k, _), _ in c.terms):
+            return _flow_rhs(self)
+        return TermBank([q_antiderivative(c, self.q_index) for c in v],
+                        self.y_model.dim)
 
 
 def graph_deformation(N_model: ManifoldModel, omega_N: DifferentialForm,
@@ -91,24 +124,10 @@ def omega_f(g: GraphDeformation) -> DifferentialForm:
     return lift_form(g.omega_N, y, g.n_indices) - ext_d(f_dq)
 
 
-def slicewise_hamiltonian(g: GraphDeformation) -> VectorField:
-    """X with interior(X, omega_N) = d_N f on each slice N x {q}; omega_N
-    must be constant and pass the condition gate."""
-    W = g.omega_N.constant_gram()
-    if W is None:
-        raise ValueError("slicewise Hamiltonian field needs constant omega_N")
-    y = g.y_model
-    X = hamiltonian(W, [partial(g.f, j) for j in g.n_indices], y,
-                    "constant form")
-    return VectorField(y, X + (ScalarField.zero(y),))
-
-
 def kernel_field(g: GraphDeformation) -> VectorField:
     """The kernel generator of the deformed form: d/dq minus the slicewise
     Hamiltonian field of f."""
-    x = slicewise_hamiltonian(g)
-    dq = VectorField.basis(g.y_model, g.q_index)
-    return dq - x
+    return VectorField.basis(g.y_model, g.q_index) - g.hamiltonian
 
 
 @dataclass
@@ -124,31 +143,14 @@ class FlowResult:
     shift: np.ndarray | None = None
 
 
-def _velocity(g: GraphDeformation, x: VectorField | None = None):
-    """-X_{f_q} on the N coordinates; x is g's slicewise Hamiltonian field
-    when the caller already holds it."""
-    x = slicewise_hamiltonian(g) if x is None else x
-    return tuple(-x.components[i] for i in g.n_indices)
+def _velocity(g: GraphDeformation):
+    """-X_{f_q} on the N coordinates."""
+    return tuple(-g.hamiltonian.components[i] for i in g.n_indices)
 
 
 def _flow_rhs(g: GraphDeformation) -> integrate._RHS:
     """The compiled right-hand side of dx/dq = -X_{f_q}."""
     return integrate._RHS(_velocity(g), g.n_indices, g.q_index)
-
-
-def _solver(g: GraphDeformation, x: VectorField | None = None
-            ) -> TermBank | integrate._RHS:
-    """How g's flow is solved, built from one velocity.  When every
-    velocity term depends on q alone with no power of q, the flow is a
-    translation and this is the bank of D(q) = integral from 0 to q of the
-    velocity, one field per N coordinate; otherwise it is the compiled RK4
-    right-hand side.  x as in _velocity."""
-    v = _velocity(g, x)
-    if any(any(p) or any(k[:g.q_index])
-           for c in v for (p, k, _), _ in c.terms):
-        return integrate._RHS(v, g.n_indices, g.q_index)
-    return TermBank([q_antiderivative(c, g.q_index) for c in v],
-                    g.y_model.dim)
 
 
 def _moved(D: TermBank, g: GraphDeformation, q_from, q_to) -> np.ndarray:
@@ -171,7 +173,7 @@ def flow(g: GraphDeformation, q0: float, q1: float, points,
          opts: FlowOptions = DEFAULT_FLOW) -> FlowResult:
     """The flow of dx/dq = -X_{f_q} from q0 to q1, with tangent maps.
 
-    A translation flow (see _solver) moves every point by
+    A translation flow (see GraphDeformation.solver) moves every point by
     D(q1) - D(q0) with identity tangent maps, in closed form; any other
     flow is one RK4 sweep of the points with their tangent maps.
     symplectic_residuals[i] is the largest entry of
@@ -179,13 +181,13 @@ def flow(g: GraphDeformation, q0: float, q1: float, points,
     (exactly 0 for a translation)."""
     pts = np.atleast_2d(np.asarray(points, float))
     m, n = pts.shape
-    s = _solver(g)
-    if isinstance(s, TermBank):
-        shift = _moved(s, g, q0, q1)
+    if isinstance(g.solver, TermBank):
+        shift = _moved(g.solver, g, q0, q1)
         return FlowResult(pts, pts + shift, _identities(m, n).copy(), 0,
                           np.zeros(m), shift)
-    images, jacs, nsteps = integrate.rk4_flow(s, pts, q0, q1, opts.step)
-    W = g.omega_N.constant_gram()  # constant, or _solver raised
+    images, jacs, nsteps = integrate.rk4_flow(g.solver, pts, q0, q1,
+                                              opts.step)
+    W = g.omega_N.constant_gram()  # constant, or g.hamiltonian raised
     R = np.einsum("kji,jl,klm->kim", jacs, W, jacs) - W
     sympl = np.abs(R).reshape(m, -1).max(axis=1)
     return FlowResult(pts, images, jacs, nsteps, sympl)
@@ -226,20 +228,18 @@ def _snap(q: np.ndarray, step: float) -> np.ndarray:
     return np.rint(np.asarray(q, float) / step).astype(int)
 
 
-def _batch_backward(g: GraphDeformation, points, opts: FlowOptions,
-                    solver: TermBank | integrate._RHS):
+def _batch_backward(g: GraphDeformation, points, opts: FlowOptions):
     """Backward solves Phi([q -> 0]) for a batch of Y-points, with each q
     snapped to an integer multiple of the step: in closed form for a
     translation flow, else sharing RK4 steps across samples in one
-    lockstep sweep (activation exact because of the snapping).  solver is
-    _solver(g)."""
+    lockstep sweep (activation exact because of the snapping)."""
     pts = np.atleast_2d(np.asarray(points, float))
     m, dN = pts.shape[0], g.n_dim
     ks = _snap(pts[:, g.q_index] % 1.0, opts.step)
     snapped = pts.copy()
     snapped[:, g.q_index] = ks * opts.step
-    if isinstance(solver, TermBank):
-        X = pts[:, :dN] + _moved(solver, g, snapped[:, g.q_index], 0.0)
+    if isinstance(g.solver, TermBank):
+        X = pts[:, :dN] + _moved(g.solver, g, snapped[:, g.q_index], 0.0)
         return snapped, X, _identities(m, dN)
     # rows sorted by descending start step, so the samples in flight at
     # step k are a prefix of the batch, started[k] rows long
@@ -248,7 +248,7 @@ def _batch_backward(g: GraphDeformation, points, opts: FlowOptions,
     seeds = pts[order]
     kmax = int(ks.max(initial=0))
     X, J = integrate.rk4_sweep(
-        solver, seeds[:, :dN], _identities(m, dN),
+        g.solver, seeds[:, :dN], _identities(m, dN),
         kmax * opts.step, -opts.step, kmax, seeds,
         entered=started[kmax:0:-1])
     back = np.empty_like(order)
@@ -277,8 +277,6 @@ class TransportedForm:
         self.g = g
         self.F_N = F_N_tilde
         self.opts = opts
-        self._hamiltonian = slicewise_hamiltonian(g)
-        self._solver = _solver(g, self._hamiltonian)
 
     def matrices_at(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Gram matrices at a batch of Y-points (q snapped to the RK4 grid).
@@ -286,9 +284,9 @@ class TransportedForm:
         Returns (snapped points, (m, dimY, dimY) array).
         """
         g = self.g
-        snapped, y, A = _batch_backward(g, points, self.opts, self._solver)
+        snapped, y, A = _batch_backward(g, points, self.opts)
         dN = g.n_dim
-        Xf = self._hamiltonian.eval_batch(snapped)[:, :dN]
+        Xf = g.hamiltonian.eval_batch(snapped)[:, :dN]
         b = np.einsum("kij,kj->ki", A, Xf)
         C = np.concatenate([A, b[:, :, None]], axis=2)
         G = self.F_N.gram_batch(g.N_model.wrap(y))
@@ -485,10 +483,8 @@ def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
     delta = delta_steps * opts.step
     at = (_snap(pts[:, g.q_index], opts.step)[None, :]
           + delta_steps * np.arange(-2, 3)[:, None])
-    ham = slicewise_hamiltonian(g)
-    s = _solver(g, ham)
-    if isinstance(s, TermBank):
-        X = pts[:, :dN] + _moved(s, g, 0.0, at * opts.step)
+    if isinstance(g.solver, TermBank):
+        X = pts[:, :dN] + _moved(g.solver, g, 0.0, at * opts.step)
         Jx = np.broadcast_to(np.eye(dN), at.shape + (dN, dN))
     else:
         rows = np.broadcast_to(np.arange(m), at.shape)
@@ -498,7 +494,7 @@ def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
             if sel.any():
                 after = sign * at[sel]
                 X[sel], Jx[sel] = integrate.rk4_sweep(
-                    s, pts[:, :dN], _identities(m, dN), 0.0,
+                    g.solver, pts[:, :dN], _identities(m, dN), 0.0,
                     sign * opts.step, int(after.max()), pts,
                     reads=(rows[sel], after))
     xm2, xm1, y0, xp1, xp2 = X
@@ -509,7 +505,7 @@ def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
     # (a) pushforward of d/dq equals the kernel field along psi
     # grouped as differences so coincident stations cancel exactly
     dq_push = ((xm2 - xp2) + 8.0 * (xp1 - xm1)) / (12.0 * delta)
-    Xf = ham.eval_batch(psi_pts)[:, :dN]
+    Xf = g.hamiltonian.eval_batch(psi_pts)[:, :dN]
     r_push = np.abs(dq_push + Xf).max(axis=1)
     res.hold("pushes_dq_to_kernel", float(r_push.max(initial=0.0)), tol,
              "pushforward")

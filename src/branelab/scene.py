@@ -149,11 +149,12 @@ def _cohomology(cfg, spec, c):
     bound = cs.d1_d0_bound()
     rec.hold("d1_d0_zero", cs.d1_d0_residual(), bound, "d1_d0")
     expected = spec.opt("h1")
-    rec.details.update(truncation=T, dim_ker_d1=cs.dim_ker_d1,
-                       rank_d0=cs.rank_d0, h1=cs.h1, shape=cs.shape,
-                       d1_d0_bound=bound, blocks=cs.block_summary())
+    ker, rank = cs.dim_ker_d1, cs.rank_d0
+    rec.details.update(truncation=T, dim_ker_d1=ker, rank_d0=rank,
+                       h1=ker - rank, shape=cs.shape, d1_d0_bound=bound,
+                       blocks=cs.block_summary())
     if expected is not None:
-        rec.conditions["h1_matches"] = cs.h1 == int(expected)
+        rec.conditions["h1_matches"] = ker - rank == int(expected)
     rec.passed = all(rec.conditions.values())
     return rec
 

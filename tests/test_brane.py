@@ -9,12 +9,15 @@ from branelab.brane import (BraneCandidate, RankDropError, ambient_for,
                             check_brane, check_brane_via_J,
                             check_space_filling, local_normal_form,
                             tau_F_subspace)
+from branelab.cli import bundled_scene_dir
 from branelab.fields import VectorField
 from branelab.forms import (DifferentialForm, Distribution, ext_d,
                             kernel_basis, max_principal_angle)
 from branelab.grammar import parse_form, parse_vector
+from branelab.infdef import complex_slice
 from branelab.model import (CIRCLE, DEFAULT_PLAN, DEFAULT_TOL, LINE,
                             SamplePlan, extend_with_circle, model_from_names)
+from branelab.scene import parse_scene
 
 PLAN = SamplePlan(count=64, seed=0)
 
@@ -283,6 +286,23 @@ def test_q_dependent_candidate_stays_sampled():
     rec = check_brane_via_J(c, plan=PLAN)
     assert rec.mode == "SAMPLED"
     assert (rec.conditions, rec.residuals) == (j_conds, j_res)
+
+
+def test_near_constant_data_is_sampled_not_exact():
+    """A term far below every verdict tolerance, but above pruning, still
+    makes F vary: the brane checks sample it and the complex refuses it."""
+    text = (bundled_scene_dir() / "cohomology_t4.scene").read_text(
+        encoding="utf-8")
+    old = "form F @ T = dx1^dx2 - dy1^dy2"
+    assert old in text
+    c = parse_scene(text.replace(
+        old, old + " + 5e-11*cos(2*pi*x1)*dx1^dy1")).lookup("candidates", "c")
+    assert c.F.constant_gram() is None and c.constant_grams is None
+    for rec in (check_space_filling(c.omega, c.F), check_brane(c),
+                check_brane_via_J(c)):
+        assert rec.mode == "SAMPLED" and rec.passed
+    with pytest.raises(ValueError, match="needs constant omega and F"):
+        complex_slice(c, 1)
 
 
 def test_rank_drop_on_constant_data_names_the_first_plan_point():

@@ -1,15 +1,13 @@
 """Exact term-algebra invariants for trig-polynomial fields."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from branelab.fields import (COS, PRUNE_EPS, SIN, ScalarField, VectorField,
-                             bracket, circle_average, combine, directional,
-                             field_mul, partial, q_antiderivative, reindex,
-                             substitute, translate)
+                             bracket, circle_average, combine, field_mul,
+                             partial, q_antiderivative, reindex, substitute,
+                             translate)
 from branelab.forms import DifferentialForm, Distribution
 from branelab.grammar import parse_field
 from branelab.model import CIRCLE, LINE, model_from_names
@@ -75,9 +73,12 @@ def test_trig_on_line_coordinate_rejected():
 def test_constant_value_and_guard():
     c = ScalarField.constant(T3, 2.5)
     assert c.constant_value() == 2.5
+    assert ScalarField.zero(T3).constant_value() == 0.0
     f = ScalarField.cosine(T3, (1, 0, 0))
-    with pytest.raises(ValueError):
-        f.constant_value()
+    assert f.constant_value() is None
+    # no tolerance: any term that survives pruning makes the field vary
+    assert (c + f * (2 * PRUNE_EPS)).constant_value() is None
+    assert (c + f * (PRUNE_EPS / 2)).constant_value() == 2.5
 
 
 def test_has_circle_powers_flag():
@@ -316,13 +317,6 @@ def test_reindex_drops_a_coordinate_mapped_to_none():
             reindex(parse_field(text, T4Q), T4, [0, 1, 2, 3, None])
 
 
-def test_directional_derivative():
-    x = VectorField.from_components(T3, [1.0, 2.0, 0.0])
-    f = ScalarField.sine(T3, (1, 0, 0))
-    expect = ScalarField.cosine(T3, (1, 0, 0), 2 * math.pi)
-    assert (directional(x, f) - expect).is_zero(1e-12)
-
-
 def test_bracket_of_coordinate_fields_vanishes():
     for i in range(3):
         for j in range(3):
@@ -361,8 +355,12 @@ def test_bracket_matches_flow_commutator_formula(rng):
 
 def test_vector_constant_roundtrip():
     v = VectorField.from_components(T3, [1.0, -2.0, 0.5])
-    assert v.is_constant()
     assert np.allclose(v.constant_vector(), [1.0, -2.0, 0.5])
+    assert np.array_equal(Distribution(T3, (v,)).constant_matrix(),
+                          [[1.0], [-2.0], [0.5]])
+    w = v + VectorField.basis(T3, 2) * ScalarField.sine(T3, (0, 0, 1), 1e-11)
+    assert w.constant_vector() is None
+    assert Distribution(T3, (v, w)).constant_matrix() is None
 
 
 def test_field_arithmetic_on_mismatched_models_rejected():

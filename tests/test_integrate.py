@@ -12,8 +12,7 @@ from branelab.integrate import FlowError, _RHS, rk4_flow, rk4_sweep
 from branelab.model import (CIRCLE, LINE, FlowOptions, SamplePlan,
                             extend_with_circle, model_from_names)
 from branelab.nearby import (TransportedForm, _flow_rhs, _velocity,
-                             graph_deformation, mapping_torus_check,
-                             slicewise_hamiltonian)
+                             graph_deformation, mapping_torus_check)
 from conftest import naive_eval
 
 N_MIX = model_from_names([("x1", CIRCLE), ("y1", LINE),
@@ -155,7 +154,7 @@ def _transported_by_rk4_flow(tf, p):
     g = tf.g
     y, A, _ = rk4_flow(_flow_rhs(g), p[None, :4], p[Q] % 1.0, 0.0,
                        tf.opts.step)
-    Xf = slicewise_hamiltonian(g).eval(p)[:4]
+    Xf = g.hamiltonian.eval(p)[:4]
     C = np.concatenate([A[0], (A[0] @ Xf)[:, None]], axis=1)
     return C.T @ F_N.gram_at(N_MIX.wrap(y[0])) @ C
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branelab import integrate, nearby
+from branelab import forms, integrate, nearby
 from branelab.brane import lift_form
-from branelab.fields import COS, SIN, ScalarField
+from branelab.cli import _config_from, make_parser, resolve_scene, run_scene
+from branelab.fields import COS, SIN, ScalarField, TermBank
 from branelab.forms import DifferentialForm, Distribution, ext_d, interior
 from branelab.grammar import parse_form, parse_vector
 from branelab.model import (CIRCLE, LINE, FlowOptions, SamplePlan,
@@ -17,7 +18,7 @@ from branelab.nearby import (BraneObstruction, closed1f_check,
                              closed1f_residual, convergence_order, flow,
                              graph_deformation, invariance_check, kernel_field,
                              mapping_torus_check, melanie_check, omega_f,
-                             slicewise_hamiltonian, transport_brane)
+                             transport_brane)
 
 LAM = float(math.sqrt(2) - 1)
 
@@ -59,7 +60,7 @@ def test_kernel_field_annihilates_deformed_form():
 
 
 def test_slicewise_hamiltonian_shear_is_circle_translation():
-    X = slicewise_hamiltonian(shear())
+    X = shear().hamiltonian
     assert np.allclose(X.constant_vector(),
                        [LAM, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
 
@@ -257,7 +258,7 @@ def test_flow_options_step_controls_node_count():
     "q*y2"])
 def test_other_flows_take_the_rk4_sweep(rk4_steps, speed):
     g = graph_deformation(N_MIX, OMEGA_N, F_N, speed)
-    assert isinstance(nearby._solver(g), integrate._RHS)
+    assert isinstance(g.solver, integrate._RHS)
     pts = SamplePlan(count=8, seed=2).points(N_MIX)
     fr = flow(g, 0.0, 1.0, pts, FlowOptions(step=1 / 64))
     assert rk4_steps == list(range(1, 65))
@@ -267,6 +268,24 @@ def test_other_flows_take_the_rk4_sweep(rk4_steps, speed):
     assert np.array_equal(fr.images, images)
     assert np.array_equal(fr.jacobians, jacs)
     assert invariance_check(F_N, fr).mode == "SAMPLED"
+
+
+def test_a_deformation_derives_its_flow_data_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return forms.hamiltonian(*args)
+
+    monkeypatch.setattr(nearby, "hamiltonian", counted)
+    nearby._gate.cache_clear()
+    scene = resolve_scene("lambda_shear")
+    cfg = _config_from(scene, make_parser().parse_args(
+        ["run", "lambda_shear", "--steps", "512"]))
+    assert run_scene(scene, cfg).all_passed
+    assert len(calls) == 1
+    g = scene.lookup("deforms", "shear")
+    assert isinstance(g.solver, TermBank) and g.solver is g.solver
 
 
 def test_translation_flow_is_closed_form(rk4_steps):
