@@ -42,14 +42,18 @@ globally defined on the torus factor; see has_circle_powers.
 Every evaluation at points goes through one evaluator, TermBank.  A bank
 compiles a list of fields over one model into the union of their term
 keys (powers, freqs, phase) and a coefficient matrix C with one row per
-term and one column per field.  A call evaluates each term once over the
-batch, raising only the coordinates that carry a power, taking cos only
-of the cos terms and sin only of the sin terms and no trig of the
-zero-frequency terms; one matmul with C then gives every field at every
-point.  A scalar field is a bank of one, a vector field a bank of its
-components, a 2-form's Gram matrices a bank of its coefficients and a
-frame's matrices a bank of all its vectors' components; the flows compile
-the velocity and its Jacobian into one bank (integrate._RHS).
+term and one column per field.  A term is its wave, the cos or sin of
+its frequency's argument (1 at zero frequency), times its monomial, and a
+call evaluates each part once over the batch: one argument row per
+distinct nonzero frequency, cos only of the arguments some cos term needs
+and sin only of those some sin term needs, and each distinct power vector
+once, from one table of the powers of the coordinates that carry one.
+Each term's row is then its wave times its monomial, and one matmul with
+C gives every field at every point.  A scalar field is a bank of one, a
+vector field a bank of its components, a 2-form's Gram matrices a bank of
+its coefficients and a frame's matrices a bank of all its vectors'
+components; the flows compile the velocity and its Jacobian into one bank
+(integrate._RHS).
 
 The matmul with C, like any batched product, may round a row differently
 with the number of rows: a point's value can differ in its last bits
@@ -97,6 +101,12 @@ class NonFiniteCoefficientError(ValueError):
     """A coefficient of a field overflowed to inf or became nan."""
 
 
+def _non_finite(c: float) -> NonFiniteCoefficientError:
+    return NonFiniteCoefficientError(
+        f"coefficient {c} is not finite: a sum or product of coefficients "
+        f"overflowed")
+
+
 def _canonical(pairs) -> tuple:
     """Canonical terms of a sum of (key, coeff) pairs: each key is
     sign-normalized, the coefficients of equal keys are added in the
@@ -114,9 +124,7 @@ def _canonical(pairs) -> tuple:
     if not math.isfinite(sum(acc.values())):
         bad = [c for c in acc.values() if not math.isfinite(c)]
         if bad:
-            raise NonFiniteCoefficientError(
-                f"coefficient {bad[0]} is not finite: a sum or product of "
-                f"coefficients overflowed")
+            raise _non_finite(bad[0])
     return tuple(sorted((k, c) for k, c in acc.items()
                         if abs(c) > PRUNE_EPS))
 
@@ -262,51 +270,97 @@ def _coerce(model: ManifoldModel, x) -> ScalarField:
 
 
 class TermBank:
-    """Fields over one model evaluated through one shared term table.
+    """Fields over one model evaluated through one shared table.
 
-    Terms are ordered zero-frequency first, then cos, then sin, and the
-    table is laid out term by point, so that each trig function writes
-    one contiguous block of it.
+    The table has one row over the points for each of: the constant 1,
+    each wave some term needs, each power x_j^e up to the largest exponent
+    of x_j, and each monomial of more than one factor.  The distinct
+    nonzero frequencies are ordered cos only, cos and sin, sin only, so
+    that cos and sin each read one block of their arguments.  The terms
+    (the rows of C) are ordered zero-frequency first, then cos, then sin;
+    wave_of and mono_of give each term's wave and monomial rows.
     """
 
     def __init__(self, fields, dim):
-        keys = sorted({key for f in fields for key, _ in f.terms},
-                      key=lambda k: (k[2] + 1 if any(k[1]) else 0, k))
+        groups: tuple[list, list, list] = ([], [], [])
+        for key in {key for f in fields for key, _ in f.terms}:
+            groups[key[2] + 1 if any(key[1]) else 0].append(key)
+        free, cos, sin = map(sorted, groups)
+        keys = free + cos + sin
         row = {key: t for t, key in enumerate(keys)}
         self.C = np.zeros((len(keys), len(fields)))
         for col, f in enumerate(fields):
             for key, c in f.terms:
                 self.C[row[key], col] = c
-        P = np.array([k[0] for k in keys], dtype=np.int64).reshape(-1, dim)
-        K = np.array([k[1] for k in keys], dtype=float).reshape(-1, dim)
-        # (coordinate, exponent of every term, largest exponent) for each
-        # coordinate that carries a power
-        self.powers = [(j, P[:, j], int(P[:, j].max()))
-                       for j in range(dim) if P[:, j].any()]
-        n_free = sum(not any(k[1]) for k in keys)
-        n_cos = sum(any(k[1]) and k[2] == COS for k in keys)
-        self.free = slice(0, n_free)
-        self.cos = slice(n_free, n_free + n_cos)
-        self.sin = slice(n_free + n_cos, len(keys))
-        self.K_cos = K[self.cos]
-        self.K_sin = K[self.sin]
+        cos_k = dict.fromkeys(k for _, k, _ in cos)
+        sin_k = dict.fromkeys(k for _, k, _ in sin)
+        freqs = sorted({**cos_k, **sin_k},
+                       key=lambda k: (k in sin_k) - (k in cos_k))
+        at = {k: i for i, k in enumerate(freqs)}
+        self.K = np.array(freqs, dtype=float).reshape(-1, dim)
+        # (argument rows, table rows) of the cos and of the sin waves
+        n = 1 + len(cos_k)
+        s0 = len(freqs) - len(sin_k)
+        self.cos = (slice(0, len(cos_k)), slice(1, n))
+        self.sin = (slice(s0, len(freqs)), slice(n, n + len(sin_k)))
+        self.wave_of = np.array(
+            [0] * len(free) + [1 + at[k] for _, k, _ in cos]
+            + [n - s0 + at[k] for _, k, _ in sin], dtype=np.intp)
+        n += len(sin_k)
+        # the powers: (table rows, coordinates, rows of the powers one
+        # lower) for each exponent e, the rows x_j^e of every x_j that
+        # carries e or more
+        monos = dict.fromkeys(p for p, _, _ in keys)
+        top = [max(col) for col in zip(*monos)]
+        pos = {}
+        self.powers = []
+        for e in range(1, max(top, default=0) + 1):
+            js = [j for j, t in enumerate(top) if t >= e]
+            lower = np.array([pos[j, e - 1] for j in js]) if e > 1 else None
+            self.powers.append((slice(n, n + len(js)), np.array(js), lower))
+            pos.update(((j, e), n + t) for t, j in enumerate(js))
+            n += len(js)
+        # the monomials of several factors: F[i] is the i-th factor's row
+        # of each, padded with row 0
+        multi = []
+        for p in monos:
+            fs = [pos[j, e] for j, e in enumerate(p) if e]
+            if len(fs) > 1:
+                multi.append(fs)
+                fs = [n + len(multi) - 1]
+            monos[p] = fs[0] if fs else 0
+        width = max(map(len, multi), default=0)
+        self.F = np.array([fs + [0] * (width - len(fs)) for fs in multi],
+                          dtype=np.intp).T
+        self.products = slice(n, n + len(multi))
+        self.rows = n + len(multi)
+        self.mono_of = np.array([monos[p] for p, _, _ in keys],
+                                dtype=np.intp)
 
     def __call__(self, points) -> np.ndarray:
         """(m, fields) values at points given as an (m, dim) array."""
         points = np.ascontiguousarray(np.asarray(points, dtype=float).T)
-        vals = np.empty((self.C.shape[0], points.shape[1]))
-        vals[self.free] = 1.0
-        if len(self.K_cos):
-            np.cos(TWO_PI * (self.K_cos @ points), out=vals[self.cos])
-        if len(self.K_sin):
-            np.sin(TWO_PI * (self.K_sin @ points), out=vals[self.sin])
-        for j, exps, top in self.powers:
-            table = np.empty((top + 1, points.shape[1]))
-            table[0] = 1.0
-            table[1] = points[j]
-            for e in range(2, top + 1):
-                table[e] = table[e - 1] * points[j]
-            vals *= table[exps]
+        table = np.empty((self.rows, points.shape[1]))
+        table[0] = 1.0
+        if len(self.K):
+            args = self.K @ points
+            args *= TWO_PI
+            for trig, (a, t) in ((np.cos, self.cos), (np.sin, self.sin)):
+                if a.start < a.stop:
+                    trig(args[a], out=table[t])
+        for rows, js, lower in self.powers:
+            if lower is None:
+                table[rows] = points[js]
+            else:
+                np.multiply(table[lower], points[js], out=table[rows])
+        if len(self.F):
+            products = table[self.products]
+            np.multiply(table[self.F[0]], table[self.F[1]], out=products)
+            for f in self.F[2:]:
+                products *= table[f]
+        vals = table[self.wave_of]
+        if self.powers:
+            vals *= table[self.mono_of]
         return vals.T @ self.C
 
 

@@ -40,7 +40,8 @@ import math
 import re
 import string
 
-from .fields import COS, SIN, ScalarField, VectorField, _norm_term, combine
+from .fields import (COS, PRUNE_EPS, SIN, ScalarField, VectorField,
+                     _non_finite, _norm_term, combine)
 from .forms import DifferentialForm, _form_sum
 from .model import ManifoldModel
 
@@ -257,11 +258,15 @@ def _parse_product(vals: list, i: int, model: ManifoldModel, env,
             break
         i += 1
     freqs, phase = trig or ((0,) * model.dim, COS)
-    key = (tuple(powers), freqs, phase)
+    monomial = _norm_term(tuple(powers), freqs, phase, coeff)
     if not rest:
-        return ScalarField.build(model, {key: coeff}), sym, i
+        # one sign-normalized term is canonical once it is finite and
+        # above the pruning threshold
+        if monomial and not math.isfinite(monomial[1]):
+            raise _non_finite(monomial[1])
+        keep = monomial and abs(monomial[1]) > PRUNE_EPS
+        return ScalarField(model, (monomial,) if keep else ()), sym, i
     # unpruned: the products with the other factors prune it with them
-    monomial = _norm_term(*key, coeff)
     f = ScalarField(model, (monomial,) if monomial else ())
     for g in rest:
         f = f * g

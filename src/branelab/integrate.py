@@ -18,11 +18,13 @@ The right-hand side is compiled once into a term bank (fields.TermBank)
 whose fields are the n velocity components, then the n*n Jacobian
 entries row by row (a zero partial is a zero column), so one bank call
 per RK4 stage gives the velocity and the Jacobian together.  There is no
-velocity-only bank: every sweep carries tangent maps.  The bank's matmul
-and the tangent-map products A @ J are batched, so a seed point's
-tangent map can differ in its last bits with how many rows share its
-sweep (see fields); a reference that must match exactly flows the same
-batch.
+velocity-only bank: every sweep carries tangent maps.  A step is the
+textbook RK4 formula, in its order of operations, for the states and for
+the tangent maps; the tangent maps' stage inputs and their weighted sum
+are written into two buffers of the step.  The bank's matmul and the
+tangent-map products A @ J are batched, so a seed point's tangent map
+can differ in its last bits with how many rows share its sweep (see
+fields); a reference that must match exactly flows the same batch.
 
 Every step tests its new state for finiteness and raises FlowError at the
 first step that leaves the finite numbers, naming the step and the seed
@@ -60,13 +62,13 @@ class _RHS:
 
     def __call__(self, x, q):
         """(velocity (m, n), Jacobian (m, n, n)) at states x."""
-        # column-major, so that the bank's coordinate rows need no copy
-        pts = np.zeros((x.shape[0], self.model.dim), order="F")
-        pts[:, self.n_indices] = x
-        if self.q_index is not None:
-            pts[:, self.q_index] = q
         m, n = x.shape
-        out = self._bank(pts)
+        # one row per coordinate: the bank reads the rows without a copy
+        pts = np.zeros((self.model.dim, m))
+        pts[self.n_indices] = x.T
+        if self.q_index is not None:
+            pts[self.q_index] = q
+        out = self._bank(pts.T)
         return out[:, :n], out[:, n:].reshape(m, n, n)
 
 
@@ -153,8 +155,25 @@ def _rk4_step(rhs, x, J, q, h, step, seeds):
         point = ", ".join(f"{v:.6g}" for v in seeds[i])
         raise FlowError(f"non-finite state at step {step} (q = {q + h:.6g}) "
                         f"on the trajectory of seed point ({point})")
-    K1 = A1 @ J
-    K2 = A2 @ (J + 0.5 * h * K1)
-    K3 = A3 @ (J + 0.5 * h * K2)
-    K4 = A4 @ (J + h * K3)
-    return xn, J + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    # the same formula for J, with K1 = A1 J, K2 = A2 (J + h/2 K1),
+    # K3 = A3 (J + h/2 K2), K4 = A4 (J + h K3), in the same order of
+    # operations: each stage input is written into Jin, and Jn, which
+    # starts as K1, takes the weighted sum and then the new J
+    Jin = np.empty_like(J)
+    Jn = A1 @ J
+    np.multiply(Jn, 0.5 * h, out=Jin)
+    Jin += J
+    K = A2 @ Jin
+    np.multiply(K, 0.5 * h, out=Jin)
+    Jin += J
+    K *= 2.0
+    Jn += K
+    K = A3 @ Jin
+    np.multiply(K, h, out=Jin)
+    Jin += J
+    K *= 2.0
+    Jn += K
+    Jn += A4 @ Jin
+    Jn *= h / 6.0
+    Jn += J
+    return xn, Jn

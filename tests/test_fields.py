@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branelab.fields import (COS, PRUNE_EPS, SIN, ScalarField, VectorField,
-                             bracket, circle_average, combine, field_mul,
-                             partial, q_antiderivative, reindex, substitute,
-                             translate)
+from branelab.fields import (COS, PRUNE_EPS, SIN, ScalarField, TermBank,
+                             VectorField, bracket, circle_average, combine,
+                             field_mul, partial, q_antiderivative, reindex,
+                             substitute, translate)
 from branelab.forms import DifferentialForm, Distribution
 from branelab.grammar import parse_field
 from branelab.model import CIRCLE, LINE, model_from_names
@@ -122,6 +122,59 @@ def test_eval_matches_naive(rng):
                     for i, c in enumerate(w.components):
                         ref[:, i, r] = naive_eval(c, pts)
                 assert np.allclose(E.matrices(pts), ref, atol=1e-12)
+
+
+# frequencies that repeat across phases and monomials; (-1, 0, 0, 0) is
+# (1, 0, 0, 0) after sign normalization
+BANK = model_from_names([("x", CIRCLE), ("y", CIRCLE), ("u", LINE),
+                         ("v", LINE)])
+BANK_FREQS = [(0, 0, 0, 0), (1, 0, 0, 0), (-1, 0, 0, 0), (1, -2, 0, 0),
+              (0, 3, 0, 0)]
+BANK_COEFF = st.floats(-3.0, 3.0, allow_nan=False).filter(
+    lambda c: abs(c) > 1e-3)
+
+
+@st.composite
+def bank_field(draw):
+    kind = draw(st.sampled_from(("zero", "constant", "terms")))
+    if kind == "zero":
+        return ScalarField.zero(BANK)
+    if kind == "constant":
+        return ScalarField.constant(BANK, draw(BANK_COEFF))
+    # powers 0-3 on every coordinate, the circle coordinates included
+    terms = draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(0, 3)] * 4), st.sampled_from(BANK_FREQS),
+        st.sampled_from((COS, SIN)), BANK_COEFF), min_size=1, max_size=8))
+    return ScalarField.build(BANK, {(p, k, ph): c for p, k, ph, c in terms})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(bank_field(), min_size=1, max_size=5),
+       st.integers(0, 20), st.integers(0, 2**32 - 1))
+def test_term_bank_matches_naive_and_takes_each_wave_once(fs, m, seed):
+    pts = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(m, 4))
+    bank = TermBank(fs, BANK.dim)
+    rows = []
+
+    def counted(trig):
+        def call(x, *args, **kwargs):
+            rows.append(len(x))
+            return trig(x, *args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "cos", counted(np.cos))
+        mp.setattr(np, "sin", counted(np.sin))
+        got = bank(pts)
+    waves = {(k, ph) for f in fs for (_, k, ph), _ in f.terms if any(k)}
+    assert sum(rows) == len(waves)
+    assert got.shape == (m, len(fs))
+    for col, f in enumerate(fs):
+        # the terms' sizes bound the rounding of a sum that cancels
+        scale = max(1.0, sum(abs(c) * 1.5 ** sum(p) for (p, _, _), c
+                             in f.terms))
+        np.testing.assert_allclose(got[:, col], naive_eval(f, pts),
+                                   rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_eval_single_point_matches_batch():

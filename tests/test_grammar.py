@@ -394,6 +394,18 @@ def test_a_product_is_pruned_once_not_after_each_factor(parse, suffix):
         parse("9.999999999999998e-08" + suffix, M)
 
 
+def test_a_folded_term_alone_is_checked_pruned_and_normalized():
+    with pytest.raises(fields.NonFiniteCoefficientError) as err:
+        parse_field("1e200*1e200*x1", M)
+    assert str(err.value) == ("coefficient inf is not finite: a sum or "
+                              "product of coefficients overflowed")
+    assert parse_field("1e-13*x1", M) == ScalarField.zero(M)
+    assert parse_field("1e-7*1e-7*1e7*x1", M).terms == (
+        (((1, 0, 0, 0), (0, 0, 0, 0), COS), 9.999999999999998e-08),)
+    assert parse_field("-2*sin(2*pi*(-x1))", M).terms == (
+        (((0, 0, 0, 0), (1, 0, 0, 0), SIN), 2.0),)
+
+
 def _field_products(text):
     """(field, calls) of parsing text on P, calls counting fields.field_mul."""
     calls = []

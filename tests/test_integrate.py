@@ -72,27 +72,38 @@ def test_term_bank_matches_per_field_evaluation(comps, seed):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
 
 
-def _reference_step(vel, jac, x, J, q, h):
-    """Textbook RK4 on (x, J), every field evaluated on its own."""
-    def V(x, q):
+def _per_field(vel, jac):
+    """The right-hand side (velocity, Jacobian) at states x, every field
+    evaluated on its own."""
+    def rhs(x, q):
         pts = np.column_stack([x, np.full(x.shape[0], q)])
-        return np.stack([c.eval_batch(pts) for c in vel], axis=1)
+        return (np.stack([c.eval_batch(pts) for c in vel], axis=1),
+                np.stack([np.stack([f.eval_batch(pts) for f in row], axis=1)
+                          for row in jac], axis=1))
+    return rhs
 
-    def A(x, q):
-        pts = np.column_stack([x, np.full(x.shape[0], q)])
-        return np.stack([np.stack([f.eval_batch(pts) for f in row], axis=1)
-                         for row in jac], axis=1)
 
-    k1 = V(x, q)
-    k2 = V(x + 0.5 * h * k1, q + 0.5 * h)
-    k3 = V(x + 0.5 * h * k2, q + 0.5 * h)
-    k4 = V(x + h * k3, q + h)
-    K1 = A(x, q) @ J
-    K2 = A(x + 0.5 * h * k1, q + 0.5 * h) @ (J + 0.5 * h * K1)
-    K3 = A(x + 0.5 * h * k2, q + 0.5 * h) @ (J + 0.5 * h * K2)
-    K4 = A(x + h * k3, q + h) @ (J + h * K3)
+def _reference_step(rhs, x, J, q, h):
+    """Textbook RK4 on (x, J)."""
+    k1, A1 = rhs(x, q)
+    k2, A2 = rhs(x + 0.5 * h * k1, q + 0.5 * h)
+    k3, A3 = rhs(x + 0.5 * h * k2, q + 0.5 * h)
+    k4, A4 = rhs(x + h * k3, q + h)
+    K1 = A1 @ J
+    K2 = A2 @ (J + 0.5 * h * K1)
+    K3 = A3 @ (J + 0.5 * h * K2)
+    K4 = A4 @ (J + h * K3)
     x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return x_new, J + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+
+
+def _reference_flow(rhs, x0, steps):
+    """steps textbook RK4 steps from q = 0 to q = 1."""
+    m, n = x0.shape
+    x, J = x0, np.broadcast_to(np.eye(n), (m, n, n))
+    for s in range(steps):
+        x, J = _reference_step(rhs, x, J, s / steps, 1.0 / steps)
+    return x, J
 
 
 def test_flow_matches_a_per_field_reference_step():
@@ -100,15 +111,20 @@ def test_flow_matches_a_per_field_reference_step():
     vel = _velocity(g)
     jac = [[partial(c, j) for j in N_IDX] for c in vel]
     x0 = SamplePlan(count=12, seed=5).points(N_MIX)
-    steps = 64
-    x, J = x0, np.broadcast_to(np.eye(4), (12, 4, 4)).copy()
-    for s in range(steps):
-        x, J = _reference_step(vel, jac, x, J, s / steps, 1.0 / steps)
+    x, J = _reference_flow(_per_field(vel, jac), x0, 64)
     rhs = _RHS(vel, N_IDX, Q)
-    images, tangents, n = rk4_flow(rhs, x0, 0.0, 1.0, 1.0 / steps)
-    assert n == steps
+    images, tangents, n = rk4_flow(rhs, x0, 0.0, 1.0, 1.0 / 64)
+    assert n == 64
     assert np.abs(images - x).max() < 1e-12
     assert np.abs(tangents - J).max() < 1e-12
+
+
+def test_flow_steps_are_the_textbook_formula_bit_for_bit():
+    rhs = _flow_rhs(graph_deformation(N_MIX, OMEGA_N, F_N, FAMILY_B))
+    x0 = SamplePlan(count=12, seed=5).points(N_MIX)
+    x, J = _reference_flow(rhs, x0, 64)
+    images, tangents, _ = rk4_flow(rhs, x0, 0.0, 1.0, 1.0 / 64)
+    assert np.array_equal(images, x) and np.array_equal(tangents, J)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
