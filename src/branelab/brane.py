@@ -20,8 +20,8 @@ from .fields import VectorField, reindex
 from .forms import (CONDITION_LIMIT, DifferentialForm, Distribution,
                     _condition_gate, condition_number, ext_d, kernel_basis,
                     max_principal_angle, transverse_matrix)
-from .model import (DEFAULT_PLAN, DEFAULT_TOL, LINE, ManifoldModel,
-                    SamplePlan, extend_with_line)
+from .model import (DEFAULT_PLAN, DEFAULT_TOL, EXACT_ZERO, LINE, SUBSPACE,
+                    SVD_RANK_REL, ManifoldModel, SamplePlan, extend_with_line)
 from .report import EXACT, SAMPLED, CheckResult
 
 
@@ -86,7 +86,7 @@ class BraneCandidate:
         """Inverse of the joint frame [G | E], whose rows past rank(G) are
         the coframe dual to E; RankDropError on dependent columns."""
         G, E = self.frames
-        _require_independent(E, G, DEFAULT_TOL.subspace)
+        _require_independent(E, G)
         return _read_only(np.linalg.inv(np.column_stack([G, E])))[0]
 
 
@@ -144,22 +144,21 @@ def lift_form(form: DifferentialForm, target: ManifoldModel,
 
 def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
                         plan: SamplePlan = DEFAULT_PLAN,
-                        tol=DEFAULT_TOL) -> CheckResult:
+                        tol: float = DEFAULT_TOL.sampled) -> CheckResult:
     """closed omega, closed F, nondegenerate omega, and (omega^-1 F)^2 = -Id.
 
     On constant omega and F the check is EXACT: the Grams are evaluated
-    once, held to tol.exact_zero, and witnesses name the first plan point;
+    once, held to EXACT_ZERO, and witnesses name the first plan point;
     the record keeps omega's condition number and the matrix I.
-    Otherwise it is SAMPLED at every plan point, held to tol.sampled.
+    Otherwise it is SAMPLED at every plan point, held to tol.
     I_squared_plus_id is the worst residual over the nondegenerate
     samples, and is absent when there are none.
     """
     W, FC = omega.constant_gram(), F.constant_gram()
     exact = W is not None and FC is not None
     res = CheckResult("space_filling", EXACT if exact else SAMPLED, False)
-    res.hold("closed_omega", ext_d(omega).max_coeff(), tol.exact_zero,
-             "d_omega")
-    res.hold("closed_F", ext_d(F).max_coeff(), tol.exact_zero, "d_F")
+    res.hold("closed_omega", ext_d(omega).max_coeff(), EXACT_ZERO, "d_omega")
+    res.hold("closed_F", ext_d(F).max_coeff(), EXACT_ZERO, "d_F")
 
     model = omega.model
     pts = plan.points(model)
@@ -167,7 +166,7 @@ def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
         pts, WG, FG = pts[:1], W[None], FC[None]
     else:
         WG, FG = omega.gram_batch(pts), F.gram_batch(pts)
-    bound = tol.exact_zero if exact else tol.sampled
+    bound = EXACT_ZERO if exact else tol
     nondeg = True
     worst, worst_at = None, 0
     for i in range(pts.shape[0]):
@@ -195,21 +194,20 @@ def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
     return res
 
 
-def _require_independent(E: np.ndarray, G: np.ndarray, rel: float,
-                         at: str = "") -> None:
+def _require_independent(E: np.ndarray, G: np.ndarray, at: str = "") -> None:
     """Raise RankDropError unless the columns of E and G together have
     full rank; at is appended to the message."""
     M = np.column_stack([E, G])
     if M.shape[1] == 0:
         return
     s = np.linalg.svd(M, compute_uv=False)
-    if not s[-1] > rel * max(s[0], 1.0):
+    if not s[-1] > SVD_RANK_REL * max(s[0], 1.0):
         raise RankDropError("E and G frames are dependent: the joint frame "
                             f"[G | E] is singular{at}")
 
 
-def validate_candidate(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
-                       tol=DEFAULT_TOL) -> None:
+def validate_candidate(c: BraneCandidate,
+                       plan: SamplePlan = DEFAULT_PLAN) -> None:
     """Raise RankDropError if the E and G frames are dependent: tested
     once on constant frames, by BraneCandidate.joint_inverse, else at the
     first 32 plan points, naming the first dependent sample."""
@@ -219,25 +217,24 @@ def validate_candidate(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
     pts = plan.points(c.model_Y)[:32]
     for p, E, G in zip(pts, c.E_frame.matrices(pts),
                        c.G_frame.matrices(pts)):
-        _require_independent(E, G, tol.subspace, f" at sample {p.tolist()}")
+        _require_independent(E, G, f" at sample {p.tolist()}")
 
 
 def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
-                tol=DEFAULT_TOL) -> CheckResult:
+                tol: float = DEFAULT_TOL.sampled) -> CheckResult:
     """Kernels of omega and F both equal span(E); both forms closed;
     transverse endomorphism squares to -Id on the G-frame.
 
     On constant data (omega, F and both frames constant) the check is
-    EXACT: the Grams and frames are evaluated once, and witnesses and
-    errors name the first plan point.  Otherwise it is SAMPLED at every
-    plan point.
+    EXACT: the Grams and frames are evaluated once, the square is held to
+    EXACT_ZERO, and witnesses and errors name the first plan point.
+    Otherwise it is SAMPLED at every plan point, the square held to tol.
     """
-    validate_candidate(c, plan, tol)
+    validate_candidate(c, plan)
     exact = c.constant_frames is not None and c.constant_grams is not None
     res = CheckResult("brane", EXACT if exact else SAMPLED, False)
-    res.hold("omega_closed", ext_d(c.omega).max_coeff(), tol.exact_zero,
-             "d_omega")
-    res.hold("F_closed", ext_d(c.F).max_coeff(), tol.exact_zero, "d_F")
+    res.hold("omega_closed", ext_d(c.omega).max_coeff(), EXACT_ZERO, "d_omega")
+    res.hold("F_closed", ext_d(c.F).max_coeff(), EXACT_ZERO, "d_F")
 
     pts = plan.points(c.model_Y)
     if exact:
@@ -246,20 +243,21 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
     else:
         WG, FG = c.omega.gram_batch(pts), c.F.gram_batch(pts)
         EM, GM = c.E_frame.matrices(pts), c.G_frame.matrices(pts)
+    bound = EXACT_ZERO if exact else tol
     k = c.E_frame.rank
     worst_kernel = 0.0
     worst_square = 0.0
     for i in range(pts.shape[0]):
         E = EM[i]
         for label, G in (("omega", WG[i]), ("F", FG[i])):
-            nul = kernel_basis(G, tol.subspace)
+            nul = kernel_basis(G)
             if nul.shape[1] != k:
                 raise RankDropError(
                     f"{label} kernel rank {nul.shape[1]} != {k} at sample "
                     f"{pts[i].tolist()}")
             ang = max_principal_angle(nul, E) if k else 0.0
             worst_kernel = max(worst_kernel, ang)
-            if ang > tol.subspace:
+            if ang > SUBSPACE:
                 res.add_witness(pts[i], ang, f"kernel_{label}")
         # transverse complex structure on the G-frame
         Gm = GM[i]
@@ -268,11 +266,10 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
                                   f"sample {pts[i].tolist()} on the G-frame")
             r = np.abs(I @ I + np.eye(Gm.shape[1])).max()
             worst_square = max(worst_square, r)
-            if r > tol.sampled:
+            if r > bound:
                 res.add_witness(pts[i], r, "transverse_square")
-    res.hold("kernels_equal", worst_kernel, tol.subspace, "kernel_angle")
-    res.hold("transverse_I_squares", worst_square, tol.sampled,
-             "transverse_square")
+    res.hold("kernels_equal", worst_kernel, SUBSPACE, "kernel_angle")
+    res.hold("transverse_I_squares", worst_square, bound, "transverse_square")
     res.passed = all(res.conditions.values())
     return res
 
@@ -303,8 +300,8 @@ def tau_F_subspace(c: BraneCandidate, ambient: AmbientModel,
                         ambient.model_M.dim, n)
 
 
-def check_brane_via_J(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
-                      tol=DEFAULT_TOL) -> CheckResult:
+def check_brane_via_J(c: BraneCandidate,
+                      plan: SamplePlan = DEFAULT_PLAN) -> CheckResult:
     """Brane test via J-invariance of tau_F in TM + T*M.
 
     J(X, xi) = (-omega_M^-1 xi, omega_M X) on the product ambient_for(c);
@@ -320,8 +317,8 @@ def check_brane_via_J(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
     res = CheckResult("brane_via_J", EXACT if exact else SAMPLED, False)
     # J-invariance is pointwise linear algebra; closedness is checked
     # separately so the verdict matches check_brane on non-closed inputs
-    res.conditions["omega_closed"] = ext_d(c.omega).is_zero(tol.exact_zero)
-    res.conditions["F_closed"] = ext_d(c.F).is_zero(tol.exact_zero)
+    res.hold("omega_closed", ext_d(c.omega).max_coeff(), EXACT_ZERO, "d_omega")
+    res.hold("F_closed", ext_d(c.F).max_coeff(), EXACT_ZERO, "d_F")
     m = ambient.model_M.dim
     n = ambient.n_base
     pts = plan.points(c.model_Y)[:1 if exact else None]
@@ -345,9 +342,9 @@ def check_brane_via_J(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
         scale = max(np.linalg.norm(img, axis=0).max(), 1.0)
         r = float(np.linalg.norm(resid, axis=0).max() / scale)
         worst = max(worst, r)
-        if r > tol.subspace:
+        if r > SUBSPACE:
             res.add_witness(pts[i], r, "J_invariance")
-    res.hold("J_invariant", worst, tol.subspace, "J_residual")
+    res.hold("J_invariant", worst, SUBSPACE, "J_residual")
     res.passed = all(res.conditions.values())
     return res
 

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -31,7 +31,7 @@ class RunConfig:
     plan: SamplePlan
     tol: Tolerances
     flow: FlowOptions
-    # echoed as the report's q_grid (--q-grid); no check reads it
+    # echoed as the report's q_grid; no check reads it, and nothing sets it
     grid: int = 64
 
 
@@ -50,13 +50,9 @@ def _config_from(scene: Scene, args) -> RunConfig:
     for key, value, low in (("seed", seed, 0), ("steps", steps, 1)):
         if value < low:
             raise ValueError(f"{key} must be at least {low}, not {value}")
-    grid = pick(args.q_grid, "q_grid", int, 64)
-    tol = DEFAULT_TOL
-    t = pick(args.tol, "tol", tolerance, None)
-    if t is not None:
-        tol = replace(tol, sampled=t)
+    tol = Tolerances(pick(args.tol, "tol", tolerance, DEFAULT_TOL.sampled))
     return RunConfig(plan=SamplePlan(seed=seed), tol=tol,
-                     flow=FlowOptions(step=1.0 / steps), grid=grid)
+                     flow=FlowOptions(step=1.0 / steps))
 
 
 _CHECK_ERRORS = (SceneError, KeyError, ValueError, MemoryError,
@@ -230,12 +226,10 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("scene", help="scene path or bundled scene name")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--tol", type=float, default=None,
-                     help="override the pointwise check tolerance (the "
-                          "exact gate of a translation flow keeps 1e-10)")
+                     help="the tolerance of SAMPLED verdicts (default "
+                          "1e-8); no EXACT verdict reads it")
     run.add_argument("--steps", type=int, default=None,
                      help="flow steps per unit time")
-    run.add_argument("--q-grid", dest="q_grid", type=int, default=None,
-                     help="echoed as the report's q_grid; no check reads it")
     run.add_argument("--out", default=None)
     run.add_argument("--format", choices=("json", "csv", "text"),
                      default="json")
@@ -253,10 +247,9 @@ def make_parser() -> argparse.ArgumentParser:
                      help="candidate for the cochain complex")
     inf.add_argument("--truncation", type=int, default=None,
                      help="also assemble the truncated complex")
-    inf.add_argument("--seed", type=int, default=None)
-    inf.add_argument("--tol", type=float, default=None)
-    # no flow runs here; the scene's own options still reach _config_from
-    inf.set_defaults(func=cmd_infdef, steps=None, q_grid=None)
+    # its checks read no flow, plan or sampled bound; the scene's own
+    # options still reach _config_from
+    inf.set_defaults(func=cmd_infdef, seed=None, steps=None, tol=None)
     return parser
 
 

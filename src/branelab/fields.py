@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ManifoldModel
+from .model import EXACT_ZERO, ManifoldModel
 
 COS = 0
 SIN = 1
@@ -184,7 +184,7 @@ class ScalarField:
     def max_coeff(self) -> float:
         return max((abs(c) for _, c in self.terms), default=0.0)
 
-    def is_zero(self, tol: float = 1e-10) -> bool:
+    def is_zero(self, tol: float = EXACT_ZERO) -> bool:
         return self.max_coeff() <= tol
 
     def constant_value(self) -> float | None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .fields import (ScalarField, TermBank, VectorField, bracket, combine,
                      linear_map, partial)
-from .model import ManifoldModel
+from .model import EXACT_ZERO, SVD_RANK_REL, ManifoldModel
 
 # Gram condition number above which a form is treated as degenerate at a
 # point (raises, never a silent pass)
@@ -108,7 +108,7 @@ class DifferentialForm:
                 return f if sign > 0 else -f
         return ScalarField.zero(self.model)
 
-    def is_zero(self, tol: float = 1e-10) -> bool:
+    def is_zero(self, tol: float = EXACT_ZERO) -> bool:
         return all(f.is_zero(tol) for _, f in self.coeffs)
 
     def max_coeff(self) -> float:
@@ -352,11 +352,10 @@ def endo_from_pair(omega: DifferentialForm, F: DifferentialForm) -> EndoField:
     return EndoField(omega.model, tuple(zip(*columns)))
 
 
-def is_type_11(B: DifferentialForm, I: EndoField,
-               tol: float = 1e-10) -> bool:
+def is_type_11(B: DifferentialForm, I: EndoField) -> bool:
     """Whether B(I v, I w) = B(v, w) identically, decided by coefficient
-    arithmetic."""
-    return (I.pullback_twoform(B) - B).is_zero(tol)
+    arithmetic at EXACT_ZERO."""
+    return (I.pullback_twoform(B) - B).is_zero()
 
 
 @dataclass(frozen=True)
@@ -388,12 +387,13 @@ class Distribution:
                 else np.zeros((self.model.dim, 0)))
 
 
-def kernel_basis(G: np.ndarray, rel: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis of the null space of a square matrix."""
+def kernel_basis(G: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of a square matrix: the right
+    singular vectors at most SVD_RANK_REL times max(s_max, 1)."""
     u, s, vt = np.linalg.svd(G)
     if s.size == 0:
         return np.eye(G.shape[0])
-    null = s <= rel * max(s[0], 1.0)
+    null = s <= SVD_RANK_REL * max(s[0], 1.0)
     return vt[null].T
 
 
@@ -432,7 +432,7 @@ def max_principal_angle(A: np.ndarray, B: np.ndarray) -> float:
 def bracket_span_residual(dist: Distribution, points) -> float:
     """Worst span_residual of the frame's pairwise brackets against the
     frame, over a batch of points; 0 below rank 2.  The distribution is
-    involutive at the points when it is within the subspace tolerance."""
+    involutive at the points when it is within model.SUBSPACE."""
     brackets = [bracket(dist.frame[a], dist.frame[b])
                 for a in range(dist.rank) for b in range(a + 1, dist.rank)]
     if not brackets:

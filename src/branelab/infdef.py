@@ -39,7 +39,7 @@ from .forms import (DifferentialForm, EndoField, _condition_gate, apply_form,
                     d_scalar, endo_from_pair, ext_d, frame_residual,
                     hamiltonian, horizontal_d, interior, is_type_11,
                     lie_derivative, sharp, transverse_matrix, wedge)
-from .model import DEFAULT_TOL, ManifoldModel, Tolerances
+from .model import EXACT_ZERO, SVD_RANK_REL, ManifoldModel
 from .nearby import slice_oneform
 from .report import EXACT, CheckResult
 
@@ -105,9 +105,8 @@ def transverse_endo(c: BraneCandidate) -> EndoField:
     return EndoField.from_matrix(c.model_Y, P @ A @ D)
 
 
-def check_infdef(pair: InfDefPair, c: BraneCandidate,
-                 tol: Tolerances = DEFAULT_TOL) -> CheckResult:
-    """Direct first-order conditions on (r, B).
+def check_infdef(pair: InfDefPair, c: BraneCandidate) -> CheckResult:
+    """Direct first-order conditions on (r, B), each held to EXACT_ZERO.
 
     Conditions: the kernel-direction exterior derivative of r vanishes,
     B is closed and horizontal, the mixed equation B(e, v) = -(d r)(e)
@@ -121,19 +120,18 @@ def check_infdef(pair: InfDefPair, c: BraneCandidate,
     IG = [I_hat.apply(v) for v in G.frame]
     res = CheckResult("infdef", EXACT, False)
     dr = ext_d(pair.r)
-    bound = tol.exact_zero
-    res.hold("r_foliated_closed", frame_residual(dr, E.frame), bound)
-    res.hold("B_closed", ext_d(pair.B).max_coeff(), bound)
-    res.hold("B_horizontal", frame_residual(pair.B, E.frame), bound)
+    res.hold("r_foliated_closed", frame_residual(dr, E.frame), EXACT_ZERO)
+    res.hold("B_closed", ext_d(pair.B).max_coeff(), EXACT_ZERO)
+    res.hold("B_horizontal", frame_residual(pair.B, E.frame), EXACT_ZERO)
     alphas = [interior(e, dr) for e in E.frame]
     res.hold("mixed_iii", max((
         (apply_form(pair.B, [e, v]) + apply_form(alpha, [iv])).max_coeff()
         for e, alpha in zip(E.frame, alphas)
-        for v, iv in zip(G.frame, IG)), default=0.0), bound)
+        for v, iv in zip(G.frame, IG)), default=0.0), EXACT_ZERO)
     res.hold("quad_iv", max((
         (apply_form(pair.B, [ia, ib]) - apply_form(pair.B, [a, b])).max_coeff()
         for (a, ia), (b, ib) in itertools.combinations(zip(G.frame, IG), 2)),
-        default=0.0), bound)
+        default=0.0), EXACT_ZERO)
     res.passed = all(res.conditions.values())
     return res
 
@@ -155,8 +153,7 @@ def _eq_iv_residual(pair: InfDefPair, c: BraneCandidate,
     return worst
 
 
-def infdef_general_check(pair: InfDefPair, c: BraneCandidate,
-                         tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def infdef_general_check(pair: InfDefPair, c: BraneCandidate) -> CheckResult:
     """Second implementation path phrased through the form speeds
     (omega_dot = -d r, F_dot = B); must agree with check_infdef."""
     if pair.r.model != c.model_Y:
@@ -166,17 +163,16 @@ def infdef_general_check(pair: InfDefPair, c: BraneCandidate,
     IG = [I_hat.apply(v) for v in G.frame]
     res = CheckResult("infdef_general", EXACT, False)
     omega_dot = -ext_d(pair.r)
-    bound = tol.exact_zero
     res.hold("omega_dot_horizontal", frame_residual(omega_dot, E.frame),
-             bound)
-    res.hold("F_dot_closed", ext_d(pair.B).max_coeff(), bound)
-    res.hold("F_dot_horizontal", frame_residual(pair.B, E.frame), bound)
+             EXACT_ZERO)
+    res.hold("F_dot_closed", ext_d(pair.B).max_coeff(), EXACT_ZERO)
+    res.hold("F_dot_horizontal", frame_residual(pair.B, E.frame), EXACT_ZERO)
     alphas = [interior(e, omega_dot) for e in E.frame]
     res.hold("mixed_iii", max((
         (apply_form(pair.B, [e, v]) - apply_form(alpha, [iv])).max_coeff()
         for e, alpha in zip(E.frame, alphas)
-        for v, iv in zip(G.frame, IG)), default=0.0), bound)
-    res.hold("eq_iv", _eq_iv_residual(pair, c, I_hat), bound)
+        for v, iv in zip(G.frame, IG)), default=0.0), EXACT_ZERO)
+    res.hold("eq_iv", _eq_iv_residual(pair, c, I_hat), EXACT_ZERO)
     res.passed = all(res.conditions.values())
     return res
 
@@ -221,8 +217,7 @@ def _kernel_circle(c: BraneCandidate) -> tuple[ManifoldModel, int]:
 
 
 def upsilon_image_check(r: DifferentialForm, omega_N: DifferentialForm,
-                        F_N: DifferentialForm,
-                        tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+                        F_N: DifferentialForm) -> CheckResult:
     """Image criterion for the kernel component r = rho dq on N x S^1.
 
     Averages rho over the circle, then demands d(pullback-through-I of dh)
@@ -245,8 +240,8 @@ def upsilon_image_check(r: DifferentialForm, omega_N: DifferentialForm,
     lie = lie_derivative(X_h, F_N)
 
     res = CheckResult("upsilon_image", EXACT, False)
-    res.hold("pde_vanishes", beta.max_coeff(), tol.exact_zero)
-    res.hold("lie_vanishes", lie.max_coeff(), tol.exact_zero)
+    res.hold("pde_vanishes", beta.max_coeff(), EXACT_ZERO)
+    res.hold("lie_vanishes", lie.max_coeff(), EXACT_ZERO)
     res.conditions["routes_agree"] = (
         res.conditions["pde_vanishes"] == res.conditions["lie_vanishes"])
     res.passed = all(res.conditions.values())
@@ -254,8 +249,8 @@ def upsilon_image_check(r: DifferentialForm, omega_N: DifferentialForm,
     return res
 
 
-def build_infdef(rho, B_N0: DifferentialForm, c: BraneCandidate,
-                 tol: Tolerances = DEFAULT_TOL) -> InfDefPair:
+def build_infdef(rho, B_N0: DifferentialForm,
+                 c: BraneCandidate) -> InfDefPair:
     """Explicit deformation pair on the product model N x S^1 from a
     normal-speed function rho and a closed type-(1,1) seed 2-form on N.
 
@@ -281,9 +276,9 @@ def build_infdef(rho, B_N0: DifferentialForm, c: BraneCandidate,
     if IN is None:
         raise ValueError("needs constant-coefficient base forms")
 
-    if not ext_d(B_N0).is_zero(tol.exact_zero):
+    if not ext_d(B_N0).is_zero():
         raise Type11Violation("seed 2-form is not closed")
-    if not is_type_11(B_N0, I_N, tol=tol.exact_zero):
+    if not is_type_11(B_N0, I_N):
         raise Type11Violation("seed 2-form is not type (1,1)")
 
     # slice 1-form: the transverse complex structure applied to the slice
@@ -293,7 +288,7 @@ def build_infdef(rho, B_N0: DifferentialForm, c: BraneCandidate,
     avg = DifferentialForm.build(
         y, 1, {j: circle_average(f, q) for j, f in gamma_form.coeffs})
     defect = horizontal_d(avg, range(N_model.dim)).max_coeff()
-    if not defect <= tol.exact_zero:
+    if not defect <= EXACT_ZERO:
         raise AverageObstruction(
             "circle average of the slice 1-form is not closed "
             f"(residual {defect:.3e})", residual=defect)
@@ -364,10 +359,10 @@ def constant_type11_basis(c: BraneCandidate) -> list[np.ndarray]:
 def _rank(blocks: np.ndarray) -> int:
     """Numerical rank of a block-diagonal matrix given as a stack of its
     blocks: its singular values are the union of the blocks' values, so
-    counting those above DEFAULT_TOL.svd_rank_rel times the largest of
-    them all is the rank one dense SVD of the whole matrix gives."""
+    counting those above SVD_RANK_REL times the largest of them all is
+    the rank one dense SVD of the whole matrix gives."""
     s = np.linalg.svd(blocks, compute_uv=False)
-    return int(np.sum(s > DEFAULT_TOL.svd_rank_rel * s.max())) if s.size else 0
+    return int(np.sum(s > SVD_RANK_REL * s.max())) if s.size else 0
 
 
 @dataclass

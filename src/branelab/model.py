@@ -1,4 +1,5 @@
-"""Coordinate models R^a x T^b and deterministic sample plans."""
+"""Coordinate models R^a x T^b, deterministic sample plans, and the
+thresholds of the checks."""
 
 from __future__ import annotations
 
@@ -160,22 +161,26 @@ class FlowOptions:
     step: float = 1.0 / 1024.0
 
 
+# The thresholds that no run sets, beside fields.PRUNE_EPS and
+# forms.CONDITION_LIMIT; an EXACT verdict reads only these.  A coefficient,
+# or a residual of constant data, is zero at EXACT_ZERO; kernel and span
+# comparisons hold angles and relative distances to SUBSPACE; a singular
+# value counts for a rank above SVD_RANK_REL times the largest.
+EXACT_ZERO = 1e-10
+SUBSPACE = 1e-8
+SVD_RANK_REL = 1e-8
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Shared numeric thresholds.
+    """The run's one tolerance: sampled, the pointwise residual threshold
+    of SAMPLED verdicts (--tol).  The constants are class attributes, not
+    fields, so that a report header can echo all four."""
 
-    exact_zero: max |coefficient| for a term-algebra field to count as zero.
-    sampled: pointwise residual threshold for SAMPLED-mode verdicts.
-    subspace: principal-angle threshold for kernel / span comparisons.
-    svd_rank_rel: relative singular-value threshold of numerical ranks.
-
-    A Gram matrix is degenerate past forms.CONDITION_LIMIT.
-    """
-
-    exact_zero: float = 1e-10
     sampled: float = 1e-8
-    subspace: float = 1e-8
-    svd_rank_rel: float = 1e-8
+    exact_zero = EXACT_ZERO
+    subspace = SUBSPACE
+    svd_rank_rel = SVD_RANK_REL
 
 
 def tolerance(value) -> float:

@@ -37,8 +37,9 @@ from .fields import (ScalarField, TermBank, VectorField, linear_map, partial,
 from .forms import (DifferentialForm, Distribution, bracket_span_residual,
                     endo_from_pair, ext_d, frame_residual, hamiltonian,
                     horizontal_d, interior, lie_derivative)
-from .model import (DEFAULT_FLOW, DEFAULT_PLAN, DEFAULT_TOL, FlowOptions,
-                    ManifoldModel, SamplePlan, extend_with_circle)
+from .model import (DEFAULT_FLOW, DEFAULT_PLAN, DEFAULT_TOL, EXACT_ZERO,
+                    SUBSPACE, FlowOptions, ManifoldModel, SamplePlan,
+                    extend_with_circle)
 from .report import EXACT, SAMPLED, CheckResult
 
 
@@ -199,7 +200,7 @@ def invariance_check(F_N: DifferentialForm, fr: FlowResult,
 
     After a translation flow (fr.shift set) this is decided exactly: the
     coefficients of F_N translated by the shift against those of F_N, at
-    DEFAULT_TOL.exact_zero, whatever tol is.  After an RK4 flow it is
+    EXACT_ZERO, whatever tol is.  After an RK4 flow it is
     sampled at the flow's points, at tol."""
     if fr.shift is not None:
         res = CheckResult("invariance", EXACT, False)
@@ -207,7 +208,7 @@ def invariance_check(F_N: DifferentialForm, fr: FlowResult,
             idx: translate(f, fr.shift) for idx, f in F_N.coeffs})
         res.residuals["symplectic"] = 0.0
         res.passed = res.hold("F_N_preserved", (moved - F_N).max_coeff(),
-                              DEFAULT_TOL.exact_zero, "invariance")
+                              EXACT_ZERO, "invariance")
         return res
     res = CheckResult("invariance", SAMPLED, False)
     n = F_N.model.dim
@@ -309,10 +310,9 @@ class TransportedForm:
             res.add_witness(pts[worst], r[worst], "kernel")
         return res
 
-    def zero_slice_check(self, plan: SamplePlan = DEFAULT_PLAN,
-                         tol: float = 0.0) -> CheckResult:
-        """The q=0 slice reproduces the transverse form exactly (the
-        backward solve from q=0 is a no-op)."""
+    def zero_slice_check(self, plan: SamplePlan = DEFAULT_PLAN) -> CheckResult:
+        """The q=0 slice reproduces the transverse form exactly, with a
+        residual of 0.0 (the backward solve from q=0 is a no-op)."""
         res = CheckResult("transport_zero_slice", EXACT, False)
         g = self.g
         pts = plan.points(g.y_model)
@@ -320,7 +320,7 @@ class TransportedForm:
         _, M = self.matrices_at(pts)
         G = self.F_N.gram_batch(pts[:, :g.n_dim])
         r = float(np.abs(M[:, :g.n_dim, :g.n_dim] - G).max())
-        res.passed = res.hold("slice_equals_F_N", r, tol, "zero_slice")
+        res.passed = res.hold("slice_equals_F_N", r, 0.0, "zero_slice")
         return res
 
     def fd_exterior_check(self, tol: float = 1e-5) -> CheckResult:
@@ -369,7 +369,7 @@ def transport_brane(g: GraphDeformation, F_N_tilde: DifferentialForm,
     preserving it (otherwise BraneObstruction).  After an RK4 flow the gate
     samples plan's points (64 seeded points by default) within tol.  After
     a translation flow it is exact: F_N_tilde's coefficients, translated,
-    must match at DEFAULT_TOL.exact_zero, and tol does not reach it.  The
+    must match at EXACT_ZERO, and tol does not reach it.  The
     extension is evaluated by backward transport with opts' step; see
     TransportedForm."""
     if plan is None:
@@ -423,41 +423,40 @@ def slice_oneform(f: ScalarField, I: np.ndarray) -> DifferentialForm:
         (j,): c for j, c in enumerate(linear_map(f.model, I.T, grads))})
 
 
-def closed1f_check(g: GraphDeformation,
-                   tol: float = DEFAULT_TOL.exact_zero) -> CheckResult:
-    """Exact symbolic check that the slicewise pullback 1-form is closed
-    for every q; also reported at q = k/8 for readability."""
+def closed1f_check(g: GraphDeformation) -> CheckResult:
+    """Exact symbolic check, at EXACT_ZERO, that the slicewise pullback
+    1-form is closed for every q; also reported at q = k/8."""
     beta = closed1f_residual(g)
     res = CheckResult("closed1f", EXACT, False)
     res.details["per_q_max"] = {
         f"q={k / 8:g}": max((substitute(f, g.q_index, k / 8).max_coeff()
                              for _, f in beta.coeffs), default=0.0)
         for k in range(8)}
-    res.passed = res.hold("pullback_closed_all_q", beta.max_coeff(), tol,
-                          "d_pullback")
+    res.passed = res.hold("pullback_closed_all_q", beta.max_coeff(),
+                          EXACT_ZERO, "d_pullback")
     return res
 
 
 def melanie_check(F: DifferentialForm, E: Distribution, G: Distribution,
-                  plan: SamplePlan = DEFAULT_PLAN,
-                  tol=DEFAULT_TOL) -> CheckResult:
+                  plan: SamplePlan = DEFAULT_PLAN) -> CheckResult:
     """Kernel-flatness criterion: E involutive, holonomy invariance of F
     transverse to E, and leafwise-transverse closedness; their conjunction
-    must match dF = 0 whenever E is the kernel of F."""
+    must match dF = 0 whenever E is the kernel of F.  Involutivity is
+    held to SUBSPACE at plan's points, the rest to EXACT_ZERO."""
     model = F.model
     for v in E.frame:
-        if not interior(v, F).is_zero(tol.exact_zero):
+        if not interior(v, F).is_zero():
             raise ValueError("declared kernel frame does not annihilate F")
     res = CheckResult("melanie", EXACT, False)
     res.hold("i_involutive", bracket_span_residual(E, plan.points(model)),
-             tol.subspace, "bracket_span")
+             SUBSPACE, "bracket_span")
     res.hold("ii_holonomy_invariant", max(
         (frame_residual(lie_derivative(v, F), G.frame) for v in E.frame),
-        default=0.0), tol.exact_zero, "holonomy")
+        default=0.0), EXACT_ZERO, "holonomy")
     dF = ext_d(F)
     res.hold("iii_leafwise_closed", frame_residual(dF, G.frame),
-             tol.exact_zero, "leafwise")
-    res.hold("dF_zero", dF.max_coeff(), tol.exact_zero, "dF")
+             EXACT_ZERO, "leafwise")
+    res.hold("dF_zero", dF.max_coeff(), EXACT_ZERO, "dF")
     res.passed = all(res.conditions.values())
     return res
 

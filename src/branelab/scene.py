@@ -9,8 +9,9 @@ of the package, so coefficients survive the trip exactly.
 `CHECKS` is the one table of check kinds.  Each entry names the pool of
 every positional argument, the options the kind takes with a parser for
 each, and the runner that turns the looked-up objects into a record.
-`parse_scene` holds every `check` line to its entry, so a malformed line
-is a `SceneError` at that line, never a failure of the run.
+`parse_scene` holds every `check` line to its entry, and every `option`
+line to the run settings, so a malformed line is a `SceneError` at that
+line, never a failure of the run.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .infdef import (AverageObstruction, InfDefPair, Type11Violation,
                      build_infdef, check_infdef, complex_slice,
                      hamiltonian_generator, infdef_general_check,
                      upsilon_image_check)
-from .model import ManifoldModel, SamplePlan, tolerance, truncation
+from .model import (EXACT_ZERO, ManifoldModel, SamplePlan, tolerance,
+                    truncation)
 from .nearby import (closed1f_check, flow, graph_deformation,
                      invariance_check, mapping_torus_check, melanie_check,
                      transport_brane)
@@ -111,13 +113,13 @@ def _type11(cfg, spec, B, omega, F):
     rec = CheckResult("type11", EXACT, False)
     rec.passed = rec.hold("pullback_fixed",
                           (I.pullback_twoform(B) - B).max_coeff(),
-                          cfg.tol.exact_zero, "pullback_delta")
+                          EXACT_ZERO, "pullback_delta")
     return rec
 
 
 def _hamiltonian_cocycle(cfg, spec, f, c):
     pair = hamiltonian_generator(f, c)
-    rec = check_infdef(pair, c, tol=cfg.tol)
+    rec = check_infdef(pair, c)
     rec.details["generator"] = spec.args[0]
     return rec
 
@@ -125,7 +127,7 @@ def _hamiltonian_cocycle(cfg, spec, f, c):
 def _build_infdef(cfg, spec, rho, B0, c):
     expect = spec.opt("expect", "pass")
     try:
-        pair = build_infdef(rho, B0, c, tol=cfg.tol)
+        pair = build_infdef(rho, B0, c)
     except (AverageObstruction, Type11Violation) as e:
         rec = CheckResult("build_infdef", EXACT, expect == "obstruction")
         rec.conditions["raised_obstruction"] = True
@@ -134,7 +136,7 @@ def _build_infdef(cfg, spec, rho, B0, c):
         if getattr(e, "residual", None) is not None:
             rec.residuals["average_defect"] = float(e.residual)
         return rec
-    rec = check_infdef(pair, c, tol=cfg.tol)
+    rec = check_infdef(pair, c)
     if expect == "obstruction":
         rec.conditions["raised_obstruction"] = False
         rec.passed = False
@@ -180,17 +182,16 @@ class CheckKind:
 CHECKS = {
     "space_filling": CheckKind(
         ("forms", "forms"), lambda cfg, spec, omega, F:
-        check_space_filling(omega, F, plan=cfg.plan, tol=cfg.tol)),
+        check_space_filling(omega, F, plan=cfg.plan, tol=cfg.tol.sampled)),
     "brane": CheckKind(
         ("candidates",), lambda cfg, spec, c:
-        check_brane(c, plan=cfg.plan, tol=cfg.tol)),
+        check_brane(c, plan=cfg.plan, tol=cfg.tol.sampled)),
     "brane_via_J": CheckKind(
         ("candidates",), lambda cfg, spec, c:
-        check_brane_via_J(c, plan=cfg.plan, tol=cfg.tol)),
+        check_brane_via_J(c, plan=cfg.plan)),
     "type11": CheckKind(("forms", "forms", "forms"), _type11),
-    "closed1f": CheckKind(
-        ("deforms",), lambda cfg, spec, g:
-        closed1f_check(g, tol=cfg.tol.exact_zero)),
+    "closed1f": CheckKind(("deforms",),
+                          lambda cfg, spec, g: closed1f_check(g)),
     "invariance": CheckKind(
         ("deforms", "forms"), lambda cfg, spec, g, F: invariance_check(
             F, flow(g, 0.0, 1.0, cfg.plan.points(g.N_model), cfg.flow),
@@ -209,23 +210,21 @@ CHECKS = {
         {"tol": tolerance}),
     "mapping_torus": CheckKind(
         ("deforms", "forms"), lambda cfg, spec, g, F: mapping_torus_check(
-            g, F, plan=cfg.plan,
-            tol=tolerance(spec.opt("tol", cfg.tol.sampled)), opts=cfg.flow),
-        {"tol": tolerance}),
+            g, F, plan=cfg.plan, tol=cfg.tol.sampled, opts=cfg.flow)),
     "melanie": CheckKind(
         ("forms", "frames", "frames"), lambda cfg, spec, F, E, G:
-        melanie_check(F, E, G, plan=cfg.plan, tol=cfg.tol)),
+        melanie_check(F, E, G, plan=cfg.plan)),
     "infdef": CheckKind(
         ("pairs", "candidates"), lambda cfg, spec, p, c:
-        check_infdef(p, c, tol=cfg.tol)),
+        check_infdef(p, c)),
     "infdef_general": CheckKind(
         ("pairs", "candidates"), lambda cfg, spec, p, c:
-        infdef_general_check(p, c, tol=cfg.tol)),
+        infdef_general_check(p, c)),
     "hamiltonian_cocycle": CheckKind(("fields", "candidates"),
                                      _hamiltonian_cocycle),
     "upsilon_image": CheckKind(
         ("forms", "forms", "forms"), lambda cfg, spec, r, omegaN, FN:
-        upsilon_image_check(r, omegaN, FN, tol=cfg.tol)),
+        upsilon_image_check(r, omegaN, FN)),
     "build_infdef": CheckKind(
         ("fields", "forms", "candidates"), _build_infdef,
         {"expect": _one_of("pass", "fail", "obstruction")}),
@@ -334,6 +333,9 @@ def parse_scene(text: str) -> Scene:
                 scene.description = rest
             elif head == "option":
                 k, _, v = rest.partition(" ")
+                if k not in ("seed", "steps", "tol"):  # cli's run settings
+                    raise SceneError(line_no, f"unknown option {k!r} "
+                                     "(options: seed, steps, tol)")
                 scene.options[k] = v.strip()
             elif head == "model":
                 if rest in pending or rest in scene.models:

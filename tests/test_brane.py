@@ -196,7 +196,7 @@ def sampled_reference(c, plan=DEFAULT_PLAN, tol=DEFAULT_TOL):
     for i, p in enumerate(pts):
         E = c.E_frame.matrix_at(p)
         for G in (WG[i], FG[i]):
-            nul = kernel_basis(G, tol.subspace)
+            nul = kernel_basis(G)
             assert nul.shape[1] == k
             kernel = max(kernel, max_principal_angle(nul, E) if k else 0.0)
         Gm = c.G_frame.matrix_at(p)
@@ -222,7 +222,8 @@ def sampled_reference(c, plan=DEFAULT_PLAN, tol=DEFAULT_TOL):
              {"d_omega": d_omega.max_coeff(), "d_F": d_F.max_coeff(),
               "kernel_angle": kernel, "transverse_square": square})
     via_J = ({**closed, "J_invariant": J_res <= tol.subspace},
-             {"J_residual": J_res})
+             {"d_omega": d_omega.max_coeff(), "d_F": d_F.max_coeff(),
+              "J_residual": J_res})
     return brane, via_J
 
 

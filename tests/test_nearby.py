@@ -229,6 +229,68 @@ def test_mapping_torus_still_and_shear():
     assert max(rec1.residuals.values()) <= 1e-8
 
 
+def test_failing_mapping_torus_record_names_its_worst_sample():
+    """The five-point stencil of d/dq misses the wavy speed by about 3e-7
+    at the default step: within tol=1e-6, over the default 1e-8."""
+    g, plan = wavy(), SamplePlan(count=16, seed=0)
+    assert mapping_torus_check(g, F_N, plan=plan, tol=1e-6).passed
+    rec = mapping_torus_check(g, F_N, plan=plan)
+    assert not rec.passed
+    assert rec.conditions == {"pushes_dq_to_kernel": False,
+                              "omega_f_pulls_back": True,
+                              "transported_pulls_back": True}
+    pts = plan.points(g.y_model)
+    pts[:, 4] = np.rint(pts[:, 4] * 1024) / 1024
+    witness, = rec.witnesses
+    assert witness["label"] == "mapping_torus"
+    assert witness["residual"] == rec.residuals["pushforward"] > 1e-8
+    assert witness["point"] in pts.tolist()
+
+
+def test_failing_transport_kernel_record_names_its_worst_sample():
+    """The gate of the wavy speed passes only at a loose tol; the kernel
+    contraction is rounding, and a tol below its worst value fails it at
+    the sample that gives that value."""
+    g, plan = wavy(), SamplePlan(count=16, seed=0)
+    t = transport_brane(g, F_N, tol=1.0)
+    pts, M = t.matrices_at(plan.points(g.y_model))
+    r = np.abs(np.einsum("kab,kb->ka", M,
+                         kernel_field(g).eval_batch(pts))).max(axis=1)
+    assert 0.0 < r.max() < 1e-12
+    assert t.kernel_check(plan, tol=r.max()).passed
+    rec = t.kernel_check(plan, tol=r.max() / 2)
+    assert not rec.passed
+    assert rec.residuals == {"kernel_contraction": r.max()}
+    assert rec.witnesses == [{"point": pts[np.argmax(r)].tolist(),
+                              "residual": r.max(), "label": "kernel"}]
+
+
+# x1, y1 and a rank-2 kernel frame in the a, c plane
+R4 = model_from_names([("x1", LINE), ("y1", LINE), ("a", LINE), ("c", LINE)])
+
+
+@pytest.mark.parametrize("F,E,involutive", [
+    # [d_a + c d_c, d_c] = -d_c lies in the frame's span
+    ("dx1^dy1", "d_a + c*d_c ; d_c", True),
+    # the kernel of dx1^(dy1 - a dc): [d_a, d_c + a d_y1] = d_y1 leaves it
+    ("dx1^dy1 - a*dx1^dc", "d_a ; d_c + a*d_y1", False)])
+def test_melanie_brackets_a_rank_two_kernel_frame(F, E, involutive):
+    F = parse_form(F, R4)
+    E = Distribution(R4, tuple(parse_vector(v, R4) for v in E.split(";")))
+    G = Distribution(R4, (parse_vector("d_x1", R4),
+                          parse_vector("d_y1", R4)))
+    plan = SamplePlan(count=16, seed=0)
+    rec = melanie_check(F, E, G, plan=plan)
+    assert rec.conditions["i_involutive"] is involutive
+    # E is the kernel of F, so involutivity goes with closedness
+    assert rec.passed is involutive
+    assert rec.conditions["dF_zero"] is involutive
+    # d_y1 lies 1/sqrt(1 + a^2) from span{d_a, d_c + a d_y1}
+    a = plan.points(R4)[:, 2]
+    want = 0.0 if involutive else float(np.max(1.0 / np.sqrt(1.0 + a * a)))
+    assert rec.residuals["bracket_span"] == pytest.approx(want, abs=1e-15)
+
+
 def test_convergence_order_nonlinear_at_least_rk4():
     pts = SamplePlan(count=6, seed=4).points(N_MIX)
     order = convergence_order(wavy(0.2), pts, 1.0)

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -15,6 +16,7 @@ import branelab.integrate
 import branelab.scene
 from branelab.cli import (bundled_scene_dir, main, resolve_scene)
 from branelab.grammar import parse_field
+from branelab.model import Tolerances
 from branelab.report import EXACT, CheckResult
 from branelab.scene import SceneError, parse_scene, serialize_scene
 
@@ -644,8 +646,7 @@ DECLARATIONS = (bundled_scene_dir() / "infdef_torus.scene").read_text(
      "transport_fd option tol takes finite float >= 0, not 'small'"),
     ("transport_fd shear FN tol=nan",
      "transport_fd option tol takes finite float >= 0, not 'nan'"),
-    ("mapping_torus shear FN tol=-1",
-     "mapping_torus option tol takes finite float >= 0, not '-1'"),
+    ("mapping_torus shear FN tol=-1", "mapping_torus takes no option 'tol'"),
     ("cohomology c truncation=1 truncation=2",
      "option 'truncation' given twice"),
     ("cohomology c truncation=-1",
@@ -703,3 +704,98 @@ def test_empty_transverse_frame_gives_records(tmp_path, capsys):
         rec = data["checks"][-1]
         assert rec["mode"] == "ERROR" and rec["details"]["error"] == (
             "ValueError: expected the kernel frame d/dq on the product model")
+
+
+# the example_r4 pair with F doubled: constant data whose transverse
+# endomorphism squares to -4 Id, a residual of 3.0 in every check
+DOUBLED_F = (bundled_scene_dir() / "example_r4.scene").read_text(
+    encoding="utf-8").replace("form F @ M = dx1^dx2 - dy1^dy2",
+                              "form F @ M = 2*dx1^dx2 - 2*dy1^dy2")
+
+
+def test_no_exact_verdict_reads_the_run_tolerance(tmp_path, capsys):
+    code, data = run_json(tmp_path, capsys, DOUBLED_F, "--tol", "10")
+    assert code == 1
+    assert data["tolerances"]["sampled"] == 10.0
+    assert [(c["name"], c["mode"], c["pass"]) for c in data["checks"]] == [
+        ("space_filling(omega, F)", "EXACT", False),
+        ("brane(c)", "EXACT", False), ("brane_via_J(c)", "EXACT", False)]
+    brane = data["checks"][1]
+    assert brane["residuals"]["transverse_square"] == 3.0
+    assert not brane["conditions"]["transverse_I_squares"]
+    assert [w["label"] for w in brane["witnesses"]] == ["transverse_square"]
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_exact_records_are_the_same_at_any_tol(capsys, name):
+    runs = []
+    for flags in ([], ["--tol", "10"]):
+        main(["run", name, "--format", "json", *flags])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        for rec in checks:
+            del rec["wall_time"]
+        runs.append(checks)
+    default, loose = runs
+    assert len(default) == len(loose)
+    for a, b in zip(default, loose):
+        if EXACT in (a["mode"], b["mode"]):
+            assert a == b
+
+
+def test_run_settings_the_benchmark_reads(capsys):
+    scene = resolve_scene("example_r4")
+    cfg = branelab.cli._config_from(
+        scene, branelab.cli.make_parser().parse_args(["run", "example_r4"]))
+    tol = cfg.tol
+    assert (tol.exact_zero, tol.sampled, tol.subspace, tol.svd_rank_rel) == (
+        1e-10, 1e-8, 1e-8, 1e-8)
+    assert cfg.grid == 64
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["sampled"]
+    for command, gone in ((["run"], ["--q-grid"]),
+                          (["infdef"], ["--seed", "--tol"])):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        assert usage and not [flag for flag in gone if flag in usage]
+
+
+OPTIONS = MINIMAL.replace("\nmodel M",
+                          "\noption seed 3\noption steps 64\nmodel M")
+
+
+def test_option_lines_round_trip_to_the_run_settings():
+    scene = parse_scene(OPTIONS)
+    assert scene.options == {"seed": "3", "steps": "64"}
+    text = serialize_scene(scene)
+    assert "option seed 3\noption steps 64\n" in text
+    again = parse_scene(text)
+    assert again.options == scene.options
+    assert serialize_scene(again) == text
+    cfg = branelab.cli._config_from(
+        again, branelab.cli.make_parser().parse_args(["run", "tiny"]))
+    assert (cfg.plan.seed, cfg.flow.step) == (3, 1.0 / 64)
+
+
+@pytest.mark.parametrize("line", ["option stpes 8", "option q_grid 32"])
+def test_unknown_option_is_a_scene_error_at_its_line(line):
+    with pytest.raises(SceneError) as err:
+        parse_scene(MINIMAL.replace("\nmodel M", f"\n{line}\nmodel M"))
+    key = line.split()[1]
+    assert str(err.value) == (
+        f"line 4: unknown option {key!r} (options: seed, steps, tol)")
+
+
+def test_an_expected_obstruction_that_builds_fails(tmp_path, capsys):
+    text = (bundled_scene_dir() / "infdef_torus.scene").read_text(
+        encoding="utf-8").split("\ncheck ")[0]
+    code, data = run_json(tmp_path, capsys, text
+                          + "\ncheck build_infdef rho_ok B0N c "
+                            "expect=obstruction\n")
+    assert code == 1
+    rec, = data["checks"]
+    assert (rec["name"], rec["mode"], rec["pass"]) == (
+        "build_infdef(rho_ok, B0N, c)", "EXACT", False)
+    assert rec["conditions"]["raised_obstruction"] is False
+    assert rec["details"]["error"] == (
+        "expected an obstruction but the build succeeded")
