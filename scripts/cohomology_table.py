@@ -10,7 +10,8 @@ the truncation grows.  The complex is held as its Fourier blocks
 span{cos, sin}(2 pi k.x), one per frequency; the chain residual and both
 ranks are taken on the blocks, each rank with the threshold of one dense
 SVD, and no dense matrix is built.  The time column covers assembly, the
-chain residual and both ranks.
+chain residual and both ranks; the first row's also covers deriving the
+candidate's symbols, which every later truncation reuses.
 
 Run:  python3 scripts/cohomology_table.py [--max-truncation 2]
 """

@@ -142,14 +142,23 @@ def lift_form(form: DifferentialForm, target: ManifoldModel,
     return DifferentialForm.build(target, form.degree, raw)
 
 
+def _point_namer(plan: SamplePlan, model: ManifoldModel, pts):
+    """Sample i of pts; without pts (constant data, evaluated once) the
+    first plan point, drawn only when a witness or an error names it."""
+    if pts is not None:
+        return pts.__getitem__
+    return lambda i: plan.points(model)[0]
+
+
 def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
                         plan: SamplePlan = DEFAULT_PLAN,
                         tol: float = DEFAULT_TOL.sampled) -> CheckResult:
     """closed omega, closed F, nondegenerate omega, and (omega^-1 F)^2 = -Id.
 
     On constant omega and F the check is EXACT: the Grams are evaluated
-    once, held to EXACT_ZERO, and witnesses name the first plan point;
-    the record keeps omega's condition number and the matrix I.
+    once, held to EXACT_ZERO, and witnesses name the first plan point,
+    the plan drawn only then; the record keeps omega's condition number
+    and the matrix I.
     Otherwise it is SAMPLED at every plan point, held to tol.
     I_squared_plus_id is the worst residual over the nondegenerate
     samples, and is absent when there are none.
@@ -161,21 +170,22 @@ def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
     res.hold("closed_F", ext_d(F).max_coeff(), EXACT_ZERO, "d_F")
 
     model = omega.model
-    pts = plan.points(model)
     if exact:
-        pts, WG, FG = pts[:1], W[None], FC[None]
+        pts, WG, FG = None, W[None], FC[None]
     else:
+        pts = plan.points(model)
         WG, FG = omega.gram_batch(pts), F.gram_batch(pts)
+    at = _point_namer(plan, model, pts)
     bound = EXACT_ZERO if exact else tol
     nondeg = True
     worst, worst_at = None, 0
-    for i in range(pts.shape[0]):
+    for i in range(WG.shape[0]):
         cond = condition_number(WG[i])
         if exact:
             res.details["omega_condition"] = cond
         if cond > CONDITION_LIMIT:
             nondeg = False
-            res.add_witness(pts[i], float("inf"), "degenerate_omega")
+            res.add_witness(at(i), float("inf"), "degenerate_omega")
             continue
         I = np.linalg.solve(WG[i], FG[i])
         r = float(np.abs(I @ I + np.eye(model.dim)).max())
@@ -187,7 +197,7 @@ def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
     if worst is not None:
         res.residuals["I_squared_plus_id"] = worst
     if not squares:
-        res.add_witness(pts[worst_at], worst, "I_square")
+        res.add_witness(at(worst_at), worst, "I_square")
     res.conditions["nondegenerate"] = bool(nondeg)
     res.conditions["I_squares_minus_id"] = bool(squares)
     res.passed = all(res.conditions.values())
@@ -227,7 +237,8 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
 
     On constant data (omega, F and both frames constant) the check is
     EXACT: the Grams and frames are evaluated once, the square is held to
-    EXACT_ZERO, and witnesses and errors name the first plan point.
+    EXACT_ZERO, and witnesses and errors name the first plan point, the
+    plan drawn only when one does.
     Otherwise it is SAMPLED at every plan point, the square held to tol.
     """
     validate_candidate(c, plan)
@@ -236,38 +247,40 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
     res.hold("omega_closed", ext_d(c.omega).max_coeff(), EXACT_ZERO, "d_omega")
     res.hold("F_closed", ext_d(c.F).max_coeff(), EXACT_ZERO, "d_F")
 
-    pts = plan.points(c.model_Y)
     if exact:
         (GC, EC), (W, FC) = c.frames, c.grams
-        pts, WG, FG, EM, GM = pts[:1], W[None], FC[None], EC[None], GC[None]
+        pts, WG, FG, EM, GM = None, W[None], FC[None], EC[None], GC[None]
     else:
+        pts = plan.points(c.model_Y)
         WG, FG = c.omega.gram_batch(pts), c.F.gram_batch(pts)
         EM, GM = c.E_frame.matrices(pts), c.G_frame.matrices(pts)
+    at = _point_namer(plan, c.model_Y, pts)
     bound = EXACT_ZERO if exact else tol
     k = c.E_frame.rank
     worst_kernel = 0.0
     worst_square = 0.0
-    for i in range(pts.shape[0]):
+    for i in range(WG.shape[0]):
         E = EM[i]
         for label, G in (("omega", WG[i]), ("F", FG[i])):
             nul = kernel_basis(G)
             if nul.shape[1] != k:
                 raise RankDropError(
                     f"{label} kernel rank {nul.shape[1]} != {k} at sample "
-                    f"{pts[i].tolist()}")
+                    f"{at(i).tolist()}")
             ang = max_principal_angle(nul, E) if k else 0.0
             worst_kernel = max(worst_kernel, ang)
             if ang > SUBSPACE:
-                res.add_witness(pts[i], ang, f"kernel_{label}")
+                res.add_witness(at(i), ang, f"kernel_{label}")
         # transverse complex structure on the G-frame
         Gm = GM[i]
         if Gm.shape[1]:
-            I = transverse_matrix(WG[i], FG[i], Gm,
-                                  f"sample {pts[i].tolist()} on the G-frame")
+            I = transverse_matrix(
+                WG[i], FG[i], Gm,
+                lambda: f"sample {at(i).tolist()} on the G-frame")
             r = np.abs(I @ I + np.eye(Gm.shape[1])).max()
             worst_square = max(worst_square, r)
             if r > bound:
-                res.add_witness(pts[i], r, "transverse_square")
+                res.add_witness(at(i), r, "transverse_square")
     res.hold("kernels_equal", worst_kernel, SUBSPACE, "kernel_angle")
     res.hold("transverse_I_squares", worst_square, bound, "transverse_square")
     res.passed = all(res.conditions.values())
@@ -309,7 +322,7 @@ def check_brane_via_J(c: BraneCandidate,
     ambient form is closed, which the AmbientModel construction
     guarantees).  When omega and F are constant, so are the ambient form,
     J and tau_F: the check is EXACT, evaluated once, and witnesses and
-    errors name the first plan point.
+    errors name the first plan point, the plan drawn only when one does.
     Otherwise it is SAMPLED at every plan point.
     """
     ambient = ambient_for(c)
@@ -321,16 +334,20 @@ def check_brane_via_J(c: BraneCandidate,
     res.hold("F_closed", ext_d(c.F).max_coeff(), EXACT_ZERO, "d_F")
     m = ambient.model_M.dim
     n = ambient.n_base
-    pts = plan.points(c.model_Y)[:1 if exact else None]
-    P = np.zeros((pts.shape[0], m))
-    P[:, :n] = pts
     if exact:
+        pts = None
         WG, FG = ambient.omega_M.constant_gram()[None], c.grams[1][None]
     else:
+        pts = plan.points(c.model_Y)
+        P = np.zeros((pts.shape[0], m))
+        P[:, :n] = pts
         WG, FG = ambient.omega_M.gram_batch(P), c.F.gram_batch(pts)
+    at = _point_namer(plan, c.model_Y, pts)
     worst = 0.0
-    for i, p in enumerate(P):
-        _condition_gate(WG[i], f"ambient sample {p.tolist()}")
+    for i in range(WG.shape[0]):
+        # the ambient point is the sample with every fiber coordinate 0
+        _condition_gate(WG[i], lambda: (
+            f"ambient sample {at(i).tolist() + [0.0] * (m - n)}"))
         Wmap = WG[i].T  # matrix of v -> i_v omega
         J = np.zeros((2 * m, 2 * m))
         J[:m, m:] = -np.linalg.inv(Wmap)
@@ -343,7 +360,7 @@ def check_brane_via_J(c: BraneCandidate,
         r = float(np.linalg.norm(resid, axis=0).max() / scale)
         worst = max(worst, r)
         if r > SUBSPACE:
-            res.add_witness(pts[i], r, "J_invariance")
+            res.add_witness(at(i), r, "J_invariance")
     res.hold("J_invariant", worst, SUBSPACE, "J_residual")
     res.passed = all(res.conditions.values())
     return res

@@ -267,7 +267,7 @@ def hamiltonian(W: np.ndarray, grads, model: ManifoldModel,
 
 
 def transverse_matrix(W: np.ndarray, F: np.ndarray, G: np.ndarray,
-                      where: str) -> np.ndarray:
+                      where) -> np.ndarray:
     """I with omega(I v, w) = F(v, w) on the columns of the frame G:
     solve(G^T W G, G^T F G), after the condition gate of G^T W G."""
     Wg = G.T @ W @ G
@@ -284,11 +284,14 @@ def condition_number(W: np.ndarray) -> float:
     return float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
 
 
-def _condition_gate(W: np.ndarray, where: str):
+def _condition_gate(W: np.ndarray, where):
+    """DegenerateFormError naming where, a string or a function that makes
+    it only when the gate fails, unless W is well conditioned."""
     cond = condition_number(W)
     if cond > CONDITION_LIMIT:
         raise DegenerateFormError(
-            f"form degenerate at {where}: condition number {cond:.3g}")
+            f"form degenerate at {where() if callable(where) else where}: "
+            f"condition number {cond:.3g}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ omega and F, so every map keeps each frequency pair span{cos, sin}(2 pi
 k.x) to itself through a symbol polynomial in k: linear for the speeds
 and d1, quadratic for the 2-form part of d0.  The symbols are read off
 the generator and the exterior derivative at a fixed set of probe
-frequencies, so the term algebra runs as often at every truncation, and
+frequencies, once per candidate, and reused at every truncation, where
 numpy fills one small block of each map per nonzero frequency.  The
 ranks, the block counts and the chain residual d1 d0 are taken on these
 blocks; the dense matrices are built only when read.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brane import BraneCandidate, lift_form
+from .brane import BraneCandidate, _read_only, lift_form
 from .fields import (COS, SIN, ScalarField, VectorField, circle_average,
                      linear_map, partial, q_antiderivative, reindex)
 from .forms import (DifferentialForm, EndoField, _condition_gate, apply_form,
@@ -376,10 +376,11 @@ class ComplexSlice:
     the order of their sine keys in function_keys.  The nblk middle blocks
     are the speed block (absent when the brane is space filling), then
     one per column of the constant 2-form frame; the ntri 3-form blocks
-    are the index triples.  Rows and columns run by block, cosine before
-    sine.  Each rank is one batched SVD of the blocks (see _rank);
-    block_summary counts the nonzero blocks, and the chain residual is
-    max |b1 b0|.  d0 and d1 are the dense matrices, rows and columns by
+    are the index triples.  The blocks are filled from the candidate's
+    symbols, derived once and reused at every truncation (_symbols).
+    Rows and columns run by block, cosine before sine.  Each rank is one
+    batched SVD of the blocks (see _rank); block_summary counts the
+    nonzero blocks, and the chain residual is max |b1 b0|.  d0 and d1 are the dense matrices, rows and columns by
     block and then key, scattered from the blocks on first read.
     """
 
@@ -450,25 +451,20 @@ class ComplexSlice:
 _MAX_COMPLEX_BYTES = 2 << 30
 
 
-def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
-    """Assemble the deformation complex at a Fourier truncation:
-    functions -> (kernel speeds + 2-forms in a constant frame) -> 3-forms.
+@functools.lru_cache(maxsize=16)
+def _symbols(c: BraneCandidate):
+    """The part of complex_slice that no truncation changes, derived once
+    per candidate and reused at every truncation: (shape, speeds, frame,
+    quad, t), the arrays read-only.
 
-    d0 is hamiltonian_generator (its speed along the circle d/dq fills
-    the speed block), d1 the exterior derivative of the 2-form part.  The
-    shape picks the frame and the speed block.  Space filling: the
-    invariant-type (1,1) frame and no speeds.  Product model N x S^1 (the
-    kernel frame must be d/dq): every elementary 2-form and one speed
-    function along the circle.  omega and F must be constant, so that no
-    map moves a frequency, and the dense d0 and d1 must fit in
-    _MAX_COMPLEX_BYTES (ValueError otherwise).
-
-    The generator runs on cos(2 pi k.x) for k = e_i, e_i + e_j and one
-    check vector, n(n+1)/2 + 1 times on T^n, and ext_d on each frame
-    2-form times cos(2 pi e_j.x); the block of every frequency is then
-    filled from the symbols they give (see ComplexSlice for the layout).
-    A probe image off its mode, or a check probe off the symbol, is a
-    ValueError.
+    frame holds the constant 2-forms of the middle space as columns.
+    quad[i, j] is the generator's symbol polarised: the coefficient of
+    k_i (speed, diagonal only) and of k_i k_j (2-form over index pairs).
+    t[kk, j] is ext_d of frame column kk times cos(2 pi e_j.x) over the
+    index triples.  The generator runs on cos(2 pi k.x) for k = e_i,
+    e_i + e_j and one check vector, n(n+1)/2 + 1 times on T^n.  The
+    candidate gates and probe errors of complex_slice are raised here,
+    and again on every call, since a raise is not cached.
     """
     y = c.model_Y
     if len(y.circle_indices) != y.dim:
@@ -476,7 +472,6 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
     if c.constant_grams is None:
         raise ValueError("the deformation complex needs constant omega and F")
     n = y.dim
-    nfun = (2 * truncation + 1) ** n  # len(_function_keys(...))
     pairs = list(itertools.combinations(range(n), 2))
     triples = list(itertools.combinations(range(n), 3))
 
@@ -487,14 +482,6 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
         _kernel_circle(c)
         shape, speeds = "codim1", 1
         frame = np.eye(len(pairs))
-    nblk = speeds + frame.shape[1]  # middle blocks: speeds, then the frame
-    nbytes = 8 * nblk * nfun * nfun * (1 + len(triples))
-    if nbytes > _MAX_COMPLEX_BYTES:
-        # whole GiB, rounded up: an int of any size, where a float overflows
-        raise ValueError(
-            f"the truncation-{truncation} complex needs "
-            f"{(nbytes + (1 << 30) - 1) >> 30} GiB for d0 and d1, "
-            f"over the {_MAX_COMPLEX_BYTES >> 30} GiB limit")
 
     def probe(k) -> np.ndarray:
         # the generator of cos(2 pi k.x): its speed along d/dq at the sine
@@ -511,20 +498,65 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
         quad[i, j] = quad[j, i] = (
             probe(unit[i] + unit[j]) - quad[i, i] - quad[j, j]) / 2
 
-    def symbol(K):  # speeds, then 2-forms with one column per row of K
-        return (K @ quad[range(n), range(n), 0],
-                np.einsum("ijp,fi,fj->pf", quad[..., 1:], K, K))
-
     # one probe off the polarisation set tests the symbol
     k = np.arange(2, n + 2)
-    want = np.append(*symbol(k[None]))
+    want = np.append(*_symbol(quad, k[None]))
     if np.abs(probe(k) - want).max() > 1e-9 * max(1.0, np.abs(want).max()):
         raise ValueError("the generator has no constant-coefficient symbol")
+
+    t = []
+    for vec in frame.T:
+        # d(f beta) = df ^ beta is linear in k: read it at each e_j
+        beta = DifferentialForm.build(y, 2, dict(zip(pairs, vec)))
+        t.append([_mode_coeffs(ext_d(beta * ScalarField.cosine(y, e)),
+                               triples, e, SIN) for e in unit])
+    return (shape, speeds) + _read_only(frame, quad, np.array(t))
+
+
+def _symbol(quad: np.ndarray, K: np.ndarray):
+    """The generator's symbol at the rows of K: the speeds, then the
+    2-forms with one column per row."""
+    n = len(quad)
+    return (K @ quad[range(n), range(n), 0],
+            np.einsum("ijp,fi,fj->pf", quad[..., 1:], K, K))
+
+
+def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
+    """Assemble the deformation complex at a Fourier truncation:
+    functions -> (kernel speeds + 2-forms in a constant frame) -> 3-forms.
+
+    d0 is hamiltonian_generator (its speed along the circle d/dq fills
+    the speed block), d1 the exterior derivative of the 2-form part.  The
+    shape picks the frame and the speed block.  Space filling: the
+    invariant-type (1,1) frame and no speeds.  Product model N x S^1 (the
+    kernel frame must be d/dq): every elementary 2-form and one speed
+    function along the circle.  omega and F must be constant, so that no
+    map moves a frequency, and the dense d0 and d1 must fit in
+    _MAX_COMPLEX_BYTES (ValueError otherwise).
+
+    The symbols of both maps are derived once per candidate by _symbols,
+    from n(n+1)/2 + 1 generator probes on T^n, and reused at every
+    truncation; numpy then fills the block of every frequency from them
+    (see ComplexSlice for the layout).  A probe image off its mode, or a
+    check probe off the symbol, is a ValueError.
+    """
+    shape, speeds, frame, quad, t = _symbols(c)
+    n = c.model_Y.dim
+    nfun = (2 * truncation + 1) ** n  # len(_function_keys(...))
+    ntri = t.shape[2]
+    nblk = speeds + frame.shape[1]  # middle blocks: speeds, then the frame
+    nbytes = 8 * nblk * nfun * nfun * (1 + ntri)
+    if nbytes > _MAX_COMPLEX_BYTES:
+        # whole GiB, rounded up: an int of any size, where a float overflows
+        raise ValueError(
+            f"the truncation-{truncation} complex needs "
+            f"{(nbytes + (1 << 30) - 1) >> 30} GiB for d0 and d1, "
+            f"over the {_MAX_COMPLEX_BYTES >> 30} GiB limit")
 
     keys = _function_keys(n, truncation)
     # the nonzero frequencies, in the order of their sine keys
     freqs = np.array([vec for vec, ph in keys if ph == SIN]).reshape(-1, n)
-    speed, Q = symbol(freqs)
+    speed, Q = _symbol(quad, freqs)
     coords = np.linalg.pinv(frame) @ Q
     if (np.abs(frame @ coords - Q).max(axis=0, initial=0.0) > 1e-10
             * np.maximum(1.0, np.abs(Q).max(axis=0, initial=0.0))).any():
@@ -543,13 +575,9 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
     # the 2-form keeps the mode
     b0[:, speeds:, [0, 1], [0, 1]] = coords.T[..., None]
 
-    b1 = np.zeros((nf, len(triples), nblk, 2, 2))
-    for kk, vec in enumerate(frame.T):
-        # d(f beta) = df ^ beta is linear in k: read it at each e_j
-        beta = DifferentialForm.build(y, 2, dict(zip(pairs, vec)))
-        t = np.array([_mode_coeffs(ext_d(beta * ScalarField.cosine(y, e)),
-                                   triples, e, SIN) for e in unit])
-        first_order(b1[:, :, speeds + kk], freqs @ t)
+    b1 = np.zeros((nf, ntri, nblk, 2, 2))
+    for kk, tk in enumerate(t):
+        first_order(b1[:, :, speeds + kk], freqs @ tk)
     return ComplexSlice(
-        y, truncation, shape, keys, b0.reshape(nf, 2 * nblk, 2),
-        b1.transpose(0, 1, 3, 2, 4).reshape(nf, 2 * len(triples), 2 * nblk))
+        c.model_Y, truncation, shape, keys, b0.reshape(nf, 2 * nblk, 2),
+        b1.transpose(0, 1, 3, 2, 4).reshape(nf, 2 * ntri, 2 * nblk))

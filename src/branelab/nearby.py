@@ -476,12 +476,11 @@ def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
     m = pts.shape[0]
 
     # flow states at each sample's q (offset 0) and at the four stencil
-    # stations around it: in closed form for a translation flow, else read
-    # from one backward sweep (stations before q = 0) and one forward sweep
-    delta_steps = max(4, round(1e-2 / opts.step))
-    delta = delta_steps * opts.step
+    # stations one and two flow steps around it: in closed form for a
+    # translation flow, else read from one backward sweep (stations before
+    # q = 0) and one forward sweep
     at = (_snap(pts[:, g.q_index], opts.step)[None, :]
-          + delta_steps * np.arange(-2, 3)[:, None])
+          + np.arange(-2, 3)[:, None])
     if isinstance(g.solver, TermBank):
         X = pts[:, :dN] + _moved(g.solver, g, 0.0, at * opts.step)
         Jx = np.broadcast_to(np.eye(dN), at.shape + (dN, dN))
@@ -503,7 +502,7 @@ def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
 
     # (a) pushforward of d/dq equals the kernel field along psi
     # grouped as differences so coincident stations cancel exactly
-    dq_push = ((xm2 - xp2) + 8.0 * (xp1 - xm1)) / (12.0 * delta)
+    dq_push = ((xm2 - xp2) + 8.0 * (xp1 - xm1)) / (12.0 * opts.step)
     Xf = g.hamiltonian.eval_batch(psi_pts)[:, :dN]
     r_push = np.abs(dq_push + Xf).max(axis=1)
     res.hold("pushes_dq_to_kernel", float(r_push.max(initial=0.0)), tol,

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import branelab.model
 from branelab.brane import (BraneCandidate, RankDropError, ambient_for,
                             check_brane, check_brane_via_J,
                             check_space_filling, local_normal_form,
@@ -311,3 +312,30 @@ def test_rank_drop_on_constant_data_names_the_first_plan_point():
     first = DEFAULT_PLAN.points(Y5)[0].tolist()
     with pytest.raises(RankDropError, match=re.escape(str(first))):
         check_brane(c)
+
+
+def test_exact_checks_that_name_no_point_draw_no_plan(monkeypatch):
+    """A passing EXACT check draws the sample plan only to name a point,
+    so never; a failing one draws it for its witness."""
+    calls = []
+    halton = branelab.model._halton
+
+    def counted(*args):
+        calls.append(args)
+        return halton(*args)
+
+    monkeypatch.setattr(branelab.model, "_halton", counted)
+    cohomology = parse_scene((bundled_scene_dir() / "cohomology_t4.scene")
+                             .read_text(encoding="utf-8"))
+    rec = check_space_filling(cohomology.lookup("forms", "omega"),
+                              cohomology.lookup("forms", "F"))
+    assert rec.mode == "EXACT" and rec.passed
+    for c in CONSTANT_CANDIDATES[:-3]:
+        for rec in (check_brane(c), check_brane_via_J(c)):
+            assert rec.mode == "EXACT" and rec.passed
+        if c.E_frame.rank == 0:
+            assert check_space_filling(c.omega, c.F).passed
+    assert calls == []
+    rec = check_brane(CONSTANT_CANDIDATES[-3])
+    assert not rec.passed and rec.witnesses
+    assert calls

@@ -354,6 +354,7 @@ def test_complex_slice_derives_the_constant_data_once(monkeypatch):
             calls[_name] += 1
             return _method(self)
         monkeypatch.setattr(cls, name, counted)
+    branelab.infdef._symbols.cache_clear()
     complex_slice(c, 1)
     assert calls["constant_matrix"] <= 3
     assert calls["constant_gram"] <= 2
@@ -456,9 +457,35 @@ def test_generator_calls_do_not_grow_with_truncation(monkeypatch, make,
     counts = []
     for truncation in truncations:
         calls.clear()
+        branelab.infdef._symbols.cache_clear()
         complex_slice(c, truncation)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= n * (n + 1) // 2 + 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bundled_candidate("cohomology_t4"), gl_pair_t4, lambda: C5])
+def test_symbols_are_derived_once_per_candidate(monkeypatch, make):
+    """A second truncation of an equal candidate makes no generator call,
+    and fills the blocks a fresh derivation of the symbols fills."""
+    calls = []
+
+    def counted(f, cand):
+        calls.append(f)
+        return hamiltonian_generator(f, cand)
+
+    monkeypatch.setattr(branelab.infdef, "hamiltonian_generator", counted)
+    branelab.infdef._symbols.cache_clear()
+    complex_slice(make(), 0)
+    assert calls
+    calls.clear()
+    cached = complex_slice(make(), 1)
+    assert calls == []
+    branelab.infdef._symbols.cache_clear()
+    fresh = complex_slice(make(), 1)
+    assert calls
+    assert np.array_equal(cached.b0, fresh.b0)
+    assert np.array_equal(cached.b1, fresh.b1)
 
 
 def off_mode(pair, f, c):
@@ -480,8 +507,28 @@ def test_a_generator_without_a_symbol_is_an_error(monkeypatch, bend,
                                                   message):
     monkeypatch.setattr(branelab.infdef, "hamiltonian_generator",
                         lambda f, c: bend(hamiltonian_generator(f, c), f, c))
+    branelab.infdef._symbols.cache_clear()
     with pytest.raises(ValueError, match=message):
         complex_slice(gl_pair_t4(), 1)
+
+
+def test_a_failed_symbol_check_raises_on_every_call(monkeypatch):
+    """A refused candidate is not cached: each truncation, the same one
+    again included, derives its symbols and raises."""
+    calls = []
+
+    def bent(f, c):
+        calls.append(f)
+        return cubic(hamiltonian_generator(f, c), f, c)
+
+    monkeypatch.setattr(branelab.infdef, "hamiltonian_generator", bent)
+    branelab.infdef._symbols.cache_clear()
+    for truncation in (1, 1, 2):
+        calls.clear()
+        with pytest.raises(ValueError,
+                           match="no constant-coefficient symbol"):
+            complex_slice(gl_pair_t4(), truncation)
+        assert calls
 
 
 def test_codim1_complex_decouples_into_small_blocks():

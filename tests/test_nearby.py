@@ -230,11 +230,16 @@ def test_mapping_torus_still_and_shear():
 
 
 def test_failing_mapping_torus_record_names_its_worst_sample():
-    """The five-point stencil of d/dq misses the wavy speed by about 3e-7
-    at the default step: within tol=1e-6, over the default 1e-8."""
+    """The five-point stencil of d/dq, one flow step apart, misses the
+    wavy speed by about 3e-11 at the default step, within the default
+    1e-8; a tol below that fails only the pushforward, at the sample that
+    gives it, while both pullbacks stay at rounding."""
     g, plan = wavy(), SamplePlan(count=16, seed=0)
-    assert mapping_torus_check(g, F_N, plan=plan, tol=1e-6).passed
-    rec = mapping_torus_check(g, F_N, plan=plan)
+    ok = mapping_torus_check(g, F_N, plan=plan)
+    assert ok.passed
+    r = ok.residuals["pushforward"]
+    assert 1e-12 < r < 1e-10
+    rec = mapping_torus_check(g, F_N, plan=plan, tol=r / 2)
     assert not rec.passed
     assert rec.conditions == {"pushes_dq_to_kernel": False,
                               "omega_f_pulls_back": True,
@@ -243,7 +248,7 @@ def test_failing_mapping_torus_record_names_its_worst_sample():
     pts[:, 4] = np.rint(pts[:, 4] * 1024) / 1024
     witness, = rec.witnesses
     assert witness["label"] == "mapping_torus"
-    assert witness["residual"] == rec.residuals["pushforward"] > 1e-8
+    assert witness["residual"] == rec.residuals["pushforward"] == r
     assert witness["point"] in pts.tolist()
 
 

@@ -73,3 +73,22 @@ def test_runtime_import_loads_no_scipy():
          "if m == 'scipy' or m.startswith('scipy.')))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_an_exact_scene_loads_no_numpy_random():
+    """cohomology_t4's checks are all EXACT or symbolic, so its run never
+    draws the sample plan, whose scrambling is numpy.random's."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; "
+         "from branelab.cli import (_config_from, make_parser, "
+         "resolve_scene, run_scene); "
+         "s = resolve_scene('cohomology_t4'); "
+         "r = run_scene(s, _config_from(s, make_parser().parse_args("
+         "['run', 'cohomology_t4']))); "
+         "print(all(c.passed for c in r.checks), "
+         "'numpy.random' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "False"]
