@@ -224,13 +224,17 @@ def make_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the checks of a scene file")
     run.add_argument("scene", help="scene path or bundled scene name")
-    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--seed", type=int, default=None,
+                     help="seed of the sample plan of SAMPLED checks "
+                          "(default: the scene's seed option, else 0)")
     run.add_argument("--tol", type=float, default=None,
                      help="the tolerance of SAMPLED verdicts (default "
                           "1e-8); no EXACT verdict reads it")
     run.add_argument("--steps", type=int, default=None,
                      help="flow steps per unit time")
-    run.add_argument("--out", default=None)
+    run.add_argument("--out", default=None,
+                     help="write the report to this file instead of "
+                          "stdout")
     run.add_argument("--format", choices=("json", "csv", "text"),
                      default="json")
     run.set_defaults(func=cmd_run)
@@ -240,7 +244,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     inf = sub.add_parser(
         "infdef", help="first-order deformation verdicts for scene pairs")
-    inf.add_argument("scene")
+    inf.add_argument("scene", help="scene path or bundled scene name")
     inf.add_argument("--pair", action="append", default=None,
                      help="pair name (repeatable; default: all)")
     inf.add_argument("--candidate", default=None,

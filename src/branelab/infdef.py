@@ -14,9 +14,10 @@ and every constant comes from the candidate.  The complex needs constant
 omega and F, so every map keeps each frequency pair span{cos, sin}(2 pi
 k.x) to itself through a symbol polynomial in k: linear for the speeds
 and d1, quadratic for the 2-form part of d0.  The symbols are read off
-the generator and the exterior derivative at a fixed set of probe
-frequencies, once per candidate, and reused at every truncation, where
-numpy fills one small block of each map per nonzero frequency.  The
+one generator call on the sum of the cosines of a fixed set of probe
+frequencies, each probe at its own mode, and one exterior derivative
+per frame 2-form, once per candidate, and reused at every truncation,
+where numpy fills one small block of each map per nonzero frequency.  The
 ranks, the block counts and the chain residual d1 d0 are taken on these
 blocks; the dense matrices are built only when read.
 
@@ -328,14 +329,24 @@ def _function_keys(dim: int, truncation: int) -> list[tuple[tuple[int, ...], int
     return keys
 
 
-def _mode_coeffs(a: DifferentialForm, idxs, k, phase) -> list[float]:
-    """Coefficients of the components idxs of a at cos or sin(2 pi k.x);
-    ValueError if one has a polynomial term or any other mode."""
-    mode = ((0,) * len(k), tuple(int(x) for x in k), phase)
-    fields = [a.coeff(idx) for idx in idxs]
-    if any(key != mode for f in fields for key, _ in f.terms):
-        raise ValueError("a probe's image leaves its Fourier mode")
-    return [dict(f.terms).get(mode, 0.0) for f in fields]
+def _mode_coeffs(a: DifferentialForm, idxs, K, phase) -> np.ndarray:
+    """Coefficients of the components idxs of a at cos or sin(2 pi k.x),
+    one row per row k of K; ValueError naming the first term of those
+    components with a polynomial factor or at any other mode."""
+    z = (0,) * a.model.dim
+    row = {(z, tuple(int(x) for x in k), phase): r for r, k in enumerate(K)}
+    out = np.zeros((len(K), len(idxs)))
+    for col, idx in enumerate(idxs):
+        for key, v in a.coeff(idx).terms:
+            if key not in row:
+                powers, freqs, ph = key
+                raise ValueError(
+                    "a probe's image leaves its Fourier mode: a "
+                    f"{'cos' if ph == COS else 'sin'} term at frequency "
+                    f"{freqs}" + (f" with powers {powers}" if any(powers)
+                                  else ""))
+            out[row[key], col] = v
+    return out
 
 
 def constant_type11_basis(c: BraneCandidate) -> list[np.ndarray]:
@@ -461,8 +472,10 @@ def _symbols(c: BraneCandidate):
     quad[i, j] is the generator's symbol polarised: the coefficient of
     k_i (speed, diagonal only) and of k_i k_j (2-form over index pairs).
     t[kk, j] is ext_d of frame column kk times cos(2 pi e_j.x) over the
-    index triples.  The generator runs on cos(2 pi k.x) for k = e_i,
-    e_i + e_j and one check vector, n(n+1)/2 + 1 times on T^n.  The
+    index triples.  The generator runs once, on the sum of cos(2 pi k.x)
+    over the probes k = e_i, e_i + e_j and one check vector (n(n+1)/2 + 1
+    cosines on T^n), and ext_d once per frame column, on it times the sum
+    of the n unit cosines; each probe is read at its own mode.  The
     candidate gates and probe errors of complex_slice are raised here,
     and again on every call, since a raise is not cached.
     """
@@ -483,34 +496,41 @@ def _symbols(c: BraneCandidate):
         shape, speeds = "codim1", 1
         frame = np.eye(len(pairs))
 
-    def probe(k) -> np.ndarray:
-        # the generator of cos(2 pi k.x): its speed along d/dq at the sine
-        # (zero when space filling), then its 2-form at the cosine
-        p = hamiltonian_generator(ScalarField.cosine(y, k), c)
-        return np.array(_mode_coeffs(p.r, [(n - 1,)], k, SIN)
-                        + _mode_coeffs(p.B, pairs, k, COS))
-
     # the speed is linear in k and the 2-form quadratic: the probes at e_i
-    # and e_i + e_j give both, the 2-form's cross terms by polarisation
-    unit, quad = np.eye(n, dtype=int), np.zeros((n, n, 1 + len(pairs)))
-    quad[range(n), range(n)] = [probe(e) for e in unit]
-    for i, j in itertools.combinations(range(n), 2):
-        quad[i, j] = quad[j, i] = (
-            probe(unit[i] + unit[j]) - quad[i, i] - quad[j, j]) / 2
+    # and e_i + e_j give both, the 2-form's cross terms by polarisation,
+    # and one probe off that set tests the symbol.  The generator is
+    # linear and keeps every mode, so one call on the sum of the probe
+    # cosines gives each probe's image at its own mode: its speed along
+    # d/dq at the sine (zero when space filling), its 2-form at the cosine
+    unit = np.eye(n, dtype=int)
+    K = np.array([*unit, *(unit[i] + unit[j] for i, j in pairs),
+                  np.arange(2, n + 2)])
+    p = hamiltonian_generator(_cosines(y, K), c)
+    image = np.hstack([_mode_coeffs(p.r, [(n - 1,)], K, SIN),
+                       _mode_coeffs(p.B, pairs, K, COS)])
+    quad = np.zeros((n, n, 1 + len(pairs)))
+    quad[range(n), range(n)] = image[:n]
+    for (i, j), cross in zip(pairs, image[n:-1]):
+        quad[i, j] = quad[j, i] = (cross - quad[i, i] - quad[j, j]) / 2
 
-    # one probe off the polarisation set tests the symbol
-    k = np.arange(2, n + 2)
-    want = np.append(*_symbol(quad, k[None]))
-    if np.abs(probe(k) - want).max() > 1e-9 * max(1.0, np.abs(want).max()):
+    want = np.append(*_symbol(quad, K[-1:]))
+    if np.abs(image[-1] - want).max() > 1e-9 * max(1.0, np.abs(want).max()):
         raise ValueError("the generator has no constant-coefficient symbol")
 
-    t = []
-    for vec in frame.T:
-        # d(f beta) = df ^ beta is linear in k: read it at each e_j
-        beta = DifferentialForm.build(y, 2, dict(zip(pairs, vec)))
-        t.append([_mode_coeffs(ext_d(beta * ScalarField.cosine(y, e)),
-                               triples, e, SIN) for e in unit])
+    # d(f beta) = df ^ beta is linear in k: read it at each e_j, all from
+    # one call on beta times the sum of the unit cosines
+    units = _cosines(y, unit)
+    t = [_mode_coeffs(ext_d(DifferentialForm.build(
+        y, 2, dict(zip(pairs, vec))) * units), triples, unit, SIN)
+         for vec in frame.T]
     return (shape, speeds) + _read_only(frame, quad, np.array(t))
+
+
+def _cosines(y: ManifoldModel, K: np.ndarray) -> ScalarField:
+    """The sum of cos(2 pi k.x) over the rows k of K."""
+    z = (0,) * y.dim
+    return ScalarField.build(
+        y, {(z, tuple(int(x) for x in k), COS): 1.0 for k in K})
 
 
 def _symbol(quad: np.ndarray, K: np.ndarray):
@@ -535,10 +555,11 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
     _MAX_COMPLEX_BYTES (ValueError otherwise).
 
     The symbols of both maps are derived once per candidate by _symbols,
-    from n(n+1)/2 + 1 generator probes on T^n, and reused at every
-    truncation; numpy then fills the block of every frequency from them
-    (see ComplexSlice for the layout).  A probe image off its mode, or a
-    check probe off the symbol, is a ValueError.
+    from one generator call on the sum of the n(n+1)/2 + 1 probe cosines
+    on T^n, and reused at every truncation; numpy then fills the block of
+    every frequency from them (see ComplexSlice for the layout).  An image
+    term off the probe modes, or a check probe off the symbol, is a
+    ValueError.
     """
     shape, speeds, frame, quad, t = _symbols(c)
     n = c.model_Y.dim

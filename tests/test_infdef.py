@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import branelab.infdef
 from branelab.brane import BraneCandidate
 from branelab.cli import bundled_scene_dir
-from branelab.fields import COS, ScalarField, partial
+from branelab.fields import COS, SIN, ScalarField, partial
 from branelab.forms import (DifferentialForm, Distribution, apply_form,
                             d_scalar, ext_d, is_type_11, lie_derivative,
                             sharp)
@@ -445,22 +446,76 @@ def test_symbol_assembly_matches_the_per_key_derivation(make, truncation):
     (gl_pair_t4, (1, 2)), (lambda: C5, (0, 1))])
 def test_generator_calls_do_not_grow_with_truncation(monkeypatch, make,
                                                      truncations):
+    """One generator call per candidate, on the sum of the probe cosines,
+    and one ext_d call per frame column: the 4 invariant-type (1,1) forms
+    on T^4, the 10 elementary 2-forms on T^5."""
     c = make()
-    n = c.model_Y.dim
-    calls = []
+    ext_d_calls = 4 if c.E_frame.rank == 0 else 10
+    calls, d_calls = [], []
 
     def counted(f, cand):
         calls.append(f)
         return hamiltonian_generator(f, cand)
 
+    def counted_d(a):
+        d_calls.append(a)
+        return ext_d(a)
+
     monkeypatch.setattr(branelab.infdef, "hamiltonian_generator", counted)
-    counts = []
+    monkeypatch.setattr(branelab.infdef, "ext_d", counted_d)
     for truncation in truncations:
         calls.clear()
+        d_calls.clear()
         branelab.infdef._symbols.cache_clear()
         complex_slice(c, truncation)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] <= n * (n + 1) // 2 + 1
+        assert len(calls) == 1
+        assert len(d_calls) == ext_d_calls
+
+
+def per_probe_symbols(c):
+    """frame, quad and t derived one probe at a time, one generator call
+    per probe frequency and one ext_d call per frame column and unit
+    vector: the reference for the batched derivation of _symbols."""
+    y, n = c.model_Y, c.model_Y.dim
+    pairs = list(itertools.combinations(range(n), 2))
+    triples = list(itertools.combinations(range(n), 3))
+    if c.E_frame.rank == 0:
+        frame = np.column_stack(constant_type11_basis(c))
+    else:
+        frame = np.eye(len(pairs))
+
+    def at_mode(f, k, phase):
+        mode = ((0,) * n, tuple(int(x) for x in k), phase)
+        assert all(key == mode for key, _ in f.terms)
+        return dict(f.terms).get(mode, 0.0)
+
+    def probe(k):
+        p = hamiltonian_generator(ScalarField.cosine(y, k), c)
+        return np.array([at_mode(p.r.coeff((n - 1,)), k, SIN)]
+                        + [at_mode(p.B.coeff(ab), k, COS) for ab in pairs])
+
+    unit, quad = np.eye(n, dtype=int), np.zeros((n, n, 1 + len(pairs)))
+    quad[range(n), range(n)] = [probe(e) for e in unit]
+    for i, j in pairs:
+        quad[i, j] = quad[j, i] = (
+            probe(unit[i] + unit[j]) - quad[i, i] - quad[j, j]) / 2
+    t = []
+    for vec in frame.T:
+        beta = DifferentialForm.build(y, 2, dict(zip(pairs, vec)))
+        t.append([[at_mode(ext_d(beta * ScalarField.cosine(y, e)).coeff(abc),
+                           e, SIN) for abc in triples] for e in unit])
+    return frame, quad, np.array(t)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bundled_candidate("cohomology_t4"), gl_pair_t4, seed84_pair,
+    lambda: SKEWED_G, lambda: C5])
+def test_batched_symbols_equal_the_per_probe_derivation(make):
+    c = make()
+    branelab.infdef._symbols.cache_clear()
+    _, _, *got = branelab.infdef._symbols(c)
+    for a, b in zip(got, per_probe_symbols(c)):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("make", [
@@ -494,14 +549,34 @@ def off_mode(pair, f, c):
         c.model_Y, (0, 1)) * ScalarField.cosine(c.model_Y, (0, 0, 0, 3)))
 
 
+def bend_terms(form, move):
+    """form with each term (key, coeff) of each component replaced by the
+    term move(key, coeff)."""
+    return DifferentialForm.build(form.model, form.degree, {
+        idx: ScalarField.build(form.model, dict(
+            move(key, v) for key, v in f.terms)) for idx, f in form.coeffs})
+
+
 def cubic(pair, f, c):
-    """The pair with its 2-form scaled by k_1 + ... + k_n, the sum of the
-    frequency of the cosine f."""
-    return InfDefPair(pair.r, pair.B * float(sum(f.terms[0][0][1])))
+    """The pair with each term of its 2-form scaled by k_1 + ... + k_n,
+    the sum of the frequency of that term's own mode."""
+    return InfDefPair(pair.r, bend_terms(
+        pair.B, lambda key, v: (key, v * float(sum(key[1])))))
+
+
+def shifted(pair, f, c):
+    """The pair with every term moved from frequency k to k + e_1: the
+    image of e_2 lands on the probe mode e_1 + e_2, that of e_1 on 2 e_1,
+    which no probe has."""
+    def move(key, v):
+        powers, freqs, phase = key
+        return (powers, (freqs[0] + 1,) + freqs[1:], phase), v
+    return InfDefPair(bend_terms(pair.r, move), bend_terms(pair.B, move))
 
 
 @pytest.mark.parametrize("bend, message", [
     (off_mode, "leaves its Fourier mode"),
+    (shifted, "leaves its Fourier mode"),
     (cubic, "no constant-coefficient symbol")])
 def test_a_generator_without_a_symbol_is_an_error(monkeypatch, bend,
                                                   message):
@@ -509,6 +584,17 @@ def test_a_generator_without_a_symbol_is_an_error(monkeypatch, bend,
                         lambda f, c: bend(hamiltonian_generator(f, c), f, c))
     branelab.infdef._symbols.cache_clear()
     with pytest.raises(ValueError, match=message):
+        complex_slice(gl_pair_t4(), 1)
+
+
+def test_a_stray_image_term_is_named(monkeypatch):
+    monkeypatch.setattr(branelab.infdef, "hamiltonian_generator",
+                        lambda f, c: off_mode(hamiltonian_generator(f, c),
+                                              f, c))
+    branelab.infdef._symbols.cache_clear()
+    with pytest.raises(ValueError, match=re.escape(
+            "a probe's image leaves its Fourier mode: a cos term at "
+            "frequency (0, 0, 0, 3)")):
         complex_slice(gl_pair_t4(), 1)
 
 
