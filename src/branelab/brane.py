@@ -92,15 +92,13 @@ class BraneCandidate:
 
 @dataclass(frozen=True)
 class AmbientModel:
-    """Gotay-style product ambient: Y times one line fiber per E direction."""
+    """Gotay-style product ambient: Y times one line fiber per E direction.
+    omega_M is closed exactly when the candidate's omega is; check_brane_via_J
+    records that as a condition rather than refusing the model."""
 
     model_M: ManifoldModel
     omega_M: DifferentialForm
     n_base: int  # leading coordinates of model_M form Y
-
-    def __post_init__(self):
-        if not ext_d(self.omega_M).is_zero():
-            raise ValueError("ambient 2-form must be closed")
 
 
 def ambient_for(c: BraneCandidate) -> AmbientModel:
@@ -142,12 +140,21 @@ def lift_form(form: DifferentialForm, target: ManifoldModel,
     return DifferentialForm.build(target, form.degree, raw)
 
 
-def _point_namer(plan: SamplePlan, model: ManifoldModel, pts):
-    """Sample i of pts; without pts (constant data, evaluated once) the
-    first plan point, drawn only when a witness or an error names it."""
-    if pts is not None:
-        return pts.__getitem__
-    return lambda i: plan.points(model)[0]
+def _evaluate(plan: SamplePlan, model: ManifoldModel, constant, sampled):
+    """A check's mode, point namer and arrays, one batch row per point.
+
+    constant holds the arrays of constant data, or is None when some of
+    the data varies.  On constant data the arrays are a batch of one and
+    the mode is EXACT; the namer gives the first plan point, drawn only
+    when a witness or an error names it.  Otherwise sampled(pts) evaluates
+    the arrays at the plan's points, the namer gives point i, and the mode
+    is SAMPLED.
+    """
+    if constant is not None:
+        return (EXACT, lambda i: plan.points(model)[0],
+                tuple(a[None] for a in constant))
+    pts = plan.points(model)
+    return SAMPLED, pts.__getitem__, sampled(pts)
 
 
 def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
@@ -163,19 +170,15 @@ def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
     I_squared_plus_id is the worst residual over the nondegenerate
     samples, and is absent when there are none.
     """
+    model = omega.model
     W, FC = omega.constant_gram(), F.constant_gram()
-    exact = W is not None and FC is not None
-    res = CheckResult("space_filling", EXACT if exact else SAMPLED, False)
+    mode, at, (WG, FG) = _evaluate(
+        plan, model, None if W is None or FC is None else (W, FC),
+        lambda pts: (omega.gram_batch(pts), F.gram_batch(pts)))
+    res = CheckResult("space_filling", mode)
     res.hold("closed_omega", ext_d(omega).max_coeff(), EXACT_ZERO, "d_omega")
     res.hold("closed_F", ext_d(F).max_coeff(), EXACT_ZERO, "d_F")
-
-    model = omega.model
-    if exact:
-        pts, WG, FG = None, W[None], FC[None]
-    else:
-        pts = plan.points(model)
-        WG, FG = omega.gram_batch(pts), F.gram_batch(pts)
-    at = _point_namer(plan, model, pts)
+    exact = mode == EXACT
     bound = EXACT_ZERO if exact else tol
     nondeg = True
     worst, worst_at = None, 0
@@ -200,7 +203,6 @@ def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
         res.add_witness(at(worst_at), worst, "I_square")
     res.conditions["nondegenerate"] = bool(nondeg)
     res.conditions["I_squares_minus_id"] = bool(squares)
-    res.passed = all(res.conditions.values())
     return res
 
 
@@ -242,20 +244,16 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
     Otherwise it is SAMPLED at every plan point, the square held to tol.
     """
     validate_candidate(c, plan)
-    exact = c.constant_frames is not None and c.constant_grams is not None
-    res = CheckResult("brane", EXACT if exact else SAMPLED, False)
+    grams, frames = c.constant_grams, c.constant_frames
+    mode, at, (WG, FG, GM, EM) = _evaluate(
+        plan, c.model_Y,
+        None if grams is None or frames is None else grams + frames,
+        lambda pts: (c.omega.gram_batch(pts), c.F.gram_batch(pts),
+                     c.G_frame.matrices(pts), c.E_frame.matrices(pts)))
+    res = CheckResult("brane", mode)
     res.hold("omega_closed", ext_d(c.omega).max_coeff(), EXACT_ZERO, "d_omega")
     res.hold("F_closed", ext_d(c.F).max_coeff(), EXACT_ZERO, "d_F")
-
-    if exact:
-        (GC, EC), (W, FC) = c.frames, c.grams
-        pts, WG, FG, EM, GM = None, W[None], FC[None], EC[None], GC[None]
-    else:
-        pts = plan.points(c.model_Y)
-        WG, FG = c.omega.gram_batch(pts), c.F.gram_batch(pts)
-        EM, GM = c.E_frame.matrices(pts), c.G_frame.matrices(pts)
-    at = _point_namer(plan, c.model_Y, pts)
-    bound = EXACT_ZERO if exact else tol
+    bound = EXACT_ZERO if mode == EXACT else tol
     k = c.E_frame.rank
     worst_kernel = 0.0
     worst_square = 0.0
@@ -283,7 +281,6 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
                 res.add_witness(at(i), r, "transverse_square")
     res.hold("kernels_equal", worst_kernel, SUBSPACE, "kernel_angle")
     res.hold("transverse_I_squares", worst_square, bound, "transverse_square")
-    res.passed = all(res.conditions.values())
     return res
 
 
@@ -318,31 +315,27 @@ def check_brane_via_J(c: BraneCandidate,
     """Brane test via J-invariance of tau_F in TM + T*M.
 
     J(X, xi) = (-omega_M^-1 xi, omega_M X) on the product ambient_for(c);
-    the candidate passes iff J tau_F = tau_F at every sample (and the
-    ambient form is closed, which the AmbientModel construction
-    guarantees).  When omega and F are constant, so are the ambient form,
-    J and tau_F: the check is EXACT, evaluated once, and witnesses and
-    errors name the first plan point, the plan drawn only when one does.
-    Otherwise it is SAMPLED at every plan point.
+    the candidate passes iff J tau_F = tau_F at every sample and omega and
+    F are closed.  omega_M, the lifted omega plus a constant coupling, is
+    closed exactly when omega is, so a non-closed omega fails the
+    omega_closed condition, as in check_brane, rather than raising.
+    When omega and F are constant, so are the ambient form, J and tau_F:
+    the check is EXACT, evaluated once, and witnesses and errors name the
+    first plan point, the plan drawn only when one does.  Otherwise it is
+    SAMPLED at every plan point.
     """
     ambient = ambient_for(c)
-    exact = c.constant_grams is not None
-    res = CheckResult("brane_via_J", EXACT if exact else SAMPLED, False)
-    # J-invariance is pointwise linear algebra; closedness is checked
-    # separately so the verdict matches check_brane on non-closed inputs
-    res.hold("omega_closed", ext_d(c.omega).max_coeff(), EXACT_ZERO, "d_omega")
-    res.hold("F_closed", ext_d(c.F).max_coeff(), EXACT_ZERO, "d_F")
     m = ambient.model_M.dim
     n = ambient.n_base
-    if exact:
-        pts = None
-        WG, FG = ambient.omega_M.constant_gram()[None], c.grams[1][None]
-    else:
-        pts = plan.points(c.model_Y)
-        P = np.zeros((pts.shape[0], m))
-        P[:, :n] = pts
-        WG, FG = ambient.omega_M.gram_batch(P), c.F.gram_batch(pts)
-    at = _point_namer(plan, c.model_Y, pts)
+    fibers = ((0, 0), (0, m - n))  # pads a sample to its ambient point
+    mode, at, (WG, FG) = _evaluate(
+        plan, c.model_Y, None if c.constant_grams is None else (
+            ambient.omega_M.constant_gram(), c.grams[1]),
+        lambda pts: (ambient.omega_M.gram_batch(np.pad(pts, fibers)),
+                     c.F.gram_batch(pts)))
+    res = CheckResult("brane_via_J", mode)
+    res.hold("omega_closed", ext_d(c.omega).max_coeff(), EXACT_ZERO, "d_omega")
+    res.hold("F_closed", ext_d(c.F).max_coeff(), EXACT_ZERO, "d_F")
     worst = 0.0
     for i in range(WG.shape[0]):
         # the ambient point is the sample with every fiber coordinate 0
@@ -362,7 +355,6 @@ def check_brane_via_J(c: BraneCandidate,
         if r > SUBSPACE:
             res.add_witness(at(i), r, "J_invariance")
     res.hold("J_invariant", worst, SUBSPACE, "J_residual")
-    res.passed = all(res.conditions.values())
     return res
 
 

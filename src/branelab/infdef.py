@@ -119,7 +119,7 @@ def check_infdef(pair: InfDefPair, c: BraneCandidate) -> CheckResult:
     E, G = c.E_frame, c.G_frame
     I_hat = transverse_endo(c)
     IG = [I_hat.apply(v) for v in G.frame]
-    res = CheckResult("infdef", EXACT, False)
+    res = CheckResult("infdef", EXACT)
     dr = ext_d(pair.r)
     res.hold("r_foliated_closed", frame_residual(dr, E.frame), EXACT_ZERO)
     res.hold("B_closed", ext_d(pair.B).max_coeff(), EXACT_ZERO)
@@ -133,7 +133,6 @@ def check_infdef(pair: InfDefPair, c: BraneCandidate) -> CheckResult:
         (apply_form(pair.B, [ia, ib]) - apply_form(pair.B, [a, b])).max_coeff()
         for (a, ia), (b, ib) in itertools.combinations(zip(G.frame, IG), 2)),
         default=0.0), EXACT_ZERO)
-    res.passed = all(res.conditions.values())
     return res
 
 
@@ -162,7 +161,7 @@ def infdef_general_check(pair: InfDefPair, c: BraneCandidate) -> CheckResult:
     E, G = c.E_frame, c.G_frame
     I_hat = transverse_endo(c)
     IG = [I_hat.apply(v) for v in G.frame]
-    res = CheckResult("infdef_general", EXACT, False)
+    res = CheckResult("infdef_general", EXACT)
     omega_dot = -ext_d(pair.r)
     res.hold("omega_dot_horizontal", frame_residual(omega_dot, E.frame),
              EXACT_ZERO)
@@ -174,7 +173,6 @@ def infdef_general_check(pair: InfDefPair, c: BraneCandidate) -> CheckResult:
         for e, alpha in zip(E.frame, alphas)
         for v, iv in zip(G.frame, IG)), default=0.0), EXACT_ZERO)
     res.hold("eq_iv", _eq_iv_residual(pair, c, I_hat), EXACT_ZERO)
-    res.passed = all(res.conditions.values())
     return res
 
 
@@ -240,12 +238,11 @@ def upsilon_image_check(r: DifferentialForm, omega_N: DifferentialForm,
     X_h = sharp(omega_N, d_scalar(h))
     lie = lie_derivative(X_h, F_N)
 
-    res = CheckResult("upsilon_image", EXACT, False)
+    res = CheckResult("upsilon_image", EXACT)
     res.hold("pde_vanishes", beta.max_coeff(), EXACT_ZERO)
     res.hold("lie_vanishes", lie.max_coeff(), EXACT_ZERO)
     res.conditions["routes_agree"] = (
         res.conditions["pde_vanishes"] == res.conditions["lie_vanishes"])
-    res.passed = all(res.conditions.values())
     res.details["average"] = str(h)
     return res
 

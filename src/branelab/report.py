@@ -1,7 +1,11 @@
 """Structured verdicts and report emission (json / csv / text).
 
-The pass rule: a condition that holds a residual to a bound is recorded
-by CheckResult.hold, which stores the residual and passes the condition
+The pass rule lives here, in CheckResult.passed: a record passes exactly
+when its mode is not ERROR and all its conditions hold, and the runner's
+details["expected"] = "fail" mark inverts that (a record that raised
+still fails).  No checker writes a verdict; it records conditions.  A
+condition that holds a residual to a bound is recorded by
+CheckResult.hold, which stores the residual and passes the condition
 exactly when residual <= bound.  Every bound test of the checkers goes
 through it; the other conditions (agreement of two routes, an expected
 count, a raised obstruction, nondegeneracy) are booleans of their own.
@@ -40,17 +44,25 @@ def _plain(x):
 
 @dataclass
 class CheckResult:
-    """One check's verdict: overall pass, per-condition booleans, residuals
-    and worst-offender witnesses."""
+    """One check's record: per-condition booleans, residuals and
+    worst-offender witnesses, from which the verdict derives."""
 
     name: str
     mode: str
-    passed: bool
     conditions: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
     wall_time: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        """Not ERROR and every condition holds, inverted on a record marked
+        details["expected"] = "fail"; ERROR fails either way."""
+        if self.mode == ERROR:
+            return False
+        return (all(self.conditions.values())
+                != (self.details.get("expected") == "fail"))
 
     def hold(self, condition: str, value, bound, residual: str | None = None
              ) -> bool:
@@ -71,7 +83,7 @@ class CheckResult:
         return {
             "name": self.name,
             "mode": self.mode,
-            "pass": bool(self.passed),
+            "pass": self.passed,
             "conditions": _plain(self.conditions),
             "residuals": _plain(self.residuals),
             "witnesses": _plain(self.witnesses),

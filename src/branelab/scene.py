@@ -110,10 +110,9 @@ def _transported(cfg, g, F):
 
 def _type11(cfg, spec, B, omega, F):
     I = endo_from_pair(omega, F)
-    rec = CheckResult("type11", EXACT, False)
-    rec.passed = rec.hold("pullback_fixed",
-                          (I.pullback_twoform(B) - B).max_coeff(),
-                          EXACT_ZERO, "pullback_delta")
+    rec = CheckResult("type11", EXACT)
+    rec.hold("pullback_fixed", (I.pullback_twoform(B) - B).max_coeff(),
+             EXACT_ZERO, "pullback_delta")
     return rec
 
 
@@ -125,21 +124,22 @@ def _hamiltonian_cocycle(cfg, spec, f, c):
 
 
 def _build_infdef(cfg, spec, rho, B0, c):
-    expect = spec.opt("expect", "pass")
+    expected = spec.opt("expect", "pass") == "obstruction"
     try:
         pair = build_infdef(rho, B0, c)
     except (AverageObstruction, Type11Violation) as e:
-        rec = CheckResult("build_infdef", EXACT, expect == "obstruction")
+        rec = CheckResult("build_infdef", EXACT)
         rec.conditions["raised_obstruction"] = True
-        # a raised obstruction that was not expected is the failure reason
-        rec.details["obstruction" if rec.passed else "error"] = str(e)
+        if not expected:
+            # an obstruction that was not expected is the failure reason
+            rec.conditions["obstruction_expected"] = False
+        rec.details["obstruction" if expected else "error"] = str(e)
         if getattr(e, "residual", None) is not None:
             rec.residuals["average_defect"] = float(e.residual)
         return rec
     rec = check_infdef(pair, c)
-    if expect == "obstruction":
+    if expected:
         rec.conditions["raised_obstruction"] = False
-        rec.passed = False
         rec.details["error"] = "expected an obstruction but the build succeeded"
     return rec
 
@@ -147,7 +147,7 @@ def _build_infdef(cfg, spec, rho, B0, c):
 def _cohomology(cfg, spec, c):
     T = truncation(spec.opt("truncation", "1"))
     cs = complex_slice(c, T)
-    rec = CheckResult("cohomology", SAMPLED, False)
+    rec = CheckResult("cohomology", SAMPLED)
     bound = cs.d1_d0_bound()
     rec.hold("d1_d0_zero", cs.d1_d0_residual(), bound, "d1_d0")
     expected = spec.opt("h1")
@@ -157,7 +157,6 @@ def _cohomology(cfg, spec, c):
                        blocks=cs.block_summary())
     if expected is not None:
         rec.conditions["h1_matches"] = ker - rank == int(expected)
-    rec.passed = all(rec.conditions.values())
     return rec
 
 

@@ -298,13 +298,13 @@ def test_melanie_brackets_a_rank_two_kernel_frame(F, E, involutive):
 
 def test_convergence_order_nonlinear_at_least_rk4():
     pts = SamplePlan(count=6, seed=4).points(N_MIX)
-    order = convergence_order(wavy(0.2), pts, 1.0)
+    order = convergence_order(wavy(0.2), pts)
     assert order >= 3.9
 
 
 def test_convergence_order_degenerate_sequence_raises():
     with pytest.raises(ValueError):
-        convergence_order(shear(), SamplePlan(count=4, seed=4).points(N_MIX), 1.0)
+        convergence_order(shear(), SamplePlan(count=4, seed=4).points(N_MIX))
 
 
 def test_flow_options_step_controls_node_count():

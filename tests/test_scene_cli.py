@@ -426,7 +426,7 @@ def test_expected_obstruction_is_no_error_line(tmp_path, capsys):
     _, data = run_json(tmp_path, capsys, text.replace(
         "rho_bad B0N c expect=obstruction", "rho_bad B0N c"))
     rec = next(c for c in data["checks"] if c["name"] == name)
-    assert not rec["pass"]
+    assert not rec["pass"] and False in rec["conditions"].values()
     assert rec["details"]["error"].startswith(
         "circle average of the slice 1-form is not closed")
     assert "obstruction" not in rec["details"]
@@ -509,6 +509,29 @@ def test_expected_failure_does_not_pass_a_raised_check(tmp_path, capsys):
     assert rec["pass"] is False
 
 
+# example_r4 with an omega that is not closed: d(0.5*y1*dx1^dx2) != 0
+OPEN_OMEGA = (bundled_scene_dir() / "example_r4.scene").read_text(
+    encoding="utf-8").replace("form omega @ M = dx1^dy2 + dy1^dx2",
+                              "form omega @ M = dx1^dy2 + dy1^dx2"
+                              " + 0.5*y1*dx1^dx2")
+
+
+def test_brane_checks_fail_on_an_omega_that_is_not_closed(tmp_path, capsys):
+    code, data = run_json(tmp_path, capsys, OPEN_OMEGA)
+    assert code == 1
+    assert [c["name"] for c in data["checks"]] == [
+        "space_filling(omega, F)", "brane(c)", "brane_via_J(c)"]
+    for rec, closed in zip(data["checks"],
+                           ("closed_omega", "omega_closed", "omega_closed")):
+        assert rec["mode"] == "SAMPLED" and not rec["pass"]
+        assert rec["conditions"][closed] is False
+    text = OPEN_OMEGA.replace(" F\n", " F expect=fail\n").replace(
+        " c\n", " c expect=fail\n")
+    assert text.count("expect=fail") == 3
+    code, data = run_json(tmp_path, capsys, text)
+    assert code == 0 and all(c["pass"] for c in data["checks"])
+
+
 def test_infdef_subcommand_takes_no_flow_settings(capsys):
     for flag in ("--steps", "--q-grid"):
         with pytest.raises(SystemExit) as exc:
@@ -525,7 +548,7 @@ def test_infdef_subcommand_takes_no_flow_settings(capsys):
 
 
 def test_hold_records_the_residual_and_passes_at_the_bound():
-    rec = CheckResult("demo", EXACT, False)
+    rec = CheckResult("demo", EXACT)
     assert rec.hold("closed", 1e-10, 1e-10)
     assert not rec.hold("small", 2.0, 1.0, residual="size")
     assert rec.conditions == {"closed": True, "small": False}

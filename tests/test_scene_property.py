@@ -117,3 +117,6 @@ def test_random_scene_runs_to_records(text):
     assert len(report.checks) == len(scene.checks)
     for rec in report.checks:
         assert rec.mode in (EXACT, SAMPLED, ERROR)
+        # no check here expects failure, so none is inverted
+        assert rec.to_record()["pass"] is (
+            rec.mode != ERROR and all(rec.conditions.values()))
