@@ -104,13 +104,13 @@ class AmbientModel:
 def ambient_for(c: BraneCandidate) -> AmbientModel:
     """Ambient model Y x R^k with omega_M = omega + sum d(eta_a) ^ dt_a.
 
-    Built for candidates whose frames are constant: each E direction gets a
-    conjugate line fiber t_a, and omega_M couples them through the dual
-    coframe eta_a of the E-frame, reducing to omega_N + dq^dt in the
-    codimension-one product case.
+    Each E direction gets a conjugate line fiber t_a, and omega_M couples
+    them through the dual coframe eta_a of the E-frame, reducing to
+    omega_N + dq^dt in the codimension-one product case.  The coupling
+    needs constant frames; with E empty there is none to build.
     """
-    eta = c.joint_inverse[c.G_frame.rank:]
     n, k = c.model_Y.dim, c.E_frame.rank
+    eta = c.joint_inverse[c.G_frame.rank:] if k else None
     M = c.model_Y
     taken = {name for name, _ in M.coords}
     for a in range(k):
@@ -179,30 +179,25 @@ def check_space_filling(omega: DifferentialForm, F: DifferentialForm,
     res.hold("closed_omega", ext_d(omega).max_coeff(), EXACT_ZERO, "d_omega")
     res.hold("closed_F", ext_d(F).max_coeff(), EXACT_ZERO, "d_F")
     exact = mode == EXACT
-    bound = EXACT_ZERO if exact else tol
-    nondeg = True
-    worst, worst_at = None, 0
-    for i in range(WG.shape[0]):
-        cond = condition_number(WG[i])
-        if exact:
-            res.details["omega_condition"] = cond
-        if cond > CONDITION_LIMIT:
-            nondeg = False
-            res.add_witness(at(i), float("inf"), "degenerate_omega")
-            continue
-        I = np.linalg.solve(WG[i], FG[i])
-        r = float(np.abs(I @ I + np.eye(model.dim)).max())
-        if exact:
-            res.details["I_matrix"] = I.tolist()
-        if worst is None or r > worst:
-            worst, worst_at = r, i
-    squares = worst is None or worst <= bound
-    if worst is not None:
-        res.residuals["I_squared_plus_id"] = worst
-    if not squares:
-        res.add_witness(at(worst_at), worst, "I_square")
-    res.conditions["nondegenerate"] = bool(nondeg)
-    res.conditions["I_squares_minus_id"] = bool(squares)
+    conds = np.array([condition_number(W) for W in WG])
+    if exact:
+        res.details["omega_condition"] = float(conds[0])
+    degenerate = conds > CONDITION_LIMIT
+    res.conditions["nondegenerate"] = not degenerate.any()
+    if degenerate.any():
+        res.add_witness(at(int(np.argmax(degenerate))), float("inf"),
+                        "degenerate_omega")
+    good = np.flatnonzero(~degenerate)
+    if not good.size:
+        res.conditions["I_squares_minus_id"] = True
+        return res
+    I = np.linalg.solve(WG[good], FG[good])
+    if exact:
+        res.details["I_matrix"] = I[0].tolist()
+    res.hold("I_squares_minus_id",
+             np.abs(I @ I + np.eye(model.dim)).max(axis=(1, 2)),
+             EXACT_ZERO if exact else tol, "I_squared_plus_id",
+             at=lambda j: at(good[j]), label="I_square")
     return res
 
 
@@ -253,34 +248,28 @@ def check_brane(c: BraneCandidate, plan: SamplePlan = DEFAULT_PLAN,
     res = CheckResult("brane", mode)
     res.hold("omega_closed", ext_d(c.omega).max_coeff(), EXACT_ZERO, "d_omega")
     res.hold("F_closed", ext_d(c.F).max_coeff(), EXACT_ZERO, "d_F")
-    bound = EXACT_ZERO if mode == EXACT else tol
     k = c.E_frame.rank
-    worst_kernel = 0.0
-    worst_square = 0.0
+    angles = np.zeros((WG.shape[0], 2))  # per sample: omega's, F's
+    squares = np.zeros(WG.shape[0])
     for i in range(WG.shape[0]):
-        E = EM[i]
-        for label, G in (("omega", WG[i]), ("F", FG[i])):
+        for f, (label, G) in enumerate((("omega", WG[i]), ("F", FG[i]))):
             nul = kernel_basis(G)
             if nul.shape[1] != k:
                 raise RankDropError(
                     f"{label} kernel rank {nul.shape[1]} != {k} at sample "
                     f"{at(i).tolist()}")
-            ang = max_principal_angle(nul, E) if k else 0.0
-            worst_kernel = max(worst_kernel, ang)
-            if ang > SUBSPACE:
-                res.add_witness(at(i), ang, f"kernel_{label}")
+            angles[i, f] = max_principal_angle(nul, EM[i]) if k else 0.0
         # transverse complex structure on the G-frame
-        Gm = GM[i]
-        if Gm.shape[1]:
-            I = transverse_matrix(
-                WG[i], FG[i], Gm,
-                lambda: f"sample {at(i).tolist()} on the G-frame")
-            r = np.abs(I @ I + np.eye(Gm.shape[1])).max()
-            worst_square = max(worst_square, r)
-            if r > bound:
-                res.add_witness(at(i), r, "transverse_square")
-    res.hold("kernels_equal", worst_kernel, SUBSPACE, "kernel_angle")
-    res.hold("transverse_I_squares", worst_square, bound, "transverse_square")
+        if GM.shape[2]:
+            I = transverse_matrix(WG[i], FG[i], GM[i], lambda: (
+                f"sample {at(i).tolist()} on the G-frame"))
+            squares[i] = np.abs(I @ I + np.eye(GM.shape[2])).max()
+    form = ("omega", "F")[int(np.argmax(angles.max(axis=0, initial=0.0)))]
+    res.hold("kernels_equal", angles.max(axis=1), SUBSPACE, "kernel_angle",
+             at=at, label=f"kernel_{form}")
+    res.hold("transverse_I_squares", squares,
+             EXACT_ZERO if mode == EXACT else tol, "transverse_square",
+             at=at, label="transverse_square")
     return res
 
 
@@ -322,8 +311,9 @@ def check_brane_via_J(c: BraneCandidate,
     When omega and F are constant, so are the ambient form, J and tau_F:
     the check is EXACT, evaluated once, and witnesses and errors name the
     first plan point, the plan drawn only when one does.  Otherwise it is
-    SAMPLED at every plan point.
+    SAMPLED at every plan point.  The frames are validated as in check_brane.
     """
+    validate_candidate(c, plan)
     ambient = ambient_for(c)
     m = ambient.model_M.dim
     n = ambient.n_base
@@ -336,7 +326,7 @@ def check_brane_via_J(c: BraneCandidate,
     res = CheckResult("brane_via_J", mode)
     res.hold("omega_closed", ext_d(c.omega).max_coeff(), EXACT_ZERO, "d_omega")
     res.hold("F_closed", ext_d(c.F).max_coeff(), EXACT_ZERO, "d_F")
-    worst = 0.0
+    J_residuals = np.zeros(WG.shape[0])
     for i in range(WG.shape[0]):
         # the ambient point is the sample with every fiber coordinate 0
         _condition_gate(WG[i], lambda: (
@@ -350,11 +340,9 @@ def check_brane_via_J(c: BraneCandidate,
         img = J @ basis
         resid = img - Q @ (Q.T @ img)
         scale = max(np.linalg.norm(img, axis=0).max(), 1.0)
-        r = float(np.linalg.norm(resid, axis=0).max() / scale)
-        worst = max(worst, r)
-        if r > SUBSPACE:
-            res.add_witness(at(i), r, "J_invariance")
-    res.hold("J_invariant", worst, SUBSPACE, "J_residual")
+        J_residuals[i] = np.linalg.norm(resid, axis=0).max() / scale
+    res.hold("J_invariant", J_residuals, SUBSPACE, "J_residual", at=at,
+             label="J_invariance")
     return res
 
 

@@ -476,9 +476,12 @@ def translate(a: ScalarField, shifts) -> ScalarField:
     out = []
     for (p, k, phase), c in a.terms:
         # (x_i + s_i)^p_i = sum_r C(p_i, r) s_i^(p_i - r) x_i^r, per power
-        expand = [[(r, math.comb(e, r) * s[i] ** (e - r))
-                   for r in range(e + 1)] if e and s[i] else [(e, 1.0)]
-                  for i, e in enumerate(p)]
+        try:
+            expand = [[(r, math.comb(e, r) * s[i] ** (e - r))
+                       for r in range(e + 1)] if e and s[i] else [(e, 1.0)]
+                      for i, e in enumerate(p)]
+        except OverflowError:  # a float power raises where a product is inf
+            raise _non_finite(math.inf) from None
         phi = TWO_PI * (sum(kj * sj for kj, sj in zip(k, s)) % 1.0)
         cphi, sphi = math.cos(phi), math.sin(phi)
         for picks in itertools.product(*expand):

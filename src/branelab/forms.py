@@ -27,7 +27,7 @@ import numpy as np
 
 from .fields import (ScalarField, TermBank, VectorField, bracket, combine,
                      linear_map, partial)
-from .model import EXACT_ZERO, SVD_RANK_REL, ManifoldModel
+from .model import EXACT_ZERO, SVD_RANK_REL, ManifoldModel, SamplePlan
 
 # Gram condition number above which a form is treated as degenerate at a
 # point (raises, never a silent pass)
@@ -432,20 +432,23 @@ def max_principal_angle(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.max(theta))
 
 
-def bracket_span_residual(dist: Distribution, points) -> float:
-    """Worst span_residual of the frame's pairwise brackets against the
-    frame, over a batch of points; 0 below rank 2.  The distribution is
-    involutive at the points when it is within model.SUBSPACE."""
-    brackets = [bracket(dist.frame[a], dist.frame[b])
-                for a in range(dist.rank) for b in range(a + 1, dist.rank)]
+def bracket_span_residual(dist: Distribution, plan: SamplePlan) -> np.ndarray:
+    """Per point of plan, the worst span_residual against the frame of the
+    frame's pairwise brackets that are not the zero field; no values, and
+    no plan drawn, when there are none.  The distribution is involutive at
+    the points when every value is within model.SUBSPACE."""
+    brackets = [br for br in itertools.starmap(
+        bracket, itertools.combinations(dist.frame, 2))
+        if any(c.terms for c in br.components)]
     if not brackets:
-        return 0.0
-    d = dist.model.dim
+        return np.zeros(0)
+    points = plan.points(dist.model)
     frames = dist.matrices(points)
-    vals = TermBank([c for br in brackets for c in br.components], d)(points)
-    vals = vals.reshape(len(frames), len(brackets), d)
-    return max((span_residual(E, v)
-                for E, row in zip(frames, vals) for v in row), default=0.0)
+    vals = TermBank([c for br in brackets for c in br.components],
+                    dist.model.dim)(points)
+    vals = vals.reshape(len(frames), len(brackets), -1)
+    return np.array([max(span_residual(E, v) for v in row)
+                     for E, row in zip(frames, vals)])
 
 
 def span_residual(E: np.ndarray, v: np.ndarray) -> float:

@@ -215,11 +215,9 @@ def invariance_check(F_N: DifferentialForm, fr: FlowResult,
     Gx = F_N.gram_batch(fr.points[:, :n])
     Gy = F_N.gram_batch(F_N.model.wrap(fr.images[:, :n]))
     R = np.einsum("kji,kjl,klm->kim", fr.jacobians, Gy, fr.jacobians) - Gx
-    per = np.abs(R).reshape(fr.points.shape[0], -1).max(axis=1)
-    worst = int(np.argmax(per))
     res.residuals["symplectic"] = float(fr.symplectic_residuals.max(initial=0.0))
-    if not res.hold("F_N_preserved", float(per[worst]), tol, "invariance"):
-        res.add_witness(fr.points[worst], per[worst], "not_preserved")
+    res.hold("F_N_preserved", np.abs(R).max(axis=(1, 2)), tol, "invariance",
+             at=fr.points.__getitem__, label="not_preserved")
     return res
 
 
@@ -300,11 +298,9 @@ class TransportedForm:
         g = self.g
         pts, M = self.matrices_at(plan.points(g.y_model))
         Z = kernel_field(g).eval_batch(pts)
-        r = np.abs(np.einsum("kab,kb->ka", M, Z)).max(axis=1)
-        worst = int(np.argmax(r))
-        if not res.hold("kernel_annihilated", float(r[worst]), tol,
-                        "kernel_contraction"):
-            res.add_witness(pts[worst], r[worst], "kernel")
+        res.hold("kernel_annihilated",
+                 np.abs(np.einsum("kab,kb->ka", M, Z)).max(axis=1), tol,
+                 "kernel_contraction", at=pts.__getitem__, label="kernel")
         return res
 
     def zero_slice_check(self, plan: SamplePlan = DEFAULT_PLAN) -> CheckResult:
@@ -316,8 +312,9 @@ class TransportedForm:
         pts[:, g.q_index] = 0.0
         _, M = self.matrices_at(pts)
         G = self.F_N.gram_batch(pts[:, :g.n_dim])
-        r = float(np.abs(M[:, :g.n_dim, :g.n_dim] - G).max())
-        res.hold("slice_equals_F_N", r, 0.0, "zero_slice")
+        r = np.abs(M[:, :g.n_dim, :g.n_dim] - G).max(axis=(1, 2))
+        res.hold("slice_equals_F_N", r, 0.0, "zero_slice", at=pts.__getitem__,
+                 label="zero_slice")
         return res
 
     def fd_exterior_check(self, tol: float = 1e-5) -> CheckResult:
@@ -348,11 +345,10 @@ class TransportedForm:
         # each probe's worst
         a, b, c = np.array(list(itertools.combinations(range(dY), 3)),
                            dtype=int).reshape(-1, 3).T
-        per = np.abs(dM[:, a, b, c] - dM[:, b, a, c] + dM[:, c, a, b]
-                     ).max(axis=1, initial=0.0)
-        worst = int(np.argmax(per))
-        if not res.hold("closed_fd", per[worst], tol, "fd_exterior"):
-            res.add_witness(probes[worst], per[worst], "fd_closed")
+        res.hold("closed_fd", np.abs(
+            dM[:, a, b, c] - dM[:, b, a, c] + dM[:, c, a, b]).max(
+                axis=1, initial=0.0), tol, "fd_exterior",
+            at=probes.__getitem__, label="fd_closed")
         res.details["fd_step"] = h
         return res
 
@@ -438,14 +434,15 @@ def melanie_check(F: DifferentialForm, E: Distribution, G: Distribution,
     """Kernel-flatness criterion: E involutive, holonomy invariance of F
     transverse to E, and leafwise-transverse closedness; their conjunction
     must match dF = 0 whenever E is the kernel of F.  Involutivity is
-    held to SUBSPACE at plan's points, the rest to EXACT_ZERO."""
-    model = F.model
+    held to SUBSPACE at plan's points (SAMPLED), unless every bracket of
+    E's frame is the zero field; the rest to EXACT_ZERO."""
     for v in E.frame:
         if not interior(v, F).is_zero():
             raise ValueError("declared kernel frame does not annihilate F")
-    res = CheckResult("melanie", EXACT)
-    res.hold("i_involutive", bracket_span_residual(E, plan.points(model)),
-             SUBSPACE, "bracket_span")
+    spans = bracket_span_residual(E, plan)
+    res = CheckResult("melanie", SAMPLED if spans.size else EXACT)
+    res.hold("i_involutive", spans, SUBSPACE, "bracket_span",
+             at=lambda i: plan.points(F.model)[i], label="bracket_span")
     res.hold("ii_holonomy_invariant", max(
         (frame_residual(lie_derivative(v, F), G.frame) for v in E.frame),
         default=0.0), EXACT_ZERO, "holonomy")
@@ -499,9 +496,8 @@ def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
     # grouped as differences so coincident stations cancel exactly
     dq_push = ((xm2 - xp2) + 8.0 * (xp1 - xm1)) / (12.0 * opts.step)
     Xf = g.hamiltonian.eval_batch(psi_pts)[:, :dN]
-    r_push = np.abs(dq_push + Xf).max(axis=1)
-    res.hold("pushes_dq_to_kernel", float(r_push.max(initial=0.0)), tol,
-             "pushforward")
+    res.hold("pushes_dq_to_kernel", np.abs(dq_push + Xf).max(axis=1), tol,
+             "pushforward", at=pts.__getitem__, label="mapping_torus")
 
     # differential of psi in block form
     dpsi = np.zeros((m, dN + 1, dN + 1))
@@ -517,20 +513,14 @@ def mapping_torus_check(g: GraphDeformation, F_N_tilde: DifferentialForm,
         return r.reshape(m, -1).max(axis=1)
 
     # (b) psi^* (deformed form) = trivial extension of omega_N
-    r_omega = pullback_gap(omega_f(g).gram_batch(y.wrap(psi_pts)), g.omega_N)
-    res.hold("omega_f_pulls_back", float(r_omega.max(initial=0.0)), tol,
-             "omega_pullback")
+    res.hold("omega_f_pulls_back",
+             pullback_gap(omega_f(g).gram_batch(y.wrap(psi_pts)), g.omega_N),
+             tol, "omega_pullback", at=pts.__getitem__, label="mapping_torus")
 
     # (c) psi^* (transported form) = trivial extension of F_N_tilde
     _, Mpsi = TransportedForm(g, F_N_tilde, opts=opts).matrices_at(psi_pts)
-    r_F = pullback_gap(Mpsi, F_N_tilde)
-    res.hold("transported_pulls_back", float(r_F.max(initial=0.0)), tol,
-             "F_pullback")
-
-    worst = int(np.argmax(r_push + r_omega + r_F))
-    if not res.passed:
-        res.add_witness(pts[worst], float(
-            max(r_push[worst], r_omega[worst], r_F[worst])), "mapping_torus")
+    res.hold("transported_pulls_back", pullback_gap(Mpsi, F_N_tilde), tol,
+             "F_pullback", at=pts.__getitem__, label="mapping_torus")
     return res
 
 

@@ -9,6 +9,10 @@ CheckResult.hold, which stores the residual and passes the condition
 exactly when residual <= bound.  Every bound test of the checkers goes
 through it; the other conditions (agreement of two routes, an expected
 count, a raised obstruction, nondegeneracy) are booleans of their own.
+The witness rule: a bound tested at many samples is one call
+hold(condition, values, bound, residual, at=<namer of sample i>, label),
+which holds the largest value and, when it fails, adds one witness at
+the first sample that reaches it.
 """
 
 from __future__ import annotations
@@ -64,12 +68,22 @@ class CheckResult:
         return (all(self.conditions.values())
                 != (self.details.get("expected") == "fail"))
 
-    def hold(self, condition: str, value, bound, residual: str | None = None
-             ) -> bool:
+    def hold(self, condition: str, value, bound, residual: str | None = None,
+             at=None, label: str = "") -> bool:
         """Record value under residual (default: the condition's name),
-        set the condition to value <= bound and return that verdict."""
+        set the condition to value <= bound and return that verdict.
+
+        Given at, value holds one residual per sample (none gives 0.0):
+        the largest is held, and a failed bound adds a witness, labelled
+        label, at at(i) for the first sample i that reaches it."""
+        if at is not None:
+            value = np.ravel(value)
+            i = int(np.argmax(value)) if value.size else 0
+            value = float(value[i]) if value.size else 0.0
         self.residuals[condition if residual is None else residual] = value
         self.conditions[condition] = ok = bool(value <= bound)
+        if not ok and at is not None:
+            self.add_witness(at(i), value, label)
         return ok
 
     def add_witness(self, point, residual, label=""):

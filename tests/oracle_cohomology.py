@@ -13,6 +13,7 @@ The block calculus below is deliberately self-contained: it does not import
 anything from the package under test.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -161,10 +162,10 @@ class Block:
         return d0, d1
 
 
-def canonical_frequencies(truncation):
+def canonical_frequencies(truncation, dim=DIM):
     out = []
     for vec in itertools.product(range(-truncation, truncation + 1),
-                                 repeat=DIM):
+                                 repeat=dim):
         if not any(vec):
             out.append(vec)
             continue
@@ -186,3 +187,119 @@ def oracle_summary(truncation):
         ker1 += d1.cols - r1
         rank0 += r0
     return ker1, rank0, ker1 - rank0
+
+
+# -- codimension one: the candidate of infdef_torus on T^5 = T^4 x S^1 ----
+#
+# Coordinates (x1, y1, x2, y2, q).  omega and F are the pair above on the
+# first four; the kernel frame is d/dq and the transverse frame the four
+# coordinate fields of T^4, on which I = omega^-1 F.  The middle space is
+# one speed function rho (the pair's 1-form rho dq) and all ten elementary
+# 2-forms B.  d0 is f -> (d_q f, L_{X_f} F) with omega(X_f, .) = d f on the
+# transverse frame.  d1 stacks the conditions of the direct first-order
+# check as rows: dB = 0; quad_iv, B(I v, I w) = B(v, w) on the transverse
+# frame; and mixed_iii, B(d_q, v) + alpha(I v) = 0 with
+# alpha = i_{d_q} d(rho dq) = -sum_i d_i rho dx_i.  (The conditions on dr
+# and on B along the kernel need two kernel fields, so a rank-one kernel
+# has no rows for them.)  Every derivative is in 2 pi units, which scales
+# rho by 2 pi and each map's rows and columns by powers of 2 pi, so the
+# ranks are unchanged.
+
+DIM5 = 5
+Q = 4
+PAIRS5 = list(itertools.combinations(range(DIM5), 2))
+TRIPLES5 = list(itertools.combinations(range(DIM5), 3))
+# I = omega^-1 F on T^4, extended by 0 along q: I[i][j] is the d/dx_i
+# component of I d/dx_j
+I_N = [[sum(W_INV_T[k][i] * F_GRAM[k][j] for k in range(DIM))
+        if i < DIM and j < DIM else Fraction(0) for j in range(DIM5)]
+       for i in range(DIM5)]
+
+
+class Codim1Block(Block):
+    """The per-frequency maps of the codimension-one complex."""
+
+    def two_form(self, B, u, v):
+        """B(u, v) for integer vectors u, v."""
+        acc = self.zero()
+        for (i, j), vec in B.items():
+            c = u[i] * v[j] - u[j] * v[i]
+            if c:
+                acc = self.add(acc, self.scale(c, vec))
+        return acc
+
+    def d0(self, vec):
+        """(rho, B) of f: rho = d_q f and B = d(i_{X_f} F) = L_{X_f} F."""
+        df = [self.deriv(i, vec) for i in range(DIM5)]
+        X = [self.zero() for _ in range(DIM)]
+        for i in range(DIM):
+            for j in range(DIM):
+                if W_INV_T[i][j]:
+                    X[i] = self.add(X[i], self.scale(W_INV_T[i][j], df[j]))
+        alpha = [self.zero() for _ in range(DIM5)]
+        for j in range(DIM):
+            for i in range(DIM):
+                if F_GRAM[i][j]:
+                    alpha[j] = self.add(alpha[j],
+                                        self.scale(F_GRAM[i][j], X[i]))
+        return df[Q], {
+            (i, j): self.add(self.deriv(i, alpha[j]),
+                             self.scale(-1, self.deriv(j, alpha[i])))
+            for i, j in PAIRS5}
+
+    def d1(self, rho, B):
+        """The rows dB, quad_iv and mixed_iii of (rho, B), in that order."""
+        rows = []
+        for i, j, l in TRIPLES5:
+            acc = self.deriv(i, B[(j, l)])
+            acc = self.add(acc, self.scale(-1, self.deriv(j, B[(i, l)])))
+            rows.append(self.add(acc, self.deriv(l, B[(i, j)])))
+        unit = [[int(i == j) for i in range(DIM5)] for j in range(DIM5)]
+        image = [[I_N[i][j] for i in range(DIM5)] for j in range(DIM5)]
+        for a, b in itertools.combinations(range(DIM), 2):
+            rows.append(self.add(self.two_form(B, image[a], image[b]),
+                                 self.scale(-1, self.two_form(
+                                     B, unit[a], unit[b]))))
+        for v in range(DIM):
+            acc = self.two_form(B, unit[Q], unit[v])
+            for i in range(DIM):
+                if image[v][i]:
+                    acc = self.add(acc, self.scale(-image[v][i],
+                                                   self.deriv(i, rho)))
+            rows.append(acc)
+        return rows
+
+    def matrices(self):
+        nph = self.nph
+        phases = [[Fraction(int(p == q)) for q in range(nph)]
+                  for p in range(nph)]
+        middle = [(None, ph) for ph in range(nph)] + [
+            (pair, ph) for pair in PAIRS5 for ph in range(nph)]
+        d0 = sympy.zeros(len(middle), nph)
+        for col, vec in enumerate(phases):
+            rho, B = self.d0(vec)
+            for row, (pair, ph) in enumerate(middle):
+                d0[row, col] = sympy.Rational(
+                    (rho if pair is None else B[pair])[ph])
+        d1 = sympy.zeros((len(TRIPLES5) + len(PAIRS) + DIM) * nph, len(middle))
+        for col, (pair, ph) in enumerate(middle):
+            rho = phases[ph] if pair is None else self.zero()
+            B = {p: phases[ph] if p == pair else self.zero() for p in PAIRS5}
+            for r, val in enumerate(self.d1(rho, B)):
+                for ph2 in range(nph):
+                    d1[r * nph + ph2, col] = sympy.Rational(val[ph2])
+        return d0, d1
+
+
+@functools.lru_cache(maxsize=None)
+def codim1_oracle_summary(truncation):
+    """(dim ker d1, rank d0, h1, chain) summed over frequency blocks, all
+    exact; chain is True when d1 d0 = 0 in every block."""
+    ker1 = rank0 = 0
+    chain = True
+    for k in canonical_frequencies(truncation, DIM5):
+        d0, d1 = Codim1Block(k).matrices()
+        ker1 += d1.cols - d1.rank()
+        rank0 += d0.rank()
+        chain = chain and (d1 * d0).is_zero_matrix
+    return ker1, rank0, ker1 - rank0, chain

@@ -25,6 +25,7 @@ from branelab.infdef import (AverageObstruction, ComplexSlice, InfDefPair,
 from branelab.model import (CIRCLE, DEFAULT_TOL, LINE, extend_with_circle,
                             model_from_names)
 from branelab.scene import parse_scene
+from oracle_cohomology import codim1_oracle_summary
 
 LAM = float(math.sqrt(2) - 1)
 
@@ -615,6 +616,24 @@ def test_a_failed_symbol_check_raises_on_every_call(monkeypatch):
                            match="no constant-coefficient symbol"):
             complex_slice(gl_pair_t4(), truncation)
         assert calls
+
+
+def test_codim1_oracle_is_a_complex_with_five_classes():
+    """The exact oracle's own value: d1 d0 = 0 in every block, and h1 = 5,
+    the constant speed and the four constant type-(1,1) forms on T^4;
+    every block with a nonzero frequency is exact."""
+    assert codim1_oracle_summary(0) == (5, 0, 5, True)
+    assert codim1_oracle_summary(1) == (247, 242, 5, True)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the codim-1 d1 is only dB on the 2-form columns, so "
+    "every speed lies in ker d1; the package reads h1 = 11 at T=0 and 979 "
+    "at T=1"))
+@pytest.mark.parametrize("truncation", [0, 1])
+def test_codim1_complex_matches_the_exact_oracle(truncation):
+    assert complex_slice(C5, truncation).h1 == codim1_oracle_summary(
+        truncation)[2]
 
 
 def test_codim1_complex_decouples_into_small_blocks():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branelab import forms, integrate, nearby
+from branelab import model as model_module
 from branelab.brane import lift_form
 from branelab.cli import _config_from, make_parser, resolve_scene, run_scene
 from branelab.fields import COS, SIN, ScalarField, TermBank
@@ -274,26 +275,54 @@ def test_failing_transport_kernel_record_names_its_worst_sample():
 R4 = model_from_names([("x1", LINE), ("y1", LINE), ("a", LINE), ("c", LINE)])
 
 
-@pytest.mark.parametrize("F,E,involutive", [
-    # [d_a + c d_c, d_c] = -d_c lies in the frame's span
-    ("dx1^dy1", "d_a + c*d_c ; d_c", True),
-    # the kernel of dx1^(dy1 - a dc): [d_a, d_c + a d_y1] = d_y1 leaves it
-    ("dx1^dy1 - a*dx1^dc", "d_a ; d_c + a*d_y1", False)])
-def test_melanie_brackets_a_rank_two_kernel_frame(F, E, involutive):
+def _melanie_record(monkeypatch, F, E):
+    """Run melanie_check on R4 with G = span{d_x1, d_y1}; also return the
+    sample plan and whether any sample point was drawn."""
+    drawn = []
+    halton = model_module._halton
+    monkeypatch.setattr(model_module, "_halton",
+                        lambda *args: drawn.append(args) or halton(*args))
     F = parse_form(F, R4)
     E = Distribution(R4, tuple(parse_vector(v, R4) for v in E.split(";")))
     G = Distribution(R4, (parse_vector("d_x1", R4),
                           parse_vector("d_y1", R4)))
     plan = SamplePlan(count=16, seed=0)
-    rec = melanie_check(F, E, G, plan=plan)
+    return melanie_check(F, E, G, plan=plan), plan, bool(drawn)
+
+
+@pytest.mark.parametrize("F,E,involutive", [
+    # [d_a + c d_c, d_c] = -d_c lies in the frame's span
+    ("dx1^dy1", "d_a + c*d_c ; d_c", True),
+    # the kernel of dx1^(dy1 - a dc): [d_a, d_c + a d_y1] = d_y1 leaves it
+    ("dx1^dy1 - a*dx1^dc", "d_a ; d_c + a*d_y1", False)])
+def test_melanie_brackets_a_rank_two_kernel_frame(monkeypatch, F, E,
+                                                  involutive):
+    rec, plan, drawn = _melanie_record(monkeypatch, F, E)
+    assert rec.mode == "SAMPLED" and drawn
     assert rec.conditions["i_involutive"] is involutive
     # E is the kernel of F, so involutivity goes with closedness
     assert rec.passed is involutive
     assert rec.conditions["dF_zero"] is involutive
-    # d_y1 lies 1/sqrt(1 + a^2) from span{d_a, d_c + a d_y1}
-    a = plan.points(R4)[:, 2]
+    # d_y1 lies 1/sqrt(1 + a^2) from span{d_a, d_c + a d_y1}, farthest at
+    # the sample with the smallest |a|
+    pts = plan.points(R4)
+    a = pts[:, 2]
     want = 0.0 if involutive else float(np.max(1.0 / np.sqrt(1.0 + a * a)))
     assert rec.residuals["bracket_span"] == pytest.approx(want, abs=1e-15)
+    assert rec.witnesses == ([] if involutive else [{
+        "point": pts[np.argmin(np.abs(a))].tolist(),
+        "residual": rec.residuals["bracket_span"], "label": "bracket_span"}])
+
+
+def test_melanie_decides_a_constant_bracket_without_a_sample(monkeypatch):
+    # [d_a, d_c] is the zero field: decided without a sample
+    rec, _, drawn = _melanie_record(monkeypatch, "dx1^dy1", "d_a ; d_c")
+    assert rec.mode == "EXACT" and not drawn
+    assert rec.passed is True
+    assert rec.conditions["i_involutive"] is True
+    assert rec.conditions["dF_zero"] is True
+    assert rec.residuals["bracket_span"] == pytest.approx(0.0, abs=1e-15)
+    assert rec.witnesses == []
 
 
 def test_convergence_order_nonlinear_at_least_rk4():

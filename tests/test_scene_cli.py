@@ -553,6 +553,20 @@ def test_hold_records_the_residual_and_passes_at_the_bound():
     assert not rec.hold("small", 2.0, 1.0, residual="size")
     assert rec.conditions == {"closed": True, "small": False}
     assert rec.residuals == {"closed": 1e-10, "size": 2.0}
+    assert not rec.witnesses
+
+
+def test_per_sample_hold_names_the_first_worst_sample():
+    rec = CheckResult("demo", EXACT)
+    pts = np.arange(8.0).reshape(4, 2)
+    assert rec.hold("ok", np.array([0.5, 1.0, 1.0, 0.0]), 1.0, at=pts.__getitem__)
+    assert not rec.hold("bad", np.array([0.5, 3.0, 1.0, 3.0]), 1.0,
+                        residual="worst", at=pts.__getitem__, label="bad")
+    assert rec.hold("none", np.zeros(0), 0.0, at=pts.__getitem__)
+    assert rec.conditions == {"ok": True, "bad": False, "none": True}
+    assert rec.residuals == {"ok": 1.0, "worst": 3.0, "none": 0.0}
+    assert rec.witnesses == [
+        {"point": [2.0, 3.0], "residual": 3.0, "label": "bad"}]
 
 
 # E = d_x1 repeats a G direction, yet omega is nondegenerate on G, so
@@ -822,3 +836,76 @@ def test_an_expected_obstruction_that_builds_fails(tmp_path, capsys):
     assert rec["conditions"]["raised_obstruction"] is False
     assert rec["details"]["error"] == (
         "expected an obstruction but the build succeeded")
+
+
+# example_r4 with a varying F whose transverse square misses -Id at every
+# sample of the default plan
+FAILING_EVERYWHERE = (bundled_scene_dir() / "example_r4.scene").read_text(
+    encoding="utf-8").replace("form F @ M = dx1^dx2 - dy1^dy2",
+                              "form F @ M = 2*dx1^dx2 - dy1^dy2"
+                              " + 0.1*x1*dx1^dx2")
+
+
+def test_a_failed_bound_names_one_witness(tmp_path, capsys):
+    code, data = run_json(tmp_path, capsys, FAILING_EVERYWHERE)
+    assert code == 1
+    labels = {"space_filling(omega, F)": ("I_squared_plus_id", "I_square"),
+              "brane(c)": ("transverse_square", "transverse_square"),
+              "brane_via_J(c)": ("J_residual", "J_invariance")}
+    for rec in data["checks"]:
+        assert rec["mode"] == "SAMPLED" and not rec["pass"]
+        residual, label = labels[rec["name"]]
+        witness, = rec["witnesses"]
+        assert witness["label"] == label
+        assert witness["residual"] == rec["residuals"][residual]
+
+
+# the translation flow of 1e3*x2 shifts y1 by 1e3, and y1^200 by 1e600
+OVERFLOWING_SHIFT = """\
+scene overflowing_shift
+describe a transverse form whose translated coefficients overflow
+
+model N
+coord N x1 circle
+coord N y1 line
+coord N x2 line
+coord N y2 line
+
+form omegaN @ N = dx1^dy2 + dy1^dx2
+form FN @ N = dx1^dx2 - dy1^dy2 + y1^200*dx1^dy1
+deform g = N omegaN FN q : 1e3*x2
+
+check invariance g FN
+"""
+
+
+def test_an_overflowing_translation_is_an_error_record(tmp_path, capsys):
+    code, data = run_json(tmp_path, capsys, OVERFLOWING_SHIFT)
+    assert code == 1
+    rec, = data["checks"]
+    assert rec["mode"] == "ERROR"
+    assert rec["details"]["error"].startswith(
+        "NonFiniteCoefficientError: coefficient inf is not finite")
+
+
+def test_brane_via_J_builds_no_coupling_for_an_empty_kernel(tmp_path, capsys):
+    """With E empty the ambient model is Y itself: a varying G-frame is
+    decided like check_brane decides it, and a dependent one is still a
+    rank drop."""
+    r4 = (bundled_scene_dir() / "example_r4.scene").read_text(
+        encoding="utf-8")
+    varying = r4.replace("frame G @ M = d_x1 ;",
+                         "frame G @ M = d_x1 + 0.1*y1*d_y1 ;")
+    code, data = run_json(tmp_path, capsys, varying)
+    assert code == 0
+    assert [(c["name"], c["mode"]) for c in data["checks"]] == [
+        ("space_filling(omega, F)", "EXACT"), ("brane(c)", "SAMPLED"),
+        ("brane_via_J(c)", "EXACT")]
+    dependent = r4.replace("frame G @ M = d_x1 ; d_y1 ;",
+                           "frame G @ M = d_x1 ; d_x1 ;")
+    code, data = run_json(tmp_path, capsys, dependent)
+    assert code == 1
+    for rec in data["checks"][1:]:
+        assert rec["mode"] == "ERROR" and rec["details"]["error"] == (
+            "RankDropError: E and G frames are dependent: the joint frame "
+            "[G | E] is singular")
