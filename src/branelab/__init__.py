@@ -31,8 +31,7 @@ from .infdef import (AverageObstruction, CircleTermsError, ComplexSlice,
                      InfDefPair, Type11Violation, build_infdef, check_infdef,
                      complex_slice, constant_type11_basis,
                      hamiltonian_generator, infdef_general_check,
-                     pair_from_values, transverse_endo,
-                     upsilon_image_check)
+                     pair_from_values, upsilon_image_check)
 from .scene import (CheckSpec, Scene, SceneError, load_scene, parse_scene,
                     serialize_scene)
 

@@ -1,7 +1,8 @@
 """Batch front end: run scene checks, list bundled scenes, and emit
 first-order deformation verdicts.
 
-Exit status is 0 exactly when every executed check record passes.
+Exit status is 0 exactly when every executed check record passes, 1 when
+one fails, and 2 after an `error:` line for a bad flag, scene or `--out`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .brane import RankDropError
 from .forms import DegenerateFormError
 from .infdef import AverageObstruction, CircleTermsError, Type11Violation
 from .integrate import FlowError
-from .model import (DEFAULT_TOL, FlowOptions, SamplePlan, Tolerances,
-                    tolerance, truncation)
+from .model import (DEFAULT_TOL, RUN_SETTINGS, FlowOptions, SamplePlan,
+                    Tolerances, truncation)
 from .nearby import BraneObstruction
 from .report import ERROR, CheckResult, Report
 from .scene import (CHECKS, CheckSpec, Scene, SceneError, load_scene,
@@ -36,21 +37,13 @@ class RunConfig:
 
 
 def _config_from(scene: Scene, args) -> RunConfig:
-    opts = scene.options
+    def pick(key, flag, default):
+        value = scene.options.get(key) if flag is None else flag
+        return default if value is None else RUN_SETTINGS[key](value)
 
-    def pick(flag, key, conv, default):
-        if flag is not None:
-            return conv(flag)
-        if key in opts:
-            return conv(opts[key])
-        return default
-
-    seed = pick(args.seed, "seed", int, 0)
-    steps = pick(args.steps, "steps", int, 1024)
-    for key, value, low in (("seed", seed, 0), ("steps", steps, 1)):
-        if value < low:
-            raise ValueError(f"{key} must be at least {low}, not {value}")
-    tol = Tolerances(pick(args.tol, "tol", tolerance, DEFAULT_TOL.sampled))
+    seed = pick("seed", args.seed, 0)
+    steps = pick("steps", args.steps, 1024)
+    tol = Tolerances(pick("tol", args.tol, DEFAULT_TOL.sampled))
     return RunConfig(plan=SamplePlan(seed=seed), tol=tol,
                      flow=FlowOptions(step=1.0 / steps))
 
@@ -135,7 +128,12 @@ def cmd_run(args) -> int:
     else:
         payload = report.to_text()
     if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        except OSError as e:
+            print(f"error: cannot write the report to {args.out!r}: "
+                  f"{e.strerror or e}", file=sys.stderr)
+            return 2
     else:
         print(payload)
     return 0 if report.all_passed else 1

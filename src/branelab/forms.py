@@ -302,25 +302,9 @@ class EndoField:
     model: ManifoldModel
     entries: tuple[tuple[ScalarField, ...], ...]
 
-    @staticmethod
-    def from_matrix(model: ManifoldModel, mat) -> "EndoField":
-        mat = np.asarray(mat, float)
-        rows = tuple(
-            tuple(ScalarField.constant(model, mat[i, j])
-                  for j in range(model.dim))
-            for i in range(model.dim))
-        return EndoField(model, rows)
-
     def constant_matrix(self) -> np.ndarray | None:
         vals = [[f.constant_value() for f in row] for row in self.entries]
         return None if any(None in row for row in vals) else np.array(vals)
-
-    def apply(self, x: VectorField) -> VectorField:
-        d = range(self.model.dim)
-        return VectorField(self.model, tuple(
-            combine(self.model, [(self.entries[i][j] * x.components[j], 1.0)
-                                 for j in d])
-            for i in d))
 
     def pullback_oneform(self, xi: DifferentialForm) -> DifferentialForm:
         """(I^* xi)(v) = xi(I v)."""

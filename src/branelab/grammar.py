@@ -29,7 +29,8 @@ The signed terms of each result (a field, a vector component, a form
 component) are summed by the sum rule of the ``fields`` module docstring:
 one ``fields.combine`` per result, added left to right and pruned once.
 An n-term sum therefore costs O(n log n) rather than a
-re-canonicalization of the partial sum after every ``+``.
+re-canonicalization of the partial sum after every ``+``.  Parenthesized
+sums nest at most ``MAX_NESTING`` (64) deep: one more ``(`` is a ParseError.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ _TOKEN = re.compile(
     r"|[-+*^()@]"
     r"|\S")
 _OPS = frozenset("-+*^()@")
+MAX_NESTING = 64  # parenthesized sums, well inside the recursion limit
 _NAME_START = frozenset(string.ascii_letters + "_")
 
 
@@ -194,7 +196,7 @@ def _power(model: ManifoldModel, f: ScalarField, n) -> ScalarField:
 
 
 def _parse_product(vals: list, i: int, model: ManifoldModel, env,
-                   symbol=None, symbols: str = "") -> tuple:
+                   symbol=None, symbols: str = "", depth: int = 0) -> tuple:
     """(field, symbol, index after) of the term at i: factors joined by
     ``*``.
 
@@ -209,7 +211,7 @@ def _parse_product(vals: list, i: int, model: ManifoldModel, env,
     symbol(vals, i, model), if given, reads a basis symbol (a tuple) at
     token i and returns (symbol, index after), or returns None there; a
     term holds at most one, and the symbol returned is None if it holds
-    none.
+    none.  depth counts the parenthesized sums around the term.
     """
     coeff = 1.0
     powers = [0] * model.dim
@@ -242,7 +244,9 @@ def _parse_product(vals: list, i: int, model: ManifoldModel, env,
                 n, i = _exponent(vals, i + 1)
                 powers[j] += 1 if n is None else n
         elif v == "(":
-            f, i = _parse_sum(vals, i + 1, model, env)
+            if depth == MAX_NESTING:
+                raise _At(f"parentheses nested deeper than {MAX_NESTING}", i)
+            f, i = _parse_sum(vals, i + 1, model, env, depth + 1)
             n, i = _exponent(vals, _expect(vals, i, ")"))
             rest.append(_power(model, f, n))
         else:
@@ -290,12 +294,13 @@ def _signed_terms(vals: list, i: int, term) -> int:
         i += 1
 
 
-def _parse_sum(vals: list, i: int, model: ManifoldModel, env) -> tuple:
-    """(field, index after) of the sum at i."""
+def _parse_sum(vals: list, i: int, model: ManifoldModel, env,
+               depth: int = 0) -> tuple:
+    """(field, index after) of the sum at i, inside depth parentheses."""
     pairs: list = []
 
     def term(sign, i):
-        f, _, i = _parse_product(vals, i, model, env)
+        f, _, i = _parse_product(vals, i, model, env, depth=depth)
         pairs.append((f, sign))
         return i
 

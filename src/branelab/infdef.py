@@ -7,7 +7,10 @@ independent condition checkers that must agree, the explicit builder for
 the product model N x S^1, Hamiltonian (coboundary) generators, the
 forgetful projection onto the kernel component with its image criterion,
 and truncated Fourier cochain complexes with numerically ranked first
-cohomology.  One assembly and one generator map (hamiltonian_generator)
+cohomology.  The checkers apply the transverse complex structure I as its
+matrix A on the constant transverse frame G: the images I(G_j) are the
+columns of G A, as constant vector fields, and I is 0 on the kernel
+frame.  One assembly and one generator map (hamiltonian_generator)
 build the complex of both shapes (space filling and N x S^1); the shape
 picks only the constant 2-form frame and the size of the speed block,
 and every constant comes from the candidate.  The complex needs constant
@@ -36,7 +39,7 @@ import numpy as np
 from .brane import BraneCandidate, _read_only, lift_form
 from .fields import (COS, SIN, ScalarField, VectorField, circle_average,
                      linear_map, partial, q_antiderivative, reindex)
-from .forms import (DifferentialForm, EndoField, _condition_gate, apply_form,
+from .forms import (DifferentialForm, _condition_gate, apply_form,
                     d_scalar, endo_from_pair, ext_d, frame_residual,
                     hamiltonian, horizontal_d, interior, is_type_11,
                     lie_derivative, sharp, transverse_matrix, wedge)
@@ -95,15 +98,16 @@ def pair_from_values(c: BraneCandidate, values, B: DifferentialForm) -> InfDefPa
         (i,): r for i, r in enumerate(linear_map(y, eta.T, values))}), B)
 
 
-def transverse_endo(c: BraneCandidate) -> EndoField:
-    """The complex structure transverse to the kernel, extended by zero on
-    the kernel frame (constant-coefficient candidates only)."""
-    P, D = np.column_stack(c.frames), c.joint_inverse
-    rg = c.G_frame.rank
-    A = np.zeros((c.model_Y.dim, c.model_Y.dim))
-    A[:rg, :rg] = transverse_matrix(*c.grams, c.frames[0],
-                                    "restriction of the nondegenerate form")
-    return EndoField.from_matrix(c.model_Y, P @ A @ D)
+def _transverse_images(c: BraneCandidate) -> list[VectorField]:
+    """The transverse complex structure I on the transverse frame: the
+    images I(G_j), constant fields, the columns of G @ A with A its matrix
+    on that frame (constant-coefficient candidates only).  I vanishes on
+    the kernel frame; RankDropError when [G | E] is dependent."""
+    G, _ = c.frames
+    c.joint_inverse  # raises on dependent frames
+    A = transverse_matrix(*c.grams, G, "restriction of the nondegenerate form")
+    return [VectorField.from_components(c.model_Y, col)
+            for col in (G @ A).T.tolist()]
 
 
 def check_infdef(pair: InfDefPair, c: BraneCandidate) -> CheckResult:
@@ -117,8 +121,7 @@ def check_infdef(pair: InfDefPair, c: BraneCandidate) -> CheckResult:
     if pair.r.model != c.model_Y:
         raise ValueError("pair and candidate live on different models")
     E, G = c.E_frame, c.G_frame
-    I_hat = transverse_endo(c)
-    IG = [I_hat.apply(v) for v in G.frame]
+    IG = _transverse_images(c)
     res = CheckResult("infdef", EXACT)
     dr = ext_d(pair.r)
     res.hold("r_foliated_closed", frame_residual(dr, E.frame), EXACT_ZERO)
@@ -136,31 +139,13 @@ def check_infdef(pair: InfDefPair, c: BraneCandidate) -> CheckResult:
     return res
 
 
-def _eq_iv_residual(pair: InfDefPair, c: BraneCandidate,
-                    I_hat: EndoField) -> float:
-    """Residual of the transverse quadratic equation, with kernel-frame
-    arguments lifted by zero and transverse arguments through the
-    transverse frame."""
-    omega_dot = -ext_d(pair.r)
-    worst = 0.0
-    for x in tuple(c.E_frame.frame) + tuple(c.G_frame.frame):
-        ix = I_hat.apply(x)
-        for v in c.G_frame.frame:
-            iv = I_hat.apply(v)
-            lhs = apply_form(omega_dot, [x, v]) + apply_form(pair.B, [ix, v])
-            rhs = apply_form(omega_dot, [ix, iv]) - apply_form(pair.B, [x, iv])
-            worst = max(worst, (lhs - rhs).max_coeff())
-    return worst
-
-
 def infdef_general_check(pair: InfDefPair, c: BraneCandidate) -> CheckResult:
     """Second implementation path phrased through the form speeds
     (omega_dot = -d r, F_dot = B); must agree with check_infdef."""
     if pair.r.model != c.model_Y:
         raise ValueError("pair and candidate live on different models")
     E, G = c.E_frame, c.G_frame
-    I_hat = transverse_endo(c)
-    IG = [I_hat.apply(v) for v in G.frame]
+    IG = _transverse_images(c)
     res = CheckResult("infdef_general", EXACT)
     omega_dot = -ext_d(pair.r)
     res.hold("omega_dot_horizontal", frame_residual(omega_dot, E.frame),
@@ -172,7 +157,14 @@ def infdef_general_check(pair: InfDefPair, c: BraneCandidate) -> CheckResult:
         (apply_form(pair.B, [e, v]) - apply_form(alpha, [iv])).max_coeff()
         for e, alpha in zip(E.frame, alphas)
         for v, iv in zip(G.frame, IG)), default=0.0), EXACT_ZERO)
-    res.hold("eq_iv", _eq_iv_residual(pair, c, I_hat), EXACT_ZERO)
+    # the transverse quadratic equation, I(x) = 0 for x in the kernel frame
+    zero = VectorField.from_components(c.model_Y, [0.0] * c.model_Y.dim)
+    res.hold("eq_iv", max((
+        ((apply_form(omega_dot, [x, v]) + apply_form(pair.B, [ix, v]))
+         - (apply_form(omega_dot, [ix, iv]) - apply_form(pair.B, [x, iv])))
+        .max_coeff()
+        for x, ix in [*((e, zero) for e in E.frame), *zip(G.frame, IG)]
+        for v, iv in zip(G.frame, IG)), default=0.0), EXACT_ZERO)
     return res
 
 
@@ -204,13 +196,11 @@ def _drop_last_circle(model: ManifoldModel) -> tuple[ManifoldModel, int]:
 
 
 def _kernel_circle(c: BraneCandidate) -> tuple[ManifoldModel, int]:
-    """(N, q) for a candidate on N x S^1 whose kernel frame is d/dq."""
-    y = c.model_Y
-    N_model, q = _drop_last_circle(y)
-    EC = c.frames[1]
-    if c.E_frame.rank != 1 or not np.allclose(
-            EC[:, 0] / EC[q, 0] if EC[q, 0] else EC[:, 0],
-            np.eye(y.dim)[q]):
+    """(N, q) for a candidate on N x S^1 whose kernel frame is exactly a
+    nonzero multiple of d/dq, q the last coordinate."""
+    N_model, q = _drop_last_circle(c.model_Y)
+    E = c.frames[1]
+    if E.shape[1] != 1 or E[q, 0] == 0.0 or E[:q].any():
         raise ValueError("expected the kernel frame d/dq on the product model")
     return N_model, q
 

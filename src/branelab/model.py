@@ -185,7 +185,10 @@ class Tolerances:
 
 def tolerance(value) -> float:
     """A tolerance setting from text or a number: a finite float >= 0."""
-    t = float(value)
+    try:
+        t = float(value)
+    except ValueError:  # text that is no float is refused below, as nan is
+        t = math.nan
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"tol must be a finite float >= 0, not {value}")
     return t
@@ -202,6 +205,25 @@ def truncation(value) -> int:
 # a refused check option reads "takes <parser name>" (scene._check_spec)
 tolerance.__name__ = "finite float >= 0"
 truncation.__name__ = "int >= 0"
+
+
+def _int_setting(key: str, low: int):
+    """The parser of an int run setting of at least low."""
+    def parse(value) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise ValueError(f"{key} must be an int, not {value!r}") from None
+        if n < low:
+            raise ValueError(f"{key} must be at least {low}, not {value}")
+        return n
+    return parse
+
+
+# The run settings, from a flag of `run` or a scene's `option` line: key ->
+# parser of the value, whose ValueError names the key.
+RUN_SETTINGS = {"seed": _int_setting("seed", 0),
+                "steps": _int_setting("steps", 1), "tol": tolerance}
 
 DEFAULT_TOL = Tolerances()
 DEFAULT_PLAN = SamplePlan()

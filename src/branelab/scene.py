@@ -28,8 +28,8 @@ from .infdef import (AverageObstruction, InfDefPair, Type11Violation,
                      build_infdef, check_infdef, complex_slice,
                      hamiltonian_generator, infdef_general_check,
                      upsilon_image_check)
-from .model import (EXACT_ZERO, ManifoldModel, SamplePlan, tolerance,
-                    truncation)
+from .model import (EXACT_ZERO, RUN_SETTINGS, ManifoldModel, SamplePlan,
+                    tolerance, truncation)
 from .nearby import (closed1f_check, flow, graph_deformation,
                      invariance_check, mapping_torus_check, melanie_check,
                      transport_brane)
@@ -332,9 +332,10 @@ def parse_scene(text: str) -> Scene:
                 scene.description = rest
             elif head == "option":
                 k, _, v = rest.partition(" ")
-                if k not in ("seed", "steps", "tol"):  # cli's run settings
+                if k not in RUN_SETTINGS:
                     raise SceneError(line_no, f"unknown option {k!r} "
-                                     "(options: seed, steps, tol)")
+                                     f"(options: {', '.join(RUN_SETTINGS)})")
+                RUN_SETTINGS[k](v.strip())
                 scene.options[k] = v.strip()
             elif head == "model":
                 if rest in pending or rest in scene.models:

@@ -308,6 +308,22 @@ def test_malformed_text_is_a_parse_error_at_its_offset(text, parse, message,
     assert err.value.pos == at
 
 
+@pytest.mark.parametrize("parse, write, suffix", [
+    (parse_field, field_to_text, ""), (parse_form, form_to_text, "*dx1^dy1")])
+def test_sums_nest_up_to_the_cap(parse, write, suffix):
+    cap = grammar.MAX_NESTING
+    text = "(" * cap + "x1 + 1" + ")" * cap + suffix
+    got = parse(text, M)
+    assert parse(write(got), M) == got
+    assert write(got) == write(parse("(x1 + 1)" + suffix, M))
+    deeper = "(" + text.replace(suffix, "") + ")" + suffix
+    with pytest.raises(ParseError) as err:
+        parse(deeper, M)
+    assert err.value.pos == cap  # the first "(" past the cap
+    assert str(err.value).startswith(
+        f"parentheses nested deeper than {cap}")
+
+
 def test_tokens_keep_kinds_and_offsets():
     text = " 2.5e3*x1 ^ (y2-1)@"
     with grammar._scanned(text) as vals:

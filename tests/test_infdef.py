@@ -13,15 +13,15 @@ from branelab.brane import BraneCandidate
 from branelab.cli import bundled_scene_dir
 from branelab.fields import COS, SIN, ScalarField, partial
 from branelab.forms import (DifferentialForm, Distribution, apply_form,
-                            d_scalar, ext_d, is_type_11, lie_derivative,
-                            sharp)
+                            d_scalar, endo_from_pair, ext_d, is_type_11,
+                            lie_derivative, sharp, transverse_matrix)
 from branelab.grammar import parse_field, parse_form, parse_vector
 from branelab.infdef import (AverageObstruction, ComplexSlice, InfDefPair,
                              Type11Violation, _function_keys,
                              build_infdef, check_infdef, complex_slice,
                              constant_type11_basis, hamiltonian_generator,
                              infdef_general_check, pair_from_values,
-                             transverse_endo, upsilon_image_check)
+                             upsilon_image_check)
 from branelab.model import (CIRCLE, DEFAULT_TOL, LINE, extend_with_circle,
                             model_from_names)
 from branelab.scene import parse_scene
@@ -77,13 +77,17 @@ def test_pair_from_values_roundtrip():
     assert (pair.r - DifferentialForm.build(T5, 1, {(4,): v})).is_zero(1e-15)
 
 
+def transverse_images(c):
+    """The images I(G_j) of the transverse frame, as columns."""
+    return np.column_stack([v.constant_vector() for v in
+                            branelab.infdef._transverse_images(c)])
+
+
 def test_transverse_endo_lifts_standard_structure():
-    I = transverse_endo(C5)
-    M = I.constant_matrix()
-    expect = np.zeros((5, 5))
+    expect = np.zeros((5, 4))
     expect[:4, :4] = [[0, -1, 0, 0], [1, 0, 0, 0],
                       [0, 0, 0, -1], [0, 0, 1, 0]]
-    assert np.allclose(M, expect, atol=1e-12)
+    assert np.allclose(transverse_images(C5), expect, atol=1e-12)
 
 
 def test_hamiltonian_generator_of_pure_circle_function():
@@ -212,7 +216,8 @@ def test_constant_type11_basis_dimension_and_membership():
     c = space_filling_t4()
     basis = constant_type11_basis(c)
     assert len(basis) == 4
-    I = transverse_endo(c)
+    # with E empty, the transverse structure is the I of the pair itself
+    I = endo_from_pair(c.omega, c.F)
     for coeffs in basis:
         B = DifferentialForm.build(
             T4, 2, {idx: float(v) for idx, v in zip(
@@ -298,6 +303,28 @@ SKEWED_G = BraneCandidate(T4, OMEGA_T4, F_T4, Distribution(T4, ()),
                           Distribution(T4, tuple(parse_vector(v, T4) for v in (
                               "d_x1 + d_y1", "d_y1 - 2*d_x2", "d_x2 + d_y2",
                               "3*d_y2"))))
+
+
+@pytest.mark.parametrize("make", [
+    space_filling_t4, gl_pair_t4, seed84_pair, lambda: SKEWED_G])
+def test_transverse_images_are_the_pair_structure_on_the_frame(make):
+    """With E empty, I is the endomorphism of (omega, F) itself."""
+    c = make()
+    I = endo_from_pair(c.omega, c.F).constant_matrix()
+    G = c.frames[0]
+    assert np.abs(transverse_images(c) - I @ G).max() <= 1e-12
+
+
+def test_transverse_images_match_the_lifted_endomorphism():
+    """On N x S^1, the images are those of P A D, the frame matrix A
+    lifted by zero on the kernel frame, with P = [G | E] and D its
+    inverse."""
+    G, E = C5.frames
+    P = np.column_stack([G, E])
+    A = np.zeros((5, 5))
+    A[:4, :4] = transverse_matrix(*C5.grams, G, "test")
+    assert np.abs(transverse_images(C5)
+                  - P @ A @ np.linalg.inv(P) @ G).max() <= 1e-12
 
 
 def dense_rank(M, rank_rel):

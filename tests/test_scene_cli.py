@@ -439,8 +439,24 @@ def test_steps_below_one_is_a_usage_error(tmp_path, capsys, flags, option):
     p.write_text(MINIMAL.replace("\nmodel M", f"\n{option}model M"))
     assert main(["run", str(p), *flags]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: steps must be at least 1")
+    # an option line is refused where it stands, a flag on its own
+    at = "line 4: " if option else ""
+    assert captured.err.startswith(f"error: {at}steps must be at least 1")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("line,message", [
+    ("option steps abc", "steps must be an int, not 'abc'"),
+    ("option steps 1.5", "steps must be an int, not '1.5'"),
+    ("option seed -3", "seed must be at least 0, not -3"),
+    ("option tol abc", "tol must be a finite float >= 0, not abc"),
+    ("option tol -1", "tol must be a finite float >= 0, not -1")])
+def test_malformed_option_value_is_a_scene_error_at_its_line(
+        tmp_path, capsys, line, message):
+    p = tmp_path / "case.scene"
+    p.write_text(MINIMAL.replace("\nmodel M", f"\n{line}\nmodel M"))
+    assert main(["run", str(p)]) == 2
+    assert capsys.readouterr() == ("", f"error: line 4: {message}\n")
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -821,6 +837,52 @@ def test_unknown_option_is_a_scene_error_at_its_line(line):
     key = line.split()[1]
     assert str(err.value) == (
         f"line 4: unknown option {key!r} (options: seed, steps, tol)")
+
+
+@pytest.mark.parametrize("where", ["folder", "missing parent"])
+def test_an_unwritable_out_path_is_a_usage_error(tmp_path, capsys, where):
+    out = tmp_path if where == "folder" else tmp_path / "nope" / "r.json"
+    assert main(["run", "example_r4", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: cannot write the report to {str(out)!r}: ")
+    assert "Traceback" not in captured.err
+
+
+# 300 parenthesized sums, deeper than the readers' recursion allows
+DEEP = "(" * 300 + "x1" + ")" * 300
+
+
+@pytest.mark.parametrize("line", [f"field f @ M = {DEEP}",
+                                  f"form B @ M = {DEEP}*dx1^dy1"],
+                         ids=["field", "form"])
+def test_deep_nesting_is_a_parse_error_at_its_line(tmp_path, capsys, line):
+    p = tmp_path / "case.scene"
+    p.write_text(MINIMAL.replace("\ncheck ", f"\n{line}\ncheck "))
+    assert main(["run", str(p)]) == 2
+    # the 65th "(", at offset 64 of the text, opens one sum too many
+    assert capsys.readouterr() == ("", (
+        "error: line 13: parentheses nested deeper than 64 "
+        "(at offset 64)\n"))
+
+
+# infdef_torus with a kernel frame a hair off d/dq: the builder and the
+# complex need d/dq itself and must not round the frame to it
+TILTED_E = (bundled_scene_dir() / "infdef_torus.scene").read_text(
+    encoding="utf-8").split("\ncheck ")[0].replace(
+        "frame E @ Y = d_q", "frame E @ Y = d_q + 0.000000001*d_x1")
+
+
+def test_a_kernel_frame_off_d_q_is_an_error_record(tmp_path, capsys):
+    code, data = run_json(tmp_path, capsys, TILTED_E
+                          + "\ncheck build_infdef rho_ok B0N c"
+                          + "\ncheck cohomology c truncation=0\n")
+    assert code == 1
+    for rec in data["checks"]:
+        assert rec["mode"] == "ERROR" and not rec["pass"]
+        assert rec["details"]["error"] == (
+            "ValueError: expected the kernel frame d/dq on the product model")
 
 
 def test_an_expected_obstruction_that_builds_fails(tmp_path, capsys):
