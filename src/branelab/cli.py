@@ -115,11 +115,24 @@ def _load(args) -> tuple[Scene, RunConfig] | None:
         return None
 
 
+def _unwritable(path: str, e: OSError) -> int:
+    print(f"error: cannot write the report to {path!r}: {e.strerror or e}",
+          file=sys.stderr)
+    return 2
+
+
 def cmd_run(args) -> int:
     loaded = _load(args)
     if loaded is None:
         return 2
     scene, cfg = loaded
+    if args.out:
+        # a path that cannot be written fails before any check runs;
+        # opening to append leaves an existing file as it is
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as e:
+            return _unwritable(args.out, e)
     report = run_scene(scene, cfg)
     if args.format == "json":
         payload = report.to_json()
@@ -131,9 +144,7 @@ def cmd_run(args) -> int:
         try:
             Path(args.out).write_text(payload + "\n", encoding="utf-8")
         except OSError as e:
-            print(f"error: cannot write the report to {args.out!r}: "
-                  f"{e.strerror or e}", file=sys.stderr)
-            return 2
+            return _unwritable(args.out, e)
     else:
         print(payload)
     return 0 if report.all_passed else 1

@@ -12,9 +12,15 @@ that list and an index and return the index after what they read.  A
 token's kind is read from its text: one of ``-+*^()@`` is an operator, a
 token that starts with an ASCII letter or ``_`` is a name, and any other
 is a number, except a character that starts no token, which the scan
-matches on its own.  Such a bad character is the error of the whole
-text, wherever it stands.  A reader's error carries a token index; the
-text is scanned for offsets again only when a ParseError is raised.
+matches on its own.  The pattern tries operators, then names, then
+numbers; their first characters differ, so the order only makes the
+common tokens match sooner.  Such a bad character is the error of the
+whole text, wherever it stands.  A reader's error carries a token index;
+the text is scanned for offsets again only when a ParseError is raised.
+A cos/sin argument's ``(2*pi*`` head is one list-slice compare and a
+coordinate one lookup in the model's name-to-index map; the helpers that
+name what was expected (_expect, _name, _coordinate) read them again only
+to raise that error at that token.
 
 A sum is parsed term by term, and one product reader reads every term,
 of a field and of a vector or form alike.  It folds the term's numbers
@@ -25,12 +31,16 @@ name, or one of these raised to a power) is read as a ScalarField and
 multiplied in with ``fields.field_mul``, in reading order.  So each term
 is sign-normalized and pruned once, after its whole product, and a term
 of numbers, coordinate powers and one cos/sin makes no field product.
-The signed terms of each result (a field, a vector component, a form
-component) are summed by the sum rule of the ``fields`` module docstring:
-one ``fields.combine`` per result, added left to right and pruned once.
-An n-term sum therefore costs O(n log n) rather than a
-re-canonicalization of the partial sum after every ``+``.  Parenthesized
-sums nest at most ``MAX_NESTING`` (64) deep: one more ``(`` is a ParseError.
+The reader returns the term's canonical (key, coeff) pairs, not a field:
+a folded term costs a few list and dict operations.  The sum rule of the
+``fields`` module docstring then adds the signed terms, left to right,
+and prunes them once.  A field's sum extends one list of signed pairs and
+makes one ScalarField from one ``fields._canonical`` pass over it; a
+vector or form wraps each term's pairs as its coefficient and sums them
+with one ``fields.combine`` per component.  An n-term sum therefore costs
+O(n log n) rather than a re-canonicalization of the partial sum after
+every ``+``.  Parenthesized sums nest at most ``MAX_NESTING`` (64)
+deep: one more ``(`` is a ParseError.
 """
 
 from __future__ import annotations
@@ -41,17 +51,20 @@ import math
 import re
 import string
 
+from . import fields
 from .fields import (COS, PRUNE_EPS, SIN, ScalarField, VectorField,
                      _non_finite, _norm_term, combine)
 from .forms import DifferentialForm, _form_sum
 from .model import ManifoldModel
 
 _TOKEN = re.compile(
-    r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
+    r"[-+*^()@]"
     r"|[A-Za-z_][A-Za-z_0-9]*"
-    r"|[-+*^()@]"
+    r"|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
     r"|\S")
 _OPS = frozenset("-+*^()@")
+_TRIG_HEAD = ["(", "2", "*", "pi", "*"]
+_SIGNS = {"+": 1.0, "-": -1.0}
 MAX_NESTING = 64  # parenthesized sums, well inside the recursion limit
 _NAME_START = frozenset(string.ascii_letters + "_")
 
@@ -149,12 +162,15 @@ def _parse_trig(vals: list, i: int, model: ManifoldModel, which: str) -> tuple:
     times an integer, or a parenthesized signed sum of these.  A nonzero
     summed frequency on a line coordinate is an error at that
     coordinate's first token in the argument."""
-    i = _expect(vals, i, "(")
-    if vals[i] != "2":
-        raise _At("trig argument must start with 2*pi*", i)
-    i = _expect(vals, _expect(vals, _expect(vals, i + 1, "*"), "pi"), "*")
-    start = i
-    freqs = [0] * model.dim
+    if vals[i:i + 5] != _TRIG_HEAD:
+        # raise the error at the first token that differs
+        i = _expect(vals, i, "(")
+        if vals[i] != "2":
+            raise _At("trig argument must start with 2*pi*", i)
+        _expect(vals, _expect(vals, _expect(vals, i + 1, "*"), "pi"), "*")
+    i = start = i + 5
+    positions = model._positions
+    freqs = [0] * len(positions)
     sign = 1
     group = vals[i] == "("
     if group:
@@ -164,11 +180,16 @@ def _parse_trig(vals: list, i: int, model: ManifoldModel, which: str) -> tuple:
         if vals[i] == "+":
             i += 1
     while True:
+        v = vals[i]
         mult = 1
-        if _kind(vals[i]) == "num":
-            mult, i = _parse_int(vals, i)
-            i = _expect(vals, i, "*")
-        freqs[_coordinate(model, _name(vals, i), i)] += sign * mult
+        if v.isdecimal():
+            mult, i = int(v), _expect(vals, i + 1, "*")
+        elif _kind(v) == "num":
+            _parse_int(vals, i)  # raises: not an integer
+        j = positions.get(vals[i])
+        if j is None:
+            _coordinate(model, _name(vals, i), i)  # raises
+        freqs[j] += sign * mult
         i += 1
         if not group or vals[i] not in ("+", "-"):
             break
@@ -197,8 +218,8 @@ def _power(model: ManifoldModel, f: ScalarField, n) -> ScalarField:
 
 def _parse_product(vals: list, i: int, model: ManifoldModel, env,
                    symbol=None, symbols: str = "", depth: int = 0) -> tuple:
-    """(field, symbol, index after) of the term at i: factors joined by
-    ``*``.
+    """(terms, symbol, index after) of the term at i: factors joined by
+    ``*``.  terms are the canonical (key, coeff) pairs of the term.
 
     The factors fold into one key and one coefficient: each number (c^n
     as n products) multiplies the coefficient left to right, x^n adds n
@@ -213,15 +234,15 @@ def _parse_product(vals: list, i: int, model: ManifoldModel, env,
     term holds at most one, and the symbol returned is None if it holds
     none.  depth counts the parenthesized sums around the term.
     """
+    positions = model._positions
     coeff = 1.0
-    powers = [0] * model.dim
+    powers = [0] * len(positions)
     trig = None
     rest: list[ScalarField] = []
     sym = None
     while True:
         v = vals[i]
-        got = symbol(vals, i, model) if symbol else None
-        if got is not None:
+        if symbol and (got := symbol(vals, i, model)) is not None:
             if sym is not None:
                 raise _At(f"two {symbols} in one term", i)
             sym, i = got
@@ -240,7 +261,9 @@ def _parse_product(vals: list, i: int, model: ManifoldModel, env,
                 n, i = _exponent(vals, i + 1)
                 rest.append(_power(model, env[v], n))
             else:
-                j = _coordinate(model, v, i)
+                j = positions.get(v)
+                if j is None:
+                    _coordinate(model, v, i)  # raises
                 n, i = _exponent(vals, i + 1)
                 powers[j] += 1 if n is None else n
         elif v == "(":
@@ -261,7 +284,7 @@ def _parse_product(vals: list, i: int, model: ManifoldModel, env,
         if vals[i] != "*":
             break
         i += 1
-    freqs, phase = trig or ((0,) * model.dim, COS)
+    freqs, phase = trig or ((0,) * len(powers), COS)
     monomial = _norm_term(tuple(powers), freqs, phase, coeff)
     if not rest:
         # one sign-normalized term is canonical once it is finite and
@@ -269,43 +292,39 @@ def _parse_product(vals: list, i: int, model: ManifoldModel, env,
         if monomial and not math.isfinite(monomial[1]):
             raise _non_finite(monomial[1])
         keep = monomial and abs(monomial[1]) > PRUNE_EPS
-        return ScalarField(model, (monomial,) if keep else ()), sym, i
+        return ((monomial,) if keep else ()), sym, i
     # unpruned: the products with the other factors prune it with them
     f = ScalarField(model, (monomial,) if monomial else ())
     for g in rest:
         f = f * g
-    return f, sym, i
+    return f.terms, sym, i
 
 
-def _signed_terms(vals: list, i: int, term) -> int:
-    """Read the sum at i, with an optional leading sign: term(sign, i)
-    reads each term and returns the index after it.  Returns the index
-    after the sum."""
+def _leading_sign(vals: list, i: int) -> tuple:
+    """(sign, index after) of the optional "-", then "+", that may open a
+    sum at i."""
     sign = 1.0
     if vals[i] == "-":
         sign, i = -1.0, i + 1
     if vals[i] == "+":
         i += 1
-    while True:
-        i = term(sign, i)
-        if vals[i] not in ("+", "-"):
-            return i
-        sign = 1.0 if vals[i] == "+" else -1.0
-        i += 1
+    return sign, i
 
 
 def _parse_sum(vals: list, i: int, model: ManifoldModel, env,
                depth: int = 0) -> tuple:
-    """(field, index after) of the sum at i, inside depth parentheses."""
+    """(field, index after) of the sum at i, inside depth parentheses: one
+    canonical pass over the signed pairs of all its terms, in order."""
     pairs: list = []
-
-    def term(sign, i):
-        f, _, i = _parse_product(vals, i, model, env, depth=depth)
-        pairs.append((f, sign))
-        return i
-
-    i = _signed_terms(vals, i, term)
-    return combine(model, pairs), i
+    sign, i = _leading_sign(vals, i)
+    while True:
+        terms, _, i = _parse_product(vals, i, model, env, depth=depth)
+        for key, c in terms:
+            pairs.append((key, c * sign))
+        sign = _SIGNS.get(vals[i])
+        if sign is None:
+            return ScalarField(model, fields._canonical(pairs)), i
+        i += 1
 
 
 def _at_end(vals: list, i: int) -> None:
@@ -328,18 +347,19 @@ def _parse_terms(vals: list, model: ManifoldModel, env, symbol,
     after), or returns None there.  All symbols of the sum have one
     length: a form's degree (a vector's symbols all have length 1)."""
     terms: list = []
-
-    def term(sign, i):
+    sign, i = _leading_sign(vals, 0)
+    while True:
         coeff, sym, i = _parse_product(vals, i, model, env, symbol, symbols)
         if sym is None:
             raise _At(lacks, i)
         if terms and len(sym) != len(terms[0][0]):
             raise _At("mixed degrees in form", i)
-        terms.append((sym, coeff, sign))
-        return i
-
-    _at_end(vals, _signed_terms(vals, 0, term))
-    return terms
+        terms.append((sym, ScalarField(model, coeff), sign))
+        sign = _SIGNS.get(vals[i])
+        if sign is None:
+            _at_end(vals, i)
+            return terms
+        i += 1
 
 
 def _basis_vector(vals: list, i: int, model: ManifoldModel):

@@ -23,8 +23,10 @@ textbook RK4 formula, in its order of operations, for the states and for
 the tangent maps; the tangent maps' stage inputs and their weighted sum
 are written into two buffers of the step.  The bank's matmul and the
 tangent-map products A @ J are batched, so a seed point's tangent map
-can differ in its last bits with how many rows share its sweep (see
-fields); a reference that must match exactly flows the same batch.
+can differ in its last bits with how many rows share its sweep, and a
+velocity's values with which other fields share its bank (see the
+rounding rule in the fields docstring); a reference that must match
+exactly flows the same batch through the same bank.
 
 Every step tests its new state for finiteness and raises FlowError at the
 first step that leaves the finite numbers, naming the step and the seed

@@ -335,6 +335,8 @@ def parse_scene(text: str) -> Scene:
                 if k not in RUN_SETTINGS:
                     raise SceneError(line_no, f"unknown option {k!r} "
                                      f"(options: {', '.join(RUN_SETTINGS)})")
+                if k in scene.options:
+                    raise SceneError(line_no, f"option {k!r} given twice")
                 RUN_SETTINGS[k](v.strip())
                 scene.options[k] = v.strip()
             elif head == "model":

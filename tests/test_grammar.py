@@ -525,3 +525,62 @@ def test_a_folded_term_is_the_product_of_its_factors(drawn):
     bound = 2 * len(pieces) * 2.0 ** -53
     for (_, c), (_, w) in zip(got.terms, want.terms):
         assert abs(c - w) <= bound * abs(w)
+
+
+@st.composite
+def signed_sums(draw):
+    """(text, [(term text, sign)]) of a sum on P: terms of numbers, c^n,
+    coordinate powers, one or two cos/sin factors, the parenthesized sum
+    FOLD_SUM and the env name g, with a leading sign and random spacing.
+    Some terms share one of three keys, so that three or more coefficients
+    of a key are added in the order of the text."""
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    number = st.floats(min_value=0.1, max_value=10).map(repr)
+    shared = st.sampled_from(["x1", "y1^2*cos(2*pi*q)", "sin(2*pi*(x1 - q))"])
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            pieces = [draw(number), draw(shared)]
+        else:
+            pieces = list(draw(term_pieces())[0])
+        if draw(st.booleans()):
+            pieces.insert(draw(st.integers(0, len(pieces))),
+                          f"{draw(number)}^{draw(st.integers(0, 3))}")
+        text = pieces[0]
+        for p in pieces[1:]:
+            text += draw(space) + "*" + draw(space) + p
+        terms.append((text, draw(st.sampled_from([1.0, -1.0]))))
+    first, sign = terms[0]
+    text = draw(space) + draw(st.sampled_from(["", "+"] if sign > 0 else
+                                              ["-"])) + draw(space) + first
+    for t, s in terms[1:]:
+        text += draw(space) + ("+" if s > 0 else "-") + draw(space) + t
+    return text + draw(space), terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_sums())
+def test_a_sum_is_the_combine_of_its_signed_terms_bit_for_bit(drawn):
+    text, terms = drawn
+    got = parse_field(text, P, FOLD_ENV)
+    want = fields.combine(P, [(parse_field(t, P, FOLD_ENV), s)
+                              for t, s in terms])
+    assert [(k, c.hex()) for k, c in got.terms] == \
+        [(k, c.hex()) for k, c in want.terms]
+
+
+def test_a_folded_sum_is_one_canonical_pass_and_one_field():
+    text = " - ".join(f"{k}.5*y1^{k}*cos(2*pi*({k}*x1 - q))"
+                      for k in range(1, 41))
+    built = []
+    real = ScalarField.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        real(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ScalarField, "__init__", counted)
+        calls, items = _canonicalized(parse_field, text)
+    assert (calls, items) == (1, 40)
+    assert len(built) == 1

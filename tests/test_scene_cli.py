@@ -459,6 +459,21 @@ def test_malformed_option_value_is_a_scene_error_at_its_line(
     assert capsys.readouterr() == ("", f"error: line 4: {message}\n")
 
 
+def test_an_option_given_twice_is_a_scene_error_at_its_second_line(
+        tmp_path, capsys):
+    text = (bundled_scene_dir() / "example_r4.scene").read_text(
+        encoding="utf-8").replace(
+            "\nmodel M", "\noption steps 8\noption steps 16\nmodel M")
+    with pytest.raises(SceneError) as err:
+        parse_scene(text)
+    assert str(err.value) == "line 5: option 'steps' given twice"
+    p = tmp_path / "twice.scene"
+    p.write_text(text)
+    assert main(["run", str(p)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: line 5: option 'steps' given twice\n")
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--tol", "nan"], "tol must be a finite float >= 0, not nan"),
     (["--tol", "-1"], "tol must be a finite float >= 0, not -1.0"),
@@ -848,6 +863,29 @@ def test_an_unwritable_out_path_is_a_usage_error(tmp_path, capsys, where):
     assert captured.err.startswith(
         f"error: cannot write the report to {str(out)!r}: ")
     assert "Traceback" not in captured.err
+
+
+def test_an_unwritable_out_path_fails_before_any_check_runs(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    real = branelab.cli._execute
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(branelab.cli, "_execute", counted)
+    assert main(["run", "example_r4", "--out", str(tmp_path)]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write the report to {str(tmp_path)!r}: ")
+    # a writable path still gets the whole report, over what it held
+    out = tmp_path / "r.json"
+    out.write_text("old")
+    assert main(["run", "example_r4", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 3
+    assert len(json.loads(out.read_text())["checks"]) == 3
 
 
 # 300 parenthesized sums, deeper than the readers' recursion allows
