@@ -10,19 +10,17 @@ and truncated Fourier cochain complexes with numerically ranked first
 cohomology.  The checkers apply the transverse complex structure I as its
 matrix A on the constant transverse frame G: the images I(G_j) are the
 columns of G A, as constant vector fields, and I is 0 on the kernel
-frame.  One assembly and one generator map (hamiltonian_generator)
-build the complex of both shapes (space filling and N x S^1); the shape
-picks only the constant 2-form frame and the size of the speed block,
-and every constant comes from the candidate.  The complex needs constant
-omega and F, so every map keeps each frequency pair span{cos, sin}(2 pi
-k.x) to itself through a symbol polynomial in k: linear for the speeds
-and d1, quadratic for the 2-form part of d0.  The symbols are read off
-one generator call on the sum of the cosines of a fixed set of probe
-frequencies, each probe at its own mode, and one exterior derivative
-per frame 2-form, once per candidate, and reused at every truncation,
-where numpy fills one small block of each map per nonzero frequency.  The
-ranks, the block counts and the chain residual d1 d0 are taken on these
-blocks; the dense matrices are built only when read.
+frame.  One assembly builds the complex of both shapes (space filling
+and N x S^1), with d0 the generator map (hamiltonian_generator); the
+shape picks only the constant 2-form frame and the size of the speed
+block, and every constant comes from the candidate.  The complex needs
+constant omega, F and frames, so every map keeps each frequency pair
+span{cos, sin}(2 pi k.x) to itself through a symbol polynomial in k:
+linear for the speeds and d1, quadratic for the 2-form part of d0.  The
+symbols are closed forms in the constant matrices (G, E, omega, F), with
+no term algebra, and numpy fills one small block of each map per nonzero
+frequency.  The ranks, the block counts and the chain residual d1 d0 are
+taken on these blocks; the dense matrices are built only when read.
 
 Sign convention: the generator map is f -> (df on the kernel frame,
 Lie_{X_f} F); the opposite overall sign spans the same coboundaries.
@@ -32,11 +30,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .brane import BraneCandidate, _read_only, lift_form
+from .brane import BraneCandidate, lift_form
 from .fields import (COS, SIN, ScalarField, VectorField, circle_average,
                      linear_map, partial, q_antiderivative, reindex)
 from .forms import (DifferentialForm, _condition_gate, apply_form,
@@ -316,26 +315,6 @@ def _function_keys(dim: int, truncation: int) -> list[tuple[tuple[int, ...], int
     return keys
 
 
-def _mode_coeffs(a: DifferentialForm, idxs, K, phase) -> np.ndarray:
-    """Coefficients of the components idxs of a at cos or sin(2 pi k.x),
-    one row per row k of K; ValueError naming the first term of those
-    components with a polynomial factor or at any other mode."""
-    z = (0,) * a.model.dim
-    row = {(z, tuple(int(x) for x in k), phase): r for r, k in enumerate(K)}
-    out = np.zeros((len(K), len(idxs)))
-    for col, idx in enumerate(idxs):
-        for key, v in a.coeff(idx).terms:
-            if key not in row:
-                powers, freqs, ph = key
-                raise ValueError(
-                    "a probe's image leaves its Fourier mode: a "
-                    f"{'cos' if ph == COS else 'sin'} term at frequency "
-                    f"{freqs}" + (f" with powers {powers}" if any(powers)
-                                  else ""))
-            out[row[key], col] = v
-    return out
-
-
 def constant_type11_basis(c: BraneCandidate) -> list[np.ndarray]:
     """Orthonormal coefficient vectors (over index pairs a < b) spanning the
     constant 2-forms fixed by the complex-structure pullback."""
@@ -374,12 +353,14 @@ class ComplexSlice:
     the order of their sine keys in function_keys.  The nblk middle blocks
     are the speed block (absent when the brane is space filling), then
     one per column of the constant 2-form frame; the ntri 3-form blocks
-    are the index triples.  The blocks are filled from the candidate's
-    symbols, derived once and reused at every truncation (_symbols).
-    Rows and columns run by block, cosine before sine.  Each rank is one
-    batched SVD of the blocks (see _rank); block_summary counts the
-    nonzero blocks, and the chain residual is max |b1 b0|.  d0 and d1 are the dense matrices, rows and columns by
-    block and then key, scattered from the blocks on first read.
+    are the index triples.  complex_slice fills the blocks from the
+    candidate's constant matrices (_blocks).  Rows and columns run by
+    block, cosine before sine.
+
+    Each rank is one batched SVD of the blocks (see _rank).  block_summary
+    counts the nonzero blocks, and the chain residual is max |b1 b0|.  d0
+    and d1 are the dense matrices, rows and columns by block and then key,
+    scattered from the blocks on first read.
     """
 
     model: ManifoldModel
@@ -449,83 +430,83 @@ class ComplexSlice:
 _MAX_COMPLEX_BYTES = 2 << 30
 
 
-@functools.lru_cache(maxsize=16)
-def _symbols(c: BraneCandidate):
-    """The part of complex_slice that no truncation changes, derived once
-    per candidate and reused at every truncation: (shape, speeds, frame,
-    quad, t), the arrays read-only.
+def _closed_form(c: BraneCandidate):
+    """The candidate gates of complex_slice, in its order, then the
+    generator's symbol: (shape, speeds, frame, speed, S).
 
-    frame holds the constant 2-forms of the middle space as columns.
-    quad[i, j] is the generator's symbol polarised: the coefficient of
-    k_i (speed, diagonal only) and of k_i k_j (2-form over index pairs).
-    t[kk, j] is ext_d of frame column kk times cos(2 pi e_j.x) over the
-    index triples.  The generator runs once, on the sum of cos(2 pi k.x)
-    over the probes k = e_i, e_i + e_j and one check vector (n(n+1)/2 + 1
-    cosines on T^n), and ext_d once per frame column, on it times the sum
-    of the n unit cosines; each probe is read at its own mode.  The
-    candidate gates and probe errors of complex_slice are raised here,
-    and again on every call, since a raise is not cached.
+    speeds is the number of speed blocks (0 or 1), and frame holds the
+    constant 2-forms of the middle space as columns.  With
+    M = G (G^T W G)^-T G^T, so that X_f = M grad f as in
+    hamiltonian_generator, the generator takes cos(2 pi k.x) to
+    - the speed speed.k at the sine, speed = -2 pi E eta_q with eta_q the
+      q column of the coframe dual to E (0 when space filling);
+    - the 2-form -(2 pi)^2 k ^ (S k) at the cosine, S = F^T M, since
+      Lie_X F = d(interior(X, F)) for a constant F.
     """
     y = c.model_Y
     if len(y.circle_indices) != y.dim:
         raise ValueError("truncated Fourier bases need a torus model")
     if c.constant_grams is None:
         raise ValueError("the deformation complex needs constant omega and F")
-    n = y.dim
-    pairs = list(itertools.combinations(range(n), 2))
-    triples = list(itertools.combinations(range(n), 3))
-
     if c.E_frame.rank == 0:
         shape, speeds = "space_filling", 0
         frame = np.column_stack(constant_type11_basis(c))
     else:
         _kernel_circle(c)
         shape, speeds = "codim1", 1
-        frame = np.eye(len(pairs))
-
-    # the speed is linear in k and the 2-form quadratic: the probes at e_i
-    # and e_i + e_j give both, the 2-form's cross terms by polarisation,
-    # and one probe off that set tests the symbol.  The generator is
-    # linear and keeps every mode, so one call on the sum of the probe
-    # cosines gives each probe's image at its own mode: its speed along
-    # d/dq at the sine (zero when space filling), its 2-form at the cosine
-    unit = np.eye(n, dtype=int)
-    K = np.array([*unit, *(unit[i] + unit[j] for i, j in pairs),
-                  np.arange(2, n + 2)])
-    p = hamiltonian_generator(_cosines(y, K), c)
-    image = np.hstack([_mode_coeffs(p.r, [(n - 1,)], K, SIN),
-                       _mode_coeffs(p.B, pairs, K, COS)])
-    quad = np.zeros((n, n, 1 + len(pairs)))
-    quad[range(n), range(n)] = image[:n]
-    for (i, j), cross in zip(pairs, image[n:-1]):
-        quad[i, j] = quad[j, i] = (cross - quad[i, i] - quad[j, j]) / 2
-
-    want = np.append(*_symbol(quad, K[-1:]))
-    if np.abs(image[-1] - want).max() > 1e-9 * max(1.0, np.abs(want).max()):
-        raise ValueError("the generator has no constant-coefficient symbol")
-
-    # d(f beta) = df ^ beta is linear in k: read it at each e_j, all from
-    # one call on beta times the sum of the unit cosines
-    units = _cosines(y, unit)
-    t = [_mode_coeffs(ext_d(DifferentialForm.build(
-        y, 2, dict(zip(pairs, vec))) * units), triples, unit, SIN)
-         for vec in frame.T]
-    return (shape, speeds) + _read_only(frame, quad, np.array(t))
+        frame = np.eye(math.comb(y.dim, 2))
+    (G, E), (W, F) = c.frames, c.grams  # ValueError on a varying frame
+    Wg = G.T @ W @ G
+    _condition_gate(Wg, "restriction of the nondegenerate form")
+    eta_q = c.joint_inverse[G.shape[1]:, -1]  # raises on dependent frames
+    M = G @ np.linalg.inv(Wg.T) @ G.T
+    return shape, speeds, frame, -2 * np.pi * (E @ eta_q), F.T @ M
 
 
-def _cosines(y: ManifoldModel, K: np.ndarray) -> ScalarField:
-    """The sum of cos(2 pi k.x) over the rows k of K."""
-    z = (0,) * y.dim
-    return ScalarField.build(
-        y, {(z, tuple(int(x) for x in k), COS): 1.0 for k in K})
+def _wedge_k(n: int, p: int) -> np.ndarray:
+    """D with (k ^ beta)_J = sum of D[i, J, I] k_i beta_I, for a 1-form k
+    and a p-form beta, over increasing index tuples I and J."""
+    lower = {I: col for col, I in
+             enumerate(itertools.combinations(range(n), p))}
+    upper = list(itertools.combinations(range(n), p + 1))
+    D = np.zeros((n, len(upper), len(lower)))
+    for row, J in enumerate(upper):
+        for pos, i in enumerate(J):
+            D[i, row, lower[J[:pos] + J[pos + 1:]]] = (-1) ** pos
+    return D
 
 
-def _symbol(quad: np.ndarray, K: np.ndarray):
-    """The generator's symbol at the rows of K: the speeds, then the
-    2-forms with one column per row."""
-    n = len(quad)
-    return (K @ quad[range(n), range(n), 0],
-            np.einsum("ijp,fi,fj->pf", quad[..., 1:], K, K))
+def _blocks(speeds, frame, speed, S, freqs):
+    """b0 and b1 of complex_slice at the rows of freqs, nonzero
+    frequencies, from the symbol _closed_form gives; ValueError when a
+    2-form leaves the span of frame."""
+    n = freqs.shape[1]
+    # the generator's 2-form at the cosine, over index pairs
+    Q = -(2 * np.pi) ** 2 * np.einsum("fi,ipl,fl->pf", freqs,
+                                      _wedge_k(n, 1), freqs @ S.T)
+    coords = np.linalg.pinv(frame) @ Q
+    if (np.abs(frame @ coords - Q).max(axis=0, initial=0.0) > 1e-10
+            * np.maximum(1.0, np.abs(Q).max(axis=0, initial=0.0))).any():
+        raise ValueError("2-form leaves the invariant-type span")
+    # d(beta cos(2 pi k.x)) = -2 pi (k ^ beta) sin(2 pi k.x), over triples
+    dB = -2 * np.pi * np.tensordot(freqs, _wedge_k(n, 2) @ frame, 1)
+
+    def first_order(block, values):
+        # on (cos, sin) x (cos, sin): cos(2 pi k.x) -> value sin(2 pi k.x),
+        # sin -> -value cos
+        block[..., 1, 0] = values
+        block[..., 0, 1] = -values
+
+    nf, ntri, nblk = len(freqs), dB.shape[1], speeds + frame.shape[1]
+    b0 = np.zeros((nf, nblk, 2, 2))
+    if speeds:
+        first_order(b0[:, 0], freqs @ speed)
+    # the 2-form keeps the mode
+    b0[:, speeds:, [0, 1], [0, 1]] = coords.T[..., None]
+    b1 = np.zeros((nf, ntri, nblk, 2, 2))
+    first_order(b1[:, :, speeds:], dB)
+    return (b0.reshape(nf, 2 * nblk, 2),
+            b1.transpose(0, 1, 3, 2, 4).reshape(nf, 2 * ntri, 2 * nblk))
 
 
 def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
@@ -537,23 +518,20 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
     shape picks the frame and the speed block.  Space filling: the
     invariant-type (1,1) frame and no speeds.  Product model N x S^1 (the
     kernel frame must be d/dq): every elementary 2-form and one speed
-    function along the circle.  omega and F must be constant, so that no
-    map moves a frequency, and the dense d0 and d1 must fit in
+    function along the circle.  omega, F and the frames must be constant,
+    so that no map moves a frequency, and the dense d0 and d1 must fit in
     _MAX_COMPLEX_BYTES (ValueError otherwise).
 
-    The symbols of both maps are derived once per candidate by _symbols,
-    from one generator call on the sum of the n(n+1)/2 + 1 probe cosines
-    on T^n, and reused at every truncation; numpy then fills the block of
-    every frequency from them (see ComplexSlice for the layout).  An image
-    term off the probe modes, or a check probe off the symbol, is a
-    ValueError.
+    Both maps are read from the candidate's constant matrices
+    (_closed_form), not from the term algebra: numpy fills the block of
+    every nonzero frequency from closed forms in k (_blocks; see
+    ComplexSlice for the layout).
     """
-    shape, speeds, frame, quad, t = _symbols(c)
+    shape, speeds, frame, speed, S = _closed_form(c)
     n = c.model_Y.dim
     nfun = (2 * truncation + 1) ** n  # len(_function_keys(...))
-    ntri = t.shape[2]
     nblk = speeds + frame.shape[1]  # middle blocks: speeds, then the frame
-    nbytes = 8 * nblk * nfun * nfun * (1 + ntri)
+    nbytes = 8 * nblk * nfun * nfun * (1 + math.comb(n, 3))
     if nbytes > _MAX_COMPLEX_BYTES:
         # whole GiB, rounded up: an int of any size, where a float overflows
         raise ValueError(
@@ -564,28 +542,5 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
     keys = _function_keys(n, truncation)
     # the nonzero frequencies, in the order of their sine keys
     freqs = np.array([vec for vec, ph in keys if ph == SIN]).reshape(-1, n)
-    speed, Q = _symbol(quad, freqs)
-    coords = np.linalg.pinv(frame) @ Q
-    if (np.abs(frame @ coords - Q).max(axis=0, initial=0.0) > 1e-10
-            * np.maximum(1.0, np.abs(Q).max(axis=0, initial=0.0))).any():
-        raise ValueError("2-form leaves the invariant-type span")
-
-    def first_order(block, values):
-        # on (cos, sin) x (cos, sin): cos(2 pi k.x) -> value sin(2 pi k.x),
-        # sin -> -value cos
-        block[..., 1, 0] = values
-        block[..., 0, 1] = -values
-
-    nf = len(freqs)
-    b0 = np.zeros((nf, nblk, 2, 2))
-    if speeds:
-        first_order(b0[:, 0], speed)
-    # the 2-form keeps the mode
-    b0[:, speeds:, [0, 1], [0, 1]] = coords.T[..., None]
-
-    b1 = np.zeros((nf, ntri, nblk, 2, 2))
-    for kk, tk in enumerate(t):
-        first_order(b1[:, :, speeds + kk], freqs @ tk)
-    return ComplexSlice(
-        c.model_Y, truncation, shape, keys, b0.reshape(nf, 2 * nblk, 2),
-        b1.transpose(0, 1, 3, 2, 4).reshape(nf, 2 * ntri, 2 * nblk))
+    return ComplexSlice(c.model_Y, truncation, shape, keys,
+                        *_blocks(speeds, frame, speed, S, freqs))
