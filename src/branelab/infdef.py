@@ -18,9 +18,10 @@ constant omega, F and frames, so every map keeps each frequency pair
 span{cos, sin}(2 pi k.x) to itself through a symbol polynomial in k:
 linear for the speeds and d1, quadratic for the 2-form part of d0.  The
 symbols are closed forms in the constant matrices (G, E, omega, F), with
-no term algebra, and numpy fills one small block of each map per nonzero
-frequency.  The ranks, the block counts and the chain residual d1 d0 are
-taken on these blocks; the dense matrices are built only when read.
+no term algebra, and numpy fills one small complex block of each map per
+nonzero frequency.  The ranks, the block counts and the chain residual
+d1 d0 are taken on these blocks; the dense matrices are built only when
+read.
 
 Sign convention: the generator map is f -> (df on the kernel frame,
 Lie_{X_f} F); the opposite overall sign spans the same coboundaries.
@@ -298,21 +299,20 @@ def build_infdef(rho, B_N0: DifferentialForm,
 # -- truncated Fourier cochain complexes --------------------------------
 
 
+def _frequencies(dim: int, truncation: int) -> np.ndarray:
+    """The nonzero frequency vectors in [-truncation, truncation]^dim whose
+    first nonzero entry is positive, lexicographic: one row per frequency
+    pair span{cos, sin}(2 pi k.x)."""
+    k = np.indices((2 * truncation + 1,) * dim).reshape(dim, -1).T - truncation
+    first = k[np.arange(len(k)), (k != 0).argmax(axis=1)]
+    return k[first > 0]
+
+
 def _function_keys(dim: int, truncation: int) -> list[tuple[tuple[int, ...], int]]:
-    """Canonical (frequency vector, phase) basis keys, lexicographic in the
-    frequency vector; one cosine for the zero vector, cosine and sine for
-    each sign-normalized nonzero vector."""
-    keys = []
-    for vec in itertools.product(range(-truncation, truncation + 1),
-                                 repeat=dim):
-        if not any(vec):
-            keys.append((vec, COS))
-            continue
-        first = next(k for k in vec if k != 0)
-        if first > 0:
-            keys.append((vec, COS))
-            keys.append((vec, SIN))
-    return keys
+    """Canonical (frequency vector, phase) basis keys: one cosine for the
+    zero vector, then cosine and sine of each row of _frequencies."""
+    return [((0,) * dim, COS), *((tuple(k), ph) for k in _frequencies(
+        dim, truncation).tolist() for ph in (COS, SIN))]
 
 
 def constant_type11_basis(c: BraneCandidate) -> list[np.ndarray]:
@@ -334,55 +334,61 @@ def constant_type11_basis(c: BraneCandidate) -> list[np.ndarray]:
 
 
 def _rank(blocks: np.ndarray) -> int:
-    """Numerical rank of a block-diagonal matrix given as a stack of its
-    blocks: its singular values are the union of the blocks' values, so
-    counting those above SVD_RANK_REL times the largest of them all is
-    the rank one dense SVD of the whole matrix gives."""
-    s = np.linalg.svd(blocks, compute_uv=False)
-    return int(np.sum(s > SVD_RANK_REL * s.max())) if s.size else 0
+    """Rank of the real block-diagonal matrix complex blocks stand for,
+    a + ib for the real (cos, sin) block [[a, -b], [b, a]]: twice the
+    complex rank, the count of singular values above SVD_RANK_REL times
+    the largest of all.  A one-column block's singular value is its norm."""
+    s = (np.linalg.norm(blocks, axis=1) if blocks.shape[2] == 1
+         else np.linalg.svd(blocks, compute_uv=False))
+    return 2 * int(np.sum(s > SVD_RANK_REL * s.max())) if s.size else 0
 
 
 @dataclass
 class ComplexSlice:
     """The two-step deformation complex on truncated Fourier bases, held
-    as its frequency blocks, with numerical ranks.
+    as its complex frequency blocks, with numerical ranks.
 
     Every map keeps each frequency pair span{cos, sin}(2 pi k.x), and the
-    zero frequency maps to zero.  b0 (nf, 2 nblk, 2) and b1 (nf, 2 ntri,
-    2 nblk) hold the blocks of d0 and d1 at the nf nonzero frequencies, in
-    the order of their sine keys in function_keys.  The nblk middle blocks
-    are the speed block (absent when the brane is space filling), then
-    one per column of the constant 2-form frame; the ntri 3-form blocks
-    are the index triples.  complex_slice fills the blocks from the
-    candidate's constant matrices (_blocks).  Rows and columns run by
-    block, cosine before sine.
+    zero frequency maps to zero.  An entry a + ib stands for the real
+    (cos, sin) block [[a, -b], [b, a]]: cos -> a cos + b sin.  b0 (nf,
+    nblk, 1) and b1 (nf, ntri, nblk) hold the blocks of d0 and d1 at the
+    nf nonzero frequencies, in the order of _frequencies.  The nblk middle
+    blocks are the speed block (absent when the brane is space filling),
+    then one per column of the constant 2-form frame; the ntri 3-form
+    blocks are the index triples.
 
-    Each rank is one batched SVD of the blocks (see _rank).  block_summary
-    counts the nonzero blocks, and the chain residual is max |b1 b0|.  d0
-    and d1 are the dense matrices, rows and columns by block and then key,
-    scattered from the blocks on first read.
+    Each real rank is twice the rank of one batched complex SVD (_rank).
+    block_summary counts the nonzero blocks and gives the real shape; the
+    chain residual is max(|Re P|, |Im P|) for P = b1 b0.  d0 and d1 are
+    the dense real matrices, rows and columns by block and then
+    function_keys, scattered from the blocks on first read.
     """
 
     model: ManifoldModel
     truncation: int
     shape: str  # "space_filling" or "codim1"
-    function_keys: list
     b0: np.ndarray
     b1: np.ndarray
+
+    @functools.cached_property
+    def function_keys(self) -> list:
+        return _function_keys(self.model.dim, self.truncation)
 
     @property
     def middle_dim(self) -> int:
         """Dimension of the middle space, the inner one of d1 d0."""
-        return self.b0.shape[1] // 2 * len(self.function_keys)
+        return self.b0.shape[1] * (2 * self.truncation + 1) ** self.model.dim
 
     def _scatter(self, blocks: np.ndarray) -> np.ndarray:
-        nfun, (nf, rows, cols) = len(self.function_keys), blocks.shape
-        sin_at = np.flatnonzero([ph == SIN for _, ph in self.function_keys])
-        at = np.stack([sin_at - 1, sin_at], axis=1)  # a cosine key, its sine
-        dense = np.zeros((rows // 2, nfun, cols // 2, nfun))
-        dense[:, at[:, :, None], :, at[:, None, :]] = blocks.reshape(
-            nf, rows // 2, 2, cols // 2, 2).transpose(0, 2, 4, 1, 3)
-        return dense.reshape(rows // 2 * nfun, cols // 2 * nfun)
+        nf, rows, cols = blocks.shape
+        nfun = (2 * self.truncation + 1) ** self.model.dim
+        # after the zero cosine, the cosine and sine of each frequency
+        cos, sin = 1 + 2 * np.arange(nf), 2 + 2 * np.arange(nf)
+        dense = np.zeros((rows, nfun, cols, nfun))
+        dense[:, cos, :, cos] = dense[:, sin, :, sin] = blocks.real
+        dense[:, sin, :, cos] = blocks.imag
+        dense[:, cos, :, sin] = -blocks.imag
+        return dense.reshape(rows * nfun, cols * nfun)
 
     @functools.cached_property
     def d0(self) -> np.ndarray:
@@ -393,15 +399,16 @@ class ComplexSlice:
         return self._scatter(self.b1)
 
     def d1_d0_residual(self) -> float:
-        return float(np.abs(self.b1 @ self.b0).max(initial=0.0))
+        return float(np.abs((self.b1 @ self.b0).view(float)).max(initial=0.0))
 
     def d1_d0_bound(self) -> float:
         """Rounding bound of |d1 d0| when the exact product vanishes:
-        n eps max_i sum_k |d1_ik| max |d0| with n the inner dimension of
-        the dense product, at least 1e-10."""
-        row_sum = float(np.abs(self.b1).sum(axis=2).max(initial=0.0))
+        n eps max_i sum_k |d1_ik| max |d0|, n the inner dimension of the
+        dense product, at least 1e-10; a real row sums |Re| + |Im|."""
+        b0, b1 = self.b0.view(float), self.b1.view(float)
+        row_sum = float(np.abs(b1).sum(axis=2).max(initial=0.0))
         return max(1e-10, self.middle_dim * np.finfo(float).eps * row_sum
-                   * float(np.abs(self.b0).max(initial=0.0)))
+                   * float(np.abs(b0).max(initial=0.0)))
 
     @property
     def rank_d0(self) -> int:
@@ -416,12 +423,12 @@ class ComplexSlice:
         return self.dim_ker_d1 - self.rank_d0
 
     def block_summary(self) -> dict:
-        """Nonzero block count and block shape of d0 and d1."""
+        """Nonzero block count and real block shape of d0 and d1."""
         out = {}
         for which, blocks in (("d0", self.b0), ("d1", self.b1)):
             count = int(blocks.any(axis=(1, 2)).sum())
-            shape = blocks.shape[1:] if count else (0, 0)
-            out[which] = {"blocks": count, "largest": list(shape)}
+            shape = [2 * m for m in blocks.shape[1:]] if count else [0, 0]
+            out[which] = {"blocks": count, "largest": shape}
         return out
 
 
@@ -477,9 +484,11 @@ def _wedge_k(n: int, p: int) -> np.ndarray:
 
 
 def _blocks(speeds, frame, speed, S, freqs):
-    """b0 and b1 of complex_slice at the rows of freqs, nonzero
-    frequencies, from the symbol _closed_form gives; ValueError when a
-    2-form leaves the span of frame."""
+    """The complex b0 and b1 of complex_slice at the rows of freqs,
+    nonzero frequencies, from the symbol _closed_form gives; ValueError
+    when a 2-form leaves the span of frame.  As a + ib stands for the real
+    (cos, sin) block [[a, -b], [b, a]], a first-order map (cos to the
+    value at sin, sin to minus it at cos) is 1j times the value."""
     n = freqs.shape[1]
     # the generator's 2-form at the cosine, over index pairs
     Q = -(2 * np.pi) ** 2 * np.einsum("fi,ipl,fl->pf", freqs,
@@ -490,23 +499,14 @@ def _blocks(speeds, frame, speed, S, freqs):
         raise ValueError("2-form leaves the invariant-type span")
     # d(beta cos(2 pi k.x)) = -2 pi (k ^ beta) sin(2 pi k.x), over triples
     dB = -2 * np.pi * np.tensordot(freqs, _wedge_k(n, 2) @ frame, 1)
-
-    def first_order(block, values):
-        # on (cos, sin) x (cos, sin): cos(2 pi k.x) -> value sin(2 pi k.x),
-        # sin -> -value cos
-        block[..., 1, 0] = values
-        block[..., 0, 1] = -values
-
-    nf, ntri, nblk = len(freqs), dB.shape[1], speeds + frame.shape[1]
-    b0 = np.zeros((nf, nblk, 2, 2))
+    nf, ntri, nframe = dB.shape
+    b0 = np.zeros((nf, speeds + nframe, 1), complex)
     if speeds:
-        first_order(b0[:, 0], freqs @ speed)
-    # the 2-form keeps the mode
-    b0[:, speeds:, [0, 1], [0, 1]] = coords.T[..., None]
-    b1 = np.zeros((nf, ntri, nblk, 2, 2))
-    first_order(b1[:, :, speeds:], dB)
-    return (b0.reshape(nf, 2 * nblk, 2),
-            b1.transpose(0, 1, 3, 2, 4).reshape(nf, 2 * ntri, 2 * nblk))
+        b0[:, 0, 0] = 1j * (freqs @ speed)
+    b0[:, speeds:, 0] = coords.T
+    b1 = np.zeros((nf, ntri, speeds + nframe), complex)
+    b1[:, :, speeds:] = 1j * dB
+    return b0, b1
 
 
 def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
@@ -523,9 +523,10 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
     _MAX_COMPLEX_BYTES (ValueError otherwise).
 
     Both maps are read from the candidate's constant matrices
-    (_closed_form), not from the term algebra: numpy fills the block of
-    every nonzero frequency from closed forms in k (_blocks; see
-    ComplexSlice for the layout).
+    (_closed_form), not from the term algebra: numpy fills the complex
+    block of every nonzero frequency (_frequencies) from closed forms in
+    k (_blocks), a + ib for the real (cos, sin) block [[a, -b], [b, a]];
+    the real rank is twice the complex rank (ComplexSlice has the layout).
     """
     shape, speeds, frame, speed, S = _closed_form(c)
     n = c.model_Y.dim
@@ -539,8 +540,5 @@ def complex_slice(c: BraneCandidate, truncation: int) -> ComplexSlice:
             f"{(nbytes + (1 << 30) - 1) >> 30} GiB for d0 and d1, "
             f"over the {_MAX_COMPLEX_BYTES >> 30} GiB limit")
 
-    keys = _function_keys(n, truncation)
-    # the nonzero frequencies, in the order of their sine keys
-    freqs = np.array([vec for vec, ph in keys if ph == SIN]).reshape(-1, n)
-    return ComplexSlice(c.model_Y, truncation, shape, keys,
-                        *_blocks(speeds, frame, speed, S, freqs))
+    return ComplexSlice(c.model_Y, truncation, shape, *_blocks(
+        speeds, frame, speed, S, _frequencies(n, truncation)))

@@ -165,7 +165,9 @@ class FlowOptions:
 # forms.CONDITION_LIMIT; an EXACT verdict reads only these.  A coefficient,
 # or a residual of constant data, is zero at EXACT_ZERO; kernel and span
 # comparisons hold angles and relative distances to SUBSPACE; a singular
-# value counts for a rank above SVD_RANK_REL times the largest.
+# value counts for a rank above SVD_RANK_REL times the largest.  In the
+# deformation complex a + ib stands for the real (cos, sin) block
+# [[a, -b], [b, a]], so a real rank is twice the complex rank.
 EXACT_ZERO = 1e-10
 SUBSPACE = 1e-8
 SVD_RANK_REL = 1e-8

@@ -48,11 +48,11 @@ def codim1(model_q):
     return BraneCandidate(model_q, omega, F, E, G)
 
 
-def space_filling_t4():
+def space_filling_t4(F=F_T4):
     from branelab.fields import VectorField
     E = Distribution(T4, ())
     G = Distribution(T4, tuple(VectorField.basis(T4, i) for i in range(4)))
-    return BraneCandidate(T4, OMEGA_T4, F_T4, E, G)
+    return BraneCandidate(T4, OMEGA_T4, F, E, G)
 
 
 C5 = codim1(T5)
@@ -247,18 +247,6 @@ def test_complex_slice_truncation_gate():
 NOT_CONSTANT = "the deformation complex needs constant omega and F"
 
 
-def test_complex_slice_rejects_too_small_truncation():
-    omega = parse_form("dx1^dy2 + dy1^dx2", T4)
-    F = parse_form("dx1^dx2 - dy1^dy2", T4)
-    from branelab.fields import VectorField
-    E = Distribution(T4, ())
-    G = Distribution(T4, tuple(VectorField.basis(T4, i) for i in range(4)))
-    c = BraneCandidate(T4, omega, F + parse_form("cos(2*pi*2*x1)*dx1^dy1", T4),
-                       E, G)
-    with pytest.raises(ValueError, match=NOT_CONSTANT):
-        complex_slice(c, 1)
-
-
 # infdef_torus with a closed, non-constant term added to F
 VARYING_F = parse_scene((bundled_scene_dir() / "infdef_torus.scene").read_text(
     encoding="utf-8").replace(
@@ -273,7 +261,8 @@ def test_complex_slice_needs_constant_omega_and_F(truncation):
 
 
 def test_complex_slice_needs_torus_model():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="truncated Fourier bases need a torus model"):
         complex_slice(CMIX, 1)
 
 
@@ -296,6 +285,10 @@ def varying_frame():
 @pytest.mark.parametrize("make, cls, message", [
     (lambda: CMIX, ValueError, "truncated Fourier bases need a torus model"),
     (lambda: VARYING_F.lookup("candidates", "c"), ValueError, NOT_CONSTANT),
+    # an F term at frequency 2, above truncation 1
+    (lambda: space_filling_t4(
+        F_T4 + parse_form("cos(2*pi*2*x1)*dx1^dy1", T4)),
+     ValueError, NOT_CONSTANT),
     (lambda: gl_pair_t4("dx1^dy1"), DegenerateFormError,
      "form degenerate at constant form: "),
     (varying_frame, ValueError, "needs constant frames"),
@@ -310,14 +303,15 @@ def varying_frame():
                           G=("d_x1", "d_y1", "d_x2", "d_q")),
      RankDropError,
      "E and G frames are dependent: the joint frame [G | E] is singular")],
-    ids=["non_torus", "varying_F", "degenerate_omega", "varying_frame",
-         "kernel_not_dq", "degenerate_GWG", "dependent_GE"])
+    ids=["non_torus", "varying_F", "F_above_truncation", "degenerate_omega",
+         "varying_frame", "kernel_not_dq", "degenerate_GWG", "dependent_GE"])
 def test_each_complex_slice_refusal_names_its_cause(make, cls, message):
     """Each refusal, in the order complex_slice checks: torus, constant
-    omega and F, the shape (invariant-type frame or the kernel circle),
+    omega and F (at any truncation, above or below the frequencies of
+    the data), the shape (invariant-type frame or the kernel circle),
     constant frames, omega on G, then the joint frame [G | E]."""
     c = make()
-    for truncation in (0, 1):
+    for truncation in (0, 1, 2):
         with pytest.raises(cls) as err:
             complex_slice(c, truncation)
         assert type(err.value) is cls
@@ -530,6 +524,57 @@ def test_complex_slice_calls_no_term_algebra(monkeypatch, make, truncations):
         complex_slice(c, truncation)
 
 
+def realify(blocks):
+    """The real (cos, sin) blocks of a stack of complex blocks: each entry
+    a + ib becomes [[a, -b], [b, a]], rows and columns by entry, then
+    cosine before sine."""
+    a, b = blocks.real, blocks.imag
+    nf, rows, cols = blocks.shape
+    real = np.stack([np.stack([a, -b], -1), np.stack([b, a], -1)], -2)
+    return real.transpose(0, 1, 3, 2, 4).reshape(nf, 2 * rows, 2 * cols)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bundled_candidate("cohomology_t4"), gl_pair_t4, seed84_pair,
+    lambda: C5], ids=["cohomology_t4", "gl_pair_t4", "seed84_pair", "C5"])
+def test_dense_matrices_realify_the_complex_blocks(make):
+    """At each nonzero frequency k, the (cos, sin) x (cos, sin) sub-block
+    of the dense d0 and d1 between two blocks is [[a, -b], [b, a]] for the
+    complex block entry a + ib, bit for bit."""
+    cs = complex_slice(make(), 1)
+    at = {key: i for i, key in enumerate(cs.function_keys)}
+    nfun = len(at)
+    vecs = [vec for vec, phase in cs.function_keys if phase == SIN]
+    for M, blocks in ((cs.d0, cs.b0), (cs.d1, cs.b1)):
+        nf, rows, cols = blocks.shape
+        assert len(vecs) == nf
+        dense = M.reshape(rows, nfun, cols, nfun)
+        for vec, block in zip(vecs, realify(blocks)):
+            pair = [at[(vec, COS)], at[(vec, SIN)]]
+            sub = dense[:, pair][..., pair].reshape(2 * rows, 2 * cols)
+            assert np.array_equal(sub, block)
+
+
+def product_keys(dim, truncation):
+    """The keys by itertools.product, lexicographic in the frequency
+    vector: the zero vector's cosine, then the cosine and sine of each
+    vector whose first nonzero entry is positive."""
+    keys = []
+    for vec in itertools.product(range(-truncation, truncation + 1),
+                                 repeat=dim):
+        if not any(vec):
+            keys.append((vec, COS))
+        elif next(k for k in vec if k != 0) > 0:
+            keys += [(vec, COS), (vec, SIN)]
+    return keys
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_function_keys_are_the_product_enumeration(dim):
+    for truncation in range(4):
+        assert _function_keys(dim, truncation) == product_keys(dim, truncation)
+
+
 def at_mode(f, k):
     """The coefficients of f at cos and sin(2 pi k.x), its only terms."""
     out = {COS: 0.0, SIN: 0.0}
@@ -548,16 +593,17 @@ def at_mode(f, k):
          "E_2dq", "E_minus_half_dq", "G_with_dq"])
 def test_blocks_are_the_generator_and_d_at_high_frequencies(make):
     """At seeded frequencies up to |k| = 5, past the truncations a dense
-    complex fits at, each block complex_slice fills is the definition read
-    at its mode: d0 is hamiltonian_generator of cos and sin(2 pi k.x), d1
-    is ext_d of each frame 2-form times them."""
+    complex fits at, each block complex_slice fills, realified, is the
+    definition read at its mode: d0 is hamiltonian_generator of cos and
+    sin(2 pi k.x), d1 is ext_d of each frame 2-form times them."""
     c = make()
     y, n = c.model_Y, c.model_Y.dim
     rng = np.random.default_rng(31)
     K = [k if k[np.flatnonzero(k)[0]] > 0 else -k
          for k in rng.integers(-5, 6, size=(12, n)) if k.any()]
     _, speeds, frame, *symbol = branelab.infdef._closed_form(c)
-    b0, b1 = branelab.infdef._blocks(speeds, frame, *symbol, np.array(K))
+    b0, b1 = map(realify, branelab.infdef._blocks(speeds, frame, *symbol,
+                                                  np.array(K)))
     pairs = list(itertools.combinations(range(n), 2))
     triples = list(itertools.combinations(range(n), 3))
     want0, want1 = np.zeros_like(b0), np.zeros_like(b1)
@@ -607,39 +653,41 @@ def test_codim1_complex_decouples_into_small_blocks():
 
 @st.composite
 def block_stacks(draw):
-    """A complex whose b0 and b1 are stacks of same-shape blocks, one per
-    nonzero frequency of a circle, with the sum of the inner sizes of each
-    stack.  Each block is an integer product A B (exactly rank deficient
-    when the inner size is below the block's sides, zero when it is 0)
-    scaled by 1, 1e-3 or 1e-12."""
+    """A complex whose b0 and b1 are stacks of same-shape complex blocks,
+    one per nonzero frequency of a circle, with the sum of the inner sizes
+    of each stack.  Each block is a complex integer product A B (exactly
+    rank deficient when the inner size is below the block's sides, zero
+    when it is 0) scaled by 1, 1e-3 or 1e-12."""
     ints = st.integers(-3, 3)
     nf = draw(st.integers(1, 5))
     nblk, ntri = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def gaussian(rows, cols):
+        parts = np.array(draw(st.lists(ints, min_size=2 * rows * cols,
+                                       max_size=2 * rows * cols)), dtype=float)
+        return (parts[::2] + 1j * parts[1::2]).reshape(rows, cols)
 
     def stack(r, c):
         blocks, bound = [], 0
         for _ in range(nf):
             k = draw(st.integers(0, min(r, c)))
             bound += k
-            A = np.array(draw(st.lists(ints, min_size=r * k,
-                                       max_size=r * k)), dtype=float)
-            B = np.array(draw(st.lists(ints, min_size=k * c,
-                                       max_size=k * c)), dtype=float)
             scale = draw(st.sampled_from((1.0, 1e-3, 1e-12)))
-            blocks.append(scale * (A.reshape(r, k) @ B.reshape(k, c)))
+            blocks.append(scale * (gaussian(r, k) @ gaussian(k, c)))
         return np.array(blocks), bound
 
-    (b0, bound0), (b1, bound1) = stack(2 * nblk, 2), stack(2 * ntri, 2 * nblk)
+    (b0, bound0), (b1, bound1) = stack(nblk, 1), stack(ntri, nblk)
     circle = model_from_names([("x", CIRCLE)])
-    return ComplexSlice(circle, nf, "space_filling", _function_keys(1, nf),
-                        b0, b1), bound0, bound1
+    return ComplexSlice(circle, nf, "space_filling", b0, b1), bound0, bound1
 
 
 @settings(max_examples=80, deadline=None)
 @given(block_stacks())
 def test_block_rank_is_the_dense_rank(case):
+    """Twice the complex rank of the blocks is the rank of the dense real
+    matrix they stand for."""
     cs, bound0, bound1 = case
     rank_rel = DEFAULT_TOL.svd_rank_rel
-    assert cs.rank_d0 == dense_rank(cs.d0, rank_rel) <= bound0
+    assert cs.rank_d0 == dense_rank(cs.d0, rank_rel) <= 2 * bound0
     assert cs.middle_dim - cs.dim_ker_d1 == dense_rank(cs.d1, rank_rel) \
-        <= bound1
+        <= 2 * bound1
