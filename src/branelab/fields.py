@@ -24,7 +24,8 @@ The sum rule: every sum of fields, and every component of a sum of forms,
 is one _canonical pass over the (key, coeff) pairs of its terms.  combine
 makes that pass (forms._form_sum calls it once per component), and so
 does the text grammar's sum reader, over the signed pairs of the terms it
-reads.  The coefficients of equal keys are added left to right in the
+reads; those are already sign-normalized, so it calls _summed, the part
+of _canonical after the normalization.  The coefficients of equal keys are added left to right in the
 order the terms are given, and the sums are pruned once at the end, never
 after a partial sum.  Products, partials, antiderivatives, parsed sums and
 parsed products follow the same rule, so no other code adds the
@@ -75,7 +76,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, itemgetter, sub
 
 import numpy as np
 
@@ -118,15 +119,18 @@ def _non_finite(c: float) -> NonFiniteCoefficientError:
 
 def _canonical(pairs) -> tuple:
     """Canonical terms of a sum of (key, coeff) pairs: each key is
-    sign-normalized, the coefficients of equal keys are added in the
-    order given, and the sums are pruned once at PRUNE_EPS.  Raises
-    NonFiniteCoefficientError if a sum is inf or nan."""
+    sign-normalized, then the pairs are _summed."""
+    return _summed(filter(None, [_norm_term(powers, freqs, phase, coeff)
+                                 for (powers, freqs, phase), coeff in pairs]))
+
+
+def _summed(pairs) -> tuple:
+    """Canonical terms of a sum of sign-normalized (key, coeff) pairs: the
+    coefficients of equal keys are added in the order given, and the sums
+    are pruned once at PRUNE_EPS.  Raises NonFiniteCoefficientError if a
+    sum is inf or nan."""
     acc: dict[Key, float] = {}
-    for (powers, freqs, phase), coeff in pairs:
-        normed = _norm_term(powers, freqs, phase, coeff)
-        if normed is None:
-            continue
-        key, c = normed
+    for key, c in pairs:
         acc[key] = acc.get(key, 0.0) + c
     # one sum tests every coefficient: it is finite unless one of them is
     # not, or the sum itself overflows, which the scan then tells apart
@@ -374,31 +378,57 @@ class TermBank:
         return vals.T @ self.C
 
 
+# the phase of the two product-to-sum terms of a product of phases f1 * f2,
+# at index 2 * f1 + f2, and the factors of c in the difference and the sum
+_PRODUCT_PHASES = ((COS, 0.5, 0.5), (SIN, -0.5, 0.5), (SIN, 0.5, 0.5),
+                   (COS, 0.5, -0.5))
+
+
 def field_mul(a: ScalarField, b: ScalarField) -> ScalarField:
-    """Product, rewritten to canonical form via product-to-sum identities."""
+    """Product, rewritten to canonical form via product-to-sum identities.
+
+    Each (p1, p2) power sum and each (k1, k2) frequency difference and sum
+    is made once per product: b's distinct power and frequency vectors
+    are numbered, and each distinct p1 and k1 of a keeps a row of the
+    results by that number."""
     if a.model != b.model:
         raise ValueError("fields live on different models")
+    pnum: dict = {}
+    knum: dict = {}
+    bterms = [(pnum.setdefault(p, len(pnum)), knum.setdefault(k, len(knum)),
+               k, f, c) for (p, k, f), c in b.terms]
+    ps, ks = list(pnum), list(knum)
+    prows: dict = {}
+    krows: dict = {}
     out = []
     for (p1, k1, f1), c1 in a.terms:
-        for (p2, k2, f2), c2 in b.terms:
-            p = tuple(x + y for x, y in zip(p1, p2))
+        prow = prows.get(p1)
+        if prow is None:
+            prow = prows[p1] = [None] * len(ps)
+        wave1 = any(k1)
+        if wave1:
+            krow = krows.get(k1)
+            if krow is None:
+                krow = krows[k1] = [None] * len(ks)
+        for jp, jk, k2, f2, c2 in bterms:
+            p = prow[jp]
+            if p is None:
+                p = prow[jp] = tuple(map(add, p1, ps[jp]))
             c = c1 * c2
-            if not any(k1):
+            if not wave1:
                 out.append(((p, k2, f2), c))
                 continue
-            if not any(k2):
+            ds = krow[jk]
+            if ds is None:
+                k = ks[jk]
+                ds = krow[jk] = (any(k), tuple(map(sub, k1, k)),
+                                 tuple(map(add, k1, k)))
+            wave2, diff, summ = ds
+            if not wave2:
                 out.append(((p, k1, f1), c))
                 continue
-            diff = tuple(x - y for x, y in zip(k1, k2))
-            summ = tuple(x + y for x, y in zip(k1, k2))
-            if f1 == COS and f2 == COS:
-                out += [((p, diff, COS), 0.5 * c), ((p, summ, COS), 0.5 * c)]
-            elif f1 == SIN and f2 == SIN:
-                out += [((p, diff, COS), 0.5 * c), ((p, summ, COS), -0.5 * c)]
-            elif f1 == SIN and f2 == COS:
-                out += [((p, diff, SIN), 0.5 * c), ((p, summ, SIN), 0.5 * c)]
-            else:  # cos * sin
-                out += [((p, diff, SIN), -0.5 * c), ((p, summ, SIN), 0.5 * c)]
+            phase, s1, s2 = _PRODUCT_PHASES[2 * f1 + f2]
+            out += [((p, diff, phase), s1 * c), ((p, summ, phase), s2 * c)]
     return ScalarField(a.model, _canonical(out))
 
 

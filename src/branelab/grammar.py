@@ -6,15 +6,28 @@ coefficients in front.  The ``2*pi`` token is explicit so integer
 frequencies round-trip without floating-point noise.  Serialization is
 canonical: parse(serialize(x)) reproduces x exactly.
 
-A text is scanned once, by one ``findall`` of the token pattern, into a
-list of token strings that ends in the sentinel ``""``.  The readers take
-that list and an index and return the index after what they read.  A
-token's kind is read from its text: one of ``-+*^()@`` is an operator, a
-token that starts with an ASCII letter or ``_`` is a name, and any other
-is a number, except a character that starts no token, which the scan
-matches on its own.  The pattern tries operators, then names, then
-numbers; their first characters differ, so the order only makes the
-common tokens match sooner.  Such a bad character is the error of the
+A text is first read from its coarse scan: one ``findall`` of _SCAN into
+a list of token strings that ends in the sentinel ``""``.  A whole
+canonical cos/sin factor, ``cos(2*pi*`` or ``sin(2*pi*`` then a name,
+an ``int*name`` or a parenthesized group without nested parentheses,
+then ``)``, is one token of it; the other tokens are those of the fine
+scan, _TOKEN.  A canonical term then scans to about 13 tokens instead of
+26.  The product reader looks each factor token up in a dict that lives
+for one parse call, and fills it, the first time the token appears, by
+reading the token's own fine scan with _parse_trig, which must use the
+whole token up.  If reading the coarse list raises any ValueError, the
+text is read again from its fine scan alone, so every error, and its
+offset, is the one the fine scan gives.
+
+The fine scan, one ``findall`` of _TOKEN, gives every operator, name and
+number its own token.  The readers take either list and an index and
+return the index after what they read.  A token's kind is read from its
+text: one of ``-+*^()@`` is an operator, a token that starts with an
+ASCII letter or ``_`` is a name, and any other is a number, except a
+character that starts no token, which the scan matches on its own.  The
+pattern tries operators, then names, then numbers; their first
+characters differ, so the order only makes the common tokens match
+sooner.  Such a bad character is the error of the
 whole text, wherever it stands.  A reader's error carries a token index;
 the text is scanned for offsets again only when a ParseError is raised.
 A cos/sin argument's ``(2*pi*`` head is one list-slice compare and a
@@ -34,13 +47,20 @@ of numbers, coordinate powers and one cos/sin makes no field product.
 The reader returns the term's canonical (key, coeff) pairs, not a field:
 a folded term costs a few list and dict operations.  The sum rule of the
 ``fields`` module docstring then adds the signed terms, left to right,
-and prunes them once.  A field's sum extends one list of signed pairs and
-makes one ScalarField from one ``fields._canonical`` pass over it; a
-vector or form wraps each term's pairs as its coefficient and sums them
-with one ``fields.combine`` per component.  An n-term sum therefore costs
-O(n log n) rather than a re-canonicalization of the partial sum after
-every ``+``.  Parenthesized sums nest at most ``MAX_NESTING`` (64)
-deep: one more ``(`` is a ParseError.
+and prunes them once.  A field's sum extends one list of signed pairs,
+each already sign-normalized, and makes one ScalarField from one
+``fields._summed`` pass over it; a vector or form wraps each term's
+pairs as its coefficient and sums them with one ``fields.combine`` per
+component.  An n-term sum therefore costs O(n log n) rather than a
+re-canonicalization of the partial sum after every ``+``.  Parenthesized
+sums nest at most ``MAX_NESTING`` (64) deep: one more ``(`` is a
+ParseError.
+
+The printer writes each term as its coefficient's text, its monomial's
+text and its wave's text, joined by ``*``.  Within one print call it
+makes the text of each distinct powers and of each distinct (freqs,
+phase) once; the same holds for ``fields.field_mul``, which makes each
+power sum and each frequency difference and sum once per product.
 """
 
 from __future__ import annotations
@@ -62,6 +82,12 @@ _TOKEN = re.compile(
     r"|[A-Za-z_][A-Za-z_0-9]*"
     r"|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
     r"|\S")
+# the coarse scan: a whole canonical cos/sin factor is one token, read
+# through _wave; the other tokens are those of _TOKEN
+_SCAN = re.compile(
+    r"(?:cos|sin)\(2\*pi\*"
+    r"(?:[A-Za-z_][A-Za-z_0-9]*|\d+\*[A-Za-z_][A-Za-z_0-9]*|\([^()]*\))\)"
+    r"|" + _TOKEN.pattern)
 _OPS = frozenset("-+*^()@")
 _TRIG_HEAD = ["(", "2", "*", "pi", "*"]
 _SIGNS = {"+": 1.0, "-": -1.0}
@@ -206,6 +232,16 @@ def _parse_trig(vals: list, i: int, model: ManifoldModel, which: str) -> tuple:
     return (tuple(freqs), COS if which == "cos" else SIN), i
 
 
+def _wave(v: str, model: ManifoldModel) -> tuple:
+    """(freqs, phase) of v, a whole cos/sin factor of the coarse scan: its
+    own fine scan, read by _parse_trig to its end."""
+    vals = _TOKEN.findall(v)
+    vals.append("")
+    wave, i = _parse_trig(vals, 1, model, vals[0])
+    _at_end(vals, i)
+    return wave
+
+
 def _power(model: ManifoldModel, f: ScalarField, n) -> ScalarField:
     """f, or f^n as n products from the constant 1."""
     if n is None:
@@ -216,7 +252,7 @@ def _power(model: ManifoldModel, f: ScalarField, n) -> ScalarField:
     return out
 
 
-def _parse_product(vals: list, i: int, model: ManifoldModel, env,
+def _parse_product(vals: list, i: int, model: ManifoldModel, env, waves,
                    symbol=None, symbols: str = "", depth: int = 0) -> tuple:
     """(terms, symbol, index after) of the term at i: factors joined by
     ``*``.  terms are the canonical (key, coeff) pairs of the term.
@@ -232,7 +268,9 @@ def _parse_product(vals: list, i: int, model: ManifoldModel, env,
     symbol(vals, i, model), if given, reads a basis symbol (a tuple) at
     token i and returns (symbol, index after), or returns None there; a
     term holds at most one, and the symbol returned is None if it holds
-    none.  depth counts the parenthesized sums around the term.
+    none.  depth counts the parenthesized sums around the term.  waves
+    maps each whole cos/sin factor of the coarse scan read so far in this
+    parse to its (freqs, phase).
     """
     positions = model._positions
     coeff = 1.0
@@ -247,12 +285,18 @@ def _parse_product(vals: list, i: int, model: ManifoldModel, env,
                 raise _At(f"two {symbols} in one term", i)
             sym, i = got
         elif v[:1] in _NAME_START:
-            if v == "cos" or v == "sin":
-                wave, i = _parse_trig(vals, i + 1, model, v)
-                n, i = _exponent(vals, i)
-                if n is None and trig is None:
+            if v[-1] == ")" or v == "cos" or v == "sin":
+                if v[-1] == ")":  # a whole factor of the coarse scan
+                    wave = waves.get(v)
+                    if wave is None:
+                        wave = waves[v] = _wave(v, model)
+                    i += 1
+                else:
+                    wave, i = _parse_trig(vals, i + 1, model, v)
+                if vals[i] != "^" and trig is None:
                     trig = wave
                 else:
+                    n, i = _exponent(vals, i)
                     rest.append(_power(
                         model, ScalarField._trig(model, *wave, 1.0), n))
             elif env and v in env:
@@ -264,12 +308,16 @@ def _parse_product(vals: list, i: int, model: ManifoldModel, env,
                 j = positions.get(v)
                 if j is None:
                     _coordinate(model, v, i)  # raises
-                n, i = _exponent(vals, i + 1)
-                powers[j] += 1 if n is None else n
+                i += 1
+                if vals[i] == "^":
+                    n, i = _parse_int(vals, i + 1)
+                    powers[j] += n
+                else:
+                    powers[j] += 1
         elif v == "(":
             if depth == MAX_NESTING:
                 raise _At(f"parentheses nested deeper than {MAX_NESTING}", i)
-            f, i = _parse_sum(vals, i + 1, model, env, depth + 1)
+            f, i = _parse_sum(vals, i + 1, model, env, waves, depth + 1)
             n, i = _exponent(vals, _expect(vals, i, ")"))
             rest.append(_power(model, f, n))
         else:
@@ -279,8 +327,11 @@ def _parse_product(vals: list, i: int, model: ManifoldModel, env,
                 raise _At(f"unexpected token {v!r}", i) from None
             if not math.isfinite(c):
                 raise _At(f"number {v!r} overflows", i)
-            n, i = _exponent(vals, i + 1)
-            coeff *= c if n is None else math.prod(itertools.repeat(c, n))
+            i += 1
+            if vals[i] == "^":
+                n, i = _parse_int(vals, i + 1)
+                c = math.prod(itertools.repeat(c, n))
+            coeff *= c
         if vals[i] != "*":
             break
         i += 1
@@ -311,19 +362,21 @@ def _leading_sign(vals: list, i: int) -> tuple:
     return sign, i
 
 
-def _parse_sum(vals: list, i: int, model: ManifoldModel, env,
+def _parse_sum(vals: list, i: int, model: ManifoldModel, env, waves,
                depth: int = 0) -> tuple:
     """(field, index after) of the sum at i, inside depth parentheses: one
-    canonical pass over the signed pairs of all its terms, in order."""
+    canonical pass over the signed pairs of all its terms, in order.  The
+    pairs of each term are already sign-normalized, so the pass only sums
+    them (fields._summed)."""
     pairs: list = []
     sign, i = _leading_sign(vals, i)
     while True:
-        terms, _, i = _parse_product(vals, i, model, env, depth=depth)
+        terms, _, i = _parse_product(vals, i, model, env, waves, depth=depth)
         for key, c in terms:
             pairs.append((key, c * sign))
         sign = _SIGNS.get(vals[i])
         if sign is None:
-            return ScalarField(model, fields._canonical(pairs)), i
+            return ScalarField(model, fields._summed(pairs)), i
         i += 1
 
 
@@ -332,14 +385,32 @@ def _at_end(vals: list, i: int) -> None:
         raise _At(f"trailing input {vals[i]!r}", i)
 
 
-def parse_field(text: str, model: ManifoldModel, env=None) -> ScalarField:
+def _read(text: str, reader, model: ManifoldModel, env):
+    """reader(vals, model, env, waves) of the coarse scan of text, waves a
+    memo of its whole cos/sin factors that lives for this call.  If that
+    raises any ValueError, the same reader of the fine scan, inside
+    _scanned: so every error, and its offset, is the fine scan's."""
+    vals = _SCAN.findall(text)
+    vals.append("")
+    try:
+        return reader(vals, model, env, {})
+    except ValueError:
+        pass
     with _scanned(text) as vals:
-        f, i = _parse_sum(vals, 0, model, env)
-        _at_end(vals, i)
-        return f
+        return reader(vals, model, env, {})
 
 
-def _parse_terms(vals: list, model: ManifoldModel, env, symbol,
+def _field(vals: list, model: ManifoldModel, env, waves) -> ScalarField:
+    f, i = _parse_sum(vals, 0, model, env, waves)
+    _at_end(vals, i)
+    return f
+
+
+def parse_field(text: str, model: ManifoldModel, env=None) -> ScalarField:
+    return _read(text, _field, model, env)
+
+
+def _parse_terms(vals: list, model: ManifoldModel, env, waves, symbol,
                  symbols: str, lacks: str) -> list:
     """The (symbol, coefficient, sign) terms of a whole text that sums
     factors times exactly one basis symbol each.  symbol(vals, i, model)
@@ -349,7 +420,8 @@ def _parse_terms(vals: list, model: ManifoldModel, env, symbol,
     terms: list = []
     sign, i = _leading_sign(vals, 0)
     while True:
-        coeff, sym, i = _parse_product(vals, i, model, env, symbol, symbols)
+        coeff, sym, i = _parse_product(vals, i, model, env, waves, symbol,
+                                       symbols)
         if sym is None:
             raise _At(lacks, i)
         if terms and len(sym) != len(terms[0][0]):
@@ -369,17 +441,19 @@ def _basis_vector(vals: list, i: int, model: ManifoldModel):
     return None
 
 
+def _vector(vals: list, model: ManifoldModel, env, waves) -> list:
+    if vals[0] == "0" and len(vals) == 2:
+        return []
+    return _parse_terms(vals, model, env, waves, _basis_vector,
+                        "basis symbols",
+                        "vector term lacks a d_<coord> symbol")
+
+
 def parse_vector(text: str, model: ManifoldModel, env=None) -> VectorField:
     """Sums of scalar-coefficient multiples of d_<coord> basis symbols."""
     pairs: list[list] = [[] for _ in range(model.dim)]
-    with _scanned(text) as vals:
-        if vals[0] == "0" and len(vals) == 2:
-            return VectorField(
-                model, tuple(ScalarField.zero(model) for _ in pairs))
-        for (i,), coeff, sign in _parse_terms(
-                vals, model, env, _basis_vector, "basis symbols",
-                "vector term lacks a d_<coord> symbol"):
-            pairs[i].append((coeff, sign))
+    for (i,), coeff, sign in _read(text, _vector, model, env):
+        pairs[i].append((coeff, sign))
     return VectorField(model, tuple(combine(model, p) for p in pairs))
 
 
@@ -410,20 +484,23 @@ def _wedge_chain(vals: list, i: int, model: ManifoldModel):
     return tuple(idx), i
 
 
+def _form(vals: list, model: ManifoldModel, env, waves) -> DifferentialForm:
+    if vals[0] == "0" and vals[1] == "@":
+        deg, i = _parse_int(vals, 2)
+        if vals[i]:
+            raise _At("trailing input after zero form", i)
+        return DifferentialForm.zero(model, deg)
+    terms = _parse_terms(vals, model, env, waves, _wedge_chain,
+                         "wedge chains", "form term lacks a wedge chain")
+    return _form_sum(model, len(terms[0][0]), terms)
+
+
 def parse_form(text: str, model: ManifoldModel, env=None) -> DifferentialForm:
     """Sums of field coefficients times wedge chains like dx1^dy2.
 
     The zero form needs an explicit degree: ``0@2``.
     """
-    with _scanned(text) as vals:
-        if vals[0] == "0" and vals[1] == "@":
-            deg, i = _parse_int(vals, 2)
-            if vals[i]:
-                raise _At("trailing input after zero form", i)
-            return DifferentialForm.zero(model, deg)
-        terms = _parse_terms(vals, model, env, _wedge_chain, "wedge chains",
-                             "form term lacks a wedge chain")
-        return _form_sum(model, len(terms[0][0]), terms)
+    return _read(text, _form, model, env)
 
 
 # -- serialization -------------------------------------------------------
@@ -442,23 +519,38 @@ def _freq_text(model: ManifoldModel, freqs) -> str:
     return "(" + _join_signed(parts) + ")"
 
 
-def _term_body(model: ManifoldModel, key, coeff: float) -> str:
-    powers, freqs, phase = key
+def _mono_text(names, powers) -> str:
+    return "*".join(n if p == 1 else f"{n}^{p}"
+                    for n, p in zip(names, powers) if p)
+
+
+def _wave_text(model: ManifoldModel, freqs, phase) -> str:
+    if not any(freqs):
+        return ""
+    trig = "cos" if phase == COS else "sin"
+    return f"{trig}(2*pi*{_freq_text(model, freqs)})"
+
+
+def _bodies(model: ManifoldModel, terms, texts: dict) -> list:
+    """(coeff, text) of each term: the texts of its coefficient's size
+    (none if 1.0), of its monomial and of its wave, joined by ``*``, or
+    "1.0" if all three are empty.  texts memoizes, for one print call,
+    the monomial text of each powers and the wave text of each (freqs,
+    phase); a powers tuple holds ints and a wave key starts with a tuple,
+    so the two never share a key."""
     names = model.names
-    factors = []
-    a = abs(coeff)
-    if a != 1.0:
-        factors.append(_num_text(a))
-    for i, p in enumerate(powers):
-        if p == 0:
-            continue
-        factors.append(names[i] if p == 1 else f"{names[i]}^{p}")
-    if any(freqs):
-        trig = "cos" if phase == COS else "sin"
-        factors.append(f"{trig}(2*pi*{_freq_text(model, freqs)})")
-    if not factors:
-        factors.append(_num_text(a))
-    return "*".join(factors)
+    out = []
+    for (powers, freqs, phase), c in terms:
+        mono = texts.get(powers)
+        if mono is None:
+            mono = texts[powers] = _mono_text(names, powers)
+        wave = texts.get((freqs, phase))
+        if wave is None:
+            wave = texts[freqs, phase] = _wave_text(model, freqs, phase)
+        a = abs(c)
+        size = "" if a == 1.0 else _num_text(a)
+        out.append((c, "*".join(filter(None, (size, mono, wave))) or "1.0"))
+    return out
 
 
 def _join_signed(parts: list[tuple[float, str]]) -> str:
@@ -471,24 +563,27 @@ def _join_signed(parts: list[tuple[float, str]]) -> str:
     return "".join(out)
 
 
-def field_to_text(f: ScalarField) -> str:
+def _field_text(f: ScalarField, texts: dict) -> str:
     if not f.terms:
         return "0"
-    return _join_signed(
-        [(c, _term_body(f.model, key, c)) for key, c in f.terms])
+    return _join_signed(_bodies(f.model, f.terms, texts))
 
 
-def _times_symbol(f: ScalarField, symbol: str) -> tuple[float, str]:
+def field_to_text(f: ScalarField) -> str:
+    return _field_text(f, {})
+
+
+def _times_symbol(f: ScalarField, symbol: str, texts: dict) -> tuple:
     """The signed part `coefficient*symbol` of a vector or form."""
     if len(f.terms) == 1:
-        key, c = f.terms[0]
-        body = _term_body(f.model, key, c)
+        ((c, body),) = _bodies(f.model, f.terms, texts)
         return c, symbol if body == "1.0" else f"{body}*{symbol}"
-    return 1.0, f"({field_to_text(f)})*{symbol}"
+    return 1.0, f"({_field_text(f, texts)})*{symbol}"
 
 
 def vector_to_text(v: VectorField) -> str:
-    parts = [_times_symbol(comp, f"d_{v.model.names[i]}")
+    texts: dict = {}
+    parts = [_times_symbol(comp, f"d_{v.model.names[i]}", texts)
              for i, comp in enumerate(v.components) if comp.terms]
     return _join_signed(parts) if parts else "0"
 
@@ -496,6 +591,7 @@ def vector_to_text(v: VectorField) -> str:
 def form_to_text(a: DifferentialForm) -> str:
     if not a.coeffs:
         return f"0@{a.degree}"
+    texts: dict = {}
     return _join_signed([
-        _times_symbol(f, "^".join(f"d{a.model.names[i]}" for i in idx))
+        _times_symbol(f, "^".join(f"d{a.model.names[i]}" for i in idx), texts)
         for idx, f in a.coeffs])

@@ -145,7 +145,11 @@ class Report:
         return out.getvalue()
 
     def to_text(self) -> str:
-        lines = [f"scene: {self.scene}  seed: {self.seed}"]
+        # the header is the command line that reruns the report
+        tol = self.tolerances
+        lines = [f"branelab run {self.scene} --seed {self.seed} "
+                 f"--steps {round(1.0 / tol['flow_step'])} "
+                 f"--tol {tol['sampled']!r}"]
         for c in self.checks:
             status = "pass" if c.passed else "FAIL"
             lines.append(f"  [{status}] {c.name} ({c.mode}, residual "

@@ -1,5 +1,6 @@
 """Round-trip and canonical-text behavior of the expression grammar."""
 
+import random
 import re
 import string
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from branelab import fields, grammar
+from branelab import fields, grammar, scene
+from branelab.cli import bundled_scene_dir, resolve_scene
 from branelab.fields import COS, SIN, ScalarField, partial
 from branelab.forms import DifferentialForm
 from branelab.grammar import (ParseError, field_to_text, form_to_text,
@@ -167,12 +169,17 @@ def test_long_field_roundtrip_exact(raw):
     assert parse_field(field_to_text(f), P) == f
 
 
+def form_strategy(max_terms):
+    """2-forms on P with up to max_terms terms in each coefficient."""
+    return st.dictionaries(
+        st.sampled_from([(0, 1), (0, 2), (1, 2)]), raw_terms(max_terms),
+        min_size=1).map(lambda raw: DifferentialForm.build(
+            P, 2, {idx: ScalarField.build(P, r) for idx, r in raw.items()}))
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.dictionaries(st.sampled_from([(0, 1), (0, 2), (1, 2)]),
-                       raw_terms(20), min_size=1))
-def test_long_form_roundtrip_exact(raw):
-    a = DifferentialForm.build(
-        P, 2, {idx: ScalarField.build(P, r) for idx, r in raw.items()})
+@given(form_strategy(20))
+def test_long_form_roundtrip_exact(a):
     assert parse_form(form_to_text(a), P) == a
 
 
@@ -196,16 +203,18 @@ def test_sum_is_left_to_right_sum_of_parsed_terms_pruned_once():
 
 
 def _canonicalized(parse, text):
-    """(calls, raw items) that parsing text passes through fields._canonical."""
+    """(calls, raw items) of the canonical passes of parsing text: every
+    one ends in fields._summed, which the parsed sums call directly."""
     sizes = []
-    real = fields._canonical
+    real = fields._summed
 
     def counted(raw):
+        raw = list(raw)
         sizes.append(len(raw))
         return real(raw)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fields, "_canonical", counted)
+        mp.setattr(fields, "_summed", counted)
         parse(text, P)
     return len(sizes), sum(sizes)
 
@@ -584,3 +593,300 @@ def test_a_folded_sum_is_one_canonical_pass_and_one_field():
         calls, items = _canonicalized(parse_field, text)
     assert (calls, items) == (1, 40)
     assert len(built) == 1
+
+
+# -- the coarse scan ---------------------------------------------------------
+
+
+def _scan_readings(reader, text, model, env=None):
+    """(coarse, fine): what reader makes of the coarse _SCAN list of text
+    and of the fine _TOKEN list, and the lengths of both lists."""
+    vals = grammar._SCAN.findall(text) + [""]
+    coarse = reader(vals, model, env, {})
+    with grammar._scanned(text) as fine_vals:
+        fine = reader(fine_vals, model, env, {})
+    return (coarse, len(vals)), (fine, len(fine_vals))
+
+
+def vector_strategy():
+    return st.lists(raw_terms(12), min_size=3, max_size=3).map(
+        lambda raws: fields.VectorField(
+            P, tuple(ScalarField.build(P, r) for r in raws)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_terms(40), vector_strategy(), form_strategy(12))
+def test_the_coarse_scan_reads_what_the_fine_scan_reads(raw, v, a):
+    f = ScalarField.build(P, raw)
+    for x, write, parse, reader in (
+            (f, field_to_text, parse_field, grammar._field),
+            (v, vector_to_text, parse_vector, grammar._vector),
+            (a, form_to_text, parse_form, grammar._form)):
+        text = write(x)
+        (coarse, n_coarse), (fine, n_fine) = _scan_readings(reader, text, P)
+        assert coarse == fine
+        assert parse(text, P) == x
+        # each cos/sin factor is one coarse token instead of at least eight
+        waves = text.count("cos(") + text.count("sin(")
+        assert n_coarse <= n_fine - 7 * waves
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_sums())
+def test_the_coarse_scan_reads_a_written_sum_as_the_fine_scan(drawn):
+    """Texts that are not canonical: spacing, signs, powers of numbers, a
+    second cos/sin factor, a parenthesized sum and an env name."""
+    text, _ = drawn
+    (coarse, _), (fine, _) = _scan_readings(grammar._field, text, P,
+                                            FOLD_ENV)
+    assert [(k, c.hex()) for k, c in coarse.terms] == \
+        [(k, c.hex()) for k, c in fine.terms]
+
+
+# The printer as it was before it memoized the monomial and wave texts of
+# a call: the reference that the printed text must match byte for byte.
+def _ref_freq_text(model, freqs):
+    names = model.names
+    parts = [(k, names[i] if abs(k) == 1 else f"{abs(k)}*{names[i]}")
+             for i, k in enumerate(freqs) if k != 0]
+    if len(parts) == 1 and parts[0][0] > 0:
+        return parts[0][1]
+    return "(" + _ref_join_signed(parts) + ")"
+
+
+def _ref_term_body(model, key, coeff):
+    powers, freqs, phase = key
+    names = model.names
+    factors = []
+    a = abs(coeff)
+    if a != 1.0:
+        factors.append(repr(float(a)))
+    for i, p in enumerate(powers):
+        if p == 0:
+            continue
+        factors.append(names[i] if p == 1 else f"{names[i]}^{p}")
+    if any(freqs):
+        trig = "cos" if phase == COS else "sin"
+        factors.append(f"{trig}(2*pi*{_ref_freq_text(model, freqs)})")
+    if not factors:
+        factors.append(repr(float(a)))
+    return "*".join(factors)
+
+
+def _ref_join_signed(parts):
+    out = []
+    for n, (c, body) in enumerate(parts):
+        if n == 0:
+            out.append(("-" if c < 0 else "") + body)
+        else:
+            out.append((" - " if c < 0 else " + ") + body)
+    return "".join(out)
+
+
+def _ref_field_to_text(f):
+    if not f.terms:
+        return "0"
+    return _ref_join_signed(
+        [(c, _ref_term_body(f.model, key, c)) for key, c in f.terms])
+
+
+def _ref_times_symbol(f, symbol):
+    if len(f.terms) == 1:
+        key, c = f.terms[0]
+        body = _ref_term_body(f.model, key, c)
+        return c, symbol if body == "1.0" else f"{body}*{symbol}"
+    return 1.0, f"({_ref_field_to_text(f)})*{symbol}"
+
+
+def _ref_vector_to_text(v):
+    parts = [_ref_times_symbol(comp, f"d_{v.model.names[i]}")
+             for i, comp in enumerate(v.components) if comp.terms]
+    return _ref_join_signed(parts) if parts else "0"
+
+
+def _ref_form_to_text(a):
+    if not a.coeffs:
+        return f"0@{a.degree}"
+    return _ref_join_signed([
+        _ref_times_symbol(f, "^".join(f"d{a.model.names[i]}" for i in idx))
+        for idx, f in a.coeffs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_terms(40), vector_strategy(), form_strategy(12), field_strategy())
+def test_printed_text_is_the_reference_text_byte_for_byte(raw, v, a, g):
+    f = ScalarField.build(P, raw)
+    for x in (f, f * np.float64(1.5), partial(f, 1), -f):
+        assert field_to_text(x) == _ref_field_to_text(x)
+    assert field_to_text(g) == _ref_field_to_text(g)
+    assert vector_to_text(v) == _ref_vector_to_text(v)
+    assert form_to_text(a) == _ref_form_to_text(a)
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name[:-len(".scene")] for p in bundled_scene_dir().iterdir()
+    if p.name.endswith(".scene")))
+def test_bundled_scenes_serialize_as_the_reference_prints(name):
+    sc = resolve_scene(name)
+    got = scene.serialize_scene(sc)
+    with pytest.MonkeyPatch.context() as mp:
+        for write in (_ref_field_to_text, _ref_vector_to_text,
+                      _ref_form_to_text):
+            mp.setattr(scene, write.__name__[len("_ref_"):], write)
+        want = scene.serialize_scene(sc)
+    assert got == want
+    assert scene.serialize_scene(scene.parse_scene(got)) == got
+
+
+def _ref_field_mul(a, b):
+    """field_mul as it was before it reused the power sums and frequency
+    differences and sums of a product."""
+    out = []
+    for (p1, k1, f1), c1 in a.terms:
+        for (p2, k2, f2), c2 in b.terms:
+            p = tuple(x + y for x, y in zip(p1, p2))
+            c = c1 * c2
+            if not any(k1):
+                out.append(((p, k2, f2), c))
+                continue
+            if not any(k2):
+                out.append(((p, k1, f1), c))
+                continue
+            diff = tuple(x - y for x, y in zip(k1, k2))
+            summ = tuple(x + y for x, y in zip(k1, k2))
+            if f1 == COS and f2 == COS:
+                out += [((p, diff, COS), 0.5 * c), ((p, summ, COS), 0.5 * c)]
+            elif f1 == SIN and f2 == SIN:
+                out += [((p, diff, COS), 0.5 * c), ((p, summ, COS), -0.5 * c)]
+            elif f1 == SIN and f2 == COS:
+                out += [((p, diff, SIN), 0.5 * c), ((p, summ, SIN), 0.5 * c)]
+            else:  # cos * sin
+                out += [((p, diff, SIN), -0.5 * c), ((p, summ, SIN), 0.5 * c)]
+    return ScalarField(a.model, fields._canonical(out))
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_terms(30), raw_terms(30))
+def test_field_mul_is_the_reference_product_bit_for_bit(ra, rb):
+    a, b = ScalarField.build(P, ra), ScalarField.build(P, rb)
+    for x, y in ((a, b), (b, a), (a, a)):
+        got = fields.field_mul(x, y)
+        want = _ref_field_mul(x, y)
+        assert [(k, c.hex()) for k, c in got.terms] == \
+            [(k, c.hex()) for k, c in want.terms]
+
+
+# mutations inside a canonical cos/sin factor: (old text, new text)
+TRIG_MUTATIONS = [
+    ("*(", "* ("), ("x1", "x1 "), ("(2", "( 2"), ("x1", "x$1"), ("q", "q?"),
+    ("3*", "3.5*"), ("3*", "0*"), ("3*", "0.0*"), ("x1", "y1"), ("q", "zz"),
+    ("x1", "(x1)"), ("(3", "((3"), ("q)", "q"), ("2*pi*", "2*pi*("),
+    ("pi", "pi2"), ("2*pi", "2.0*pi"), ("x1", "2*x1*x1"), ("q", "q^2"),
+    ("x1", "3e1*x1"), ("-", "--"), ("+", "+-"), ("*q", "*q*q"),
+    (" - ", " * "), ("q", "")]
+
+
+@st.composite
+def mutated_trig_texts(draw):
+    """A term with a canonical cos/sin factor on M5, changed inside the
+    factor by one of TRIG_MUTATIONS, or followed by ^n."""
+    k1, kq = draw(st.integers(-3, 3)), draw(st.integers(1, 3))
+    arg = draw(st.sampled_from(
+        [f"{kq}*q", "x1", "q", f"({k1}*x1 - {kq}*q)", f"(x1 + {kq}*q)",
+         f"(-x1 + {kq}*q)", f"({kq}*x1 - q)"]))
+    factor = f"{draw(st.sampled_from(['cos', 'sin']))}(2*pi*{arg})"
+    old, new = draw(st.sampled_from(TRIG_MUTATIONS + [(")", ")^2")]))
+    if old in factor:
+        at = draw(st.sampled_from(
+            [m.start() for m in re.finditer(re.escape(old), factor)]))
+        factor = factor[:at] + new + factor[at + len(old):]
+    head = draw(st.sampled_from(["", "0.25*", "y1^2*", "-x1*"]))
+    tail = draw(st.sampled_from(["", "*y2", " + 1.5*q", "^3",
+                                 " - cos(2*pi*x1)"]))
+    return head + factor + tail
+
+
+M5 = model_from_names([("x1", CIRCLE), ("y1", LINE), ("x2", LINE),
+                       ("y2", LINE), ("q", CIRCLE)])
+
+
+def _outcome(read):
+    try:
+        return "ok", read()
+    except ParseError as err:
+        return "error", str(err), err.pos
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_trig_texts())
+@example("cos(2*pi* (x1 + q))")
+@example("sin(2*pi*(x1 + q))^2*x1")
+@example("cos(2*pi*2.5*x1)")
+@example("cos(2*pi*0*q) + 1")
+@example("x1*sin(2*pi*y1)")
+@example("cos(2*pi*(x1 - 2*y1 + 2*y1))")
+@example("cos(2*pi*zz)")
+@example("cos(2*pi*((x1 + q))")
+@example("sin(2*pi*(x1 + q)")
+@example("cos(2*pi*(x1 $ q))")
+@example("2cos(2*pi*x1)")
+@example("xcos(2*pi*q)")
+def test_a_mutated_trig_factor_is_the_fine_scan_error(text):
+    for parse, suffix in ((parse_field, ""), (parse_vector, "*d_y1"),
+                          (parse_form, "*dx1^dy1")):
+        whole = text + suffix
+        got = _outcome(lambda: parse(whole, M5))
+        # the fine scan alone: every token of the first reading is a
+        # _TOKEN, as in the reading that follows an error
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grammar, "_SCAN", grammar._TOKEN)
+            assert got == _outcome(lambda: parse(whole, M5))
+
+
+def exact_shape_field(rng, nterms):
+    """nterms distinct terms coeff * lines^p * trig(2*pi*(k1*x1 + kq*q))
+    on M5: the shape of the benchmark's exact workload."""
+    raw = {}
+    while len(raw) < nterms:
+        powers = (0, rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2),
+                  0)
+        k1, kq = rng.randint(-3, 3), rng.randint(-3, 3)
+        phase = COS if (k1, kq) == (0, 0) else rng.choice((COS, SIN))
+        c = rng.choice((-1, 1)) * rng.randint(500, 5000) / 10000.0
+        raw.setdefault((powers, (k1, 0, 0, 0, kq), phase), c)
+    return ScalarField.build(M5, raw)
+
+
+def test_a_canonical_product_is_read_from_the_coarse_scan():
+    """A tier-1 guard on the parse's token count: a product of two 30-term
+    fields of the exact workload's shape scans to about 13.5 coarse tokens
+    a term, against about 26 fine ones, and is read without the fine
+    scan."""
+    rng = random.Random(30)
+    h = fields.field_mul(exact_shape_field(rng, 30),
+                         exact_shape_field(rng, 30))
+    text = field_to_text(h)
+    scans = []
+    real_scan, real_scanned = grammar._SCAN, grammar._scanned
+
+    class Counted:
+        def findall(self, s):
+            vals = real_scan.findall(s)
+            scans.append(("coarse", len(vals)))
+            return vals
+
+    def counted_scanned(s):
+        scans.append(("fine", len(grammar._TOKEN.findall(s))))
+        return real_scanned(s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grammar, "_SCAN", Counted())
+        mp.setattr(grammar, "_scanned", counted_scanned)
+        assert parse_field(text, M5) == h
+    assert len(h.terms) > 500
+    assert [kind for kind, _ in scans] == ["coarse"]
+    # sign, coefficient, up to three powers and the factor, joined by *:
+    # 16 coarse tokens at most, 13.5 on average, where the fine scan
+    # gives the factor alone 8 to 16
+    assert scans[0][1] <= 15 * len(h.terms)
+    assert len(grammar._TOKEN.findall(text)) >= 24 * len(h.terms)

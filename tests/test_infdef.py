@@ -254,18 +254,6 @@ VARYING_F = parse_scene((bundled_scene_dir() / "infdef_torus.scene").read_text(
         "form F @ Y = dx1^dx2 - dy1^dy2 + 0.3*cos(2*pi*x1)*dx1^dy1"))
 
 
-@pytest.mark.parametrize("truncation", [0, 1, 2])
-def test_complex_slice_needs_constant_omega_and_F(truncation):
-    with pytest.raises(ValueError, match=NOT_CONSTANT):
-        complex_slice(VARYING_F.lookup("candidates", "c"), truncation)
-
-
-def test_complex_slice_needs_torus_model():
-    with pytest.raises(ValueError,
-                       match="truncated Fourier bases need a torus model"):
-        complex_slice(CMIX, 1)
-
-
 def t5_candidate(omega="dx1^dy2 + dy1^dx2", E="d_q",
                  G=("d_x1", "d_y1", "d_x2", "d_y2")):
     return BraneCandidate(

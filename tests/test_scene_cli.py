@@ -123,6 +123,27 @@ def test_run_is_deterministic(tmp_path, capsys):
     assert d1 == d2
 
 
+@pytest.mark.parametrize("name, flags, header", [
+    ("example_r4", [],
+     "branelab run example_r4 --seed 0 --steps 1024 --tol 1e-08"),
+    ("lambda_shear", ["--seed", "5", "--steps", "200", "--tol", "1e-07"],
+     "branelab run lambda_shear --seed 5 --steps 200 --tol 1e-07"),
+    ("mapping_torus", ["--seed", "3", "--steps", "96", "--tol", "0.003"],
+     "branelab run mapping_torus --seed 3 --steps 96 --tol 0.003")])
+def test_the_text_header_is_the_command_that_reruns_it(capsys, name, flags,
+                                                       header):
+    main(["run", name, "--format", "text", *flags])
+    text = capsys.readouterr().out
+    assert text.splitlines()[0] == header
+    main(["run", name, "--format", "json", *flags])
+    want = scrub(json.loads(capsys.readouterr().out))
+    main(header.split()[1:] + ["--format", "json"])
+    assert scrub(json.loads(capsys.readouterr().out)) == want
+    main(header.split()[1:] + ["--format", "text"])
+    assert capsys.readouterr().out.splitlines()[1:] == \
+        text.splitlines()[1:]
+
+
 def test_exit_codes(capsys):
     assert main(["run", "example_r4"]) == 0
     capsys.readouterr()
